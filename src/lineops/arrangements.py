@@ -1,23 +1,28 @@
 """Line arrangements, point configurations and the incidence operators.
 
-The engine underlying every operator is pair grouping: intersections
-(dually: joins) of all pairs, grouped by canonical coordinate key.  A point
-met by k lines receives exactly C(k,2) of the pair meets, so multiplicity
-is read off the group size with no incidence rescan.  Over Q the grouping
-runs on primitive integer triples, which keeps the big runs (thousands of
-lines) cheap.
+The engine underlying every operator is one pair kernel, ``_meet_keys``:
+the meets (dually: joins) of all pairs, each as a canonical coordinate key.
+Grouping those keys gives everything else.  A point met by k lines receives
+exactly C(k,2) of the pair meets, so multiplicity is read off the group size
+with no incidence rescan.  The kernel has two key codecs: over Q, primitive
+integer triples normalized by gcd and sign, which keeps the big runs
+(thousands of lines) cheap; over every other field, representatives scaled
+so that the first nonzero coordinate is one.  ``_from_key`` turns a key back
+into a point or line at the API boundary.
 """
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb, gcd, isqrt
 from typing import Iterable, Optional, Sequence
 
 from .fields import (Field, FieldError, RATIONALS, PRIME_FIELD,
                      field_make, format_scalar, parse_field_spec, parse_scalar)
-from .projective import (ProjLine, ProjPoint, _rep_key, dualize,
+from .projective import (ProjLine, ProjPoint, _sort_key, dualize,
                          projectively_equivalent)
 
 
@@ -99,11 +104,6 @@ def parse_selector(text: str) -> MultiplicitySelector:
 # ---------------------------------------------------------------------------
 # arrangements and point configurations
 
-def _sort_key(obj):
-    triple = obj.coeffs if isinstance(obj, ProjLine) else obj.coords
-    return tuple(_rep_key(c.rep) for c in triple)
-
-
 class Arrangement:
     """Deduplicated finite set of lines with a canonical total order."""
 
@@ -127,7 +127,7 @@ class Arrangement:
         return iter(self.lines)
 
     def __contains__(self, l):
-        return l in set(self.lines)
+        return l in self.lines
 
     def __eq__(self, other):
         return (isinstance(other, Arrangement)
@@ -176,7 +176,7 @@ class PointConfig:
         return iter(self.points)
 
     def __contains__(self, p):
-        return p in set(self.points)
+        return p in self.points
 
     def __eq__(self, other):
         return (isinstance(other, PointConfig)
@@ -208,18 +208,8 @@ def make_arrangement(normals: Sequence, field: Field):
     return arr, len(lines) - len(arr)
 
 
-def make_point_config(triples: Sequence, field: Field):
-    pts = [ProjPoint(tuple(field.scalar(c) for c in t)) for t in triples]
-    cfg = PointConfig(field, pts)
-    return cfg, len(pts) - len(cfg)
-
-
 def dualize_arrangement(arr: Arrangement) -> PointConfig:
     return PointConfig(arr.field, (dualize(l) for l in arr.lines))
-
-
-def dualize_config(cfg: PointConfig) -> Arrangement:
-    return Arrangement(cfg.field, (dualize(p) for p in cfg.points))
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +219,7 @@ def _q_int_triples(objs) -> list:
     """Primitive integer triples (first nonzero > 0) for rational objects."""
     out = []
     for o in objs:
-        triple = o.coeffs if isinstance(o, ProjLine) else o.coords
-        fr = [c.rep for c in triple]
+        fr = o.key()
         den = 1
         for f in fr:
             d = f.denominator
@@ -246,125 +235,65 @@ def _q_int_triples(objs) -> list:
     return out
 
 
-def _q_key_to_point(key, field) -> ProjPoint:
-    return ProjPoint(tuple(field.scalar(Fraction(c)) for c in key))
+def _meet_keys(objs, field: Field):
+    """Canonical key of the meet (join) of each pair of lines (points).
 
-
-def _q_key_to_line(key, field) -> ProjLine:
-    return ProjLine(tuple(field.scalar(Fraction(c)) for c in key))
+    Keys come in ``combinations(range(len(objs)), 2)`` order.  Over Q a key
+    is the primitive integer triple with first nonzero > 0; over any other
+    field it is the triple of representatives whose first nonzero is one.
+    """
+    if field.kind == RATIONALS:
+        tris = _q_int_triples(objs)
+        for i, (a0, a1, a2) in enumerate(tris):
+            for b0, b1, b2 in tris[i + 1:]:
+                x = a1 * b2 - a2 * b1
+                y = a2 * b0 - a0 * b2
+                z = a0 * b1 - a1 * b0
+                g = gcd(gcd(x, y), z)
+                if x:
+                    if x < 0:
+                        g = -g
+                elif y:
+                    if y < 0:
+                        g = -g
+                elif z < 0:
+                    g = -g
+                yield (x // g, y // g, z // g)
+        return
+    rmul, rsub, rinv, rzero = field.r_mul, field.r_sub, field.r_inv, field.r_is_zero
+    one = field.one.rep
+    reps = [o.key() for o in objs]
+    for i, (a0, a1, a2) in enumerate(reps):
+        for b0, b1, b2 in reps[i + 1:]:
+            x = rsub(rmul(a1, b2), rmul(a2, b1))
+            y = rsub(rmul(a2, b0), rmul(a0, b2))
+            z = rsub(rmul(a0, b1), rmul(a1, b0))
+            if not rzero(x):
+                inv = rinv(x)
+                yield (one, rmul(y, inv), rmul(z, inv))
+            elif not rzero(y):
+                inv = rinv(y)
+                yield (x, one, rmul(z, inv))
+            else:
+                yield (x, y, one)
 
 
 def _pair_counts(objs, field: Field) -> dict:
     """key -> number of pairs meeting (joining) there, over all C(n,2) pairs."""
-    if field.kind == RATIONALS:
-        tris = _q_int_triples(objs)
-        counts = {}
-        n = len(tris)
-        for i in range(n):
-            a0, a1, a2 = tris[i]
-            for j in range(i + 1, n):
-                b0, b1, b2 = tris[j]
-                x = a1 * b2 - a2 * b1
-                y = a2 * b0 - a0 * b2
-                z = a0 * b1 - a1 * b0
-                g = gcd(gcd(x, y), z)
-                if x:
-                    if x < 0:
-                        g = -g
-                elif y:
-                    if y < 0:
-                        g = -g
-                elif z < 0:
-                    g = -g
-                key = (x // g, y // g, z // g)
-                counts[key] = counts.get(key, 0) + 1
-        return counts
-    reps = [tuple(c.rep for c in (o.coeffs if isinstance(o, ProjLine) else o.coords))
-            for o in objs]
-    return _gen_pair_counts(reps, field)
-
-
-def _gen_pair_counts(reps, field: Field) -> dict:
-    rmul, rsub, rinv, rzero = field.r_mul, field.r_sub, field.r_inv, field.r_is_zero
-    counts = {}
-    n = len(reps)
-    one = field.one.rep
-    for i in range(n):
-        a0, a1, a2 = reps[i]
-        for j in range(i + 1, n):
-            b0, b1, b2 = reps[j]
-            x = rsub(rmul(a1, b2), rmul(a2, b1))
-            y = rsub(rmul(a2, b0), rmul(a0, b2))
-            z = rsub(rmul(a0, b1), rmul(a1, b0))
-            if not rzero(x):
-                inv = rinv(x)
-                key = (one, rmul(y, inv), rmul(z, inv))
-            elif not rzero(y):
-                inv = rinv(y)
-                key = (x, one, rmul(z, inv))
-            else:
-                key = (x, y, one)
-            counts[key] = counts.get(key, 0) + 1
-    return counts
+    return Counter(_meet_keys(objs, field))
 
 
 def _pair_index(objs, field: Field) -> dict:
     """key -> set of indices of the objects through the keyed position."""
-    if field.kind == RATIONALS:
-        tris = _q_int_triples(objs)
-        index = {}
-        n = len(tris)
-        for i in range(n):
-            a0, a1, a2 = tris[i]
-            for j in range(i + 1, n):
-                b0, b1, b2 = tris[j]
-                x = a1 * b2 - a2 * b1
-                y = a2 * b0 - a0 * b2
-                z = a0 * b1 - a1 * b0
-                g = gcd(gcd(x, y), z)
-                if x:
-                    if x < 0:
-                        g = -g
-                elif y:
-                    if y < 0:
-                        g = -g
-                elif z < 0:
-                    g = -g
-                key = (x // g, y // g, z // g)
-                s = index.get(key)
-                if s is None:
-                    index[key] = {i, j}
-                else:
-                    s.add(i)
-                    s.add(j)
-        return index
-    reps = [tuple(c.rep for c in (o.coeffs if isinstance(o, ProjLine) else o.coords))
-            for o in objs]
-    rmul, rsub, rinv, rzero = field.r_mul, field.r_sub, field.r_inv, field.r_is_zero
-    one = field.one.rep
     index = {}
-    n = len(reps)
-    for i in range(n):
-        a0, a1, a2 = reps[i]
-        for j in range(i + 1, n):
-            b0, b1, b2 = reps[j]
-            x = rsub(rmul(a1, b2), rmul(a2, b1))
-            y = rsub(rmul(a2, b0), rmul(a0, b2))
-            z = rsub(rmul(a0, b1), rmul(a1, b0))
-            if not rzero(x):
-                inv = rinv(x)
-                key = (one, rmul(y, inv), rmul(z, inv))
-            elif not rzero(y):
-                inv = rinv(y)
-                key = (x, one, rmul(z, inv))
-            else:
-                key = (x, y, one)
-            s = index.get(key)
-            if s is None:
-                index[key] = {i, j}
-            else:
-                s.add(i)
-                s.add(j)
+    for (i, j), key in zip(combinations(range(len(objs)), 2),
+                           _meet_keys(objs, field)):
+        s = index.get(key)
+        if s is None:
+            index[key] = {i, j}
+        else:
+            s.add(i)
+            s.add(j)
     return index
 
 
@@ -375,16 +304,11 @@ def _mult_from_pairs(c: int) -> int:
     return k
 
 
-def _key_point(key, field) -> ProjPoint:
+def _from_key(cls, key, field):
+    """The ProjPoint or ProjLine (``cls``) with kernel key ``key``."""
     if field.kind == RATIONALS:
-        return _q_key_to_point(key, field)
-    return ProjPoint(tuple(field.from_rep(r) for r in key))
-
-
-def _key_line(key, field) -> ProjLine:
-    if field.kind == RATIONALS:
-        return _q_key_to_line(key, field)
-    return ProjLine(tuple(field.from_rep(r) for r in key))
+        return cls(tuple(field.scalar(Fraction(c)) for c in key))
+    return cls(tuple(field.from_rep(r) for r in key))
 
 
 @dataclass(frozen=True)
@@ -398,30 +322,24 @@ class IncidenceIndex:
     direction: str
     entries: tuple  # ((ProjPoint|ProjLine, frozenset(indices)), ...)
 
-    def multiplicity_of(self, obj) -> int:
-        for o, s in self.entries:
-            if o == obj:
-                return len(s)
-        return 0
+
+def _incidence(direction: str, cls, objs, field: Field) -> IncidenceIndex:
+    if len(objs) < 2:
+        return IncidenceIndex(direction, ())
+    entries = [(_from_key(cls, k, field), frozenset(s))
+               for k, s in _pair_index(objs, field).items()]
+    entries.sort(key=lambda e: _sort_key(e[0]))
+    return IncidenceIndex(direction, tuple(entries))
 
 
 def incidence_index(arr: Arrangement) -> IncidenceIndex:
     """Group the pairwise meets of an arrangement by canonical point."""
-    if len(arr) < 2:
-        return IncidenceIndex("points", ())
-    idx = _pair_index(arr.lines, arr.field)
-    entries = [( _key_point(k, arr.field), frozenset(s)) for k, s in idx.items()]
-    entries.sort(key=lambda e: _sort_key(e[0]))
-    return IncidenceIndex("points", tuple(entries))
+    return _incidence("points", ProjPoint, arr.lines, arr.field)
 
 
 def richness_index(cfg: PointConfig) -> IncidenceIndex:
-    if len(cfg) < 2:
-        return IncidenceIndex("lines", ())
-    idx = _pair_index(cfg.points, cfg.field)
-    entries = [(_key_line(k, cfg.field), frozenset(s)) for k, s in idx.items()]
-    entries.sort(key=lambda e: _sort_key(e[0]))
-    return IncidenceIndex("lines", tuple(entries))
+    """Group the pairwise joins of a point configuration by canonical line."""
+    return _incidence("lines", ProjLine, cfg.points, cfg.field)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +351,7 @@ def points_operator(sel: MultiplicitySelector, arr: Arrangement) -> PointConfig:
         return PointConfig(arr.field)
     counts = _pair_counts(arr.lines, arr.field)
     field = arr.field
-    pts = [_key_point(k, field) for k, c in counts.items()
+    pts = [_from_key(ProjPoint, k, field) for k, c in counts.items()
            if sel.contains(_mult_from_pairs(c))]
     return PointConfig(field, pts)
 
@@ -448,7 +366,7 @@ def lines_operator(sel: MultiplicitySelector, cfg: PointConfig) -> Arrangement:
         return Arrangement(cfg.field)
     counts = _pair_counts(cfg.points, cfg.field)
     field = cfg.field
-    lines = [_key_line(k, field) for k, c in counts.items()
+    lines = [_from_key(ProjLine, k, field) for k, c in counts.items()
              if sel.contains(_mult_from_pairs(c))]
     return Arrangement(field, lines)
 
@@ -591,10 +509,6 @@ def all_projective_lines(field: Field) -> Arrangement:
         lines.append(ProjLine((zero, one, c)))
     lines.append(ProjLine((zero, zero, one)))
     return Arrangement(field, lines)
-
-
-def all_projective_points(field: Field) -> PointConfig:
-    return dualize_arrangement(all_projective_lines(field))
 
 
 def _all_field_elements(field: Field):
@@ -780,11 +694,12 @@ def property_suite(arr: Arrangement, real: Optional[bool] = None) -> list:
         ok = lambda_decomposition_check(sel_exact(m), msel, arr)
         results.append((f"decomposition[{m};2,3]", ok, ""))
 
+    before = set(arr.lines)
     for nsel, msel in ((sel_at_least(2), sel_at_least(2)),
                        (sel_at_least(3), sel_at_least(2)),
                        (sel_at_least(2), sel_at_least(3))):
         img = lambda_op(nsel, msel, arr)
-        has_new = any(l not in set(arr.lines) for l in img.lines)
+        has_new = any(l not in before for l in img.lines)
         bound = nsel.min_member * msel.min_member
         ok = (not has_new) or len(arr) >= bound
         results.append((f"new-line-bound[{nsel.text};{msel.text}]", ok,

@@ -62,12 +62,6 @@ def poly_trim(p: Sequence) -> tuple:
     return tuple(p)
 
 
-def poly_add(p, q):
-    n = max(len(p), len(q))
-    return poly_trim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
-                      for i in range(n)])
-
-
 def poly_sub(p, q):
     n = max(len(p), len(q))
     return poly_trim([(p[i] if i < len(p) else 0) - (q[i] if i < len(q) else 0)

@@ -354,8 +354,8 @@ def projectively_equivalent(lines_a: Sequence[ProjLine],
     Arrangements without a general-position quadruple (pencils, near
     pencils, <= 3 lines) go through a dual-frame fallback.
     """
-    lines_a = sorted(set(lines_a), key=lambda l: _sort_key(l))
-    lines_b = sorted(set(lines_b), key=lambda l: _sort_key(l))
+    lines_a = sorted(set(lines_a), key=_sort_key)
+    lines_b = sorted(set(lines_b), key=_sort_key)
     if not lines_a and not lines_b:
         return None  # no canvas to define a witness on; treated by caller
     if len(lines_a) != len(lines_b):
@@ -378,6 +378,7 @@ def projectively_equivalent(lines_a: Sequence[ProjLine],
 
 
 def _sort_key(obj):
+    """The canonical total order on points and on lines."""
     reps = obj.coeffs if isinstance(obj, ProjLine) else obj.coords
     return tuple(_rep_key(c.rep) for c in reps)
 
@@ -386,15 +387,6 @@ def _rep_key(rep):
     if isinstance(rep, tuple):
         return rep
     return (rep,)
-
-
-def _pencil_vertex(lines: Sequence[ProjLine]) -> Optional[ProjPoint]:
-    if len(lines) < 2:
-        return None
-    p = meet(lines[0], lines[1])
-    if all(incident(p, l) for l in lines[2:]):
-        return p
-    return None
 
 
 def _pool_points(field: Field):
@@ -649,10 +641,6 @@ def conic_through(pts: Sequence[ProjPoint]) -> Conic:
     return Conic(basis[0])
 
 
-def conic_contains(conic: Conic, p: ProjPoint) -> bool:
-    return conic.contains(p)
-
-
 def common_conic(pts: Sequence[ProjPoint]) -> Optional[Conic]:
     """Some conic through all the points, or None when only the zero conic fits."""
     if not pts:
@@ -687,7 +675,7 @@ def rich_conics(pts: Sequence[ProjPoint], min_count: int) -> list:
     limit for exact enumeration); 5-subsets that do not determine a unique
     conic are skipped.
     """
-    pts = sorted(set(pts), key=_point_sort_key)
+    pts = sorted(set(pts), key=_sort_key)
     if len(pts) > 30:
         raise GeometryError("rich_conics accepts at most 30 points")
     if len(pts) < 5 or min_count < 5:
@@ -709,7 +697,3 @@ def rich_conics(pts: Sequence[ProjPoint], min_count: int) -> list:
             out.append(RichConic(conic, cnt, conic.is_irreducible()))
     out.sort(key=lambda rc: tuple(_rep_key(r) for r in rc.conic.key()))
     return out
-
-
-def _point_sort_key(p: ProjPoint):
-    return tuple(_rep_key(c.rep) for c in p.coords)

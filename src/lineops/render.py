@@ -9,9 +9,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .arrangements import ArrangementError, _pair_index
+from .arrangements import ArrangementError, _from_key, _pair_index
 from .fields import real_embedding
-from .projective import ProjLine
+from .projective import ProjLine, ProjPoint
 
 _CLIP_EPS = 1e-9
 
@@ -158,11 +158,10 @@ def render_svg(layers: Sequence, spec: RenderSpec = RenderSpec()) -> RenderResul
         field = all_lines[0].field
         distinct = list(dict.fromkeys(all_lines))
         idx = _pair_index(distinct, field)
-        from .arrangements import _key_point
         marks = []
         for key, lines_on in idx.items():
             mult = len(lines_on)
-            p = _key_point(key, field)
+            p = _from_key(ProjPoint, key, field)
             u1, u2, u3 = _chart_coeffs(ProjLine(p.coords), spec.chart)
             zc = _to_float(u3, spec.root_index)
             if abs(zc) <= _CLIP_EPS:

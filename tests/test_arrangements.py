@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 from lineops.arrangements import (Arrangement, ArrangementError,
+                                  _from_key, _pair_counts, _pair_index,
                                   MultiplicitySelector, PointConfig,
                                   SingularityProfile, all_projective_lines,
                                   arrangement_from_json, arrangement_to_json,
@@ -22,7 +23,7 @@ from lineops.arrangements import (Arrangement, ArrangementError,
                                   psi_op, sel_at_least, sel_exact)
 from lineops.catalog import build
 from lineops.fields import GF, QQ
-from lineops.projective import join, line, point
+from lineops.projective import ProjLine, ProjPoint, join, line, meet, point
 
 F = QQ()
 
@@ -93,6 +94,41 @@ def test_incidence_index_quadrilateral_and_pencil():
     pencil, _ = make_arrangement([(1, k, 0) for k in range(5)], F)
     idx2 = incidence_index(pencil)
     assert len(idx2.entries) == 1 and len(idx2.entries[0][1]) == 5
+
+
+def _sample_of_plane(q, n):
+    lines = all_projective_lines(GF(q)).lines
+    return Arrangement(GF(q), random.Random(7).sample(lines, n))
+
+
+KERNEL_INPUTS = {
+    "Q": lambda: lambda_op(sel_at_least(2), sel_at_least(2), lambda_op(
+        sel_at_least(2), sel_at_least(2), complete_quadrilateral())),
+    "Q(omega)": lambda: build("dual-hesse"),
+    "cubic": lambda: build("grunbaum-rigby"),
+    "GF(7)": lambda: _sample_of_plane(7, 25),
+    "GF(49)": lambda: _sample_of_plane(49, 40),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_INPUTS))
+def test_pair_kernel_matches_single_meets_and_joins(name):
+    """The pair kernel groups exactly as meet/join of each pair does."""
+    arr = KERNEL_INPUTS[name]()
+    field = arr.field
+    for objs, op, cls in ((arr.lines, meet, ProjPoint),
+                          (dualize_arrangement(arr).points, join, ProjLine)):
+        want_index, want_counts = {}, {}
+        for i, j in combinations(range(len(objs)), 2):
+            o = op(objs[i], objs[j])
+            want_index.setdefault(o, set()).update((i, j))
+            want_counts[o] = want_counts.get(o, 0) + 1
+        idx = _pair_index(objs, field)
+        got = {_from_key(cls, k, field): s for k, s in idx.items()}
+        assert len(got) == len(idx) and got == want_index
+        counts = _pair_counts(objs, field)
+        got = {_from_key(cls, k, field): c for k, c in counts.items()}
+        assert len(got) == len(counts) and got == want_counts
 
 
 def test_points_operator_examples():

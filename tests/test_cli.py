@@ -1,7 +1,12 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import lineops
 
 from lineops.arrangements import (arrangement_from_json, arrangement_to_json,
                                   dump_json, sel_at_least, sel_exact)
@@ -173,3 +178,14 @@ def test_exit_codes(capsys, monkeypatch):
     code, _, err = run(capsys, monkeypatch, ["apply", "--op", "L{2;3}"],
                        stdin="not json")
     assert code == 1
+
+
+def test_python_dash_m():
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lineops.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    res = subprocess.run([sys.executable, "-m", "lineops", "catalog", "list"],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert "dual-hesse" in res.stdout and "wiman [heavy]" in res.stdout
