@@ -4,7 +4,9 @@ Each file under tests/golden/ is ``dump_json`` of what ``golden_doc`` gives
 for its name.  The files were written once from this module's own builder
 and are never regenerated: a refactor of the engine must reproduce them
 exactly.  There is one file per non-heavy catalog entry (default
-parameters) and one per acceptance sequence in ``TRACES``.
+parameters), one per entry with the parameters in ``VARIANTS`` (the
+prime-power fields, which no default covers) and one per acceptance
+sequence in ``TRACES``.
 """
 import os
 
@@ -19,27 +21,42 @@ from lineops.matroids import extract_matroid, matroid_to_json
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
-# file stem -> (catalog entry, operator, max_steps)
+L22 = lambda_spec(sel_at_least(2), sel_at_least(2))
+
+# file stem -> (catalog entry, parameters)
+VARIANTS = {
+    "finite-plane-q4": ("finite-plane", {"q": 4}),
+    "finite-plane-q8": ("finite-plane", {"q": 8}),
+    "finite-plane-q9": ("finite-plane", {"q": 9}),
+    "complete-quadrilateral-gf49": ("complete-quadrilateral",
+                                    {"field": "GF(49)"}),
+}
+
+# file stem -> (catalog entry, parameters, operator, max_steps)
 TRACES = {
-    "trace-flashing3-L2_3": ("flashing3", lambda_spec(sel_exact(2),
-                                                      sel_exact(3)), 16),
-    "trace-complete-quadrilateral-L22": (
-        "complete-quadrilateral",
-        lambda_spec(sel_at_least(2), sel_at_least(2)), 2),
+    "trace-flashing3-L2_3": ("flashing3", {}, lambda_spec(sel_exact(2),
+                                                          sel_exact(3)), 16),
+    "trace-complete-quadrilateral-L22": ("complete-quadrilateral", {}, L22,
+                                         2),
+    # counts 6, 9, 25, 57, 57: fixed at step 3
+    "trace-complete-quadrilateral-gf49-L22": ("complete-quadrilateral",
+                                              {"field": "GF(49)"}, L22, 8),
 }
 
 
 def golden_names() -> list:
-    return [e.name for e in entries() if not e.heavy] + sorted(TRACES)
+    return ([e.name for e in entries() if not e.heavy] + sorted(VARIANTS)
+            + sorted(TRACES))
 
 
 def golden_doc(name: str) -> dict:
     """The document stored as tests/golden/<name>.json."""
     if name in TRACES:
-        entry, op, max_steps = TRACES[name]
-        return trace_to_json(run_sequence(op, build(entry),
+        entry, params, op, max_steps = TRACES[name]
+        return trace_to_json(run_sequence(op, build(entry, **params),
                                           max_steps=max_steps))
-    arr = build(name)
+    entry, params = VARIANTS.get(name, (name, {}))
+    arr = build(entry, **params)
     two = sel_at_least(2)
     return {
         "export": arrangement_to_json(arr),
