@@ -398,3 +398,7 @@ def run_cli(argv=None) -> int:
 
 def main():
     sys.exit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

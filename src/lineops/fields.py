@@ -7,6 +7,7 @@ No floating point enters the exact path; floats appear only in
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -116,49 +117,49 @@ def poly_eval(p, x):
     return acc
 
 
-# mod-p variants ------------------------------------------------------------
+def _mulmod(a, b, min_poly):
+    """a*b reduced by the monic min_poly from the top degree down.
 
-def _pp_trim(p, mod):
-    p = [c % mod for c in p]
-    while p and p[-1] == 0:
-        p.pop()
-    return tuple(p)
-
-
-def _pp_divmod(p, q, mod):
-    q = _pp_trim(q, mod)
-    if not q:
-        raise ZeroDivisionError
-    p = list(_pp_trim(p, mod))
-    quot = [0] * max(0, len(p) - len(q) + 1)
-    inv_lead = pow(q[-1], mod - 2, mod)
-    while len(p) >= len(q):
-        c = (p[-1] * inv_lead) % mod
-        d = len(p) - len(q)
-        quot[d] = c
-        for i, b in enumerate(q):
-            p[d + i] = (p[d + i] - c * b) % mod
-        while p and p[-1] == 0:
-            p.pop()
-    return tuple(quot), tuple(p)
+    Coefficients are low -> high; the result has len(min_poly) - 1 of
+    them.  Serves Q[x]/(f) directly and GF(p)[x]/(f) before reduction
+    mod p.
+    """
+    d = len(min_poly) - 1
+    prod = [min_poly[0] * 0] * (2 * d - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    prod[i + j] += x * y
+    for e in range(2 * d - 2, d - 1, -1):
+        c = prod[e]
+        if c:
+            for i in range(d):
+                if min_poly[i]:
+                    prod[e - d + i] -= c * min_poly[i]
+    return tuple(prod[:d])
 
 
-def _pp_mul(p, q, mod):
-    if not p or not q:
-        return ()
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] = (out[i + j] + a * b) % mod
-    return _pp_trim(out, mod)
+_GF_TABLES = {}
 
 
-def _pp_gcd(p, q, mod):
-    p, q = _pp_trim(p, mod), _pp_trim(q, mod)
-    while q:
-        p, q = q, _pp_divmod(p, q, mod)[1]
-    return p
+def _gf_tables(spec: "FieldSpec"):
+    """(product, inverse) tables of GF(p)[x]/(f), built once per spec.
+
+    Keys and values are representatives (tuples of least residues).  The
+    inverse table lacks an element exactly when f is reducible, so it
+    doubles as the irreducibility test.
+    """
+    tables = _GF_TABLES.get(spec)
+    if tables is None:
+        p, mp = spec.characteristic, spec.min_poly
+        elems = list(itertools.product(range(p), repeat=len(mp) - 1))
+        mul = {(a, b): tuple(c % p for c in _mulmod(a, b, mp))
+               for a in elems for b in elems}
+        one = (1,) + (0,) * (len(mp) - 2)
+        inv = {a: b for (a, b), c in mul.items() if c == one}
+        tables = _GF_TABLES[spec] = (mul, inv)
+    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +341,8 @@ class Field:
         self.kind = spec.kind
         self.characteristic = spec.characteristic
         self.degree = spec.degree
-        if spec.kind == NUMBER_FIELD:
-            self._init_number_field()
-        elif spec.kind == PRIME_POWER_FIELD:
-            self._init_prime_power()
+        if spec.kind == PRIME_POWER_FIELD:
+            self._mul, self._inv = _gf_tables(spec)
         self.zero = self.scalar(0)
         self.one = self.scalar(1)
 
@@ -361,22 +360,16 @@ class Field:
             c = Fraction(value)
             rep = (c,) + (Fraction(0),) * (self.degree - 1)
             return Scalar(self, rep)
-        if k == PRIME_FIELD:
-            if isinstance(value, Fraction):
-                if value.denominator % self.characteristic == 0:
-                    raise FieldError("denominator divisible by characteristic")
-                num = value.numerator % self.characteristic
-                den = pow(value.denominator, self.characteristic - 2, self.characteristic)
-                return Scalar(self, (num * den) % self.characteristic)
-            return Scalar(self, int(value) % self.characteristic)
-        # prime power
         p = self.characteristic
         if isinstance(value, Fraction):
-            base = Field(prime_field_spec(p)).scalar(value).rep
+            if value.denominator % p == 0:
+                raise FieldError("denominator divisible by characteristic")
+            base = value.numerator * pow(value.denominator, p - 2, p) % p
         else:
             base = int(value) % p
-        rep = (base,) + (0,) * (self.degree - 1)
-        return Scalar(self, rep)
+        if k == PRIME_FIELD:
+            return Scalar(self, base)
+        return Scalar(self, (base,) + (0,) * (self.degree - 1))
 
     @property
     def generator(self) -> Scalar:
@@ -393,44 +386,6 @@ class Field:
         return Scalar(self, rep)
 
     # -- raw representative arithmetic ---------------------------------
-
-    def _init_number_field(self):
-        mp = self.spec.min_poly
-        d = self.degree
-        # reduction table for x^d .. x^(2d-2)
-        red = []
-        cur = tuple(-c for c in mp[:-1])  # x^d
-        red.append(cur)
-        for _ in range(d - 2):
-            shifted = (Fraction(0),) + cur
-            over = shifted[d] if len(shifted) > d else Fraction(0)
-            nxt = [shifted[i] for i in range(d)]
-            if over:
-                for i in range(d):
-                    nxt[i] += over * red[0][i]
-            cur = tuple(nxt)
-            red.append(cur)
-        self._red = red
-        self._zero_rep = (Fraction(0),) * d
-
-    def _init_prime_power(self):
-        mp = self.spec.min_poly
-        p = self.characteristic
-        d = self.degree
-        red = []
-        cur = tuple((-c) % p for c in mp[:-1])
-        red.append(cur)
-        for _ in range(d - 2):
-            shifted = (0,) + cur
-            over = shifted[d] if len(shifted) > d else 0
-            nxt = [shifted[i] % p for i in range(d)]
-            if over:
-                for i in range(d):
-                    nxt[i] = (nxt[i] + over * red[0][i]) % p
-            cur = tuple(nxt)
-            red.append(cur)
-        self._red = red
-        self._zero_rep = (0,) * d
 
     def r_add(self, a, b):
         k = self.kind
@@ -471,37 +426,9 @@ class Field:
             return a * b
         if k == PRIME_FIELD:
             return (a * b) % self.characteristic
-        d = self.degree
         if k == NUMBER_FIELD:
-            prod = [Fraction(0)] * (2 * d - 1)
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b):
-                        if y:
-                            prod[i + j] += x * y
-            out = prod[:d]
-            for e in range(d, 2 * d - 1):
-                c = prod[e]
-                if c:
-                    row = self._red[e - d]
-                    for i in range(d):
-                        if row[i]:
-                            out[i] += c * row[i]
-            return tuple(out)
-        p = self.characteristic
-        prod = [0] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        out = prod[:d]
-        for e in range(d, 2 * d - 1):
-            c = prod[e]
-            if c:
-                row = self._red[e - d]
-                for i in range(d):
-                    out[i] = (out[i] + c * row[i]) % p
-        return tuple(out)
+            return _mulmod(a, b, self.spec.min_poly)
+        return self._mul[a, b]
 
     def r_is_zero(self, a) -> bool:
         k = self.kind
@@ -519,27 +446,25 @@ class Field:
             if a == 0:
                 raise ZeroDivisionError("division by zero")
             return pow(a, self.characteristic - 2, self.characteristic)
+        if k == PRIME_POWER_FIELD:
+            inv = self._inv.get(a)
+            if inv is None:
+                raise ZeroDivisionError("division by zero")
+            return inv
         if self.r_is_zero(a):
             raise ZeroDivisionError("division by zero")
-        if k == NUMBER_FIELD:
-            if self.degree == 2:
-                # (a0 + a1 g)^-1 with g^2 = r0 + r1 g
-                r0, r1 = self._red[0]
-                a0, a1 = a
-                norm = a0 * a0 + a0 * a1 * r1 - a1 * a1 * r0
-                if norm == 0:
-                    raise FieldError("non-invertible element (reducible modulus)")
-                return ((a0 + a1 * r1) / norm, -a1 / norm)
-            s = _frac_poly_xgcd(poly_trim(a), self.spec.min_poly)
-            if s is None:
+        if self.degree == 2:
+            # (a0 + a1 g)^-1 with g^2 + c1 g + c0 = 0
+            c0, c1 = self.spec.min_poly[:2]
+            a0, a1 = a
+            norm = a0 * a0 - a0 * a1 * c1 + a1 * a1 * c0
+            if norm == 0:
                 raise FieldError("non-invertible element (reducible modulus)")
-            s = list(s) + [Fraction(0)] * (self.degree - len(s))
-            return tuple(s[: self.degree])
-        p = self.characteristic
-        s = _modp_poly_xgcd(_pp_trim(a, p), self.spec.min_poly, p)
+            return ((a0 - a1 * c1) / norm, -a1 / norm)
+        s = _frac_poly_xgcd(poly_trim(a), self.spec.min_poly)
         if s is None:
             raise FieldError("non-invertible element (reducible modulus)")
-        s = list(s) + [0] * (self.degree - len(s))
+        s = list(s) + [Fraction(0)] * (self.degree - len(s))
         return tuple(s[: self.degree])
 
     # -- text ----------------------------------------------------------
@@ -581,22 +506,6 @@ def _frac_poly_xgcd(a, m):
     return poly_trim([x / c for x in s0])
 
 
-def _modp_poly_xgcd(a, m, p):
-    r0, r1 = _pp_trim(m, p), _pp_trim(a, p)
-    s0, s1 = (), (1,)
-    while r1:
-        q, r = _pp_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        qs = _pp_mul(q, s1, p)
-        n = max(len(s0), len(qs))
-        s0, s1 = s1, _pp_trim([(s0[i] if i < len(s0) else 0) -
-                               (qs[i] if i < len(qs) else 0) for i in range(n)], p)
-    if len(r0) != 1:
-        return None
-    c_inv = pow(r0[0], p - 2, p)
-    return _pp_trim([x * c_inv for x in s0], p)
-
-
 def _validate_spec(spec: FieldSpec):
     if spec.kind == RATIONALS:
         if spec.characteristic != 0 or spec.min_poly is not None:
@@ -632,14 +541,8 @@ def _validate_spec(spec: FieldSpec):
             raise FieldError("modulus must be monic")
         if p ** (len(mp) - 1) > 64:
             raise FieldError("prime power fields supported up to order 64")
-        if len(_pp_gcd(mp, _pp_trim([i * c for i, c in enumerate(mp)][1:], p), p)) != 1:
-            raise FieldError("modulus must be squarefree")
-        for x in range(p):
-            acc = 0
-            for c in reversed(mp):
-                acc = (acc * x + c) % p
-            if acc == 0:
-                raise FieldError("modulus has a root in the prime field")
+        if len(_gf_tables(spec)[1]) != p ** (len(mp) - 1) - 1:
+            raise FieldError("modulus is reducible over the prime field")
         return
     raise FieldError(f"unknown field kind {spec.kind!r}")
 

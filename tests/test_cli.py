@@ -180,12 +180,24 @@ def test_exit_codes(capsys, monkeypatch):
     assert code == 1
 
 
+def test_reducible_modulus_is_a_domain_error(capsys, monkeypatch):
+    # x^5+x^4+1 = (x^2+x+1)(x^3+x+1) has no root in GF(2)
+    code, out, err = run(capsys, monkeypatch,
+                         ["catalog", "build", "complete-quadrilateral",
+                          "--param", "field=GF(32;x^5+x^4+1)"])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_python_dash_m():
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(lineops.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    res = subprocess.run([sys.executable, "-m", "lineops", "catalog", "list"],
-                         capture_output=True, text=True, env=env, timeout=60)
-    assert res.returncode == 0, res.stderr
-    assert "dual-hesse" in res.stdout and "wiman [heavy]" in res.stdout
+    for module in ("lineops", "lineops.cli"):
+        res = subprocess.run([sys.executable, "-m", module, "catalog", "list"],
+                             capture_output=True, text=True, env=env,
+                             timeout=60)
+        assert res.returncode == 0, (module, res.stderr)
+        assert "dual-hesse" in res.stdout and "wiman [heavy]" in res.stdout, \
+            module

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -139,29 +140,73 @@ def test_bad_specs_rejected():
         GF(12)
     with pytest.raises(FieldError):
         GF(128)                          # above the stored-order cap
+    with pytest.raises(FieldError):
+        GF(32, (1, 0, 0, 0, 1, 1))       # (x^2+x+1)(x^3+x+1), no root
+    with pytest.raises(FieldError):
+        GF(64, (1, 1, 1, 1, 1, 1, 1))    # (x^3+x+1)(x^3+x^2+1)
+
+
+def _monic_polys(p, d):
+    """Every monic polynomial of degree d over GF(p), low -> high."""
+    return [c + (1,) for c in itertools.product(range(p), repeat=d)]
+
+
+def _poly_mul_mod_p(f, g, p):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = (out[i + j] + a * b) % p
+    return tuple(out)
+
+
+def _shift_add_mul(a, b, modulus, p):
+    """a*b in GF(p)[x]/(modulus) by Horner on b: acc = acc*x + b_i."""
+    k = len(modulus) - 1
+    acc = [0] * k
+    for bi in reversed(b):
+        top = acc[-1]
+        acc = [0] + acc[:-1]                      # times x, dropping x^k
+        acc = [(c - top * m) % p for c, m in zip(acc, modulus)]
+        acc = [(c + bi * ai) % p for c, ai in zip(acc, a)]
+    return tuple(acc)
 
 
 def test_stock_prime_power_polys_are_irreducible():
-    # brute force: no polynomial factor of degree 1..deg/2 over GF(p)
+    # brute force: no monic factor of degree 1..deg/2 over GF(p)
     for q, coeffs in fl._STOCK_IRREDUCIBLES.items():
         p = fl._char_of_order(q)
         deg = len(coeffs) - 1
-
-        def polys(d):
-            out = []
-            for n in range(p ** d):
-                c = []
-                x = n
-                for _ in range(d):
-                    c.append(x % p)
-                    x //= p
-                out.append(tuple(c) + (1,))
-            return out
-
         for d in range(1, deg // 2 + 1):
-            for g in polys(d):
-                _, r = fl._pp_divmod(coeffs, g, p)
-                assert r, f"GF({q}) modulus has a degree-{d} factor"
+            for g in _monic_polys(p, d):
+                for h in _monic_polys(p, deg - d):
+                    assert _poly_mul_mod_p(g, h, p) != coeffs, \
+                        f"GF({q}) modulus has a degree-{d} factor"
+
+
+def test_prime_power_tables_match_shift_and_add():
+    for q, coeffs in fl._STOCK_IRREDUCIBLES.items():
+        F = GF(q)
+        p, k = F.characteristic, F.degree
+        one = F.one.rep
+        elems = list(itertools.product(range(p), repeat=k))
+        for a in elems:
+            for b in elems:
+                assert F.r_mul(a, b) == _shift_add_mul(a, b, coeffs, p), \
+                    f"GF({q}): {a} * {b}"
+            if any(a):
+                assert _shift_add_mul(a, F.r_inv(a), coeffs, p) == one, \
+                    f"GF({q}): 1/{a}"
+        with pytest.raises(ZeroDivisionError):
+            F.zero.inverse()
+
+
+def test_fraction_scalar_in_prime_power_field():
+    F = GF(9)
+    with pytest.raises(FieldError):
+        F.scalar(Fraction(1, 3))
+    half = F.scalar(Fraction(1, 2))
+    assert half * 2 == F.one
+    assert half.rep == (2, 0)
 
 
 def test_field_spec_text_roundtrip():
