@@ -20,7 +20,7 @@ from itertools import combinations
 from math import comb, gcd, isqrt
 from typing import Iterable, Optional, Sequence
 
-from .fields import (Field, FieldError, RATIONALS, PRIME_FIELD,
+from .fields import (Field, FieldError, RATIONALS, PRIME_FIELD, _primitive_int,
                      field_make, format_scalar, parse_field_spec, parse_scalar)
 from .projective import (ProjLine, ProjPoint, _sort_key, dualize,
                          projectively_equivalent)
@@ -104,38 +104,66 @@ def parse_selector(text: str) -> MultiplicitySelector:
 # ---------------------------------------------------------------------------
 # arrangements and point configurations
 
-class Arrangement:
-    """Deduplicated finite set of lines with a canonical total order."""
+class _ObjectSet:
+    """Deduplicated finite set of points or of lines, in canonical order.
 
-    __slots__ = ("field", "lines")
+    A subclass names its member class and, in ``_name``, the attribute and
+    JSON key under which the members are read.
+    """
 
-    def __init__(self, field: Field, lines: Iterable[ProjLine] = ()):
-        lines = tuple(sorted(set(lines), key=_sort_key))
-        for l in lines:
-            if l.field.spec != field.spec:
-                raise FieldError("line from a different field")
+    __slots__ = ("field", "_members")
+
+    def __init__(self, field: Field, members: Iterable = ()):
+        members = tuple(sorted(set(members), key=_sort_key))
+        cls, spec = self._member, field.spec
+        for o in members:
+            if o.__class__ is not cls:
+                raise ArrangementError(f"{type(self).__name__} members must be "
+                                       f"{cls.__name__}, not {type(o).__name__}")
+            if o.field.spec != spec:
+                raise FieldError(f"{cls.__name__} from a different field")
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "lines", lines)
+        object.__setattr__(self, "_members", members)
 
     def __setattr__(self, *a):
-        raise AttributeError("Arrangement is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __len__(self):
-        return len(self.lines)
+        return len(self._members)
 
     def __iter__(self):
-        return iter(self.lines)
+        return iter(self._members)
 
-    def __contains__(self, l):
-        return l in self.lines
+    def __contains__(self, o):
+        return o in self._members
 
     def __eq__(self, other):
-        return (isinstance(other, Arrangement)
+        return (other.__class__ is self.__class__
                 and self.field.spec == other.field.spec
-                and self.lines == other.lines)
+                and self._members == other._members)
 
     def __hash__(self):
-        return hash((self.field.spec, self.lines))
+        return hash((self.field.spec, self._members))
+
+    def is_empty(self) -> bool:
+        return not self._members
+
+    def __repr__(self):
+        return (f"{type(self).__name__}({len(self._members)} {self._name} "
+                f"over {self.field.spec.text})")
+
+
+# As with ProjPoint and ProjLine, __init__ (and Arrangement.digest) live in
+# each class's own namespace so that bench/tracer.py can wrap them per class.
+
+class Arrangement(_ObjectSet):
+    """Deduplicated finite set of lines with a canonical total order."""
+
+    __slots__ = ()
+    __init__ = _ObjectSet.__init__
+    _member = ProjLine
+    _name = "lines"
+    lines = _ObjectSet._members
 
     def digest(self):
         """Full canonical serialization; equal digests mean equal sets."""
@@ -146,51 +174,18 @@ class Arrangement:
             raise FieldError("arrangements live in different fields")
         return Arrangement(self.field, self.lines + other.lines)
 
-    def is_empty(self) -> bool:
-        return not self.lines
 
-    def __repr__(self):
-        return f"Arrangement({len(self.lines)} lines over {self.field.spec.text})"
-
-
-class PointConfig:
+class PointConfig(_ObjectSet):
     """Deduplicated finite set of points."""
 
-    __slots__ = ("field", "points")
+    __slots__ = ()
+    __init__ = _ObjectSet.__init__
+    _member = ProjPoint
+    _name = "points"
+    points = _ObjectSet._members
 
-    def __init__(self, field: Field, points: Iterable[ProjPoint] = ()):
-        points = tuple(sorted(set(points), key=_sort_key))
-        for p in points:
-            if p.field.spec != field.spec:
-                raise FieldError("point from a different field")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "points", points)
 
-    def __setattr__(self, *a):
-        raise AttributeError("PointConfig is immutable")
-
-    def __len__(self):
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __contains__(self, p):
-        return p in self.points
-
-    def __eq__(self, other):
-        return (isinstance(other, PointConfig)
-                and self.field.spec == other.field.spec
-                and self.points == other.points)
-
-    def __hash__(self):
-        return hash((self.field.spec, self.points))
-
-    def is_empty(self) -> bool:
-        return not self.points
-
-    def __repr__(self):
-        return f"PointConfig({len(self.points)} points over {self.field.spec.text})"
+_DUAL_SET = {Arrangement: PointConfig, PointConfig: Arrangement}
 
 
 def make_arrangement(normals: Sequence, field: Field):
@@ -209,31 +204,16 @@ def make_arrangement(normals: Sequence, field: Field):
 
 
 def dualize_arrangement(arr: Arrangement) -> PointConfig:
-    return PointConfig(arr.field, (dualize(l) for l in arr.lines))
+    """Each line relabelled as the point with the same triple.
+
+    Given a PointConfig it relabels the other way, so applying it twice
+    returns the input.
+    """
+    return _DUAL_SET[arr.__class__](arr.field, (dualize(o) for o in arr))
 
 
 # ---------------------------------------------------------------------------
 # the pair-grouping engine
-
-def _q_int_triples(objs) -> list:
-    """Primitive integer triples (first nonzero > 0) for rational objects."""
-    out = []
-    for o in objs:
-        fr = o.key()
-        den = 1
-        for f in fr:
-            d = f.denominator
-            den = den * d // gcd(den, d)
-        ints = [int(f * den) for f in fr]
-        g = gcd(gcd(ints[0], ints[1]), ints[2])
-        for v in ints:
-            if v:
-                if v < 0:
-                    g = -g
-                break
-        out.append((ints[0] // g, ints[1] // g, ints[2] // g))
-    return out
-
 
 def _meet_keys(objs, field: Field):
     """Canonical key of the meet (join) of each pair of lines (points).
@@ -243,7 +223,9 @@ def _meet_keys(objs, field: Field):
     field it is the triple of representatives whose first nonzero is one.
     """
     if field.kind == RATIONALS:
-        tris = _q_int_triples(objs)
+        # the objects' first nonzero coordinate is 1, so that of each
+        # primitive integer triple is positive
+        tris = [_primitive_int(o.key()) for o in objs]
         for i, (a0, a1, a2) in enumerate(tris):
             for b0, b1, b2 in tris[i + 1:]:
                 x = a1 * b2 - a2 * b1
@@ -347,13 +329,7 @@ def richness_index(cfg: PointConfig) -> IncidenceIndex:
 
 def points_operator(sel: MultiplicitySelector, arr: Arrangement) -> PointConfig:
     """P_sel: the points whose multiplicity lies in the selector."""
-    if len(arr) < 2:
-        return PointConfig(arr.field)
-    counts = _pair_counts(arr.lines, arr.field)
-    field = arr.field
-    pts = [_from_key(ProjPoint, k, field) for k, c in counts.items()
-           if sel.contains(_mult_from_pairs(c))]
-    return PointConfig(field, pts)
+    return _select(sel, arr.lines, arr.field, PointConfig)
 
 
 def lines_operator(sel: MultiplicitySelector, cfg: PointConfig) -> Arrangement:
@@ -362,13 +338,17 @@ def lines_operator(sel: MultiplicitySelector, cfg: PointConfig) -> Arrangement:
     Since selector members are >= 2, every qualifying line joins some pair
     of points, so pair grouping is complete.
     """
-    if len(cfg) < 2:
-        return Arrangement(cfg.field)
-    counts = _pair_counts(cfg.points, cfg.field)
-    field = cfg.field
-    lines = [_from_key(ProjLine, k, field) for k, c in counts.items()
-             if sel.contains(_mult_from_pairs(c))]
-    return Arrangement(field, lines)
+    return _select(sel, cfg.points, cfg.field, Arrangement)
+
+
+def _select(sel: MultiplicitySelector, objs, field: Field, out):
+    """The ``out`` set of the pair meets (joins) of ``objs`` whose
+    multiplicity lies in the selector."""
+    if len(objs) < 2:
+        return out(field)
+    counts = _pair_counts(objs, field)
+    return out(field, [_from_key(out._member, k, field) for k, c in counts.items()
+                       if sel.contains(_mult_from_pairs(c))])
 
 
 def lambda_op(nsel: MultiplicitySelector, msel: MultiplicitySelector,
@@ -740,50 +720,50 @@ def arrangements_equivalent(a: Arrangement, b: Arrangement):
 # JSON schemas
 
 def arrangement_to_json(arr: Arrangement) -> dict:
+    """The JSON document of an arrangement or of a point configuration."""
     return {
         "field": arr.field.spec.text,
-        "lines": [[format_scalar(c) for c in l.coeffs] for l in arr.lines],
+        arr._name: [[format_scalar(c) for c in o.coords] for o in arr],
     }
 
 
-def point_config_to_json(cfg: PointConfig) -> dict:
-    return {
-        "field": cfg.field.spec.text,
-        "points": [[format_scalar(c) for c in p.coords] for p in cfg.points],
-    }
+point_config_to_json = arrangement_to_json
 
 
-def _field_from_doc(doc: dict) -> Field:
-    if "field" not in doc:
-        raise ArrangementError("document lacks a 'field' entry")
-    return field_make(parse_field_spec(doc["field"]))
+def _members_from_json(doc, kind) -> tuple:
+    """(field, members in file order) of a document for the set class ``kind``.
+
+    Malformed input raises ArrangementError, so the CLI reports it as one
+    line.
+    """
+    name = kind._name
+    if not isinstance(doc, dict):
+        raise ArrangementError("the document must be a JSON object")
+    if not isinstance(doc.get("field"), str):
+        raise ArrangementError("document lacks a 'field' string")
+    if not isinstance(doc.get(name), (list, tuple)):
+        raise ArrangementError(f"document lacks a {name!r} list")
+    if any(not isinstance(t, (list, tuple)) or len(t) != 3 for t in doc[name]):
+        raise ArrangementError(f"{name} entries must be coordinate triples")
+    try:
+        field = field_make(parse_field_spec(doc["field"]))
+        triples = [tuple(parse_scalar(field, str(c)) for c in t) for t in doc[name]]
+    except (ValueError, ZeroDivisionError) as e:
+        raise ArrangementError(f"unreadable document: {e}")
+    return field, [kind._member(t) for t in triples]
 
 
 def lines_from_json(doc: dict):
     """(field, lines in file order); the file order is the labelling."""
-    field = _field_from_doc(doc)
-    if "lines" not in doc:
-        raise ArrangementError("document lacks a 'lines' entry")
-    lines = []
-    for triple in doc["lines"]:
-        if len(triple) != 3:
-            raise ArrangementError("line entries must be coefficient triples")
-        lines.append(ProjLine(tuple(parse_scalar(field, str(c)) for c in triple)))
-    return field, lines
+    return _members_from_json(doc, Arrangement)
 
 
 def arrangement_from_json(doc: dict) -> Arrangement:
-    field, lines = lines_from_json(doc)
-    return Arrangement(field, lines)
+    return Arrangement(*lines_from_json(doc))
 
 
 def point_config_from_json(doc: dict) -> PointConfig:
-    field = _field_from_doc(doc)
-    if "points" not in doc:
-        raise ArrangementError("document lacks a 'points' entry")
-    pts = [ProjPoint(tuple(parse_scalar(field, str(c)) for c in triple))
-           for triple in doc["points"]]
-    return PointConfig(field, pts)
+    return PointConfig(*_members_from_json(doc, PointConfig))
 
 
 def dump_json(doc: dict) -> str:

@@ -16,9 +16,9 @@ from itertools import combinations
 from math import comb
 from typing import Callable, Optional
 
-from .fields import (Field, QQ, Scalar, cyclotomic_field, field_make,
-                     number_field, GF, parse_field_spec, parse_scalar,
-                     poly_trim)
+from .fields import (Field, QQ, Scalar, _parse_poly, cyclotomic_field,
+                     field_make, number_field, GF, parse_field_spec,
+                     parse_scalar, poly_sub)
 from .projective import (GeometryError, ProjLine, ProjPoint, join, line,
                          meet, point)
 from .arrangements import (Arrangement, ArrangementError, PointConfig,
@@ -355,29 +355,23 @@ def _build_hesse(p):
 
 def chebyshev_t(k):
     """Coefficients of T_k, low -> high (integers)."""
-    a, b = (Fraction(1),), (Fraction(0), Fraction(1))
-    if k == 0:
-        return a
-    for _ in range(k - 1):
-        twob = tuple(2 * c for c in b)
-        nxt = poly_trim((Fraction(0),) + twob)
-        nxt = tuple(nxt[i] - (a[i] if i < len(a) else 0) for i in range(max(len(nxt), len(a))))
-        a, b = b, poly_trim(nxt)
-    return b
+    return _chebyshev(k, (Fraction(0), Fraction(1)))
 
 
 def chebyshev_u(k):
     """Coefficients of U_k, low -> high; U_{-1} = 0."""
     if k < 0:
         return (Fraction(0),)
-    a, b = (Fraction(1),), (Fraction(0), Fraction(2))
+    return _chebyshev(k, (Fraction(0), Fraction(2)))
+
+
+def _chebyshev(k, first):
+    """P_k of the recurrence P_{n+1} = 2x P_n - P_{n-1}, P_0 = 1, P_1 = first."""
+    a, b = (Fraction(1),), first
     if k == 0:
         return a
     for _ in range(k - 1):
-        twob = tuple(2 * c for c in b)
-        nxt = poly_trim((Fraction(0),) + twob)
-        nxt = tuple(nxt[i] - (a[i] if i < len(a) else 0) for i in range(max(len(nxt), len(a))))
-        a, b = b, poly_trim(nxt)
+        a, b = b, poly_sub((Fraction(0),) + tuple(2 * c for c in b), a)
     return b
 
 
@@ -553,51 +547,9 @@ _FLASHING4_COLS = (
 
 
 def _flashing4_cols(F, t):
-    cols = []
-    for col in _FLASHING4_COLS:
-        triple = []
-        for expr in col:
-            val = F.zero
-            for term, sign in _parse_t_terms(expr):
-                val = val + sign * _eval_t_term(term, F, t)
-            triple.append(val)
-        cols.append(tuple(triple))
-    return cols
-
-
-def _parse_t_terms(expr):
-    out = []
-    cur = ""
-    sign = 1
-    for ch in expr:
-        if ch in "+-" and cur:
-            out.append((cur, sign))
-            sign = 1 if ch == "+" else -1
-            cur = ""
-        elif ch == "-" and not cur:
-            sign = -1
-        else:
-            cur += ch
-    out.append((cur, sign))
-    return out
-
-
-def _eval_t_term(term, F, t):
-    if "*" in term:
-        coef, mono = term.split("*", 1)
-    elif term.startswith("t"):
-        coef, mono = "1", term
-    else:
-        coef, mono = term, ""
-    val = F.scalar(Fraction(coef))
-    if mono:
-        if mono == "t":
-            val = val * t
-        elif mono.startswith("t^"):
-            val = val * t ** int(mono[2:])
-        else:
-            raise AssertionError(term)
-    return val
+    """The columns of _FLASHING4_COLS, each entry a polynomial in t."""
+    return [tuple(_eval_poly(_parse_poly(e.replace("t", "x"), rational=True), t, F)
+                  for e in col) for col in _FLASHING4_COLS]
 
 
 def _build_flashing4(p):

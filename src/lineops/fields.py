@@ -322,10 +322,10 @@ class Scalar:
         return hash((self.field.spec, self.rep))
 
     def __repr__(self):
-        return f"Scalar({self.field.format_scalar(self)})"
+        return f"Scalar({format_scalar(self)})"
 
     def __str__(self):
-        return self.field.format_scalar(self)
+        return format_scalar(self)
 
 
 class Field:
@@ -467,14 +467,6 @@ class Field:
         s = list(s) + [Fraction(0)] * (self.degree - len(s))
         return tuple(s[: self.degree])
 
-    # -- text ----------------------------------------------------------
-
-    def parse_scalar(self, text: str) -> Scalar:
-        return parse_scalar(self, text)
-
-    def format_scalar(self, s: Scalar) -> str:
-        return format_scalar(s)
-
     def has_real_embedding(self) -> bool:
         if self.kind == RATIONALS:
             return True
@@ -527,8 +519,12 @@ def _validate_spec(spec: FieldSpec):
             raise FieldError("modulus must be monic")
         if len(poly_gcd(mp, poly_deriv(mp))) != 1:
             raise FieldError("modulus must be squarefree")
-        if len(mp) - 1 <= 4 and _has_rational_root(mp):
+        if _has_rational_root(mp):
             raise FieldError("modulus has a rational root; not irreducible")
+        # a reducible modulus of degree 4 or 5 with no linear factor has a
+        # quadratic one, so these degrees are tested completely
+        if len(mp) - 1 in (4, 5) and _has_quadratic_factor(mp):
+            raise FieldError("modulus has a quadratic factor; not irreducible")
         return
     if spec.kind == PRIME_POWER_FIELD:
         p = spec.characteristic
@@ -547,8 +543,9 @@ def _validate_spec(spec: FieldSpec):
     raise FieldError(f"unknown field kind {spec.kind!r}")
 
 
-def _has_rational_root(mp) -> bool:
-    # monic with rational coefficients: scale to a primitive integer poly
+def _primitive_int(mp) -> list:
+    """The primitive integer multiple of a sequence of Fractions: a rational
+    polynomial's coefficients, or a point's or line's coordinates."""
     den = 1
     for c in mp:
         den = den * c.denominator // math.gcd(den, c.denominator)
@@ -558,6 +555,11 @@ def _has_rational_root(mp) -> bool:
         g = math.gcd(g, c)
     if g:
         ip = [c // g for c in ip]
+    return ip
+
+
+def _has_rational_root(mp) -> bool:
+    ip = _primitive_int(mp)
     lead, const = ip[-1], ip[0]
     if const == 0:
         return True
@@ -566,6 +568,30 @@ def _has_rational_root(mp) -> bool:
             for cand in (Fraction(num, den2), Fraction(-num, den2)):
                 if poly_eval(mp, cand) == 0:
                     return True
+    return False
+
+
+def _has_quadratic_factor(mp) -> bool:
+    """Whether mp, which has no rational root, has a quadratic factor over Q.
+
+    Kronecker's method.  By Gauss's lemma a quadratic factor over Q scales
+    to an integer factor g of the primitive integer multiple f of mp, so
+    g(a) divides f(a) at a = -1, 0, 1, where f does not vanish.  Each choice
+    of divisors interpolates one candidate g, tested by exact division; g
+    and -g divide together, so only g(0) > 0 is tried.
+    """
+    f = _primitive_int(mp)
+    fm, f0, f1 = (poly_eval(f, a) for a in (-1, 0, 1))
+
+    def signed(n):
+        return [s * d for d in _divisors(abs(n)) for s in (1, -1)]
+
+    for gm, g0, g1 in itertools.product(signed(fm), _divisors(abs(f0)), signed(f1)):
+        if (gm + g1) % 2:
+            continue  # g(1) - g(-1) = 2 * c1 is even
+        c1, c2 = (g1 - gm) // 2, (g1 + gm) // 2 - g0
+        if c2 and not poly_divmod(mp, (Fraction(g0), Fraction(c1), Fraction(c2)))[1]:
+            return True
     return False
 
 

@@ -16,29 +16,32 @@ class GeometryError(Exception):
     """Degenerate geometric input (identical lines, singular matrix, ...)."""
 
 
-def _normalize(coords: Sequence[Scalar]) -> tuple:
-    field = coords[0].field
-    pivot = None
-    for c in coords:
-        if not c.is_zero():
-            pivot = c
-            break
-    if pivot is None:
-        raise GeometryError("zero coordinate triple")
-    inv = pivot.inverse()
-    return tuple(c * inv for c in coords)
+def _normalize(coords: Sequence[Scalar], what: str = "coordinate triple") -> tuple:
+    """Scale so the first nonzero entry is 1 (the projective representative)."""
+    for pivot in coords:
+        if not pivot.is_zero():
+            inv = pivot.inverse()
+            return tuple(c * inv for c in coords)
+    raise GeometryError(f"zero {what}")
 
 
-class ProjPoint:
+class _ProjObject:
+    """A point or a line: one normalized homogeneous triple.
+
+    Points and lines share the representation, so duality keeps the triple
+    and swaps the class.  Equality needs the same class: a point never
+    equals the line with the same triple.
+    """
+
     __slots__ = ("coords",)
 
     def __init__(self, coords: Sequence[Scalar]):
         if len(coords) != 3:
-            raise GeometryError("a projective point needs 3 coordinates")
+            raise GeometryError(f"a {type(self).__name__} needs 3 coordinates")
         object.__setattr__(self, "coords", _normalize(coords))
 
     def __setattr__(self, *a):
-        raise AttributeError("ProjPoint is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def field(self) -> Field:
@@ -48,41 +51,33 @@ class ProjPoint:
         return tuple(c.rep for c in self.coords)
 
     def __eq__(self, other):
-        return isinstance(other, ProjPoint) and self.coords == other.coords
+        return other.__class__ is self.__class__ and self.coords == other.coords
 
     def __hash__(self):
-        return hash(("pt",) + self.coords)
+        return hash((self._brackets,) + self.coords)
 
     def __repr__(self):
-        return "(" + " : ".join(str(c) for c in self.coords) + ")"
+        return (self._brackets[0] + " : ".join(str(c) for c in self.coords)
+                + self._brackets[1])
 
 
-class ProjLine:
-    __slots__ = ("coeffs",)
+# Each class binds __init__ in its own namespace, not through inheritance, so
+# that bench/tracer.py can wrap the constructor of one class and not the other.
 
-    def __init__(self, coeffs: Sequence[Scalar]):
-        if len(coeffs) != 3:
-            raise GeometryError("a projective line needs 3 coefficients")
-        object.__setattr__(self, "coeffs", _normalize(coeffs))
+class ProjPoint(_ProjObject):
+    __slots__ = ()
+    __init__ = _ProjObject.__init__
+    _brackets = "()"
 
-    def __setattr__(self, *a):
-        raise AttributeError("ProjLine is immutable")
 
-    @property
-    def field(self) -> Field:
-        return self.coeffs[0].field
+class ProjLine(_ProjObject):
+    __slots__ = ()
+    __init__ = _ProjObject.__init__
+    _brackets = "[]"
+    coeffs = _ProjObject.coords  # a line's triple under its usual name
 
-    def key(self):
-        return tuple(c.rep for c in self.coeffs)
 
-    def __eq__(self, other):
-        return isinstance(other, ProjLine) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(("ln",) + self.coeffs)
-
-    def __repr__(self):
-        return "[" + " : ".join(str(c) for c in self.coeffs) + "]"
+_DUAL = {ProjPoint: ProjLine, ProjLine: ProjPoint}
 
 
 def point(field: Field, x, y, z) -> ProjPoint:
@@ -108,18 +103,22 @@ def _cross(u: Sequence[Scalar], v: Sequence[Scalar]) -> tuple:
 
 def join(p: ProjPoint, q: ProjPoint) -> ProjLine:
     """The unique line through two distinct points."""
-    _check_same_field(p, q)
-    if p == q:
-        raise GeometryError("join of identical points")
-    return ProjLine(_cross(p.coords, q.coords))
+    return _span(p, q, ProjPoint, "join")
 
 
 def meet(l: ProjLine, m: ProjLine) -> ProjPoint:
     """The unique intersection point of two distinct lines."""
-    _check_same_field(l, m)
-    if l == m:
-        raise GeometryError("meet of identical lines")
-    return ProjPoint(_cross(l.coeffs, m.coeffs))
+    return _span(l, m, ProjLine, "meet")
+
+
+def _span(a, b, cls, name: str):
+    """The dual object through two distinct objects of class ``cls``."""
+    if a.__class__ is not cls or b.__class__ is not cls:
+        raise GeometryError(f"{name} expects two {cls.__name__} objects")
+    _check_same_field(a, b)
+    if a == b:
+        raise GeometryError(f"{name} of identical {cls.__name__} objects")
+    return _DUAL[cls](_cross(a.coords, b.coords))
 
 
 def incident(p: ProjPoint, l: ProjLine) -> bool:
@@ -130,23 +129,16 @@ def incident(p: ProjPoint, l: ProjLine) -> bool:
 
 def dualize(obj):
     """Coordinate-identity swap of role; an involution."""
-    if isinstance(obj, ProjPoint):
-        return ProjLine(obj.coords)
-    if isinstance(obj, ProjLine):
-        return ProjPoint(obj.coeffs)
-    raise GeometryError("dualize expects a point or a line")
+    dual = _DUAL.get(obj.__class__)
+    if dual is None:
+        raise GeometryError("dualize expects a point or a line")
+    return dual(obj.coords)
 
 
 def collinear(p: ProjPoint, q: ProjPoint, r: ProjPoint) -> bool:
     if p == q or p == r or q == r:
         return True
     return incident(r, join(p, q))
-
-
-def concurrent(l: ProjLine, m: ProjLine, n: ProjLine) -> bool:
-    if l == m or l == n or m == n:
-        return True
-    return incident(meet(l, m), n)
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +206,8 @@ class Matrix3:
 
     def scaled_canonical(self) -> "Matrix3":
         """Scale so the first nonzero entry is 1 (projective representative)."""
-        for row in self.rows:
-            for e in row:
-                if not e.is_zero():
-                    inv = e.inverse()
-                    return Matrix3([[x * inv for x in r] for r in self.rows])
-        raise GeometryError("zero matrix")
+        e = _normalize([x for row in self.rows for x in row], "matrix")
+        return Matrix3([e[0:3], e[3:6], e[6:9]])
 
     def __eq__(self, other):
         return isinstance(other, Matrix3) and self.rows == other.rows
@@ -379,8 +367,7 @@ def projectively_equivalent(lines_a: Sequence[ProjLine],
 
 def _sort_key(obj):
     """The canonical total order on points and on lines."""
-    reps = obj.coeffs if isinstance(obj, ProjLine) else obj.coords
-    return tuple(_rep_key(c.rep) for c in reps)
+    return tuple(_rep_key(c.rep) for c in obj.coords)
 
 
 def _rep_key(rep):
@@ -543,16 +530,7 @@ class Conic:
     def __init__(self, coeffs: Sequence[Scalar]):
         if len(coeffs) != 6:
             raise GeometryError("a conic needs 6 coefficients")
-        field = coeffs[0].field
-        pivot = None
-        for c in coeffs:
-            if not c.is_zero():
-                pivot = c
-                break
-        if pivot is None:
-            raise GeometryError("zero conic")
-        inv = pivot.inverse()
-        object.__setattr__(self, "coeffs", tuple(c * inv for c in coeffs))
+        object.__setattr__(self, "coeffs", _normalize(coeffs, "conic"))
 
     def __setattr__(self, *a):
         raise AttributeError("Conic is immutable")

@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 
 from .arrangements import ArrangementError, _from_key, _pair_index
 from .fields import real_embedding
-from .projective import ProjLine, ProjPoint
+from .projective import ProjPoint
 
 _CLIP_EPS = 1e-9
 
@@ -53,8 +53,9 @@ class RenderResult:
     omitted: tuple  # per layer: number of lines invisible on this chart
 
 
-def _chart_coeffs(l: ProjLine, chart: str):
-    u1, u2, u3 = l.coeffs
+def _chart_coeffs(triple, chart: str):
+    """A point's or line's triple reordered so the chart coordinate is last."""
+    u1, u2, u3 = triple
     if chart == "z":
         return u1, u2, u3
     if chart == "y":
@@ -138,7 +139,7 @@ def render_svg(layers: Sequence, spec: RenderSpec = RenderSpec()) -> RenderResul
         skipped = 0
         for l in arr.lines:
             all_lines.append(l)
-            u1, u2, u3 = _chart_coeffs(l, spec.chart)
+            u1, u2, u3 = _chart_coeffs(l.coeffs, spec.chart)
             a = _to_float(u1, spec.root_index)
             b = _to_float(u2, spec.root_index)
             c = _to_float(u3, spec.root_index)
@@ -162,7 +163,7 @@ def render_svg(layers: Sequence, spec: RenderSpec = RenderSpec()) -> RenderResul
         for key, lines_on in idx.items():
             mult = len(lines_on)
             p = _from_key(ProjPoint, key, field)
-            u1, u2, u3 = _chart_coeffs(ProjLine(p.coords), spec.chart)
+            u1, u2, u3 = _chart_coeffs(p.coords, spec.chart)
             zc = _to_float(u3, spec.root_index)
             if abs(zc) <= _CLIP_EPS:
                 continue

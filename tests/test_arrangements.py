@@ -71,6 +71,27 @@ def test_make_arrangement_dedup():
         make_arrangement([(0, 0, 0)], F)
 
 
+def test_sets_hold_one_member_type():
+    pts = [point(F, 1, 0, 0), point(F, 0, 1, 0)]
+    with pytest.raises(ArrangementError):
+        Arrangement(F, pts)
+    with pytest.raises(ArrangementError):
+        PointConfig(F, [line(F, 1, 0, 0)])
+    with pytest.raises(ArrangementError):
+        Arrangement(F, [line(F, 1, 0, 0), pts[0]])
+    assert point(F, 1, 2, 3) != line(F, 1, 2, 3)
+    assert len({point(F, 1, 2, 3), line(F, 1, 2, 3)}) == 2
+
+
+def test_dualize_twice_is_identity():
+    for arr in (complete_quadrilateral(), build("dual-hesse"),
+                _sample_of_plane(7, 12), Arrangement(F)):
+        cfg = dualize_arrangement(arr)
+        assert isinstance(cfg, PointConfig)
+        assert [p.coords for p in cfg.points] == [l.coeffs for l in arr.lines]
+        assert dualize_arrangement(cfg) == arr
+
+
 def test_set_equality_is_order_independent():
     a1, _ = make_arrangement([(1, 0, 0), (0, 1, 0)], F)
     a2, _ = make_arrangement([(0, 1, 0), (3, 0, 0)], F)
@@ -355,6 +376,10 @@ def test_json_errors():
         arrangement_from_json({"lines": []})
     with pytest.raises(ArrangementError):
         arrangement_from_json({"field": "Q", "lines": [["1", "0"]]})
+    with pytest.raises(ArrangementError):
+        point_config_from_json({"field": "Q", "points": [["1", "0"]]})
+    with pytest.raises(ArrangementError):
+        point_config_from_json({"field": "Q", "points": ["100"]})
 
 
 def _satisfies_P(p6):

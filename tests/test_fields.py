@@ -97,6 +97,9 @@ def test_cyclotomic_values():
         cyclotomic_minpoly(31)
     with pytest.raises(FieldError):
         cyclotomic_minpoly(1)
+    # every cyclotomic modulus passes the irreducibility tests
+    for n in range(3, 31):
+        assert cyclotomic_field(n).degree == len(cyclotomic_minpoly(n)) - 1
 
 
 def test_cyclotomic_root_reduction():
@@ -136,6 +139,24 @@ def test_bad_specs_rejected():
         number_field([0, 0, 1])          # x^2, not squarefree
     with pytest.raises(FieldError):
         number_field([-1, 0, 1])         # rational roots
+    with pytest.raises(FieldError):
+        number_field([0, -1, 0, 0, 0, 1])     # x^5-x, root 0
+    with pytest.raises(FieldError):
+        number_field([-1, 0, 0, 0, 0, 0, 1])  # x^6-1, root 1
+    with pytest.raises(FieldError):
+        number_field([2, 0, 3, 0, 1])         # (x^2+1)(x^2+2)
+    with pytest.raises(FieldError):
+        number_field([1, 1, 1, 2, 0, 1])      # (x^2+1)(x^3+x+1)
+    with pytest.raises(FieldError):
+        # (x^2+3x+1)(x^2-3x+1): each factor is negative at 1 or at -1
+        number_field([1, 0, -7, 0, 1])
+    with pytest.raises(FieldError):
+        # 4x^4+1 = (2x^2+2x+1)(2x^2-2x+1): the factors are integral only
+        # after scaling (Gauss's lemma)
+        number_field([Fraction(1, 4), 0, 0, 0, 1])
+    # irreducible with no rational root; x^4-10x^2+1 factors mod every prime
+    for mp in ([-2, 0, 0, 0, 1], [1, 0, -10, 0, 1], [-1, -1, 0, 0, 0, 1]):
+        assert number_field(mp).degree == len(mp) - 1
     with pytest.raises(FieldError):
         GF(12)
     with pytest.raises(FieldError):

@@ -37,6 +37,11 @@ def test_join_meet_basics():
         join(point(F, 1, 2, 3), point(F, 2, 4, 6))
     with pytest.raises(GeometryError):
         meet(line(F, 1, 0, 0), line(F, 2, 0, 0))
+    # one body serves both; each still takes only its own kind of object
+    with pytest.raises(GeometryError):
+        meet(point(F, 1, 0, 0), point(F, 0, 1, 0))
+    with pytest.raises(GeometryError):
+        join(point(F, 1, 0, 0), line(F, 0, 1, 0))
 
 
 def test_meet_over_cube_root_field():
