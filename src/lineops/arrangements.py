@@ -4,11 +4,14 @@ The engine underlying every operator is one pair kernel, ``_meet_keys``:
 the meets (dually: joins) of all pairs, each as a canonical coordinate key.
 Grouping those keys gives everything else.  A point met by k lines receives
 exactly C(k,2) of the pair meets, so multiplicity is read off the group size
-with no incidence rescan.  The kernel has two key codecs: over Q, primitive
-integer triples normalized by gcd and sign, which keeps the big runs
-(thousands of lines) cheap; over every other field, representatives scaled
-so that the first nonzero coordinate is one.  ``_from_key`` turns a key back
-into a point or line at the API boundary.
+with no incidence rescan.  Each field kind has an exact integer codec, so no
+pair touches a Fraction, a Scalar or a residue tuple: primitive integer
+triples over Q; residues with the first nonzero one over GF(p); element codes
+and flat product tables over GF(p^k); primitive integer vectors in Z[theta],
+scaled by the adjugate of the first nonzero coordinate, over a number field.
+The inputs are encoded once per pass, and ``_from_key`` turns a key back into
+a point or line, with the usual first-nonzero-is-one coordinates, at the API
+boundary.
 """
 from __future__ import annotations
 
@@ -20,8 +23,10 @@ from itertools import combinations
 from math import comb, gcd, isqrt
 from typing import Iterable, Optional, Sequence
 
-from .fields import (Field, FieldError, RATIONALS, PRIME_FIELD, _primitive_int,
-                     field_make, format_scalar, parse_field_spec, parse_scalar)
+from .fields import (Field, FieldError, NUMBER_FIELD, PRIME_FIELD,
+                     PRIME_POWER_FIELD, RATIONALS, _adjugate, _gf_tables,
+                     _mulmod, _nf_codec, _primitive_int, field_make,
+                     format_scalar, parse_field_spec, parse_scalar)
 from .projective import (ProjLine, ProjPoint, _sort_key, dualize,
                          projectively_equivalent)
 
@@ -216,48 +221,108 @@ def dualize_arrangement(arr: Arrangement) -> PointConfig:
 # the pair-grouping engine
 
 def _meet_keys(objs, field: Field):
-    """Canonical key of the meet (join) of each pair of lines (points).
+    """Canonical integer key of the meet (join) of each pair of lines (points).
 
-    Keys come in ``combinations(range(len(objs)), 2)`` order.  Over Q a key
-    is the primitive integer triple with first nonzero > 0; over any other
-    field it is the triple of representatives whose first nonzero is one.
+    Keys come in ``combinations(range(len(objs)), 2)`` order, from the
+    integer codec of the field's kind; ``_from_key`` decodes them.
     """
-    if field.kind == RATIONALS:
-        # the objects' first nonzero coordinate is 1, so that of each
-        # primitive integer triple is positive
-        tris = [_primitive_int(o.key()) for o in objs]
-        for i, (a0, a1, a2) in enumerate(tris):
-            for b0, b1, b2 in tris[i + 1:]:
-                x = a1 * b2 - a2 * b1
-                y = a2 * b0 - a0 * b2
-                z = a0 * b1 - a1 * b0
-                g = gcd(gcd(x, y), z)
-                if x:
-                    if x < 0:
-                        g = -g
-                elif y:
-                    if y < 0:
-                        g = -g
-                elif z < 0:
-                    g = -g
-                yield (x // g, y // g, z // g)
-        return
-    rmul, rsub, rinv, rzero = field.r_mul, field.r_sub, field.r_inv, field.r_is_zero
-    one = field.one.rep
-    reps = [o.key() for o in objs]
-    for i, (a0, a1, a2) in enumerate(reps):
-        for b0, b1, b2 in reps[i + 1:]:
-            x = rsub(rmul(a1, b2), rmul(a2, b1))
-            y = rsub(rmul(a2, b0), rmul(a0, b2))
-            z = rsub(rmul(a0, b1), rmul(a1, b0))
-            if not rzero(x):
-                inv = rinv(x)
-                yield (one, rmul(y, inv), rmul(z, inv))
-            elif not rzero(y):
-                inv = rinv(y)
-                yield (x, one, rmul(z, inv))
+    return _KERNELS[field.kind](objs, field)
+
+
+def _q_meets(objs, field):
+    """Over Q: the primitive integer triple with first nonzero > 0."""
+    # the objects' first nonzero coordinate is 1, so that of each
+    # primitive integer triple is positive
+    tris = [_primitive_int(o.key()) for o in objs]
+    for i, (a0, a1, a2) in enumerate(tris):
+        for b0, b1, b2 in tris[i + 1:]:
+            x = a1 * b2 - a2 * b1
+            y = a2 * b0 - a0 * b2
+            z = a0 * b1 - a1 * b0
+            g = gcd(x, y, z)
+            if (x or y or z) < 0:  # the first nonzero coordinate
+                g = -g
+            yield (x // g, y // g, z // g)
+
+
+def _prime_meets(objs, field):
+    """Over GF(p): the residue triple with first nonzero 1."""
+    p = field.characteristic
+    e = p - 2
+    tris = [o.key() for o in objs]
+    for i, (a0, a1, a2) in enumerate(tris):
+        for b0, b1, b2 in tris[i + 1:]:
+            x = (a1 * b2 - a2 * b1) % p
+            y = (a2 * b0 - a0 * b2) % p
+            z = (a0 * b1 - a1 * b0) % p
+            if x:
+                w = pow(x, e, p)
+                yield (1, y * w % p, z * w % p)
+            elif y:
+                yield (0, 1, z * pow(y, e, p) % p)
             else:
-                yield (x, y, one)
+                yield (0, 0, 1)
+
+
+def _prime_power_meets(objs, field):
+    """Over GF(p^k): the triple of element codes with first nonzero 1."""
+    _, code, mul, sub, inv = _gf_tables(field.spec)
+    q = len(code)
+    tris = [tuple(code[r] for r in o.key()) for o in objs]
+    for i, (a0, a1, a2) in enumerate(tris):
+        a0, a1, a2 = a0 * q, a1 * q, a2 * q  # row offsets into the tables
+        for b0, b1, b2 in tris[i + 1:]:
+            x = sub[mul[a1 + b2] * q + mul[a2 + b1]]
+            y = sub[mul[a2 + b0] * q + mul[a0 + b2]]
+            z = sub[mul[a0 + b1] * q + mul[a1 + b0]]
+            if x:
+                w = inv[x]
+                yield (1, mul[y * q + w], mul[z * q + w])
+            elif y:
+                yield (0, 1, mul[z * q + inv[y]])
+            else:
+                yield (0, 0, 1)
+
+
+def _number_field_meets(objs, field):
+    """Over Q[x]/(f): with theta = c*x a root of the monic integer g
+    (``_nf_codec``), the 3n integers of the primitive multiple of
+    (1, y/e, z/e) on the basis theta^i whose leading integer is positive.
+
+    Each triple is cleared of denominators into Z[theta] once.  A pair's
+    cross product (e, y, z), e its first nonzero coordinate, is multiplied
+    by adj(e) = N(e)/e, which turns e into the rational integer N(e).
+    """
+    c, g = _nf_codec(field.spec)
+    n = len(g) - 1
+    pad = (0,) * (n - 1)
+    tris = []
+    for o in objs:
+        t = _primitive_int([a / c ** i for r in o.key() for i, a in enumerate(r)])
+        tris.append((t[:n], t[n:2 * n], t[2 * n:]))
+    for i, (a0, a1, a2) in enumerate(tris):
+        for b0, b1, b2 in tris[i + 1:]:
+            x = _mulmod(a1, b2, g, a2, b1)
+            y = _mulmod(a2, b0, g, a0, b2)
+            z = _mulmod(a0, b1, g, a1, b0)
+            if any(x):
+                d, w = _adjugate(x, g)
+                key = (d,) + pad + _mulmod(y, w, g) + _mulmod(z, w, g)
+            elif any(y):
+                d, w = _adjugate(y, g)
+                key = (0,) * n + (d,) + pad + _mulmod(z, w, g)
+            else:
+                d, w = _adjugate(z, g)
+                key = (0,) * (2 * n) + (d,) + pad
+            h = gcd(*key)
+            if d < 0:
+                h = -h
+            yield tuple(v // h for v in key)
+
+
+_KERNELS = {RATIONALS: _q_meets, PRIME_FIELD: _prime_meets,
+            PRIME_POWER_FIELD: _prime_power_meets,
+            NUMBER_FIELD: _number_field_meets}
 
 
 def _pair_counts(objs, field: Field) -> dict:
@@ -288,9 +353,20 @@ def _mult_from_pairs(c: int) -> int:
 
 def _from_key(cls, key, field):
     """The ProjPoint or ProjLine (``cls``) with kernel key ``key``."""
-    if field.kind == RATIONALS:
-        return cls(tuple(field.scalar(Fraction(c)) for c in key))
-    return cls(tuple(field.from_rep(r) for r in key))
+    kind = field.kind
+    if kind == RATIONALS:
+        reps = [Fraction(v) for v in key]
+    elif kind == PRIME_FIELD:
+        reps = key
+    elif kind == PRIME_POWER_FIELD:
+        elems = _gf_tables(field.spec).elems
+        reps = [elems[v] for v in key]
+    else:
+        c, n = _nf_codec(field.spec)[0], field.degree
+        k = next(v for v in key if v)
+        reps = [tuple(Fraction(v * c ** i, k) for i, v in enumerate(key[j:j + n]))
+                for j in range(0, 3 * n, n)]
+    return cls(tuple(field.from_rep(r) for r in reps))
 
 
 @dataclass(frozen=True)

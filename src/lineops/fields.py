@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from functools import lru_cache
+from typing import NamedTuple, Optional, Sequence, Union
 
 
 class FieldError(Exception):
@@ -69,17 +71,6 @@ def poly_sub(p, q):
                       for i in range(n)])
 
 
-def poly_mul(p, q):
-    if not p or not q:
-        return ()
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return poly_trim(out)
-
-
 def poly_divmod(p, q):
     """Division with remainder over a field (coefficients support /)."""
     q = poly_trim(q)
@@ -117,49 +108,121 @@ def poly_eval(p, x):
     return acc
 
 
-def _mulmod(a, b, min_poly):
-    """a*b reduced by the monic min_poly from the top degree down.
+def _mulmod(a, b, min_poly, c=(), d=()):
+    """a*b - c*d, reduced by the monic min_poly from the top degree down.
 
     Coefficients are low -> high; the result has len(min_poly) - 1 of
-    them.  Serves Q[x]/(f) directly and GF(p)[x]/(f) before reduction
-    mod p.
+    them.  Serves Q[x]/(f) directly, GF(p)[x]/(f) before reduction mod p,
+    and Z[theta] in the pair kernel, whose cross-product coordinates
+    a*b - c*d take one reduction.
     """
-    d = len(min_poly) - 1
-    prod = [min_poly[0] * 0] * (2 * d - 1)
+    n = len(min_poly) - 1
+    prod = [min_poly[0] * 0] * (2 * n - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 if y:
                     prod[i + j] += x * y
-    for e in range(2 * d - 2, d - 1, -1):
-        c = prod[e]
-        if c:
-            for i in range(d):
+    for i, x in enumerate(c):
+        if x:
+            for j, y in enumerate(d):
+                if y:
+                    prod[i + j] -= x * y
+    for e in range(2 * n - 2, n - 1, -1):
+        t = prod[e]
+        if t:
+            for i in range(n):
                 if min_poly[i]:
-                    prod[e - d + i] -= c * min_poly[i]
-    return tuple(prod[:d])
+                    prod[e - n + i] -= t * min_poly[i]
+    return tuple(prod[:n])
 
 
-_GF_TABLES = {}
+class _GFTables(NamedTuple):
+    elems: list  # code -> representative (tuple of least residues)
+    code: dict   # representative -> code
+    mul: list    # mul[a * q + b] is the code of a*b
+    sub: list    # sub[a * q + b] is the code of a-b
+    inv: list    # inv[a] is the code of 1/a for a != 0; inv[0] == 0
 
 
-def _gf_tables(spec: "FieldSpec"):
-    """(product, inverse) tables of GF(p)[x]/(f), built once per spec.
+@lru_cache(maxsize=None)
+def _gf_tables(spec: "FieldSpec") -> _GFTables:
+    """Integer-coded arithmetic of GF(p)[x]/(f), built once per spec.
 
-    Keys and values are representatives (tuples of least residues).  The
-    inverse table lacks an element exactly when f is reducible, so it
-    doubles as the irreducibility test.
+    Element ``i`` is the residue tuple of the base-p digits of ``i``, low
+    digit first, so code 0 is zero and code 1 is one.  Only a unit has an
+    inverse, so ``mul`` holds q - 1 ones exactly when f is irreducible: the
+    tables double as the irreducibility test.
     """
-    tables = _GF_TABLES.get(spec)
-    if tables is None:
-        p, mp = spec.characteristic, spec.min_poly
-        elems = list(itertools.product(range(p), repeat=len(mp) - 1))
-        mul = {(a, b): tuple(c % p for c in _mulmod(a, b, mp))
-               for a in elems for b in elems}
-        one = (1,) + (0,) * (len(mp) - 2)
-        inv = {a: b for (a, b), c in mul.items() if c == one}
-        tables = _GF_TABLES[spec] = (mul, inv)
-    return tables
+    p, mp = spec.characteristic, spec.min_poly
+    elems = [t[::-1] for t in itertools.product(range(p), repeat=len(mp) - 1)]
+    code = {e: i for i, e in enumerate(elems)}
+    mul = [code[tuple(c % p for c in _mulmod(a, b, mp))]
+           for a in elems for b in elems]
+    sub = [code[tuple((x - y) % p for x, y in zip(a, b))]
+           for a in elems for b in elems]
+    q = len(elems)
+    inv = [0] * q
+    for i, c in enumerate(mul):
+        if c == 1:
+            inv[i // q] = i % q
+    return _GFTables(elems, code, mul, sub, inv)
+
+
+@lru_cache(maxsize=None)
+def _nf_codec(spec: "FieldSpec") -> tuple:
+    """(c, g) for Q[x]/(f): theta = c*x is a root of the monic integer g.
+
+    c is the least common denominator of f's coefficients, and
+    g(y) = c^n f(y/c).  Z[theta] holds the kernel's integer coordinates.
+    """
+    mp = spec.min_poly
+    n = len(mp) - 1
+    c = math.lcm(*(a.denominator for a in mp))
+    return c, tuple(int(a * c ** (n - i)) for i, a in enumerate(mp))
+
+
+def _adjugate(e, g) -> tuple:
+    """(d, w) with e*w = d for a nonzero e of Z[theta]/(g), all integers.
+
+    d is +-N(e) and w = d/e.  For degree 2, w is the conjugate of e and d
+    its norm; otherwise w is the first column of the adjugate of e's
+    multiplication matrix, by Bareiss's fraction-free elimination (Cohen, A
+    Course in Computational Algebraic Number Theory, 2.2).  A zero
+    divisor (d = 0) can only come from a reducible modulus.
+    """
+    n = len(e)
+    if n == 2:
+        a, b = e
+        d = a * a - a * b * g[1] + b * b * g[0]
+        w = [a - b * g[1], -b]
+    else:
+        # column j of the multiplication matrix is e*theta^j
+        cols = [list(e)]
+        for _ in range(n - 1):
+            v = cols[-1]
+            t = v[-1]
+            cols.append([-t * g[0]] + [v[i - 1] - t * g[i] for i in range(1, n)])
+        rows = [[col[i] for col in cols] + [int(i == 0)] for i in range(n)]
+        prev = 1
+        for k in range(n):
+            piv = next((r for r in range(k, n) if rows[r][k]), None)
+            if piv is None:
+                raise FieldError("non-invertible element (reducible modulus)")
+            rows[k], rows[piv] = rows[piv], rows[k]
+            rk = rows[k]
+            for ri in rows[k + 1:]:
+                for j in range(k + 1, n + 1):
+                    ri[j] = (ri[j] * rk[k] - ri[k] * rk[j]) // prev
+            prev = rk[k]
+        d = prev
+        w = [0] * n
+        for i in range(n - 1, -1, -1):
+            ri = rows[i]
+            w[i] = (d * ri[n] - sum(ri[j] * w[j] for j in range(i + 1, n))) // ri[i]
+    if not d:
+        raise FieldError("non-invertible element (reducible modulus)")
+    return d, w
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +394,9 @@ class Scalar:
 class Field:
     """Handle for one FieldSpec, hosting the raw representative arithmetic.
 
-    The r_* methods work on bare representatives (Fraction, int, or tuple)
-    so that inner loops can skip the Scalar wrapper.
+    The r_* functions work on bare representatives (Fraction, int, or
+    tuple), so that callers can skip the Scalar wrapper; ``__init__`` binds
+    the set that belongs to the field's kind.
     """
 
     def __init__(self, spec: FieldSpec):
@@ -341,8 +405,8 @@ class Field:
         self.kind = spec.kind
         self.characteristic = spec.characteristic
         self.degree = spec.degree
-        if spec.kind == PRIME_POWER_FIELD:
-            self._mul, self._inv = _gf_tables(spec)
+        (self.r_add, self.r_sub, self.r_neg, self.r_mul, self.r_is_zero,
+         self.r_inv) = _ARITH[spec.kind](spec)
         self.zero = self.scalar(0)
         self.one = self.scalar(1)
 
@@ -385,88 +449,6 @@ class Field:
     def from_rep(self, rep) -> Scalar:
         return Scalar(self, rep)
 
-    # -- raw representative arithmetic ---------------------------------
-
-    def r_add(self, a, b):
-        k = self.kind
-        if k == RATIONALS:
-            return a + b
-        if k == PRIME_FIELD:
-            return (a + b) % self.characteristic
-        if k == NUMBER_FIELD:
-            return tuple(x + y for x, y in zip(a, b))
-        p = self.characteristic
-        return tuple((x + y) % p for x, y in zip(a, b))
-
-    def r_sub(self, a, b):
-        k = self.kind
-        if k == RATIONALS:
-            return a - b
-        if k == PRIME_FIELD:
-            return (a - b) % self.characteristic
-        if k == NUMBER_FIELD:
-            return tuple(x - y for x, y in zip(a, b))
-        p = self.characteristic
-        return tuple((x - y) % p for x, y in zip(a, b))
-
-    def r_neg(self, a):
-        k = self.kind
-        if k == RATIONALS:
-            return -a
-        if k == PRIME_FIELD:
-            return (-a) % self.characteristic
-        if k == NUMBER_FIELD:
-            return tuple(-x for x in a)
-        p = self.characteristic
-        return tuple((-x) % p for x in a)
-
-    def r_mul(self, a, b):
-        k = self.kind
-        if k == RATIONALS:
-            return a * b
-        if k == PRIME_FIELD:
-            return (a * b) % self.characteristic
-        if k == NUMBER_FIELD:
-            return _mulmod(a, b, self.spec.min_poly)
-        return self._mul[a, b]
-
-    def r_is_zero(self, a) -> bool:
-        k = self.kind
-        if k == RATIONALS or k == PRIME_FIELD:
-            return a == 0
-        return all(x == 0 for x in a)
-
-    def r_inv(self, a):
-        k = self.kind
-        if k == RATIONALS:
-            if a == 0:
-                raise ZeroDivisionError("division by zero")
-            return 1 / a
-        if k == PRIME_FIELD:
-            if a == 0:
-                raise ZeroDivisionError("division by zero")
-            return pow(a, self.characteristic - 2, self.characteristic)
-        if k == PRIME_POWER_FIELD:
-            inv = self._inv.get(a)
-            if inv is None:
-                raise ZeroDivisionError("division by zero")
-            return inv
-        if self.r_is_zero(a):
-            raise ZeroDivisionError("division by zero")
-        if self.degree == 2:
-            # (a0 + a1 g)^-1 with g^2 + c1 g + c0 = 0
-            c0, c1 = self.spec.min_poly[:2]
-            a0, a1 = a
-            norm = a0 * a0 - a0 * a1 * c1 + a1 * a1 * c0
-            if norm == 0:
-                raise FieldError("non-invertible element (reducible modulus)")
-            return ((a0 - a1 * c1) / norm, -a1 / norm)
-        s = _frac_poly_xgcd(poly_trim(a), self.spec.min_poly)
-        if s is None:
-            raise FieldError("non-invertible element (reducible modulus)")
-        s = list(s) + [Fraction(0)] * (self.degree - len(s))
-        return tuple(s[: self.degree])
-
     def has_real_embedding(self) -> bool:
         if self.kind == RATIONALS:
             return True
@@ -484,18 +466,74 @@ class Field:
         return f"Field({self.spec.text})"
 
 
-def _frac_poly_xgcd(a, m):
-    """s with s*a = 1 mod m over Q, or None when gcd(a, m) is non-constant."""
-    r0, r1 = poly_trim(m), poly_trim(a)
-    s0, s1 = (), (Fraction(1),)
-    while r1:
-        q, r = poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, poly_sub(s0, poly_mul(q, s1))
-    if len(r0) != 1:
-        return None
-    c = r0[0]
-    return poly_trim([x / c for x in s0])
+# -- raw representative arithmetic, one set per field kind ------------------
+# Each builder returns (r_add, r_sub, r_neg, r_mul, r_is_zero, r_inv).
+
+def _rational_arith(spec):
+    def r_inv(a):
+        if not a:
+            raise ZeroDivisionError("division by zero")
+        return 1 / a
+    return (operator.add, operator.sub, operator.neg, operator.mul,
+            operator.not_, r_inv)
+
+
+def _prime_arith(spec):
+    p = spec.characteristic
+
+    def r_inv(a):
+        if not a:
+            raise ZeroDivisionError("division by zero")
+        return pow(a, p - 2, p)
+    return (lambda a, b: (a + b) % p, lambda a, b: (a - b) % p,
+            lambda a: -a % p, lambda a, b: a * b % p, operator.not_, r_inv)
+
+
+def _prime_power_arith(spec):
+    p = spec.characteristic
+    elems, code, mul, _, inv = _gf_tables(spec)
+    q = len(elems)
+
+    def r_inv(a):
+        i = inv[code[a]]
+        if not i:
+            raise ZeroDivisionError("division by zero")
+        return elems[i]
+    return (lambda a, b: tuple((x + y) % p for x, y in zip(a, b)),
+            lambda a, b: tuple((x - y) % p for x, y in zip(a, b)),
+            lambda a: tuple(-x % p for x in a),
+            lambda a, b: elems[mul[code[a] * q + code[b]]],
+            lambda a: not any(a), r_inv)
+
+
+def _number_field_arith(spec):
+    mp = spec.min_poly
+    c, g = _nf_codec(spec)
+
+    def r_inv(a):
+        if not any(a):
+            raise ZeroDivisionError("division by zero")
+        if len(a) == 2:
+            # (a0 + a1 x)^-1 with x^2 + c1 x + c0 = 0, irreducible
+            c0, c1 = mp[:2]
+            a0, a1 = a
+            norm = a0 * a0 - a0 * a1 * c1 + a1 * a1 * c0
+            return ((a0 - a1 * c1) / norm, -a1 / norm)
+        # through the kernel's integers: a = k*u with u in Z[theta]
+        t = [v / c ** i for i, v in enumerate(a)]
+        u = _primitive_int(t)
+        k = next(v / w for v, w in zip(t, u) if w)
+        d, w = _adjugate(u, g)  # 1/u = w/d
+        return tuple(v * c ** i / (k * d) for i, v in enumerate(w))
+    return (lambda a, b: tuple(x + y for x, y in zip(a, b)),
+            lambda a, b: tuple(x - y for x, y in zip(a, b)),
+            lambda a: tuple(-x for x in a),
+            lambda a, b: _mulmod(a, b, mp), lambda a: not any(a), r_inv)
+
+
+_ARITH = {RATIONALS: _rational_arith, PRIME_FIELD: _prime_arith,
+          PRIME_POWER_FIELD: _prime_power_arith,
+          NUMBER_FIELD: _number_field_arith}
 
 
 def _validate_spec(spec: FieldSpec):
@@ -537,7 +575,7 @@ def _validate_spec(spec: FieldSpec):
             raise FieldError("modulus must be monic")
         if p ** (len(mp) - 1) > 64:
             raise FieldError("prime power fields supported up to order 64")
-        if len(_gf_tables(spec)[1]) != p ** (len(mp) - 1) - 1:
+        if _gf_tables(spec).mul.count(1) != p ** (len(mp) - 1) - 1:
             raise FieldError("modulus is reducible over the prime field")
         return
     raise FieldError(f"unknown field kind {spec.kind!r}")
@@ -734,18 +772,21 @@ def format_field_spec(spec: FieldSpec) -> str:
 
 def parse_field_spec(text: str) -> FieldSpec:
     t = text.strip().replace(" ", "")
-    if t == "Q":
-        return rationals_spec()
-    if t.startswith("Q[x]/(") and t.endswith(")"):
-        return number_field_spec(_parse_poly(t[6:-1], rational=True))
-    if t.startswith("GF(") and t.endswith(")"):
-        inner = t[3:-1]
-        if ";" in inner:
-            q_text, poly_text = inner.split(";", 1)
-            q = int(q_text)
-            p = _char_of_order(q)
-            return gf_spec(q, _parse_poly(poly_text, rational=False, mod=p))
-        return gf_spec(int(inner))
+    try:
+        if t == "Q":
+            return rationals_spec()
+        if t.startswith("Q[x]/(") and t.endswith(")"):
+            return number_field_spec(_parse_poly(t[6:-1], rational=True))
+        if t.startswith("GF(") and t.endswith(")"):
+            inner = t[3:-1]
+            if ";" in inner:
+                q_text, poly_text = inner.split(";", 1)
+                q = int(q_text)
+                p = _char_of_order(q)
+                return gf_spec(q, _parse_poly(poly_text, rational=False, mod=p))
+            return gf_spec(int(inner))
+    except ValueError:  # a malformed number inside the spec
+        pass
     raise FieldError(f"cannot parse field spec {text!r}")
 
 

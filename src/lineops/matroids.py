@@ -87,7 +87,17 @@ def matroid_to_json(m: Matroid3) -> dict:
 
 
 def matroid_from_json(doc: dict) -> Matroid3:
-    return Matroid3.from_flats(int(doc["ground"]), doc["flats"])
+    """The matroid of a JSON document; malformed input is a MatroidError."""
+    if not isinstance(doc, dict):
+        raise MatroidError("the document must be a JSON object")
+    ground, flats = doc.get("ground"), doc.get("flats")
+    if type(ground) is not int:
+        raise MatroidError("document lacks an integer 'ground'")
+    if not isinstance(flats, list) or any(
+            not isinstance(f, list) or any(type(i) is not int for i in f)
+            for f in flats):
+        raise MatroidError("document lacks a 'flats' list of index lists")
+    return Matroid3.from_flats(ground, flats)
 
 
 def matroid_isomorphic(a: Matroid3, b: Matroid3) -> Optional[tuple]:

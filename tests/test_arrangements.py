@@ -22,8 +22,10 @@ from lineops.arrangements import (Arrangement, ArrangementError,
                                   points_operator, profile, property_suite,
                                   psi_op, sel_at_least, sel_exact)
 from lineops.catalog import build
-from lineops.fields import GF, QQ
-from lineops.projective import ProjLine, ProjPoint, join, line, meet, point
+from lineops.fields import (GF, QQ, FieldError, cyclotomic_field,
+                            number_field)
+from lineops.projective import (Matrix3, ProjLine, ProjPoint, Projectivity,
+                                apply_projectivity, join, line, meet, point)
 
 F = QQ()
 
@@ -122,13 +124,36 @@ def _sample_of_plane(q, n):
     return Arrangement(GF(q), random.Random(7).sample(lines, n))
 
 
+def _cq_step2():
+    return lambda_op(sel_at_least(2), sel_at_least(2), lambda_op(
+        sel_at_least(2), sel_at_least(2), complete_quadrilateral()))
+
+
+def _moved_into(field):
+    """The complete quadrilateral's step 2 (25 lines, 21 triple points) over
+    ``field``, moved by a projectivity whose entries involve the generator
+    and denominators, so that coordinates leave Q."""
+    x = field.generator
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    g = Projectivity(Matrix3.from_values(field, (
+        (x, 1, half), (0, third, x), (1, x - 2, x * x + third))))
+    return Arrangement(field, [
+        apply_projectivity(g, line(field, *(c.rep for c in l.coeffs)))
+        for l in _cq_step2().lines])
+
+
 KERNEL_INPUTS = {
-    "Q": lambda: lambda_op(sel_at_least(2), sel_at_least(2), lambda_op(
-        sel_at_least(2), sel_at_least(2), complete_quadrilateral())),
+    "Q": _cq_step2,
     "Q(omega)": lambda: build("dual-hesse"),
     "cubic": lambda: build("grunbaum-rigby"),
+    # x^2 - 1/2 is monic but not integral: the codec works with theta = 2x
+    "Q[x]/(x^2-1/2)": lambda: _moved_into(number_field([Fraction(-1, 2), 0, 1])),
+    "Q(zeta_7)": lambda: _moved_into(cyclotomic_field(7)),
     "GF(7)": lambda: _sample_of_plane(7, 25),
+    "GF(101)": lambda: _sample_of_plane(101, 40),
+    "GF(8)": lambda: _sample_of_plane(8, 30),
     "GF(49)": lambda: _sample_of_plane(49, 40),
+    "GF(64)": lambda: _sample_of_plane(64, 40),
 }
 
 
@@ -150,6 +175,15 @@ def test_pair_kernel_matches_single_meets_and_joins(name):
         counts = _pair_counts(objs, field)
         got = {_from_key(cls, k, field): c for k, c in counts.items()}
         assert len(got) == len(counts) and got == want_counts
+
+
+def test_pair_kernel_zero_divisor_is_a_field_error():
+    """Over a reducible modulus the kernel meets a zero divisor and says so."""
+    field = number_field([6, 0, 0, -5, 0, 0, 1])  # (x^3 - 2)(x^3 - 3)
+    x = field.generator
+    lines = [line(field, 1, 0, 0), line(field, 0, 1, x ** 3 - 2)]
+    with pytest.raises(FieldError, match="non-invertible"):
+        _pair_counts(lines, field)
 
 
 def test_points_operator_examples():

@@ -189,12 +189,23 @@ def test_reducible_modulus_is_a_domain_error(capsys, monkeypatch):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_malformed_field_order_is_a_domain_error(capsys, monkeypatch):
+    code, out, err = run(capsys, monkeypatch,
+                         ["catalog", "build", "complete-quadrilateral",
+                          "--param", "field=GF(a)"])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv, doc", [
     (["import"], "5"),
     (["profile"], '{"field": "Q", "lines": 5}'),
     (["import"], '{"field": "Q", "lines": [[1, "a", 0]]}'),
     (["profile"], '{"field": 7, "lines": []}'),
     (["conics", "--min", "5"], '{"field": "Q", "points": ["100", "010"]}'),
+    (["matroid", "iso"], '{"ground": 3}'),
+    (["matroid", "iso"], '[3]'),
+    (["matroid", "iso"], '{"ground": 3, "flats": 5}'),
 ])
 def test_malformed_document_is_a_domain_error(capsys, monkeypatch, argv, doc):
     code, out, err = run(capsys, monkeypatch, argv, stdin=doc)

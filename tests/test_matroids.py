@@ -123,3 +123,13 @@ def test_flat_pair_bound():
 def test_matroid_json_roundtrip():
     m = extract_matroid(build("pappus"))
     assert matroid_from_json(matroid_to_json(m)) == m
+
+
+@pytest.mark.parametrize("doc", [
+    [3], None, {"flats": []}, {"ground": "3", "flats": []},
+    {"ground": 3}, {"ground": 3, "flats": 5}, {"ground": 3, "flats": [5]},
+    {"ground": 3, "flats": [[0, 1, "a"]]},
+])
+def test_malformed_matroid_document(doc):
+    with pytest.raises(MatroidError):
+        matroid_from_json(doc)
