@@ -467,7 +467,7 @@ class Field:
 
 
 # -- raw representative arithmetic, one set per field kind ------------------
-# Each builder returns (r_add, r_sub, r_neg, r_mul, r_is_zero, r_inv).
+# Each function below returns (r_add, r_sub, r_neg, r_mul, r_is_zero, r_inv).
 
 def _rational_arith(spec):
     def r_inv(a):

@@ -130,9 +130,9 @@ def _cq_step2():
 
 
 def _moved_into(field):
-    """The complete quadrilateral's step 2 (25 lines, 21 triple points) over
-    ``field``, moved by a projectivity whose entries involve the generator
-    and denominators, so that coordinates leave Q."""
+    """The complete quadrilateral's step 2 (25 lines; points of multiplicity
+    2, 3, 4 and 6) over ``field``, moved by a projectivity whose entries
+    involve the generator and denominators, so that coordinates leave Q."""
     x = field.generator
     half, third = Fraction(1, 2), Fraction(1, 3)
     g = Projectivity(Matrix3.from_values(field, (
