@@ -325,9 +325,29 @@ _KERNELS = {RATIONALS: _q_meets, PRIME_FIELD: _prime_meets,
             NUMBER_FIELD: _number_field_meets}
 
 
+# Results by content while a property_suite call runs, None otherwise.  The
+# suite pairs the same few sets over and over; the memo is dropped when it
+# returns, so nothing is cached across calls and no set holds a table.
+_memo = None
+
+
+def _content(objs, field: Field) -> tuple:
+    return field.spec, tuple(o.key() for o in objs)
+
+
 def _pair_counts(objs, field: Field) -> dict:
-    """key -> number of pairs meeting (joining) there, over all C(n,2) pairs."""
-    return Counter(_meet_keys(objs, field))
+    """key -> number of pairs meeting (joining) there, over all C(n,2) pairs.
+
+    Meets of lines and joins of points with the same triples share one
+    entry of the memo.
+    """
+    if _memo is None:
+        return Counter(_meet_keys(objs, field))
+    content = _content(objs, field)
+    counts = _memo.get(content)
+    if counts is None:
+        counts = _memo[content] = Counter(_meet_keys(objs, field))
+    return counts
 
 
 def _pair_index(objs, field: Field) -> dict:
@@ -352,10 +372,15 @@ def _mult_from_pairs(c: int) -> int:
 
 
 def _from_key(cls, key, field):
-    """The ProjPoint or ProjLine (``cls``) with kernel key ``key``."""
+    """The ProjPoint or ProjLine (``cls``) with kernel key ``key``.
+
+    The reps already have first nonzero coordinate 1, so the constructor
+    does not scale them again.
+    """
     kind = field.kind
     if kind == RATIONALS:
-        reps = [Fraction(v) for v in key]
+        k = next(v for v in key if v)
+        reps = [Fraction(v, k) for v in key]
     elif kind == PRIME_FIELD:
         reps = key
     elif kind == PRIME_POWER_FIELD:
@@ -422,9 +447,19 @@ def _select(sel: MultiplicitySelector, objs, field: Field, out):
     multiplicity lies in the selector."""
     if len(objs) < 2:
         return out(field)
+    key = None
+    if _memo is not None:
+        key = (out, sel, _content(objs, field))
+        hit = _memo.get(key)
+        if hit is not None:
+            return hit
     counts = _pair_counts(objs, field)
-    return out(field, [_from_key(out._member, k, field) for k, c in counts.items()
-                       if sel.contains(_mult_from_pairs(c))])
+    result = out(field, [_from_key(out._member, k, field)
+                         for k, c in counts.items()
+                         if sel.contains(_mult_from_pairs(c))])
+    if key is not None:
+        _memo[key] = result
+    return result
 
 
 def lambda_op(nsel: MultiplicitySelector, msel: MultiplicitySelector,
@@ -496,10 +531,7 @@ def profile(arr: Arrangement) -> SingularityProfile:
     if len(arr) < 2:
         return SingularityProfile(len(arr), ())
     counts = _pair_counts(arr.lines, arr.field)
-    t = {}
-    for c in counts.values():
-        k = _mult_from_pairs(c)
-        t[k] = t.get(k, 0) + 1
+    t = {_mult_from_pairs(c): n for c, n in Counter(counts.values()).items()}
     return SingularityProfile.from_dict(len(arr), t)
 
 
@@ -725,7 +757,21 @@ def property_suite(arr: Arrangement, real: Optional[bool] = None) -> list:
     conjugation, the union-of-singletons decomposition, the m >= nk bound
     for new lines, De Bruijn-Erdos, Melchior / Hirzebruch non-negativity
     where they apply, and the classification of 2-2 fixed points.
+
+    The checks pair the same few sets many times.  For the length of the
+    call, each distinct set (by field and member triples, so a set and its
+    dual count once) is paired once and each operator image built once;
+    the memo is dropped when the call returns or raises.
     """
+    global _memo
+    _memo = {}
+    try:
+        return _suite(arr, real)
+    finally:
+        _memo = None
+
+
+def _suite(arr: Arrangement, real: Optional[bool]) -> list:
     results = []
     if real is None:
         real = arr.field.kind == RATIONALS

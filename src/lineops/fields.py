@@ -869,11 +869,9 @@ def _parse_poly(text: str, rational: bool, mod: Optional[int] = None):
         return tuple(out)
     res = []
     for c in out:
-        if c.denominator != 1:
-            inv = pow(c.denominator % mod, mod - 2, mod)
-            res.append((c.numerator * inv) % mod)
-        else:
-            res.append(c.numerator % mod)
+        if c.denominator % mod == 0:
+            raise FieldError("denominator divisible by characteristic")
+        res.append(c.numerator * pow(c.denominator, mod - 2, mod) % mod)
     return tuple(res)
 
 

@@ -17,9 +17,17 @@ class GeometryError(Exception):
 
 
 def _normalize(coords: Sequence[Scalar], what: str = "coordinate triple") -> tuple:
-    """Scale so the first nonzero entry is 1 (the projective representative)."""
+    """Scale so the first nonzero entry is 1 (the projective representative).
+
+    Entries already scaled so, all scalars of the pivot's field, come back
+    as they are: the pair kernel decodes its keys to such triples.
+    """
     for pivot in coords:
         if not pivot.is_zero():
+            field = pivot.field
+            if pivot.rep == field.one.rep and all(
+                    c.__class__ is Scalar and c.field is field for c in coords):
+                return tuple(coords)
             inv = pivot.inverse()
             return tuple(c * inv for c in coords)
     raise GeometryError(f"zero {what}")

@@ -16,6 +16,7 @@ from math import gcd, lcm
 
 import pytest
 
+from lineops import arrangements
 from lineops.arrangements import (Arrangement, all_projective_lines,
                                   arrangements_equivalent, dual_lines_op,
                                   dualize_arrangement, freeness_necessary,
@@ -445,14 +446,23 @@ def test_criterion_13_finite_fields():
     _pass(13, t0, 30, f"all {1 << 13} GF(3) orbits swept")
 
 
-def test_criterion_14_property_suites():
+def test_criterion_14_property_suites(monkeypatch):
     t0 = time.time()
     failures = []
+    calls, passes = [], {}  # pair-kernel calls of each suite, by tag
+    kernel = arrangements._meet_keys
+
+    def counting(objs, field):
+        calls.append(len(objs))
+        return kernel(objs, field)
+    monkeypatch.setattr(arrangements, "_meet_keys", counting)
 
     def run_suite(tag, arr, real=None):
+        del calls[:]
         for name, ok, detail in property_suite(arr, real=real):
             if not ok:
                 failures.append((tag, name, detail))
+        passes[tag] = len(calls)
 
     for entry in entries():
         if entry.heavy:
@@ -462,6 +472,7 @@ def test_criterion_14_property_suites():
     tr = run_sequence(L23, build("parallel-pairs6"), max_steps=3)
     small_steps += list(tr.arrangements)
     tr = run_sequence(L32, build("dual-hesse"), max_steps=2)
+    dual_hesse_step2 = len(small_steps) + 2
     small_steps += list(tr.arrangements)
     tr = run_sequence(Lx23, build("flashing3"))
     small_steps += list(tr.arrangements)
@@ -471,6 +482,9 @@ def test_criterion_14_property_suites():
         if len(arr) <= 500:
             run_suite(f"step[{i}]", arr)
     assert not failures, failures
+    # the 57-line step's suite pairs 5 distinct sets 32 times: once each
+    assert len(small_steps[dual_hesse_step2]) == 57
+    assert passes[f"step[{dual_hesse_step2}]"] == 5
     _pass(14, t0, 600, f"{len(small_steps)} sequence steps checked")
 
 

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from lineops import arrangements
 from lineops.arrangements import (Arrangement, ArrangementError,
                                   _from_key, _pair_counts, _pair_index,
                                   MultiplicitySelector, PointConfig,
@@ -375,6 +376,51 @@ def test_property_suite_clean_on_catalog():
     for name in ("complete-quadrilateral", "grid6", "pappus", "maclane"):
         for check, ok, detail in property_suite(build(name)):
             assert ok, (name, check, detail)
+
+
+def _count_kernel_calls(monkeypatch):
+    """A list that grows by one for each pair-kernel call."""
+    calls = []
+    kernel = arrangements._meet_keys
+
+    def counting(objs, field):
+        calls.append(len(objs))
+        return kernel(objs, field)
+    monkeypatch.setattr(arrangements, "_meet_keys", counting)
+    return calls
+
+
+def test_property_suite_pairs_each_distinct_set_once(monkeypatch):
+    calls = _count_kernel_calls(monkeypatch)
+    for arr, want in ((build("dual-hesse"), 2), (build("hesse"), 4),
+                      (build("finite-plane", q=3), 1)):
+        for _ in range(2):  # nothing kept from the previous call
+            del calls[:]
+            results = property_suite(arr)
+            assert all(ok for _, ok, _ in results)
+            assert len(calls) == want, (arr, calls)
+    # outside a suite call nothing is cached
+    arr = build("dual-hesse")
+    del calls[:]
+    profile(arr)
+    profile(arr)
+    assert len(calls) == 2
+
+
+def test_property_suite_drops_its_memo_when_it_raises(monkeypatch):
+    calls = _count_kernel_calls(monkeypatch)
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(arrangements, "inequality_report", broken)
+    arr = build("hesse")
+    with pytest.raises(RuntimeError):
+        property_suite(arr)
+    assert arrangements._memo is None
+    del calls[:]
+    profile(arr)
+    profile(arr)
+    assert len(calls) == 2
 
 
 # -- json --------------------------------------------------------------------

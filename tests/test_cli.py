@@ -190,11 +190,13 @@ def test_reducible_modulus_is_a_domain_error(capsys, monkeypatch):
 
 
 def test_malformed_field_order_is_a_domain_error(capsys, monkeypatch):
-    code, out, err = run(capsys, monkeypatch,
-                         ["catalog", "build", "complete-quadrilateral",
-                          "--param", "field=GF(a)"])
-    assert code == 1 and out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
+    # a modulus coefficient 1/2 has no value in characteristic 2
+    for spec in ("GF(a)", "GF(4;x^2+x+1/2)"):
+        code, out, err = run(capsys, monkeypatch,
+                             ["catalog", "build", "complete-quadrilateral",
+                              "--param", f"field={spec}"])
+        assert code == 1 and out == "", spec
+        assert err.startswith("error:") and err.count("\n") == 1, spec
 
 
 @pytest.mark.parametrize("argv, doc", [

@@ -225,6 +225,11 @@ def test_fraction_scalar_in_prime_power_field():
     F = GF(9)
     with pytest.raises(FieldError):
         F.scalar(Fraction(1, 3))
+    # the same rule for a coefficient read from text
+    with pytest.raises(FieldError, match="divisible by characteristic"):
+        parse_scalar(GF(4), "1/2*x")
+    with pytest.raises(FieldError, match="divisible by characteristic"):
+        parse_field_spec("GF(4;x^2+x+1/2)")
     half = F.scalar(Fraction(1, 2))
     assert half * 2 == F.one
     assert half.rep == (2, 0)

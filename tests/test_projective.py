@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from lineops.fields import QQ, number_field
+from lineops.fields import GF, QQ, FieldError, number_field
 from lineops.projective import (Conic, GeometryError, Matrix3, ProjLine,
                                 ProjPoint, Projectivity, apply_projectivity,
                                 collinear, common_conic, conic_through,
@@ -82,6 +82,19 @@ def test_normalization_idempotent():
     assert ProjPoint(p.coords) == p
     with pytest.raises(GeometryError):
         ProjPoint((F.zero, F.zero, F.zero))
+    # a triple whose first nonzero entry is already 1 is kept as it is, and
+    # a scaled copy of it gives the same object
+    for K in (F, number_field([1, 1, 1]), GF(7), GF(49)):
+        g = K.generator if K.degree > 1 else K.scalar(5)
+        s = g + 1
+        for t in ((K.one, g, g * g + 2), (K.zero, K.one, g - 1),
+                  (K.zero, K.zero, K.one)):
+            for cls in (ProjPoint, ProjLine):
+                assert cls(t).coords == t
+                assert cls(tuple(s * c for c in t)) == cls(t), (K, t)
+    # entries from another field are refused with a pivot of 1 as well
+    with pytest.raises(FieldError):
+        ProjPoint((F.one, GF(7).one, F.zero))
 
 
 def test_projectivity_actions():
