@@ -405,6 +405,13 @@ def test_property_suite_pairs_each_distinct_set_once(monkeypatch):
     profile(arr)
     profile(arr)
     assert len(calls) == 2
+    assert points_operator(sel_at_least(2), arr) is not \
+        points_operator(sel_at_least(2), arr)
+    # while the memo is open, each operator image is built once
+    monkeypatch.setattr(arrangements, "_memo", {})
+    img = points_operator(sel_at_least(2), arr)
+    assert points_operator(sel_at_least(2), arr) is img
+    assert points_operator(sel_exact(2), arr) is not img
 
 
 def test_property_suite_drops_its_memo_when_it_raises(monkeypatch):
