@@ -1,17 +1,19 @@
 """Line arrangements, point configurations and the incidence operators.
 
-The engine underlying every operator is one pair kernel, ``_meet_keys``:
-the meets (dually: joins) of all pairs, each as a canonical coordinate key.
-Grouping those keys gives everything else.  A point met by k lines receives
-exactly C(k,2) of the pair meets, so multiplicity is read off the group size
-with no incidence rescan.  Each field kind has an exact integer codec, so no
-pair touches a Fraction, a Scalar or a residue tuple: primitive integer
-triples over Q; residues with the first nonzero one over GF(p); element codes
-and flat product tables over GF(p^k); primitive integer vectors in Z[theta],
-scaled by the adjugate of the first nonzero coordinate, over a number field.
-The inputs are encoded once per pass, and ``_from_key`` turns a key back into
-a point or line, with the usual first-nonzero-is-one coordinates, at the API
-boundary.
+The engine underlying every operator is one pair kernel, ``_meet_keys``: the
+meets (dually: joins) of all pairs, each as a canonical coordinate key, in
+``combinations`` order.  A point met by k lines receives C(k,2) of the pair
+meets, so the operators read multiplicity off the size of its group.
+``profile`` groups one row (line i with the later lines) at a time, holding
+O(d) keys: a point on k lines makes one row group of each size k-1, ..., 1,
+so t_k = c_(k-1) - c_k, c_s the number of row groups of size s.  Each field
+kind has an exact integer codec, so no pair touches a Fraction, a Scalar or a
+residue tuple: primitive integer triples over Q; residues with the first
+nonzero one over GF(p); element codes and flat product tables over GF(p^k);
+primitive integer vectors in Z[theta], scaled by the adjugate of the first
+nonzero coordinate, over a number field.  The inputs are encoded once per
+pass, and ``_from_key`` turns a key back into a point or line, with the usual
+first-nonzero-is-one coordinates, at the API boundary.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb, gcd, isqrt
 from typing import Iterable, Optional, Sequence
 
@@ -209,12 +211,15 @@ def make_arrangement(normals: Sequence, field: Field):
 
 
 def dualize_arrangement(arr: Arrangement) -> PointConfig:
-    """Each line relabelled as the point with the same triple.
+    """Each line relabelled as the point with the same triple, or back.
 
-    Given a PointConfig it relabels the other way, so applying it twice
-    returns the input.
+    Applying it twice returns the input.  ``_sort_key`` reads only the
+    triple, so the relabelled members are already in canonical order.
     """
-    return _DUAL_SET[arr.__class__](arr.field, (dualize(o) for o in arr))
+    dual = object.__new__(_DUAL_SET[arr.__class__])
+    object.__setattr__(dual, "field", arr.field)
+    object.__setattr__(dual, "_members", tuple(map(dualize, arr._members)))
+    return dual
 
 
 # ---------------------------------------------------------------------------
@@ -528,11 +533,21 @@ class SingularityProfile:
 
 
 def profile(arr: Arrangement) -> SingularityProfile:
-    if len(arr) < 2:
-        return SingularityProfile(len(arr), ())
-    counts = _pair_counts(arr.lines, arr.field)
-    t = {_mult_from_pairs(c): n for c, n in Counter(counts.values()).items()}
-    return SingularityProfile.from_dict(len(arr), t)
+    """d and each t_k, from the meets grouped one row at a time (see the
+    module docstring); a property_suite call reads its memo's table."""
+    d = len(arr)
+    if d < 2:
+        return SingularityProfile(d, ())
+    if _memo is not None:
+        counts = _pair_counts(arr.lines, arr.field)
+        t = {_mult_from_pairs(c): n for c, n in Counter(counts.values()).items()}
+    else:
+        keys = _meet_keys(arr.lines, arr.field)
+        c = Counter()
+        for row in range(d - 1, 0, -1):
+            c.update(Counter(islice(keys, row)).values())
+        t = {k: c[k - 1] - c[k] for k in range(2, max(c) + 2)}
+    return SingularityProfile.from_dict(d, t)
 
 
 def h_constant(prof: SingularityProfile) -> Fraction:

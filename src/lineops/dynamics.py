@@ -160,7 +160,7 @@ def run_sequence(op: OperatorChain, start: Arrangement,
         "".join(s.text for s in op)
     steps = [_step_record(0, start, profile_budget)]
     arrs = [start]
-    seen = {start.digest(): 0}
+    seen = {steps[0].digest: 0}
     verdict = None
     current = start
     if start.is_empty():
@@ -178,7 +178,7 @@ def run_sequence(op: OperatorChain, start: Arrangement,
         if nxt.is_empty():
             verdict = Verdict("extinguished", length=step)
             break
-        dig = nxt.digest()
+        dig = steps[-1].digest
         if dig in seen:
             first = seen[dig]
             period = step - first

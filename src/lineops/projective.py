@@ -6,6 +6,7 @@ tuples and serve directly as dictionary keys.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Optional, Sequence
 
@@ -375,13 +376,36 @@ def projectively_equivalent(lines_a: Sequence[ProjLine],
 
 def _sort_key(obj):
     """The canonical total order on points and on lines."""
-    return tuple(_rep_key(c.rep) for c in obj.coords)
+    a, b, c = obj.coords
+    return _rep_key(a.rep), _rep_key(b.rep), _rep_key(c.rep)
 
 
 def _rep_key(rep):
-    if isinstance(rep, tuple):
-        return rep
-    return (rep,)
+    """An exact key in the order of the reps: rationals, alone or as
+    number-field coefficients, become ``_q_key``; residues stay."""
+    if rep.__class__ is int:
+        return (rep,)
+    if rep.__class__ is Fraction:
+        return _q_key(rep)
+    return rep if rep[0].__class__ is int else tuple(map(_q_key, rep))
+
+
+def _q_key(x):
+    """The signed continued fraction (a0, -a1, a2, -a3, ...) of x.
+
+    Euclid's expansion is unique, and a larger a_i makes x larger for even
+    i and smaller for odd i.  The next term is inf: +inf is appended after
+    an odd i; after an even i the shorter tuple sorts first, as -inf would.
+    """
+    n, d = x.numerator, x.denominator
+    if d == 1:
+        return (n,)
+    key = []
+    while d:
+        key.append(n // d)
+        n, d = d, n % d
+    key[1::2] = [-a for a in key[1::2]]
+    return (*key, float("inf")) if len(key) % 2 == 0 else tuple(key)
 
 
 def _pool_points(field: Field):

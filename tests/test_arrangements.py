@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -26,7 +28,8 @@ from lineops.catalog import build
 from lineops.fields import (GF, QQ, FieldError, cyclotomic_field,
                             number_field)
 from lineops.projective import (Matrix3, ProjLine, ProjPoint, Projectivity,
-                                apply_projectivity, join, line, meet, point)
+                                apply_projectivity, dualize, join, line, meet,
+                                point)
 
 F = QQ()
 
@@ -87,12 +90,17 @@ def test_sets_hold_one_member_type():
 
 
 def test_dualize_twice_is_identity():
-    for arr in (complete_quadrilateral(), build("dual-hesse"),
-                _sample_of_plane(7, 12), Arrangement(F)):
+    for arr in (complete_quadrilateral(), _cq_step2(), build("dual-hesse"),
+                _moved_grunbaum_rigby(), _sample_of_plane(7, 12),
+                _sample_of_plane(49, 20), Arrangement(F)):
         cfg = dualize_arrangement(arr)
         assert isinstance(cfg, PointConfig)
         assert [p.coords for p in cfg.points] == [l.coeffs for l in arr.lines]
         assert dualize_arrangement(cfg) == arr
+        # the relabelled members are the canonical set, in the same order
+        assert cfg.points == PointConfig(arr.field, [dualize(o) for o in arr]).points
+        assert dualize_arrangement(cfg).lines == \
+            Arrangement(arr.field, [dualize(o) for o in cfg]).lines
 
 
 def test_set_equality_is_order_independent():
@@ -275,6 +283,78 @@ def test_profile_quadrilateral():
     prof = profile(complete_quadrilateral())
     assert prof.as_dict() == {2: 3, 3: 4}
     assert h_constant(prof) == Fraction(-12, 7)
+
+
+def _moved_grunbaum_rigby():
+    arr = build("grunbaum-rigby")
+    field = arr.field
+    x = field.generator
+    g = Projectivity(Matrix3.from_values(field, (
+        (1, x, Fraction(1, 2)), (0, x + 1, 2), (x * x, 0, Fraction(-1, 3)))))
+    return Arrangement(field, [apply_projectivity(g, l) for l in arr.lines])
+
+
+def _near_pencil(n):
+    return make_arrangement([(1, k, 0) for k in range(n - 1)] + [(0, 0, 1)], F)[0]
+
+
+PROFILE_INPUTS = {
+    "Q": (_cq_step2, None),
+    "Q(omega)": (lambda: build("dual-hesse"), None),
+    "cubic": (lambda: build("grunbaum-rigby"), None),
+    "cubic moved": (_moved_grunbaum_rigby, None),
+    "GF(7)": (lambda: _sample_of_plane(7, 25), None),
+    "GF(49)": (lambda: _sample_of_plane(49, 40), None),
+    "pencil": (lambda: make_arrangement([(1, k, 0) for k in range(6)], F)[0],
+               {6: 1}),
+    "near pencil": (lambda: _near_pencil(7), {6: 1, 2: 6}),
+    "PG(2,3)": (lambda: all_projective_lines(GF(3)), {4: 13}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROFILE_INPUTS))
+def test_profile_matches_pair_table(name, monkeypatch):
+    """Grouping row by row gives the profile the whole pair table gives,
+    and so does the memo's table inside a suite call."""
+    make, want = PROFILE_INPUTS[name]
+    arr = make()
+    table = Counter(arrangements._meet_keys(arr.lines, arr.field))
+    ref = {arrangements._mult_from_pairs(c): n
+           for c, n in Counter(table.values()).items()}
+    assert want is None or ref == want
+    prof = profile(arr)
+    assert prof.d == len(arr) and prof.as_dict() == ref
+    inside = []
+
+    def recording(a):
+        inside.append((a, profile(a)))
+        return inside[-1][1]
+    monkeypatch.setattr(arrangements, "profile", recording)
+    property_suite(arr)
+    assert inside and all(p == profile(a) for a, p in inside)
+
+
+def test_profile_holds_no_pair_table():
+    """The row-wise profile peaks far below the pair table it replaces."""
+    rng = random.Random(3)
+    arr = make_arrangement([[rng.randint(-30, 30) for _ in range(3)]
+                            for _ in range(320)], F)[0]
+    assert len(arr) > 250
+    tracemalloc.start()
+    try:
+        table = Counter(arrangements._meet_keys(arr.lines, arr.field))
+        table_peak = tracemalloc.get_traced_memory()[1]
+        ref = Counter(table.values())
+        del table
+        tracemalloc.reset_peak()
+        prof = profile(arr)
+        profile_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert prof.as_dict() == {arrangements._mult_from_pairs(c): n
+                              for c, n in ref.items()}
+    assert profile_peak < 500_000 and profile_peak * 20 < table_peak, \
+        (profile_peak, table_peak)
 
 
 def test_profile_consistency_assertion():

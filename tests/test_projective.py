@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -10,7 +11,8 @@ from lineops.projective import (Conic, GeometryError, Matrix3, ProjLine,
                                 dualize, incident, join, line,
                                 lines_in_general_position, meet, point,
                                 projectively_equivalent,
-                                projectivity_from_line_frames, rich_conics)
+                                projectivity_from_line_frames, rich_conics,
+                                _rep_key, _sort_key)
 
 F = QQ()
 
@@ -215,3 +217,94 @@ def test_degenerate_conic_detected():
     # pair of lines x*y = 0: coefficients (0,0,0,1,0,0)
     c = Conic((F.zero, F.zero, F.zero, F.one, F.zero, F.zero))
     assert not c.is_irreducible()
+
+
+# -- the canonical sort key ----------------------------------------------------
+
+def _random_fractions(rng, n):
+    out = [Fraction(0), Fraction(7), Fraction(-7), Fraction(1, 2), Fraction(-1, 2)]
+    for _ in range(n):
+        den = rng.choice((1, 2, 3, 12, rng.randint(1, 50), rng.randint(1, 10 ** 12)))
+        num = rng.choice((rng.randint(-60, 60), rng.randint(-10 ** 15, 10 ** 15)))
+        out.append(Fraction(num, den))
+    # neighbours whose continued fractions share a long prefix
+    fib = [1, 1]
+    while len(fib) < 40:
+        fib.append(fib[-1] + fib[-2])
+    out += [Fraction(a, b) for a, b in zip(fib[1:], fib)]
+    out += [Fraction(-a, b) for a, b in zip(fib[2:], fib)]
+    # equal values as distinct objects
+    out += [Fraction(x.numerator * 3, x.denominator * 3) for x in out[:300]]
+    rng.shuffle(out)
+    return out
+
+
+def test_rational_sort_key_orders_by_value():
+    rng = random.Random(11)
+    xs = _random_fractions(rng, 3000)
+    by_key = sorted(xs, key=_rep_key)
+    assert by_key == sorted(xs)
+    for a, b in zip(by_key, by_key[1:]):
+        if a == b:
+            assert _rep_key(a) == _rep_key(b)
+        else:
+            assert _rep_key(a) < _rep_key(b), (a, b)
+    for _ in range(5000):
+        a, b = rng.choice(xs), rng.choice(xs)
+        assert (_rep_key(a) < _rep_key(b)) == (a < b)
+        assert (_rep_key(a) == _rep_key(b)) == (a == b)
+    # an int and the equal Fraction share a key; residue tuples stay as they are
+    assert _rep_key(5) == _rep_key(Fraction(5)) == (5,)
+    assert _rep_key((1, 0, 2)) == (1, 0, 2)
+
+
+def test_number_field_sort_key_orders_by_value():
+    rng = random.Random(12)
+    xs = _random_fractions(rng, 400)
+    for degree in (2, 3):
+        reps = [tuple(rng.choice(xs) for _ in range(degree)) for _ in range(2000)]
+        reps += [tuple(Fraction(c.numerator * 2, c.denominator * 2) for c in r)
+                 for r in reps[:200]]
+        assert sorted(reps, key=_rep_key) == sorted(reps)
+        for _ in range(3000):
+            a, b = rng.choice(reps), rng.choice(reps)
+            assert (_rep_key(a) == _rep_key(b)) == (a == b)
+
+
+def _value_key(obj):
+    """The canonical order as rep values compared directly."""
+    return tuple(r if isinstance(r, tuple) else (r,) for r in obj.key())
+
+
+def test_sort_key_orders_points_by_value():
+    K = number_field([1, 1, 1])
+    rng = random.Random(13)
+    xs = _random_fractions(rng, 100)
+    w, x = K.generator, GF(8).generator
+    gf8 = [a + b * x + c * x * x for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+    for field, scal, n in ((F, lambda: rng.choice(xs), 300),
+                           (K, lambda: rng.choice(xs) + rng.choice(xs) * w, 300),
+                           (GF(7), lambda: rng.randint(0, 6), 50),
+                           (GF(8), lambda: rng.choice(gf8), 60)):
+        pts = set()
+        while len(pts) < n:
+            try:
+                pts.add(ProjPoint(tuple(field.scalar(scal()) for _ in range(3))))
+            except GeometryError:
+                pass
+        assert sorted(pts, key=_sort_key) == sorted(pts, key=_value_key)
+
+
+def test_rich_conics_in_coefficient_order():
+    K = number_field([1, 1, 1])
+    w = K.generator
+    for pts in ([point(F, Fraction(a, 3), Fraction(-b, 2), 1)
+                 for a, b in ((1, 2), (4, -1), (-5, 3), (2, 7), (-3, -3),
+                              (6, 1), (0, 5), (7, -4), (-1, 0))],
+                [point(K, 1, w + a, w * a - b)
+                 for a, b in ((0, 1), (1, 2), (2, -1), (-1, 3), (3, 0),
+                              (-2, -2), (1, -3))]):
+        found = rich_conics(pts, 5)
+        assert len(found) > 10
+        keys = [_value_key(rc.conic) for rc in found]
+        assert keys == sorted(keys)
