@@ -1,12 +1,16 @@
 """Line arrangements, point configurations and the incidence operators.
 
-The engine underlying every operator is one pair kernel, ``_meet_keys``: the
-meets (dually: joins) of all pairs, each as a canonical coordinate key, in
-``combinations`` order.  A point met by k lines receives C(k,2) of the pair
-meets, so the operators read multiplicity off the size of its group.
-``profile`` groups one row (line i with the later lines) at a time, holding
-O(d) keys: a point on k lines makes one row group of each size k-1, ..., 1,
-so t_k = c_(k-1) - c_k, c_s the number of row groups of size s.  Each field
+The engine underlying every operator is the canonical pair kernel,
+``_meet_keys``: the meets (dually: joins) of all pairs, each as a canonical
+coordinate key, in ``combinations`` order.  A point met by k lines receives
+C(k,2) of the pair meets, so the operators read multiplicity off the size of
+its group.  ``profile`` groups one row (line i with the later lines) at a
+time, holding O(d) keys: a point on k lines makes one row group of each size
+k-1, ..., 1, so t_k = c_(k-1) - c_k, c_s the number of row groups of size s.
+A row key only has to tell apart points on line i, so over Q ``_row_keys``
+gives each meet one integer, floor(2^s u/v) for a chart pair (u, v) of the
+point on line i; it is exact because distinct rationals of denominator at
+most V >= max |v| differ by at least 1/V^2 > 2^-s.  Each field
 kind has an exact integer codec, so no pair touches a Fraction, a Scalar or a
 residue tuple: primitive integer triples over Q; residues with the first
 nonzero one over GF(p); element codes and flat product tables over GF(p^k);
@@ -330,6 +334,36 @@ _KERNELS = {RATIONALS: _q_meets, PRIME_FIELD: _prime_meets,
             NUMBER_FIELD: _number_field_meets}
 
 
+def _row_keys(objs, field: Field):
+    """The keys of each row, in order: the meets (joins) of object i with
+    objects i+1, ..., as keys that tell apart only points on object i.
+
+    Over every kind but Q a row is the next slice of ``_meet_keys``, so the
+    rows must be consumed in order.  Over Q, with a the primitive integer
+    triple of line i and (x, y, z) = a x b, a point on a is fixed by a chart
+    pair (u, v): (x, y) if a2 != 0, else (x, z) if a1 != 0, else (y, z).  Its
+    key is (u << s) // v, or None when v = 0 (one point per row), and
+    2^s > V^2 for V = 2 bmax^2 >= |v|, bmax the largest |coordinate|.
+    """
+    if field.kind != RATIONALS:
+        keys = _meet_keys(objs, field)
+        for row in range(len(objs) - 1, 0, -1):
+            yield islice(keys, row)
+        return
+    tris = [_primitive_int(o.key()) for o in objs]
+    s = (4 * max(max(map(abs, t)) for t in tris) ** 4).bit_length()
+    for i, (a0, a1, a2) in enumerate(tris[:-1]):
+        rest = tris[i + 1:]
+        if a2:
+            yield [((a1 * b2 - a2 * b1) << s) // v if (v := a2 * b0 - a0 * b2)
+                   else None for b0, b1, b2 in rest]
+        elif a1:  # x = a1 b2 - a2 b1 and z = a0 b1 - a1 b0 with a2 = 0
+            yield [((a1 * b2) << s) // v if (v := a0 * b1 - a1 * b0)
+                   else None for b0, b1, b2 in rest]
+        else:  # a = (1, 0, 0): y = -b2, z = b1
+            yield [(-b2 << s) // b1 if b1 else None for b0, b1, b2 in rest]
+
+
 # Results by content while a property_suite call runs, None otherwise.  The
 # suite pairs the same few sets over and over; the memo is dropped when it
 # returns, so nothing is cached across calls and no set holds a table.
@@ -542,10 +576,9 @@ def profile(arr: Arrangement) -> SingularityProfile:
         counts = _pair_counts(arr.lines, arr.field)
         t = {_mult_from_pairs(c): n for c, n in Counter(counts.values()).items()}
     else:
-        keys = _meet_keys(arr.lines, arr.field)
         c = Counter()
-        for row in range(d - 1, 0, -1):
-            c.update(Counter(islice(keys, row)).values())
+        for row in _row_keys(arr.lines, arr.field):
+            c.update(Counter(row).values())
         t = {k: c[k - 1] - c[k] for k in range(2, max(c) + 2)}
     return SingularityProfile.from_dict(d, t)
 

@@ -84,7 +84,11 @@ def _normalize_params(entry: CatalogEntry, given: dict) -> dict:
     for k, kind in kinds.items():
         v = out[k]
         if kind == "int" or kind == "seed":
-            out[k] = int(v)
+            try:
+                out[k] = int(v)
+            except (TypeError, ValueError):
+                raise CatalogError(f"{entry.name} parameter {k!r} must be an "
+                                   f"integer, got {v!r}")
         elif kind == "fraction" and not isinstance(v, Scalar):
             try:
                 out[k] = Fraction(v)

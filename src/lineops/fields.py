@@ -240,6 +240,18 @@ class FieldSpec:
     characteristic: int = 0
     min_poly: Optional[tuple] = None
 
+    def __post_init__(self):
+        # the value the dataclass hash gives, computed once: every
+        # Scalar hash and per-spec cache lookup hashes the spec
+        object.__setattr__(self, "_hash", hash(
+            (self.kind, self.characteristic, self.min_poly)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):  # rebuild, so the hash is this process's
+        return FieldSpec, (self.kind, self.characteristic, self.min_poly)
+
     @property
     def degree(self) -> int:
         return len(self.min_poly) - 1 if self.min_poly else 1

@@ -2,7 +2,7 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 
 import pytest
@@ -298,6 +298,55 @@ def _near_pencil(n):
     return make_arrangement([(1, k, 0) for k in range(n - 1)] + [(0, 0, 1)], F)[0]
 
 
+def _coordinate_lines(c, ks):
+    """The lines (1, k) with 0 inserted at place c: a pencil through the
+    coordinate point e_c, whose meets have coordinates 0 in the row keys'
+    chart pairs."""
+    return [[1, k][:c] + [0] + [1, k][c:] for k in ks]
+
+
+def _near_pencil_at(c):
+    """Six lines through e_c and the line e_c, which misses e_c."""
+    e = [0, 0, 0]
+    e[c] = 1
+    return make_arrangement(_coordinate_lines(c, range(-2, 4)) + [e], F)[0]
+
+
+def _q_charts():
+    """Row lines in each chart of the Q row keys, (1, 0, 0) among them, with
+    several meets each, v = 0 meets and meets at u = 0 in the same row."""
+    rng = random.Random(11)
+    lines = [(0, 0, 1), (0, 1, 0), (1, 0, 0), (0, 1, -2), (0, 1, 3),
+             (1, 0, -1), (1, 0, 2), (1, -1, 0), (2, -3, 0), (3, 1, 0)]
+    lines += [[rng.randint(-9, 9) for _ in range(3)] for _ in range(12)]
+    return make_arrangement([t for t in lines if any(t)], F)[0]
+
+
+def _q_big():
+    """Lines with coordinates beyond 2^64, of both signs, four to six through
+    each of three points."""
+    rng = random.Random(5)
+    big = lambda: rng.choice((-1, 1)) * rng.randrange(2 ** 64, 2 ** 70)
+    lines = [[big() for _ in range(3)] for _ in range(6)]
+    for n in (4, 5, 6):
+        p = [big() for _ in range(3)]
+        for _ in range(n):
+            r = [rng.randint(-5, 5) for _ in range(3)]
+            lines.append([p[1] * r[2] - p[2] * r[1], p[2] * r[0] - p[0] * r[2],
+                          p[0] * r[1] - p[1] * r[0]])
+    return make_arrangement(lines, F)[0]
+
+
+def _farey_row(b):
+    """a = (b, -b, 1) and the pencil (j, 1 - j, b), j = 1..40, which sorts
+    after it.  In a's chart (x, y) the meet with line j is (n + 1)/n with
+    n = b^2 - j: neighbouring meets are Farey neighbours 1/(n (n + 1)) apart,
+    near the least distance of two points in a row with coordinates at most
+    b, 1/(b (b + 1))^2."""
+    return make_arrangement([(b, -b, 1)] + [(j, 1 - j, b) for j in range(1, 41)],
+                            F)[0]
+
+
 PROFILE_INPUTS = {
     "Q": (_cq_step2, None),
     "Q(omega)": (lambda: build("dual-hesse"), None),
@@ -309,20 +358,38 @@ PROFILE_INPUTS = {
                {6: 1}),
     "near pencil": (lambda: _near_pencil(7), {6: 1, 2: 6}),
     "PG(2,3)": (lambda: all_projective_lines(GF(3)), {4: 13}),
+    "Q charts": (_q_charts, None),
+    "Q coordinate pencils": (lambda: make_arrangement(
+        [l for c in range(3) for l in _coordinate_lines(c, range(-3, 4))]
+        + [(0, 0, 1)], F)[0], {8: 3, 3: 20, 2: 66}),
+    "Q near pencil e0": (lambda: _near_pencil_at(0), {6: 1, 2: 6}),
+    "Q near pencil e1": (lambda: _near_pencil_at(1), {6: 1, 2: 6}),
+    "Q near pencil e2": (lambda: _near_pencil_at(2), {6: 1, 2: 6}),
+    "Q big": (_q_big, None),
+    "Q Farey row": (lambda: _farey_row(40), {40: 1, 2: 40}),
+    "Q Farey row big": (lambda: _farey_row(2 ** 65 + 1), {40: 1, 2: 40}),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PROFILE_INPUTS))
 def test_profile_matches_pair_table(name, monkeypatch):
     """Grouping row by row gives the profile the whole pair table gives,
-    and so does the memo's table inside a suite call."""
+    and so does the memo's table inside a suite call.  Each row's keys
+    split the row's lines as the pair kernel's keys do."""
     make, want = PROFILE_INPUTS[name]
     arr = make()
     table = Counter(arrangements._meet_keys(arr.lines, arr.field))
     ref = {arrangements._mult_from_pairs(c): n
            for c, n in Counter(table.values()).items()}
     assert want is None or ref == want
+    keys = arrangements._meet_keys(arr.lines, arr.field)
+    for row in arrangements._row_keys(arr.lines, arr.field):
+        row = list(row)
+        pairs = set(zip(row, islice(keys, len(row))))
+        assert len(pairs) == len(set(row)) == len({k for _, k in pairs})
+    calls = _count_kernel_calls(monkeypatch)
     prof = profile(arr)
+    assert len(calls) == (arr.field.kind != "rationals")
     assert prof.d == len(arr) and prof.as_dict() == ref
     inside = []
 

@@ -199,6 +199,18 @@ def test_malformed_field_order_is_a_domain_error(capsys, monkeypatch):
         assert err.startswith("error:") and err.count("\n") == 1, spec
 
 
+@pytest.mark.parametrize("argv", [
+    ["catalog", "build", "ceva", "--param", "n=abc"],
+    ["profile", "--catalog", "ceva", "--param", "n=x"],
+])
+def test_malformed_integer_parameter_is_a_domain_error(capsys, monkeypatch,
+                                                        argv):
+    code, out, err = run(capsys, monkeypatch, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "'n' must be an integer" in err
+
+
 @pytest.mark.parametrize("argv, doc", [
     (["import"], "5"),
     (["profile"], '{"field": "Q", "lines": 5}'),

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -240,6 +241,23 @@ def test_field_spec_text_roundtrip():
                  "Q[x]/(x^3-1/2*x-1/8)"):
         spec = parse_field_spec(text)
         assert parse_field_spec(spec.text) == spec
+
+
+def test_field_spec_hash_is_the_dataclass_hash():
+    """Specs built apart are equal and hash equal, to the value the
+    dataclass hash of (kind, characteristic, min_poly) gives, so set and
+    dict orders do not depend on the cached hash; a pickled spec rehashes."""
+    for make, arg in ((fl.rationals_spec, None), (fl.number_field_spec, [1, 1, 1]),
+                      (parse_field_spec, "Q[x]/(x^2-1/2)"),
+                      (fl.prime_field_spec, 7), (fl.gf_spec, 49)):
+        a, b = (make() if arg is None else make(arg) for _ in range(2))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert hash(a) == hash((a.kind, a.characteristic, a.min_poly))
+        c = pickle.loads(pickle.dumps(a))
+        assert c == a and hash(c) == hash(a)
+        x, y = field_make(a).one, field_make(b).one
+        assert x == y and hash(x) == hash(y)
+    assert QQ().spec != GF(7).spec
 
 
 def test_scalar_text_roundtrip():
