@@ -323,12 +323,12 @@ def _q_charts():
 
 
 def _q_big():
-    """Lines with coordinates beyond 2^64, of both signs, four to six through
-    each of three points."""
+    """Lines with coordinates beyond 2^64, of both signs, three to five
+    through each of three points."""
     rng = random.Random(5)
     big = lambda: rng.choice((-1, 1)) * rng.randrange(2 ** 64, 2 ** 70)
-    lines = [[big() for _ in range(3)] for _ in range(6)]
-    for n in (4, 5, 6):
+    lines = [[big() for _ in range(3)] for _ in range(2)]
+    for n in (3, 4, 5):
         p = [big() for _ in range(3)]
         for _ in range(n):
             r = [rng.randint(-5, 5) for _ in range(3)]
