@@ -33,7 +33,7 @@ from .fields import (Field, FieldError, NUMBER_FIELD, PRIME_FIELD,
                      PRIME_POWER_FIELD, RATIONALS, _adjugate, _gf_tables,
                      _mulmod, _nf_codec, _primitive_int, field_make,
                      format_scalar, parse_field_spec, parse_scalar)
-from .projective import (ProjLine, ProjPoint, _sort_key, dualize,
+from .projective import (ProjLine, ProjPoint, _canonical, dualize,
                          projectively_equivalent)
 
 
@@ -125,16 +125,16 @@ class _ObjectSet:
     __slots__ = ("field", "_members")
 
     def __init__(self, field: Field, members: Iterable = ()):
-        members = tuple(sorted(set(members), key=_sort_key))
+        members = tuple(members)
         cls, spec = self._member, field.spec
-        for o in members:
+        for o in members:  # every one: _canonical merges members by reps
             if o.__class__ is not cls:
                 raise ArrangementError(f"{type(self).__name__} members must be "
                                        f"{cls.__name__}, not {type(o).__name__}")
             if o.field.spec != spec:
                 raise FieldError(f"{cls.__name__} from a different field")
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "_members", members)
+        object.__setattr__(self, "_members", tuple(_canonical(members)))
 
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -217,13 +217,9 @@ def make_arrangement(normals: Sequence, field: Field):
 def dualize_arrangement(arr: Arrangement) -> PointConfig:
     """Each line relabelled as the point with the same triple, or back.
 
-    Applying it twice returns the input.  ``_sort_key`` reads only the
-    triple, so the relabelled members are already in canonical order.
+    Applying it twice returns the input.
     """
-    dual = object.__new__(_DUAL_SET[arr.__class__])
-    object.__setattr__(dual, "field", arr.field)
-    object.__setattr__(dual, "_members", tuple(map(dualize, arr._members)))
-    return dual
+    return _DUAL_SET[arr.__class__](arr.field, map(dualize, arr))
 
 
 # ---------------------------------------------------------------------------
@@ -448,9 +444,9 @@ class IncidenceIndex:
 def _incidence(direction: str, cls, objs, field: Field) -> IncidenceIndex:
     if len(objs) < 2:
         return IncidenceIndex(direction, ())
-    entries = [(_from_key(cls, k, field), frozenset(s))
-               for k, s in _pair_index(objs, field).items()]
-    entries.sort(key=lambda e: _sort_key(e[0]))
+    entries = _canonical([(_from_key(cls, k, field), frozenset(s))
+                          for k, s in _pair_index(objs, field).items()],
+                         key=lambda e: e[0].key())
     return IncidenceIndex(direction, tuple(entries))
 
 
@@ -621,12 +617,10 @@ def classify_degenerate(arr: Arrangement) -> str:
         # a point on d-1 lines forces the remaining line off that point
         return "quasi-trivial"
     field = arr.field
-    if field.characteristic > 0 and field.kind in (PRIME_FIELD,
-                                                   "prime_power_field"):
+    if field.characteristic > 0:
         q = field.characteristic ** field.degree
-        if d == q * q + q + 1:
-            if set(arr.lines) == set(all_projective_lines(field).lines):
-                return "finite-plane"
+        if d == q * q + q + 1 and arr == all_projective_lines(field):
+            return "finite-plane"
     return "other"
 
 
@@ -634,7 +628,9 @@ def all_projective_lines(field: Field) -> Arrangement:
     """Every line of the projective plane over a finite field."""
     if field.characteristic == 0:
         raise ArrangementError("the full line set exists only over finite fields")
-    elements = _all_field_elements(field)
+    reps = (range(field.characteristic) if field.kind == PRIME_FIELD
+            else _gf_tables(field.spec).elems)
+    elements = [field.from_rep(r) for r in reps]
     lines = []
     one = field.one
     zero = field.zero
@@ -645,23 +641,6 @@ def all_projective_lines(field: Field) -> Arrangement:
         lines.append(ProjLine((zero, one, c)))
     lines.append(ProjLine((zero, zero, one)))
     return Arrangement(field, lines)
-
-
-def _all_field_elements(field: Field):
-    p = field.characteristic
-    if field.kind == PRIME_FIELD:
-        return [field.scalar(i) for i in range(p)]
-    out = []
-    d = field.degree
-    total = p ** d
-    for n in range(total):
-        rep = []
-        m = n
-        for _ in range(d):
-            rep.append(m % p)
-            m //= p
-        out.append(field.from_rep(tuple(rep)))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -92,10 +92,11 @@ def _normalize_params(entry: CatalogEntry, given: dict) -> dict:
         elif kind == "fraction" and not isinstance(v, Scalar):
             try:
                 out[k] = Fraction(v)
-            except ValueError:
-                if not isinstance(v, str):
-                    raise
-                out[k] = v  # scalar text, resolved against the field parameter
+            except (TypeError, ValueError, ZeroDivisionError):
+                # scalar text is resolved against the field parameter
+                if not (isinstance(v, str) and "field" in kinds):
+                    raise CatalogError(f"{entry.name} parameter {k!r} must be "
+                                       f"a fraction, got {v!r}")
         elif kind == "sign":
             if v in (1, -1):
                 out[k] = int(v)
@@ -149,16 +150,16 @@ def build(name: str, degenerate_ok: bool = False, **params) -> Arrangement:
 
 def _scalar_param(p: dict, key: str = "t"):
     v = p[key]
-    fld = p.get("field")
     if isinstance(v, Scalar):
         return v.field, v
-    if fld is not None:
-        if isinstance(v, str):
-            return fld, parse_scalar(fld, v)
-        return fld, fld.scalar(Fraction(v))
-    if isinstance(v, str):
-        return QQ(), parse_scalar(QQ(), v)
-    return QQ(), QQ().scalar(Fraction(v))
+    fld = p.get("field") or QQ()
+    if not isinstance(v, str):
+        return fld, fld.scalar(v)
+    try:
+        return fld, parse_scalar(fld, v)
+    except (ValueError, ZeroDivisionError):
+        raise CatalogError(f"parameter {key!r}: {v!r} is not a scalar of "
+                           f"{fld.spec.text}")
 
 
 # ---------------------------------------------------------------------------

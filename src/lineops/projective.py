@@ -89,6 +89,29 @@ class ProjLine(_ProjObject):
 _DUAL = {ProjPoint: ProjLine, ProjLine: ProjPoint}
 
 
+def _canonical(objs, key=_ProjObject.key) -> list:
+    """The distinct objects in canonical order: their reps (``key``)
+    compared by value, coordinate by coordinate.
+
+    Residues are compared as they are.  Each rational, alone or as a
+    number-field coefficient, becomes floor(2^s r) with 2^s > D^2, D the
+    largest denominator in the set; distinct rationals of denominator at
+    most D differ by at least 1/D^2, so the floor keeps them apart and in
+    order.  Objects with equal keys count once, so callers check the class
+    and the field first.
+    """
+    objs = list(objs)
+    keys = list(map(key, objs))
+    if keys and keys[0][0].__class__ is tuple:  # GF(p^k) or a number field
+        keys = [sum(k, ()) for k in keys]
+    if keys and keys[0][0].__class__ is Fraction:  # Q or a number field
+        s = (max(r.denominator for k in keys for r in k) ** 2).bit_length()
+        flat = iter([(r.numerator << s) // r.denominator for k in keys for r in k])
+        keys = list(zip(*[flat] * len(keys[0])))
+    canon = dict(zip(keys, objs))
+    return [canon[k] for k in sorted(canon)]
+
+
 def point(field: Field, x, y, z) -> ProjPoint:
     return ProjPoint((field.scalar(x), field.scalar(y), field.scalar(z)))
 
@@ -351,14 +374,15 @@ def projectively_equivalent(lines_a: Sequence[ProjLine],
     Arrangements without a general-position quadruple (pencils, near
     pencils, <= 3 lines) go through a dual-frame fallback.
     """
-    lines_a = sorted(set(lines_a), key=_sort_key)
-    lines_b = sorted(set(lines_b), key=_sort_key)
+    # every line, before _canonical merges lines by reps
+    if len({l.field.spec for l in (*lines_a, *lines_b)}) > 1:
+        raise FieldError("arrangements live in different fields")
+    lines_a = _canonical(lines_a)
+    lines_b = _canonical(lines_b)
     if not lines_a and not lines_b:
         return None  # no canvas to define a witness on; treated by caller
     if len(lines_a) != len(lines_b):
         return None
-    if lines_a and lines_b and lines_a[0].field.spec != lines_b[0].field.spec:
-        raise FieldError("arrangements live in different fields")
     set_b = set(lines_b)
     quad = _first_gp_quadruple(lines_a)
     if quad is None:
@@ -372,40 +396,6 @@ def projectively_equivalent(lines_a: Sequence[ProjLine],
         if {apply_projectivity(g, l) for l in lines_a} == set_b:
             return g
     return None
-
-
-def _sort_key(obj):
-    """The canonical total order on points and on lines."""
-    a, b, c = obj.coords
-    return _rep_key(a.rep), _rep_key(b.rep), _rep_key(c.rep)
-
-
-def _rep_key(rep):
-    """An exact key in the order of the reps: rationals, alone or as
-    number-field coefficients, become ``_q_key``; residues stay."""
-    if rep.__class__ is int:
-        return (rep,)
-    if rep.__class__ is Fraction:
-        return _q_key(rep)
-    return rep if rep[0].__class__ is int else tuple(map(_q_key, rep))
-
-
-def _q_key(x):
-    """The signed continued fraction (a0, -a1, a2, -a3, ...) of x.
-
-    Euclid's expansion is unique, and a larger a_i makes x larger for even
-    i and smaller for odd i.  The next term is inf: +inf is appended after
-    an odd i; after an even i the shorter tuple sorts first, as -inf would.
-    """
-    n, d = x.numerator, x.denominator
-    if d == 1:
-        return (n,)
-    key = []
-    while d:
-        key.append(n // d)
-        n, d = d, n % d
-    key[1::2] = [-a for a in key[1::2]]
-    return (*key, float("inf")) if len(key) % 2 == 0 else tuple(key)
 
 
 def _pool_points(field: Field):
@@ -685,7 +675,9 @@ def rich_conics(pts: Sequence[ProjPoint], min_count: int) -> list:
     limit for exact enumeration); 5-subsets that do not determine a unique
     conic are skipped.
     """
-    pts = sorted(set(pts), key=_sort_key)
+    if len({p.field.spec for p in pts}) > 1:  # before _canonical merges
+        raise FieldError("points live in different fields")
+    pts = _canonical(pts)
     if len(pts) > 30:
         raise GeometryError("rich_conics accepts at most 30 points")
     if len(pts) < 5 or min_count < 5:
@@ -705,5 +697,4 @@ def rich_conics(pts: Sequence[ProjPoint], min_count: int) -> list:
         cnt = sum(1 for p in pts if conic.contains(p))
         if cnt >= min_count:
             out.append(RichConic(conic, cnt, conic.is_irreducible()))
-    out.sort(key=lambda rc: tuple(_rep_key(r) for r in rc.conic.key()))
-    return out
+    return _canonical(out, key=lambda rc: rc.conic.key())

@@ -89,6 +89,19 @@ def test_sets_hold_one_member_type():
     assert len({point(F, 1, 2, 3), line(F, 1, 2, 3)}) == 2
 
 
+def test_sets_hold_one_field():
+    # GF(7) and GF(11) points with identical reps: every member is checked
+    # before the set merges members by their reps, in either order
+    p7, p11 = point(GF(7), 1, 2, 3), point(GF(11), 1, 2, 3)
+    for pts in ([p7, p11], [p11, p7]):
+        with pytest.raises(FieldError):
+            PointConfig(GF(7), pts)
+    l7 = line(GF(7), 1, 2, 3)
+    for objs in ([l7, p7], [p7, l7]):
+        with pytest.raises(ArrangementError):
+            Arrangement(GF(7), objs)
+
+
 def test_dualize_twice_is_identity():
     for arr in (complete_quadrilateral(), _cq_step2(), build("dual-hesse"),
                 _moved_grunbaum_rigby(), _sample_of_plane(7, 12),
@@ -451,8 +464,9 @@ def test_classify():
     assert classify_degenerate(pencil) == "trivial"
     qt = build("quasi-trivial", n=4)
     assert classify_degenerate(qt) == "quasi-trivial"
-    fano = build("finite-plane", q=2)
-    assert classify_degenerate(fano) == "finite-plane"
+    for q in (2, 3, 4):
+        plane = build("finite-plane", q=q)
+        assert classify_degenerate(plane) == "finite-plane"
     assert classify_degenerate(complete_quadrilateral()) == "other"
     tri = build("generic", n=3)
     assert classify_degenerate(tri) == "quasi-trivial"

@@ -220,6 +220,13 @@ def test_malformed_integer_parameter_is_a_domain_error(capsys, monkeypatch,
     (["matroid", "iso"], '{"ground": 3}'),
     (["matroid", "iso"], '[3]'),
     (["matroid", "iso"], '{"ground": 3, "flats": 5}'),
+    # catalog fraction parameters that are neither a fraction nor a scalar
+    (["catalog", "build", "flashing3", "--param", "t=abc"], None),
+    (["catalog", "build", "flashing3", "--param", "t=1/0"], None),
+    (["catalog", "build", "flashing3", "--param", "t=y",
+      "--param", "field=Q[x]/(x^2+x+1)"], None),
+    (["catalog", "build", "pappus", "--param", "a1=abc"], None),
+    (["catalog", "build", "gv13", "--param", "a=abc"], None),
 ])
 def test_malformed_document_is_a_domain_error(capsys, monkeypatch, argv, doc):
     code, out, err = run(capsys, monkeypatch, argv, stdin=doc)

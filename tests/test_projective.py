@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from lineops.arrangements import Arrangement, incidence_index
 from lineops.fields import GF, QQ, FieldError, number_field
 from lineops.projective import (Conic, GeometryError, Matrix3, ProjLine,
                                 ProjPoint, Projectivity, apply_projectivity,
@@ -12,7 +13,7 @@ from lineops.projective import (Conic, GeometryError, Matrix3, ProjLine,
                                 lines_in_general_position, meet, point,
                                 projectively_equivalent,
                                 projectivity_from_line_frames, rich_conics,
-                                _rep_key, _sort_key)
+                                _canonical)
 
 F = QQ()
 
@@ -147,6 +148,9 @@ def test_equivalence_generic_and_degenerate():
     assert projectively_equivalent(p1, p2) is None
     # cardinality mismatch
     assert projectively_equivalent(p1, p1[:3]) is None
+    # a GF(7) line with the reps of a rational one is refused, not merged
+    with pytest.raises(FieldError):
+        projectively_equivalent([line(GF(7), 1, 0, 0)] + p1, p1)
 
 
 def test_frame_map_recovers_flashing_involution():
@@ -211,6 +215,9 @@ def test_rich_conics_guard():
         rich_conics(pts, 6)
     with pytest.raises(GeometryError):
         rich_conics(pts[:10], 4)
+    # a GF(7) point with the reps of a rational one is refused, not merged
+    with pytest.raises(FieldError):
+        rich_conics([point(GF(7), 1, 0, 0)] + pts[:10], 5)
 
 
 def test_degenerate_conic_detected():
@@ -219,7 +226,45 @@ def test_degenerate_conic_detected():
     assert not c.is_irreducible()
 
 
-# -- the canonical sort key ----------------------------------------------------
+# -- the canonical order ---------------------------------------------------------
+#
+# The reference order compares reps by value through a second, independent
+# key: the signed continued fraction of each rational.  ``_canonical`` keys
+# rationals by floor(2^s r) instead and must give the same order and the same
+# deduplication.
+
+def _q_key(x):
+    """The signed continued fraction (a0, -a1, a2, -a3, ...) of x.
+
+    Euclid's expansion is unique, and a larger a_i makes x larger for even
+    i and smaller for odd i.  The next term is inf: +inf is appended after
+    an odd i; after an even i the shorter tuple sorts first, as -inf would.
+    """
+    n, d = x.numerator, x.denominator
+    if d == 1:
+        return (n,)
+    key = []
+    while d:
+        key.append(n // d)
+        n, d = d, n % d
+    key[1::2] = [-a for a in key[1::2]]
+    return (*key, float("inf")) if len(key) % 2 == 0 else tuple(key)
+
+
+def _rep_key(rep):
+    """Rationals, alone or as number-field coefficients, become ``_q_key``;
+    residues stay."""
+    if rep.__class__ is int:
+        return (rep,)
+    if rep.__class__ is Fraction:
+        return _q_key(rep)
+    return rep if rep[0].__class__ is int else tuple(map(_q_key, rep))
+
+
+def _reference(objs):
+    """The distinct objects sorted by the reference key of their reps."""
+    return sorted(set(objs), key=lambda o: tuple(map(_rep_key, o.key())))
+
 
 def _random_fractions(rng, n):
     out = [Fraction(0), Fraction(7), Fraction(-7), Fraction(1, 2), Fraction(-1, 2)]
@@ -239,36 +284,91 @@ def _random_fractions(rng, n):
     return out
 
 
+# larger than every denominator of _random_fractions, so it is the set's D
+FAREY_D = 10 ** 12 + 39
+
+
+def _farey_pairs(rng, n, den=FAREY_D):
+    """n pairs of Farey neighbours a/den < c/d: c/d - a/den = 1/(d den)."""
+    out = []
+    while len(out) < n:
+        a = rng.randint(-3 * den, 3 * den)
+        try:
+            d = -pow(a, -1, den) % den
+        except ValueError:  # a shares a factor with den
+            continue
+        out.append((Fraction(a, den), Fraction((a * d + 1) // den, d)))
+    return out
+
+
+def _chart_objects(cls, field, coords, rng):
+    """Objects of ``cls`` on every chart (1,u,v), (0,1,v), (0,0,1) from
+    coordinate pairs (u, v), each also given a second time as a distinct
+    instance built from a scaled triple."""
+    one, zero = field.one, field.zero
+    out = [cls((zero, zero, one))]
+    for u, v in coords:
+        out.append(cls((one, u, v)))
+        out.append(cls((zero, one, v)))
+    lam = field.generator if field.degree > 1 else field.scalar(3)
+    out += [cls(tuple(c * lam for c in o.coords)) for o in rng.sample(out, 40)]
+    rng.shuffle(out)
+    return out
+
+
+def _check_canonical(objs):
+    ref = _reference(objs)
+    got = _canonical(objs)
+    assert got == ref
+    assert len(got) < len(objs)  # the scaled copies merged
+
+
 def test_rational_sort_key_orders_by_value():
     rng = random.Random(11)
     xs = _random_fractions(rng, 3000)
+    # the reference orders rationals by value
     by_key = sorted(xs, key=_rep_key)
     assert by_key == sorted(xs)
-    for a, b in zip(by_key, by_key[1:]):
-        if a == b:
-            assert _rep_key(a) == _rep_key(b)
-        else:
-            assert _rep_key(a) < _rep_key(b), (a, b)
     for _ in range(5000):
         a, b = rng.choice(xs), rng.choice(xs)
         assert (_rep_key(a) < _rep_key(b)) == (a < b)
         assert (_rep_key(a) == _rep_key(b)) == (a == b)
-    # an int and the equal Fraction share a key; residue tuples stay as they are
-    assert _rep_key(5) == _rep_key(Fraction(5)) == (5,)
-    assert _rep_key((1, 0, 2)) == (1, 0, 2)
+    # _canonical orders points and lines over Q as the reference does, with
+    # Farey neighbours whose denominator is the set's largest in either place
+    pairs = _farey_pairs(rng, 150)
+    coords = [(F.scalar(rng.choice(xs)), F.scalar(rng.choice(xs)))
+              for _ in range(300)]
+    for x, y in pairs:
+        u = F.scalar(rng.choice(xs))
+        coords += [(u, F.scalar(x)), (u, F.scalar(y)),
+                   (F.scalar(x), u), (F.scalar(y), u)]
+    for cls in (ProjPoint, ProjLine):
+        _check_canonical(_chart_objects(cls, F, coords, rng))
 
 
 def test_number_field_sort_key_orders_by_value():
     rng = random.Random(12)
     xs = _random_fractions(rng, 400)
-    for degree in (2, 3):
+    pairs = _farey_pairs(rng, 60)
+    for degree, mp in ((2, [1, 1, 1]), (3, [-2, 0, 0, 1])):
+        K = number_field(mp)
         reps = [tuple(rng.choice(xs) for _ in range(degree)) for _ in range(2000)]
         reps += [tuple(Fraction(c.numerator * 2, c.denominator * 2) for c in r)
                  for r in reps[:200]]
         assert sorted(reps, key=_rep_key) == sorted(reps)
-        for _ in range(3000):
-            a, b = rng.choice(reps), rng.choice(reps)
-            assert (_rep_key(a) == _rep_key(b)) == (a == b)
+        # Farey neighbours in each coefficient place, the rest equal
+        for x, y in pairs:
+            base = [rng.choice(xs) for _ in range(degree)]
+            i = rng.randrange(degree)
+            for z in (x, y):
+                reps.append(tuple(z if j == i else c for j, c in enumerate(base)))
+        scal = [K.from_rep(r) for r in reps]
+        coords = [(rng.choice(scal), rng.choice(scal)) for _ in range(300)]
+        for k in range(len(scal) - 2 * len(pairs), len(scal), 2):
+            u = rng.choice(scal)
+            coords += [(u, scal[k]), (u, scal[k + 1]),
+                       (scal[k], u), (scal[k + 1], u)]
+        _check_canonical(_chart_objects(ProjPoint, K, coords, rng))
 
 
 def _value_key(obj):
@@ -280,19 +380,33 @@ def test_sort_key_orders_points_by_value():
     K = number_field([1, 1, 1])
     rng = random.Random(13)
     xs = _random_fractions(rng, 100)
-    w, x = K.generator, GF(8).generator
+    w, x, y = K.generator, GF(8).generator, GF(9).generator
     gf8 = [a + b * x + c * x * x for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+    gf9 = [a + b * y for a in range(3) for b in range(3)]
     for field, scal, n in ((F, lambda: rng.choice(xs), 300),
                            (K, lambda: rng.choice(xs) + rng.choice(xs) * w, 300),
-                           (GF(7), lambda: rng.randint(0, 6), 50),
-                           (GF(8), lambda: rng.choice(gf8), 60)):
-        pts = set()
-        while len(pts) < n:
-            try:
-                pts.add(ProjPoint(tuple(field.scalar(scal()) for _ in range(3))))
-            except GeometryError:
-                pass
-        assert sorted(pts, key=_sort_key) == sorted(pts, key=_value_key)
+                           (GF(7), lambda: rng.randint(0, 6), 40),
+                           (GF(8), lambda: rng.choice(gf8), 60),
+                           (GF(9), lambda: rng.choice(gf9), 70)):
+        coords = [(field.scalar(scal()), field.scalar(scal())) for _ in range(n)]
+        for cls in (ProjPoint, ProjLine):
+            objs = _chart_objects(cls, field, coords, rng)
+            _check_canonical(objs)
+        # an arrangement keeps the canonical order, as do its incidence index
+        # and rich conics
+        lines = _chart_objects(ProjLine, field, coords[:25], rng)
+        arr = Arrangement(field, lines)
+        assert list(arr.lines) == _reference(lines)
+        pts = [p for p, _ in incidence_index(arr).entries]
+        assert pts == _reference(pts) and len(pts) > 25
+        if field.characteristic != 2:
+            g = field.generator if field.degree > 1 else field.one
+            found = rich_conics([ProjPoint((field.one, g * rng.randint(0, 1)
+                                            + rng.randint(-3, 3),
+                                            field.scalar(rng.randint(-3, 3))))
+                                 for _ in range(9)], 5)
+            keys = [tuple(map(_rep_key, rc.conic.key())) for rc in found]
+            assert keys == sorted(set(keys)) and len(keys) > 5
 
 
 def test_rich_conics_in_coefficient_order():
