@@ -11,13 +11,15 @@ A row key only has to tell apart points on line i, so over Q ``_row_keys``
 gives each meet one integer, floor(2^s u/v) for a chart pair (u, v) of the
 point on line i; it is exact because distinct rationals of denominator at
 most V >= max |v| differ by at least 1/V^2 > 2^-s.  Each field
-kind has an exact integer codec, so no pair touches a Fraction, a Scalar or a
-residue tuple: primitive integer triples over Q; residues with the first
-nonzero one over GF(p); element codes and flat product tables over GF(p^k);
-primitive integer vectors in Z[theta], scaled by the adjugate of the first
-nonzero coordinate, over a number field.  The inputs are encoded once per
-pass, and ``_from_key`` turns a key back into a point or line, with the usual
-first-nonzero-is-one coordinates, at the API boundary.
+kind has an exact integer codec (``_encode``), so no pair touches a Fraction,
+a Scalar or a residue tuple: primitive integer triples over Q; residues with
+the first nonzero one over GF(p); element codes and flat product tables over
+GF(p^k); primitive integer vectors in Z[theta], scaled by the adjugate of the
+first nonzero coordinate, over a number field, where the pair loop is
+straight-line integer code generated and compiled once per modulus
+(``_nf_kernel``).  The inputs are encoded once per pass, the codes also key
+the ``property_suite`` memo, and ``_from_key`` turns a key back into a point
+or line, with the usual first-nonzero-is-one coordinates, at the API boundary.
 """
 from __future__ import annotations
 
@@ -25,13 +27,14 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, islice
 from math import comb, gcd, isqrt
 from typing import Iterable, Optional, Sequence
 
 from .fields import (Field, FieldError, NUMBER_FIELD, PRIME_FIELD,
                      PRIME_POWER_FIELD, RATIONALS, _adjugate, _gf_tables,
-                     _mulmod, _nf_codec, _primitive_int, field_make,
+                     _nf_codec, _primitive_int, field_make,
                      format_scalar, parse_field_spec, parse_scalar)
 from .projective import (ProjLine, ProjPoint, _canonical, dualize,
                          projectively_equivalent)
@@ -231,14 +234,31 @@ def _meet_keys(objs, field: Field):
     Keys come in ``combinations(range(len(objs)), 2)`` order, from the
     integer codec of the field's kind; ``_from_key`` decodes them.
     """
-    return _KERNELS[field.kind](objs, field)
+    return _KERNELS[field.kind](_encode(objs, field), field)
 
 
-def _q_meets(objs, field):
+def _encode(objs, field: Field) -> list:
+    """The objects in the integer codec of the field's kind, one tuple each
+    (see the module docstring); equal codes mean equal objects."""
+    kind = field.kind
+    if kind == PRIME_FIELD:
+        return [o.key() for o in objs]
+    if kind == PRIME_POWER_FIELD:
+        code = _gf_tables(field.spec).code
+        return [tuple([code[r] for r in o.key()]) for o in objs]
+    if kind == RATIONALS:
+        return [_primitive_int(o.key()) for o in objs]
+    # sum a_i x^i = sum a_i c^(n-1-i) theta^i / c^(n-1)
+    c, g = _nf_codec(field.spec)
+    n = len(g) - 1
+    w = [c ** (n - 1 - i) for i in range(n)] * 3
+    return [_primitive_int([a for r in o.key() for a in r], w) for o in objs]
+
+
+def _q_meets(tris, field):
     """Over Q: the primitive integer triple with first nonzero > 0."""
     # the objects' first nonzero coordinate is 1, so that of each
     # primitive integer triple is positive
-    tris = [_primitive_int(o.key()) for o in objs]
     for i, (a0, a1, a2) in enumerate(tris):
         for b0, b1, b2 in tris[i + 1:]:
             x = a1 * b2 - a2 * b1
@@ -250,11 +270,10 @@ def _q_meets(objs, field):
             yield (x // g, y // g, z // g)
 
 
-def _prime_meets(objs, field):
+def _prime_meets(tris, field):
     """Over GF(p): the residue triple with first nonzero 1."""
     p = field.characteristic
     e = p - 2
-    tris = [o.key() for o in objs]
     for i, (a0, a1, a2) in enumerate(tris):
         for b0, b1, b2 in tris[i + 1:]:
             x = (a1 * b2 - a2 * b1) % p
@@ -269,11 +288,10 @@ def _prime_meets(objs, field):
                 yield (0, 0, 1)
 
 
-def _prime_power_meets(objs, field):
+def _prime_power_meets(tris, field):
     """Over GF(p^k): the triple of element codes with first nonzero 1."""
     _, code, mul, sub, inv = _gf_tables(field.spec)
     q = len(code)
-    tris = [tuple(code[r] for r in o.key()) for o in objs]
     for i, (a0, a1, a2) in enumerate(tris):
         a0, a1, a2 = a0 * q, a1 * q, a2 * q  # row offsets into the tables
         for b0, b1, b2 in tris[i + 1:]:
@@ -289,45 +307,67 @@ def _prime_power_meets(objs, field):
                 yield (0, 0, 1)
 
 
-def _number_field_meets(objs, field):
-    """Over Q[x]/(f): with theta = c*x a root of the monic integer g
-    (``_nf_codec``), the 3n integers of the primitive multiple of
-    (1, y/e, z/e) on the basis theta^i whose leading integer is positive.
+@lru_cache(maxsize=None)
+def _nf_kernel(g: tuple):
+    """The pair loop over Q[x]/(f) for the monic integer g of ``_nf_codec``,
+    as straight-line integer code built and compiled once per modulus.
 
-    Each triple is cleared of denominators into Z[theta] once.  A pair's
-    cross product (e, y, z), e its first nonzero coordinate, is multiplied
-    by adj(e) = N(e)/e, which turns e into the rational integer N(e).
+    A pair's key is the 3n integers of the primitive multiple of (1, y/e,
+    z/e) on the basis theta^i whose leading integer is positive, for the
+    cross product (e, y, z), e its first nonzero coordinate: it is
+    multiplied by adj(e) = N(e)/e, which turns e into the rational integer
+    N(e).  Each product in Z[theta] is written out coefficient by
+    coefficient, and theta^k for n <= k < 2n - 1 is replaced by its
+    constant vector ``red[k]``.  The source holds only names and integers
+    computed from g; ``_adjugate``, which pivots on the data, is the one
+    call per pair.
     """
-    c, g = _nf_codec(field.spec)
     n = len(g) - 1
-    pad = (0,) * (n - 1)
-    tris = []
-    for o in objs:
-        t = _primitive_int([a / c ** i for r in o.key() for i, a in enumerate(r)])
-        tris.append((t[:n], t[n:2 * n], t[2 * n:]))
-    for i, (a0, a1, a2) in enumerate(tris):
-        for b0, b1, b2 in tris[i + 1:]:
-            x = _mulmod(a1, b2, g, a2, b1)
-            y = _mulmod(a2, b0, g, a0, b2)
-            z = _mulmod(a0, b1, g, a1, b0)
-            if any(x):
-                d, w = _adjugate(x, g)
-                key = (d,) + pad + _mulmod(y, w, g) + _mulmod(z, w, g)
-            elif any(y):
-                d, w = _adjugate(y, g)
-                key = (0,) * n + (d,) + pad + _mulmod(z, w, g)
-            else:
-                d, w = _adjugate(z, g)
-                key = (0,) * (2 * n) + (d,) + pad
-            h = gcd(*key)
-            if d < 0:
-                h = -h
-            yield tuple(v // h for v in key)
+    high, red, v = range(n, 2 * n - 1), {}, [0] * (n - 1) + [1]
+    for k in high:  # theta^k = theta * theta^(k-1)
+        v = red[k] = [-v[-1] * g[0]] + [v[i - 1] - v[-1] * g[i] for i in range(1, n)]
+
+    def vec(v, sep=", "):  # the names v0, v1, ... of a vector's coefficients
+        return sep.join(f"{v}{i}" for i in range(n))
+
+    def lin(terms):  # the sum of k * e over the terms (k != 0, e)
+        src = " ".join(("- " if k < 0 else "+ ") + (e if abs(k) == 1 else f"{abs(k)} * {e}")
+                       for k, e in terms)
+        return src[2:] if src[0] == "+" else "-" + src[2:]
+
+    def mul(out, *products):  # out0, out1, ... = sum of sign * a * b, reduced
+        conv = [[(s, f"{a}{i} * {b}{k - i}") for s, a, b in products
+                 for i in range(max(0, k - n + 1), min(k, n - 1) + 1)]
+                for k in range(2 * n - 1)]
+        return ([f"h{k} = {lin(conv[k])}" for k in high]
+                + [f"{out}{i} = " + lin(conv[i] + [(red[k][i], f"h{k}")
+                                                   for k in high if red[k][i]])
+                   for i in range(n)])
+
+    a, b = ([f"{v}{k}_" for k in range(3)] for v in "ab")
+    src = ["def kernel(tris):",
+           f" for i, ({', '.join(map(vec, a))}) in enumerate(tris):",
+           f"  for {', '.join(map(vec, b))} in tris[i + 1:]:"]
+    src += ["   " + s for s in mul("x", (1, a[1], b[2]), (-1, a[2], b[1]))
+            + mul("y", (1, a[2], b[0]), (-1, a[0], b[2]))
+            + mul("z", (1, a[0], b[1]), (-1, a[1], b[0]))]
+    for test, e, later in ((f"if {vec('x', ' or ')}", "x", "yz"),
+                           (f"elif {vec('y', ' or ')}", "y", "z"), ("else", "z", "")):
+        key = (["0"] * (n * (2 - len(later))) + ["d"] + ["0"] * (n - 1)
+               + [f"{r}w{i}" for r in later for i in range(n)])
+        src += [f"   {test}:", f"    d, ({vec('w')}) = adj(({vec(e)}), g)"]
+        src += ["    " + s for r in later for s in mul(f"{r}w", (1, r, "w"))]
+        src += [f"    h = gcd({', '.join(k for k in key if k != '0')})",
+                "    if d < 0:", "     h = -h",
+                f"    yield ({', '.join(k if k == '0' else f'{k} // h' for k in key)})"]
+    ns = {"adj": _adjugate, "gcd": gcd, "g": g}
+    exec("\n".join(src), ns)
+    return ns["kernel"]
 
 
 _KERNELS = {RATIONALS: _q_meets, PRIME_FIELD: _prime_meets,
             PRIME_POWER_FIELD: _prime_power_meets,
-            NUMBER_FIELD: _number_field_meets}
+            NUMBER_FIELD: lambda tris, f: _nf_kernel(_nf_codec(f.spec)[1])(tris)}
 
 
 def _row_keys(objs, field: Field):
@@ -346,7 +386,7 @@ def _row_keys(objs, field: Field):
         for row in range(len(objs) - 1, 0, -1):
             yield islice(keys, row)
         return
-    tris = [_primitive_int(o.key()) for o in objs]
+    tris = _encode(objs, field)
     s = (4 * max(max(map(abs, t)) for t in tris) ** 4).bit_length()
     for i, (a0, a1, a2) in enumerate(tris[:-1]):
         rest = tris[i + 1:]
@@ -362,23 +402,20 @@ def _row_keys(objs, field: Field):
 
 # Results by content while a property_suite call runs, None otherwise.  The
 # suite pairs the same few sets over and over; the memo is dropped when it
-# returns, so nothing is cached across calls and no set holds a table.
+# returns, so nothing is cached across calls and no set holds a table.  A
+# set's content is its field spec and its members' codes (``_encode``).
 _memo = None
 
 
-def _content(objs, field: Field) -> tuple:
-    return field.spec, tuple(o.key() for o in objs)
-
-
-def _pair_counts(objs, field: Field) -> dict:
+def _pair_counts(objs, field: Field, content=None) -> dict:
     """key -> number of pairs meeting (joining) there, over all C(n,2) pairs.
 
     Meets of lines and joins of points with the same triples share one
-    entry of the memo.
+    entry of the memo; a caller that has the content passes it.
     """
     if _memo is None:
         return Counter(_meet_keys(objs, field))
-    content = _content(objs, field)
+    content = content or (field.spec, tuple(_encode(objs, field)))
     counts = _memo.get(content)
     if counts is None:
         counts = _memo[content] = Counter(_meet_keys(objs, field))
@@ -482,13 +519,14 @@ def _select(sel: MultiplicitySelector, objs, field: Field, out):
     multiplicity lies in the selector."""
     if len(objs) < 2:
         return out(field)
-    key = None
+    key = content = None
     if _memo is not None:
-        key = (out, sel, _content(objs, field))
+        content = field.spec, tuple(_encode(objs, field))
+        key = out, sel, content
         hit = _memo.get(key)
         if hit is not None:
             return hit
-    counts = _pair_counts(objs, field)
+    counts = _pair_counts(objs, field, content)
     result = out(field, [_from_key(out._member, k, field)
                          for k, c in counts.items()
                          if sel.contains(_mult_from_pairs(c))])
@@ -770,11 +808,9 @@ def lambda_decomposition_check(nsel: MultiplicitySelector,
     if not (nsel.is_finite and msel.is_finite):
         raise ArrangementError("decomposition check needs finite exact selectors")
     whole = lambda_op(nsel, msel, arr)
-    pieces = set()
-    for n in nsel.members():
-        for m in msel.members():
-            pieces.update(lambda_op(sel_exact(n), sel_exact(m), arr).lines)
-    return set(whole.lines) == pieces
+    pieces = [l for n in nsel.members() for m in msel.members()
+              for l in lambda_op(sel_exact(n), sel_exact(m), arr).lines]
+    return whole == Arrangement(arr.field, pieces)
 
 
 def property_suite(arr: Arrangement, real: Optional[bool] = None) -> list:
@@ -823,12 +859,10 @@ def _suite(arr: Arrangement, real: Optional[bool]) -> list:
         ok = lambda_decomposition_check(sel_exact(m), msel, arr)
         results.append((f"decomposition[{m};2,3]", ok, ""))
 
-    before = set(arr.lines)
     for nsel, msel in ((sel_at_least(2), sel_at_least(2)),
                        (sel_at_least(3), sel_at_least(2)),
                        (sel_at_least(2), sel_at_least(3))):
-        img = lambda_op(nsel, msel, arr)
-        has_new = any(l not in before for l in img.lines)
+        has_new = len(arr.union(lambda_op(nsel, msel, arr))) > len(arr)
         bound = nsel.min_member * msel.min_member
         ok = (not has_new) or len(arr) >= bound
         results.append((f"new-line-bound[{nsel.text};{msel.text}]", ok,

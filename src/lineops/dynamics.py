@@ -78,8 +78,7 @@ def _lemma_gate(op: OperatorChain, before: Arrangement, after: Arrangement):
     """New lines force |before| >= min(n) * min(k) for a single Lambda step."""
     if not isinstance(op, OperatorSpec) or op.kind != "lambda":
         return
-    old = set(before.lines)
-    if any(l not in old for l in after.lines):
+    if len(before.union(after)) > len(before):
         bound = op.nsel.min_member * op.msel.min_member
         if len(before) < bound:
             raise AssertionError(

@@ -108,13 +108,11 @@ def poly_eval(p, x):
     return acc
 
 
-def _mulmod(a, b, min_poly, c=(), d=()):
-    """a*b - c*d, reduced by the monic min_poly from the top degree down.
+def _mulmod(a, b, min_poly):
+    """a*b, reduced by the monic min_poly from the top degree down.
 
     Coefficients are low -> high; the result has len(min_poly) - 1 of
-    them.  Serves Q[x]/(f) directly, GF(p)[x]/(f) before reduction mod p,
-    and Z[theta] in the pair kernel, whose cross-product coordinates
-    a*b - c*d take one reduction.
+    them.  Serves Q[x]/(f) directly and GF(p)[x]/(f) before reduction mod p.
     """
     n = len(min_poly) - 1
     prod = [min_poly[0] * 0] * (2 * n - 1)
@@ -123,11 +121,6 @@ def _mulmod(a, b, min_poly, c=(), d=()):
             for j, y in enumerate(b):
                 if y:
                     prod[i + j] += x * y
-    for i, x in enumerate(c):
-        if x:
-            for j, y in enumerate(d):
-                if y:
-                    prod[i + j] -= x * y
     for e in range(2 * n - 2, n - 1, -1):
         t = prod[e]
         if t:
@@ -593,19 +586,15 @@ def _validate_spec(spec: FieldSpec):
     raise FieldError(f"unknown field kind {spec.kind!r}")
 
 
-def _primitive_int(mp) -> list:
-    """The primitive integer multiple of a sequence of Fractions: a rational
-    polynomial's coefficients, or a point's or line's coordinates."""
-    den = 1
-    for c in mp:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ip = [int(c * den) for c in mp]
-    g = 0
-    for c in ip:
-        g = math.gcd(g, c)
-    if g:
-        ip = [c // g for c in ip]
-    return ip
+def _primitive_int(mp, weights=itertools.repeat(1)) -> tuple:
+    """The primitive integer multiple of the w_i * mp_i, for Fractions mp_i
+    and positive integer weights w_i (default 1): a rational polynomial's
+    coefficients, or a point's or line's coordinates.  Only numerators,
+    denominators and integer gcd/lcm enter it."""
+    den = math.lcm(*(c.denominator for c in mp))
+    ip = [c.numerator * w * (den // c.denominator) for c, w in zip(mp, weights)]
+    g = math.gcd(*ip)
+    return tuple([c // g for c in ip] if g else ip)
 
 
 def _has_rational_root(mp) -> bool:

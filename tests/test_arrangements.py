@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from lineops import arrangements
+from lineops import arrangements, fields
 from lineops.arrangements import (Arrangement, ArrangementError,
                                   _from_key, _pair_counts, _pair_index,
                                   MultiplicitySelector, PointConfig,
@@ -25,8 +25,8 @@ from lineops.arrangements import (Arrangement, ArrangementError,
                                   points_operator, profile, property_suite,
                                   psi_op, sel_at_least, sel_exact)
 from lineops.catalog import build
-from lineops.fields import (GF, QQ, FieldError, cyclotomic_field,
-                            number_field)
+from lineops.fields import (GF, NUMBER_FIELD, QQ, FieldError,
+                            cyclotomic_field, number_field)
 from lineops.projective import (Matrix3, ProjLine, ProjPoint, Projectivity,
                                 apply_projectivity, dualize, join, line, meet,
                                 point)
@@ -171,6 +171,10 @@ KERNEL_INPUTS = {
     # x^2 - 1/2 is monic but not integral: the codec works with theta = 2x
     "Q[x]/(x^2-1/2)": lambda: _moved_into(number_field([Fraction(-1, 2), 0, 1])),
     "Q(zeta_7)": lambda: _moved_into(cyclotomic_field(7)),
+    "Q(zeta_5)": lambda: _moved_into(cyclotomic_field(5)),
+    # x^3 + x/2 + 1/3: theta = 6x is a root of y^3 + 18y + 72
+    "Q[x]/(x^3+x/2+1/3)": lambda: _moved_into(
+        number_field([Fraction(1, 3), Fraction(1, 2), 0, 1])),
     "GF(7)": lambda: _sample_of_plane(7, 25),
     "GF(101)": lambda: _sample_of_plane(101, 40),
     "GF(8)": lambda: _sample_of_plane(8, 30),
@@ -197,6 +201,37 @@ def test_pair_kernel_matches_single_meets_and_joins(name):
         counts = _pair_counts(objs, field)
         got = {_from_key(cls, k, field): c for k, c in counts.items()}
         assert len(got) == len(counts) and got == want_counts
+
+
+def test_number_field_kernel_makes_no_mulmod_call(monkeypatch):
+    """The number-field pair loop is straight-line code: no field product."""
+    arrs = [make() for make in KERNEL_INPUTS.values()]
+    arrs = [arr for arr in arrs if arr.field.kind == NUMBER_FIELD]
+    assert {arr.field.degree for arr in arrs} == {2, 3, 4, 6}
+    want = [list(arrangements._meet_keys(arr.lines, arr.field)) for arr in arrs]
+
+    def forbidden(*args):
+        raise AssertionError("_mulmod called in the pair kernel")
+    monkeypatch.setattr(fields, "_mulmod", forbidden)
+    monkeypatch.setattr(arrangements, "_mulmod", forbidden, raising=False)
+    arrangements._nf_kernel.cache_clear()  # building the code calls none either
+    assert [list(arrangements._meet_keys(arr.lines, arr.field))
+            for arr in arrs] == want
+
+
+def test_number_field_kernel_is_built_once_per_modulus():
+    kernel = arrangements._nf_kernel
+    kernel.cache_clear()
+    omega = build("dual-hesse")
+    for arr in (omega, points_operator(sel_at_least(2), omega),
+                _moved_into(omega.field), build("grunbaum-rigby")):
+        _pair_counts(arr.lines if isinstance(arr, Arrangement) else arr.points,
+                     arr.field)
+    assert kernel.cache_info().misses == 2  # Q(omega) and the cubic
+    # Q[x]/(x^2 - 1/2) and Q(sqrt 2) share the integer modulus y^2 - 2
+    for f in (number_field([Fraction(-1, 2), 0, 1]), number_field([-2, 0, 1])):
+        _pair_counts(_moved_into(f).lines, f)
+    assert kernel.cache_info().misses == 3
 
 
 def test_pair_kernel_zero_divisor_is_a_field_error():
