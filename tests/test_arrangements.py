@@ -223,10 +223,9 @@ def test_number_field_kernel_is_built_once_per_modulus():
     kernel = arrangements._nf_kernel
     kernel.cache_clear()
     omega = build("dual-hesse")
-    for arr in (omega, points_operator(sel_at_least(2), omega),
-                _moved_into(omega.field), build("grunbaum-rigby")):
-        _pair_counts(arr.lines if isinstance(arr, Arrangement) else arr.points,
-                     arr.field)
+    for objs in (omega.lines, points_operator(sel_at_least(2), omega).points,
+                 _moved_into(omega.field).lines, build("grunbaum-rigby").lines):
+        _pair_counts(objs, objs[0].field)
     assert kernel.cache_info().misses == 2  # Q(omega) and the cubic
     # Q[x]/(x^2 - 1/2) and Q(sqrt 2) share the integer modulus y^2 - 2
     for f in (number_field([Fraction(-1, 2), 0, 1]), number_field([-2, 0, 1])):
