@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 from .fields import (Field, QQ, Scalar, _parse_poly, cyclotomic_field,
                      field_make, number_field, GF, parse_field_spec,
-                     parse_scalar, poly_sub)
+                     parse_scalar, poly_eval, poly_sub)
 from .projective import (GeometryError, ProjLine, ProjPoint, join, line,
                          meet, point)
 from .arrangements import (Arrangement, ArrangementError, PointConfig,
@@ -111,38 +111,39 @@ def _normalize_params(entry: CatalogEntry, given: dict) -> dict:
     return out
 
 
-def build_lines(name: str, degenerate_ok: bool = False, **params):
-    """(field, lines in construction order); validation as in build()."""
+def _build(name: str, degenerate_ok: bool, params: dict):
+    """(field, lines in construction order, their Arrangement), validated."""
     entry = get_entry(name)
     p = _normalize_params(entry, params)
-    if entry.forbidden is not None:
-        msg = entry.forbidden(p)
-        if msg:
-            if not degenerate_ok:
-                raise DegenerateParameterError(f"{entry.name}: {msg}")
-            warnings.warn(f"{entry.name}: degenerate-mode build ({msg})")
+    msg = entry.forbidden(p) if entry.forbidden is not None else None
+    if msg:
+        if not degenerate_ok:
+            raise DegenerateParameterError(f"{entry.name}: {msg}")
+        warnings.warn(f"{entry.name}: degenerate-mode build ({msg})")
     field, lines = entry.builder(p)
     arr = Arrangement(field, lines)
-    if len(arr) != len(lines):
-        if not (entry.forbidden is not None and entry.forbidden(p)):
+    if not msg:
+        if len(arr) != len(lines):
             raise ProfileMismatchError(
                 f"{entry.name}: construction produced duplicate lines")
-    if entry.expected is not None and not (entry.forbidden is not None
-                                           and entry.forbidden(p)):
-        want = entry.expected(p)
+        want = entry.expected(p) if entry.expected is not None else None
         if want is not None:
             got = profile(arr).as_dict()
             want = {int(k): int(v) for k, v in want.items() if v}
             if got != want:
                 raise ProfileMismatchError(
                     f"{entry.name}: profile {got} differs from expected {want}")
-    return field, lines
+    return field, lines, arr
+
+
+def build_lines(name: str, degenerate_ok: bool = False, **params):
+    """(field, lines in construction order); validation as in build()."""
+    return _build(name, degenerate_ok, params)[:2]
 
 
 def build(name: str, degenerate_ok: bool = False, **params) -> Arrangement:
     """Build a catalog arrangement and validate its expected profile."""
-    field, lines = build_lines(name, degenerate_ok=degenerate_ok, **params)
-    return Arrangement(field, lines)
+    return _build(name, degenerate_ok, params)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -426,17 +427,10 @@ def _polygon_vertices(field, two_c, m):
     c = two_c / 2
     pts = []
     for k in range(m):
-        tx = _eval_poly(chebyshev_t(k), c, field)
-        uy = _eval_poly(chebyshev_u(k - 1), c, field)
+        tx = poly_eval(chebyshev_t(k), c)
+        uy = poly_eval(chebyshev_u(k - 1), c)
         pts.append((tx, uy, field.one))
     return pts
-
-
-def _eval_poly(coeffs, x: Scalar, field: Field) -> Scalar:
-    acc = field.zero
-    for co in reversed(coeffs):
-        acc = acc * x + field.scalar(co)
-    return acc
 
 
 def _polygonal_lines(m: int):
@@ -551,15 +545,15 @@ _FLASHING4_COLS = (
 )
 
 
-def _flashing4_cols(F, t):
+def _flashing4_cols(t):
     """The columns of _FLASHING4_COLS, each entry a polynomial in t."""
-    return [tuple(_eval_poly(_parse_poly(e.replace("t", "x"), rational=True), t, F)
+    return [tuple(poly_eval(_parse_poly(e.replace("t", "x"), rational=True), t)
                   for e in col) for col in _FLASHING4_COLS]
 
 
 def _build_flashing4(p):
     F, t = _scalar_param(p)
-    cols = _flashing4_cols(F, t)
+    cols = _flashing4_cols(t)
     part = p["part"]
     if part == "c0":
         cols = cols[:8]

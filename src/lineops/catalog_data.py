@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .fields import number_field, parse_scalar
-from .projective import ProjLine
+from .projective import Matrix3, ProjLine, nullspace
 
 # 21 mirror lines of the order-168 symmetry group, over Q(sqrt-7): x = sqrt(-7).
 _KLEIN_COLS = (
@@ -104,21 +104,6 @@ def _wiman_group_and_mirrors():
     half = field.scalar(Fraction(1, 2))
     phi = (one + s5) * half
 
-    def mmul(A, B):
-        return tuple(tuple(sum((A[i][k] * B[k][j] for k in range(3)), zero)
-                           for j in range(3)) for i in range(3))
-
-    def mnorm(A):
-        for row in A:
-            for e in row:
-                if not e.is_zero():
-                    inv = e.inverse()
-                    return tuple(tuple(x * inv for x in r) for r in A)
-        raise AssertionError("zero matrix")
-
-    def key(A):
-        return tuple(e.rep for r in A for e in r)
-
     sigma = ((zero, one, zero), (zero, zero, one), (one, zero, zero))
     d = ((one, zero, zero), (zero, -one, zero), (zero, zero, -one))
     ccos = (s5 - one) * field.scalar(Fraction(1, 4))
@@ -129,66 +114,40 @@ def _wiman_group_and_mirrors():
                        + kfac * kvec[i] * kvec[j] for j in range(3))
                  for i in range(3))
     t_ext = ((w, zero, zero), (zero, zero, w * w), (zero, one, zero))
-    ident = mnorm(((one, zero, zero), (zero, one, zero), (zero, zero, one)))
+    ident = Matrix3.identity(field)
 
-    gens = [mnorm(sigma), mnorm(d), mnorm(rot5), mnorm(t_ext)]
-    seen = {key(ident): ident}
+    gens = [Matrix3(g).scaled_canonical() for g in (sigma, d, rot5, t_ext)]
+    seen = {ident: None}  # the group, in discovery order
     queue = [ident]
     while queue:
         cur = queue.pop()
         for g in gens:
-            nxt = mnorm(mmul(cur, g))
-            k = key(nxt)
-            if k not in seen:
+            nxt = (cur * g).scaled_canonical()
+            if nxt not in seen:
                 if len(seen) > 400:
                     raise AssertionError("mirror group failed to close")
-                seen[k] = nxt
+                seen[nxt] = None
                 queue.append(nxt)
     if len(seen) != 360:
         raise AssertionError(f"expected order 360, got {len(seen)}")
 
-    def det(A):
-        return (A[0][0] * (A[1][1] * A[2][2] - A[1][2] * A[2][1])
-                - A[0][1] * (A[1][0] * A[2][2] - A[1][2] * A[2][0])
-                + A[0][2] * (A[1][0] * A[2][1] - A[1][1] * A[2][0]))
-
     mirrors = {}
-    for A in seen.values():
-        if key(A) == key(ident):
+    for A in seen:
+        if A == ident:
             continue
-        sq = mmul(A, A)
-        if not all(sq[i][j].is_zero() for i in range(3) for j in range(3)
-                   if i != j):
-            continue
-        if not (sq[0][0] == sq[1][1] == sq[2][2]):
-            continue
+        sq = (A * A).rows
         lam = sq[0][0]
-        root = det(A) * lam.inverse()
+        if any(sq[i][j] != (lam if i == j else zero)
+               for i in range(3) for j in range(3)):
+            continue
+        root = A.det() * lam.inverse()
         if root * root != lam:
             raise AssertionError("square-root recipe failed")
         for sgn in (root, -root):
-            M = [[A[i][j] - (sgn if i == j else zero) for j in range(3)]
-                 for i in range(3)]
-            rows = [r[:] for r in M]
-            rank = 0
-            for col in range(3):
-                piv = None
-                for rr in range(rank, 3):
-                    if not rows[rr][col].is_zero():
-                        piv = rr
-                        break
-                if piv is None:
-                    continue
-                rows[rank], rows[piv] = rows[piv], rows[rank]
-                invp = rows[rank][col].inverse()
-                rows[rank] = [v * invp for v in rows[rank]]
-                for rr in range(3):
-                    if rr != rank and not rows[rr][col].is_zero():
-                        f = rows[rr][col]
-                        rows[rr] = [v - f * u
-                                    for v, u in zip(rows[rr], rows[rank])]
-                rank += 1
-            if rank == 1:
+            M = [[e - sgn if i == j else e for j, e in enumerate(row)]
+                 for i, row in enumerate(A.rows)]
+            # a reflection fixes a line pointwise: A - sgn has rank 1
+            if len(nullspace(M, field)) == 2:
                 coeff = next(r for r in M
                              if any(not e.is_zero() for e in r))
                 ln = ProjLine(tuple(coeff))

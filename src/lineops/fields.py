@@ -102,6 +102,7 @@ def poly_gcd(p, q):
 
 
 def poly_eval(p, x):
+    """p(x) by Horner's rule; x may be an int, Fraction, float or Scalar."""
     acc = 0
     for c in reversed(p):
         acc = acc * x + c
@@ -277,24 +278,22 @@ def gf_spec(q: int, min_poly: Optional[Sequence] = None) -> FieldSpec:
         if min_poly is not None:
             raise FieldError("GF(p) takes no modulus polynomial")
         return prime_field_spec(q)
-    for p in range(2, q):
-        if _is_prime(p) and q % p == 0:
-            k = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                k += 1
-            if m != 1:
-                raise FieldError(f"{q} is not a prime power")
-            if min_poly is None:
-                if q > 64 or q not in _STOCK_IRREDUCIBLES:
-                    raise FieldError(
-                        f"no stored irreducible polynomial for GF({q}); supply one")
-                min_poly = _STOCK_IRREDUCIBLES[q]
-            if len(min_poly) - 1 != k:
-                raise FieldError(f"GF({q}) needs a degree-{k} modulus")
-            return prime_power_spec(p, min_poly)
-    raise FieldError(f"{q} is not a prime power")
+    p = _char_of_order(q)
+    k = 0
+    m = q
+    while m % p == 0:
+        m //= p
+        k += 1
+    if m != 1:
+        raise FieldError(f"{q} is not a prime power")
+    if min_poly is None:
+        if q > 64 or q not in _STOCK_IRREDUCIBLES:
+            raise FieldError(
+                f"no stored irreducible polynomial for GF({q}); supply one")
+        min_poly = _STOCK_IRREDUCIBLES[q]
+    if len(min_poly) - 1 != k:
+        raise FieldError(f"GF({q}) needs a degree-{k} modulus")
+    return prime_power_spec(p, min_poly)
 
 
 class Scalar:
@@ -458,7 +457,7 @@ class Field:
         if self.kind == RATIONALS:
             return True
         if self.kind == NUMBER_FIELD:
-            return bool(real_roots(self.spec.min_poly))
+            return bool(_real_roots_of(self.spec))
         return False
 
     def __eq__(self, other):
@@ -518,18 +517,13 @@ def _number_field_arith(spec):
     def r_inv(a):
         if not any(a):
             raise ZeroDivisionError("division by zero")
-        if len(a) == 2:
-            # (a0 + a1 x)^-1 with x^2 + c1 x + c0 = 0, irreducible
-            c0, c1 = mp[:2]
-            a0, a1 = a
-            norm = a0 * a0 - a0 * a1 * c1 + a1 * a1 * c0
-            return ((a0 - a1 * c1) / norm, -a1 / norm)
-        # through the kernel's integers: a = k*u with u in Z[theta]
-        t = [v / c ** i for i, v in enumerate(a)]
-        u = _primitive_int(t)
-        k = next(v / w for v, w in zip(t, u) if w)
+        # through the kernel's integers: a = u/s with u in Z[theta],
+        # where x^i = theta^i / c^i
+        s = math.lcm(*(v.denominator for v in a)) * c ** (len(a) - 1)
+        u = [v.numerator * (s // (v.denominator * c ** i))
+             for i, v in enumerate(a)]
         d, w = _adjugate(u, g)  # 1/u = w/d
-        return tuple(v * c ** i / (k * d) for i, v in enumerate(w))
+        return tuple(Fraction(s * v * c ** i, d) for i, v in enumerate(w))
     return (lambda a, b: tuple(x + y for x, y in zip(a, b)),
             lambda a, b: tuple(x - y for x, y in zip(a, b)),
             lambda a: tuple(-x for x in a),
@@ -703,25 +697,19 @@ def real_roots(poly: Sequence, tol: float = 1e-14) -> list:
     cs = [c / lead for c in cs]
     bound = 1.0 + max(abs(c) for c in cs[:-1])
 
-    def f(x):
-        acc = 0.0
-        for c in reversed(cs):
-            acc = acc * x + c
-        return acc
-
     n = 8192
     xs = [-bound + 2 * bound * i / n for i in range(n + 1)]
     roots = []
-    prev_x, prev_v = xs[0], f(xs[0])
+    prev_x, prev_v = xs[0], poly_eval(cs, xs[0])
     for x in xs[1:]:
-        v = f(x)
+        v = poly_eval(cs, x)
         if prev_v == 0.0:
             roots.append(prev_x)
         elif prev_v * v < 0:
             lo, hi, flo = prev_x, x, prev_v
             for _ in range(200):
                 mid = 0.5 * (lo + hi)
-                fm = f(mid)
+                fm = poly_eval(cs, mid)
                 if fm == 0.0 or hi - lo < tol:
                     lo = hi = mid
                     break
@@ -736,6 +724,12 @@ def real_roots(poly: Sequence, tol: float = 1e-14) -> list:
     return roots
 
 
+@lru_cache(maxsize=None)
+def _real_roots_of(spec: FieldSpec) -> tuple:
+    """``real_roots`` of a number field's modulus, searched once per field."""
+    return tuple(real_roots(spec.min_poly))
+
+
 def real_embedding(s: Scalar, root_index: int = 0) -> float:
     """Float value of a scalar under the chosen real root of the modulus."""
     field = s.field
@@ -743,16 +737,12 @@ def real_embedding(s: Scalar, root_index: int = 0) -> float:
         return float(s.rep)
     if field.kind != NUMBER_FIELD:
         raise FieldError("finite fields have no real embedding")
-    roots = real_roots(field.spec.min_poly)
+    roots = _real_roots_of(field.spec)
     if not roots:
         raise FieldError("modulus has no real root")
     if not 0 <= root_index < len(roots):
         raise FieldError(f"root_index out of range (have {len(roots)} real roots)")
-    x = roots[root_index]
-    acc = 0.0
-    for c in reversed(s.rep):
-        acc = acc * x + float(c)
-    return acc
+    return poly_eval(s.rep, roots[root_index])
 
 
 # ---------------------------------------------------------------------------
@@ -798,10 +788,6 @@ def _char_of_order(q: int) -> int:
     raise FieldError(f"{q} is not a prime power")
 
 
-def _format_coeff(c) -> str:
-    return str(c)
-
-
 def _format_poly(coeffs) -> str:
     terms = []
     for e in range(len(coeffs) - 1, -1, -1):
@@ -809,7 +795,7 @@ def _format_poly(coeffs) -> str:
         if not c:
             continue
         if e == 0:
-            body = _format_coeff(c)
+            body = str(c)
         else:
             xs = "x" if e == 1 else f"x^{e}"
             if c == 1:
@@ -817,7 +803,7 @@ def _format_poly(coeffs) -> str:
             elif c == -1:
                 body = f"-{xs}"
             else:
-                body = f"{_format_coeff(c)}*{xs}"
+                body = f"{c!s}*{xs}"
         if terms and not body.startswith("-"):
             terms.append("+" + body)
         else:
@@ -878,35 +864,15 @@ def _parse_poly(text: str, rational: bool, mod: Optional[int] = None):
 
 def format_scalar(s: Scalar) -> str:
     field = s.field
-    if field.kind == RATIONALS:
-        return str(s.rep)
-    if field.kind == PRIME_FIELD:
+    if field.kind in (RATIONALS, PRIME_FIELD):
         return str(s.rep)
     return _format_poly(s.rep)
 
 
 def parse_scalar(field: Field, text: str) -> Scalar:
     t = text.strip()
-    if field.kind == RATIONALS:
+    if field.kind in (RATIONALS, PRIME_FIELD):
         return field.scalar(Fraction(t))
-    if field.kind == PRIME_FIELD:
-        return field.scalar(Fraction(t))
-    if field.kind == NUMBER_FIELD:
-        coeffs = _parse_poly(t, rational=True)
-        d = field.degree
-        rep = list(coeffs[:d]) + [Fraction(0)] * max(0, d - len(coeffs))
-        extra = coeffs[d:]
-        if any(extra):
-            # reduce high powers through the generator
-            x = field.generator
-            val = field.zero
-            for e, c in enumerate(coeffs):
-                val = val + field.scalar(c) * x ** e
-            return val
-        return Scalar(field, tuple(rep))
-    coeffs = _parse_poly(t, rational=False, mod=field.characteristic)
-    x = field.generator
-    val = field.zero
-    for e, c in enumerate(coeffs):
-        val = val + field.scalar(c) * x ** e
-    return val
+    coeffs = _parse_poly(t, rational=field.kind == NUMBER_FIELD,
+                         mod=field.characteristic)
+    return poly_eval(coeffs, field.generator)

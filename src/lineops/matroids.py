@@ -8,13 +8,13 @@ most one element.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 from typing import Optional, Sequence, Union
 
 from .arrangements import Arrangement, ArrangementError, _pair_index
-from .projective import ProjLine
+from .fields import QQ
+from .projective import ProjLine, nullspace
 
 
 class MatroidError(ArrangementError):
@@ -234,62 +234,18 @@ def reye_matroid() -> Matroid3:
     """The classical (12_4, 16_3) point-line configuration as a matroid.
 
     Ground set: 8 cube vertices, the center, and the three axis directions
-    (a 3-space model); flats are the 16 collinear triples.
+    (a 3-space model); flats are the 16 collinear triples.  No four of the
+    points are collinear, so every flat is a triple, and ``Matroid3``
+    rejects two triples that share two points.
     """
-    pts = []
-    for sx in (1, -1):
-        for sy in (1, -1):
-            for sz in (1, -1):
-                pts.append((Fraction(sx), Fraction(sy), Fraction(sz), Fraction(1)))
-    pts.append((Fraction(0), Fraction(0), Fraction(0), Fraction(1)))
-    pts.append((Fraction(1), Fraction(0), Fraction(0), Fraction(0)))
-    pts.append((Fraction(0), Fraction(1), Fraction(0), Fraction(0)))
-    pts.append((Fraction(0), Fraction(0), Fraction(1), Fraction(0)))
-
-    def rank(rows):
-        mat = [list(r) for r in rows]
-        rk = 0
-        for col in range(4):
-            piv = None
-            for r in range(rk, len(mat)):
-                if mat[r][col]:
-                    piv = r
-                    break
-            if piv is None:
-                continue
-            mat[rk], mat[piv] = mat[piv], mat[rk]
-            lead = mat[rk][col]
-            mat[rk] = [v / lead for v in mat[rk]]
-            for r in range(len(mat)):
-                if r != rk and mat[r][col]:
-                    f = mat[r][col]
-                    mat[r] = [v - f * w for v, w in zip(mat[r], mat[rk])]
-            rk += 1
-        return rk
-
-    collinear_pairs = {}
-    for i, j in combinations(range(12), 2):
-        collinear_pairs[(i, j)] = None
-    flats = {}
-    for i, j, k in combinations(range(12), 3):
-        if rank([pts[i], pts[j], pts[k]]) <= 2:
-            found = None
-            for key, members in flats.items():
-                if len({i, j, k} & members) >= 2:
-                    found = key
-                    break
-            if found is not None:
-                flats[found].update((i, j, k))
-            else:
-                flats[len(flats)] = {i, j, k}
-    m = Matroid3.from_flats(12, [tuple(sorted(s)) for s in flats.values()])
-    sizes = m.flat_sizes()
-    if len(m.flats) != 16 or set(sizes) != {3}:
-        raise MatroidError("Reye realization must be a (12_4, 16_3)")
-    per_elem = [0] * 12
-    for f in m.flats:
-        for i in f:
-            per_elem[i] += 1
-    if set(per_elem) != {4}:
+    F = QQ()
+    coords = [(sx, sy, sz, 1) for sx in (1, -1) for sy in (1, -1) for sz in (1, -1)]
+    coords += [(0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]
+    pts = [[F.scalar(c) for c in p] for p in coords]
+    # three points are collinear when their 3x4 matrix has rank 2
+    m = Matroid3.from_flats(12, [t for t in combinations(range(12), 3)
+                                 if len(nullspace([pts[i] for i in t], F)) == 2])
+    if len(m.flats) != 16 or any(sum(i in f for f in m.flats) != 4
+                                 for i in range(12)):
         raise MatroidError("Reye realization must be a (12_4, 16_3)")
     return m

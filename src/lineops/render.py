@@ -63,10 +63,6 @@ def _chart_coeffs(triple, chart: str):
     return u2, u3, u1
 
 
-def _to_float(scalar, root_index: int) -> float:
-    return real_embedding(scalar, root_index)
-
-
 def _clip_line(a: float, b: float, c: float, window) -> Optional[tuple]:
     """Segment of aX + bY + c = 0 inside the window, or None."""
     x0, x1, y0, y1 = window
@@ -140,9 +136,9 @@ def render_svg(layers: Sequence, spec: RenderSpec = RenderSpec()) -> RenderResul
         for l in arr.lines:
             all_lines.append(l)
             u1, u2, u3 = _chart_coeffs(l.coeffs, spec.chart)
-            a = _to_float(u1, spec.root_index)
-            b = _to_float(u2, spec.root_index)
-            c = _to_float(u3, spec.root_index)
+            a = real_embedding(u1, spec.root_index)
+            b = real_embedding(u2, spec.root_index)
+            c = real_embedding(u3, spec.root_index)
             if abs(a) <= _CLIP_EPS and abs(b) <= _CLIP_EPS:
                 skipped += 1   # the chart's line at infinity
                 continue
@@ -164,11 +160,11 @@ def render_svg(layers: Sequence, spec: RenderSpec = RenderSpec()) -> RenderResul
             mult = len(lines_on)
             p = _from_key(ProjPoint, key, field)
             u1, u2, u3 = _chart_coeffs(p.coords, spec.chart)
-            zc = _to_float(u3, spec.root_index)
+            zc = real_embedding(u3, spec.root_index)
             if abs(zc) <= _CLIP_EPS:
                 continue
-            x = _to_float(u1, spec.root_index) / zc
-            y = _to_float(u2, spec.root_index) / zc
+            x = real_embedding(u1, spec.root_index) / zc
+            y = real_embedding(u2, spec.root_index) / zc
             if x0 <= x <= x1 and y0 <= y <= y1:
                 marks.append((px(x), py(y), mult))
         marks.sort()

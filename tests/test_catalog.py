@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from lineops import arrangements
 from lineops.arrangements import (arrangements_equivalent, lambda_op,
                                   lines_operator, profile, sel_at_least,
                                   sel_exact)
@@ -76,6 +77,19 @@ def test_forbidden_parameters():
         warnings.simplefilter("ignore")
         arr = build("flashing3", t=2, degenerate_ok=True)
     assert len(arr) == 6
+
+
+def test_build_makes_one_arrangement(monkeypatch):
+    canonical = arrangements._canonical
+    calls = []
+
+    def counting(objs, *args, **kw):
+        calls.append(1)
+        return canonical(objs, *args, **kw)
+
+    monkeypatch.setattr(arrangements, "_canonical", counting)
+    build("flashing3")
+    assert len(calls) == 1
 
 
 def test_flashing_tau_is_forbidden_in_its_field():

@@ -17,6 +17,8 @@ def sample_fields():
         QQ(),
         number_field([1, 1, 1]),       # w^2 + w + 1 = 0
         number_field([-5, 0, 1]),      # sqrt5
+        number_field([Fraction(-1, 2), 0, 1]),  # sqrt(1/2)
+        number_field([Fraction(1, 5), Fraction(1, 3), 1]),  # x^2 + x/3 + 1/5
         cyclotomic_field(7),
         GF(7),
         GF(4),

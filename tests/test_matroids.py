@@ -99,6 +99,15 @@ def test_reye_not_isomorphic_to_flashing4():
     assert matroid_isomorphic(rey, m12) is None
 
 
+def test_reye_flats():
+    rey = reye_matroid()
+    assert rey.flats == (
+        (0, 1, 11), (0, 2, 10), (0, 4, 9), (0, 7, 8), (1, 3, 10), (1, 5, 9),
+        (1, 6, 8), (2, 3, 11), (2, 5, 8), (2, 6, 9), (3, 4, 8), (3, 7, 9),
+        (4, 5, 11), (4, 6, 10), (5, 7, 10), (6, 7, 11))
+    assert all(sum(i in f for f in rey.flats) == 4 for i in range(12))
+
+
 def test_isomorphism_transitive_on_relabelings():
     base = extract_matroid(build("finite-plane", q=2))
     perm1 = [(i * 2 + 3) % 7 for i in range(7)]

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from lineops import fields
 from lineops.arrangements import Arrangement, ArrangementError, make_arrangement
 from lineops.catalog import build
-from lineops.fields import QQ
+from lineops.fields import QQ, real_roots
 from lineops.render import RenderSpec, render_svg
 
 F = QQ()
@@ -65,6 +66,20 @@ def test_number_field_chart():
     arr = build("polygonal", n=10)  # over Q(2cos(2pi/5))
     result = render_svg([arr], RenderSpec(root_index=1, mark_points=False))
     assert len(seg_coords(result.svg)) >= 8
+
+
+def test_real_roots_searched_once_per_field(monkeypatch):
+    arr = build("grunbaum-rigby")
+    calls = []
+
+    def counting(poly, *args):
+        calls.append(poly)
+        return real_roots(poly, *args)
+
+    fields._real_roots_of.cache_clear()
+    monkeypatch.setattr(fields, "real_roots", counting)
+    render_svg([arr], RenderSpec())
+    assert calls == [arr.field.spec.min_poly]
 
 
 def test_non_real_field_rejected():
