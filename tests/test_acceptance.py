@@ -450,12 +450,12 @@ def test_criterion_14_property_suites(monkeypatch):
     t0 = time.time()
     failures = []
     calls, passes = [], {}  # pair-kernel calls of each suite, by tag
-    kernel = arrangements._meet_keys
+    kernel = arrangements._code_meets
 
-    def counting(objs, field):
-        calls.append(len(objs))
-        return kernel(objs, field)
-    monkeypatch.setattr(arrangements, "_meet_keys", counting)
+    def counting(codes, field):
+        calls.append(len(codes))
+        return kernel(codes, field)
+    monkeypatch.setattr(arrangements, "_code_meets", counting)
 
     def run_suite(tag, arr, real=None):
         del calls[:]

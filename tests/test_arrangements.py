@@ -25,7 +25,7 @@ from lineops.arrangements import (Arrangement, ArrangementError,
                                   points_operator, profile, property_suite,
                                   psi_op, sel_at_least, sel_exact)
 from lineops.catalog import build
-from lineops.fields import (GF, NUMBER_FIELD, QQ, FieldError,
+from lineops.fields import (GF, NUMBER_FIELD, QQ, RATIONALS, FieldError,
                             cyclotomic_field, number_field)
 from lineops.projective import (Matrix3, ProjLine, ProjPoint, Projectivity,
                                 apply_projectivity, dualize, join, line, meet,
@@ -421,8 +421,8 @@ PROFILE_INPUTS = {
 @pytest.mark.parametrize("name", sorted(PROFILE_INPUTS))
 def test_profile_matches_pair_table(name, monkeypatch):
     """Grouping row by row gives the profile the whole pair table gives,
-    and so does the memo's table inside a suite call.  Each row's keys
-    split the row's lines as the pair kernel's keys do."""
+    and so does the table inside a suite call.  Each row's keys split the
+    row's lines as the pair kernel's keys do."""
     make, want = PROFILE_INPUTS[name]
     arr = make()
     table = Counter(arrangements._meet_keys(arr.lines, arr.field))
@@ -438,14 +438,8 @@ def test_profile_matches_pair_table(name, monkeypatch):
     prof = profile(arr)
     assert len(calls) == (arr.field.kind != "rationals")
     assert prof.d == len(arr) and prof.as_dict() == ref
-    inside = []
-
-    def recording(a):
-        inside.append((a, profile(a)))
-        return inside[-1][1]
-    monkeypatch.setattr(arrangements, "profile", recording)
-    property_suite(arr)
-    assert inside and all(p == profile(a) for a, p in inside)
+    details = {check: detail for check, _, detail in property_suite(arr)}
+    assert details["profile-consistency"] == prof.text()
 
 
 def test_profile_holds_no_pair_table():
@@ -504,6 +498,28 @@ def test_classify():
     assert classify_degenerate(complete_quadrilateral()) == "other"
     tri = build("generic", n=3)
     assert classify_degenerate(tri) == "quasi-trivial"
+
+
+def test_classify_finite_plane_by_line_count(monkeypatch):
+    """q^2+q+1 distinct lines of PG(2,q) are the whole plane, so the
+    classification counts them and builds no reference plane."""
+    planes = {q: all_projective_lines(GF(q)) for q in (2, 3, 4, 8, 9)}
+
+    def forbidden(field):
+        raise AssertionError("all_projective_lines called")
+    monkeypatch.setattr(arrangements, "all_projective_lines", forbidden)
+    rng = random.Random(11)
+    for q, plane in planes.items():
+        assert classify_degenerate(plane) == "finite-plane", q
+        lines = list(plane.lines)
+        # one line short: points of multiplicity q and q + 1
+        assert classify_degenerate(Arrangement(plane.field, lines[1:])) == "other"
+        sub = Arrangement(plane.field, rng.sample(lines, q + 1))
+        assert classify_degenerate(sub) != "finite-plane"
+        # the q + 1 lines through (0 : 0 : 1)
+        pencil = [l for l in lines if l.coeffs[2].is_zero()]
+        assert len(pencil) == q + 1
+        assert classify_degenerate(Arrangement(plane.field, pencil)) == "trivial"
 
 
 def test_inequality_report_quadrilateral():
@@ -576,12 +592,12 @@ def test_property_suite_clean_on_catalog():
 def _count_kernel_calls(monkeypatch):
     """A list that grows by one for each pair-kernel call."""
     calls = []
-    kernel = arrangements._meet_keys
+    kernel = arrangements._code_meets
 
-    def counting(objs, field):
-        calls.append(len(objs))
-        return kernel(objs, field)
-    monkeypatch.setattr(arrangements, "_meet_keys", counting)
+    def counting(codes, field):
+        calls.append(len(codes))
+        return kernel(codes, field)
+    monkeypatch.setattr(arrangements, "_code_meets", counting)
     return calls
 
 
@@ -602,11 +618,6 @@ def test_property_suite_pairs_each_distinct_set_once(monkeypatch):
     assert len(calls) == 2
     assert points_operator(sel_at_least(2), arr) is not \
         points_operator(sel_at_least(2), arr)
-    # while the memo is open, each operator image is built once
-    monkeypatch.setattr(arrangements, "_memo", {})
-    img = points_operator(sel_at_least(2), arr)
-    assert points_operator(sel_at_least(2), arr) is img
-    assert points_operator(sel_exact(2), arr) is not img
 
 
 def test_property_suite_drops_its_memo_when_it_raises(monkeypatch):
@@ -614,15 +625,112 @@ def test_property_suite_drops_its_memo_when_it_raises(monkeypatch):
 
     def broken(*args, **kwargs):
         raise RuntimeError("boom")
-    monkeypatch.setattr(arrangements, "inequality_report", broken)
+    monkeypatch.setattr(arrangements, "_inequalities", broken)
     arr = build("hesse")
     with pytest.raises(RuntimeError):
         property_suite(arr)
-    assert arrangements._memo is None
     del calls[:]
     profile(arr)
     profile(arr)
     assert len(calls) == 2
+
+
+def _reference_suite(arr, real):
+    """The property suite on objects: each check through the public
+    operators, profile and classification, with no memo."""
+    results = []
+    if real is None:
+        real = arr.field.kind == RATIONALS
+    prof = None
+    try:
+        prof = profile(arr)
+        results.append(("profile-consistency", True, prof.text()))
+    except ArrangementError as e:
+        results.append(("profile-consistency", False, str(e)))
+    for nsel, msel in ((sel_exact(2), sel_exact(3)),
+                       (sel_at_least(2), sel_at_least(3))):
+        lhs = dualize_arrangement(lambda_op(nsel, msel, arr))
+        rhs = psi_op(nsel, msel, dualize_arrangement(arr))
+        results.append((f"duality-conjugation[{nsel.text};{msel.text}]",
+                        lhs == rhs, ""))
+    msel = MultiplicitySelector(exact=frozenset({2, 3}))
+    for m in (2, 3):
+        ok = lambda_decomposition_check(sel_exact(m), msel, arr)
+        results.append((f"decomposition[{m};2,3]", ok, ""))
+    for nsel, msel in ((sel_at_least(2), sel_at_least(2)),
+                       (sel_at_least(3), sel_at_least(2)),
+                       (sel_at_least(2), sel_at_least(3))):
+        has_new = len(arr.union(lambda_op(nsel, msel, arr))) > len(arr)
+        bound = nsel.min_member * msel.min_member
+        ok = (not has_new) or len(arr) >= bound
+        results.append((f"new-line-bound[{nsel.text};{msel.text}]", ok,
+                        f"|L|={len(arr)}, bound={bound}"))
+    kind = classify_degenerate(arr)
+    if len(arr) >= 3 and kind not in ("trivial", "empty") and prof is not None:
+        results.append(("de-bruijn-erdos", prof.total_points >= len(arr),
+                        f"t={prof.total_points}, d={len(arr)}"))
+    rep = inequality_report(arr, real=real)
+    if rep.melchior.applicable:
+        results.append(("melchior", rep.melchior.slack >= 0,
+                        f"slack={rep.melchior.slack}"))
+    if rep.hirzebruch.applicable:
+        results.append(("hirzebruch", rep.hirzebruch.slack >= 0,
+                        f"slack={rep.hirzebruch.slack}"))
+    sel2 = sel_at_least(2)
+    if not arr.is_empty() and lambda_op(sel2, sel2, arr) == arr:
+        results.append(("2-2-fixed-classification",
+                        kind in ("quasi-trivial", "finite-plane"), kind))
+    return results
+
+
+def _plane_and_subsets(q):
+    plane = all_projective_lines(GF(q))
+    rng = random.Random(q)
+    return [plane] + [Arrangement(plane.field, rng.sample(plane.lines, k))
+                      for k in (2, 3, q + 2, len(plane) // 2, len(plane) - 1)]
+
+
+SUITE_INPUTS = {
+    "Q": lambda: [complete_quadrilateral(), build("grid6"), build("pappus"),
+                  _cq_step2(), generic_lines(7), build("unassuming")],
+    "Q(omega)": lambda: [build("dual-hesse"), build("hesse"),
+                         _moved_into(build("dual-hesse").field)],
+    "cubic": lambda: [build("grunbaum-rigby")],
+    "GF(3)": lambda: _plane_and_subsets(3),
+    "GF(4)": lambda: _plane_and_subsets(4),
+    "GF(8)": lambda: _plane_and_subsets(8),
+    "edge cases": lambda: [
+        Arrangement(F), make_arrangement([(1, 2, 3)], F)[0],
+        make_arrangement([(1, k, 0) for k in range(5)], F)[0],
+        _near_pencil(6), build("quasi-trivial", n=4),
+        all_projective_lines(GF(9)), Arrangement(GF(4)),
+        Arrangement(GF(9), all_projective_lines(GF(9)).lines[:1])],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_INPUTS))
+def test_property_suite_matches_reference_suite(name):
+    """The suite on codes reports what the checks on objects report."""
+    for arr in SUITE_INPUTS[name]():
+        for real in (None, True, False):
+            assert property_suite(arr, real=real) == _reference_suite(arr, real), \
+                (name, arr, real)
+
+
+def test_property_suite_builds_no_objects(monkeypatch):
+    arrs = [build("dual-hesse"), build("grunbaum-rigby"), _cq_step2(),
+            all_projective_lines(GF(4)), Arrangement(F)]
+    built = []
+    for cls in (ProjPoint, ProjLine, Arrangement, PointConfig):
+        def counting(self, *args, init=cls.__init__):
+            built.append(type(self).__name__)
+            init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counting)
+    for arr in arrs:
+        assert all(ok for _, ok, _ in property_suite(arr))
+    assert built == []
+    lambda_op(sel_at_least(2), sel_at_least(2), arrs[0])  # the count works
+    assert {"ProjPoint", "ProjLine", "Arrangement", "PointConfig"} <= set(built)
 
 
 # -- json --------------------------------------------------------------------

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from lineops.arrangements import Arrangement, incidence_index
-from lineops.fields import GF, QQ, FieldError, number_field
+from lineops.fields import GF, QQ, FieldError, cyclotomic_field, number_field
 from lineops.projective import (Conic, GeometryError, Matrix3, ProjLine,
                                 ProjPoint, Projectivity, apply_projectivity,
                                 collinear, common_conic, conic_through,
@@ -112,6 +112,27 @@ def test_projectivity_actions():
     assert ident.is_identity()
     with pytest.raises(GeometryError):
         Projectivity(Matrix3.from_values(F, [[1, 0, 0], [0, 1, 0], [1, 1, 0]]))
+
+
+@pytest.mark.parametrize("field", [cyclotomic_field(3), GF(8)],
+                         ids=["Q(omega)", "GF(8)"])
+def test_matrix_products_match_textbook_sums(field):
+    """Matrix3 products and images agree with sum_k a_ik b_kj from zero."""
+    rng = random.Random(8)
+    x, zero = field.generator, field.zero
+
+    def rand():
+        e = sum((field.scalar(rng.randint(-3, 3)) * x ** i for i in range(3)),
+                zero)
+        return e if field.characteristic else e / rng.randint(1, 5)
+    for _ in range(25):
+        a, b = ([[rand() for _ in range(3)] for _ in range(3)] for _ in "ab")
+        v = [rand() for _ in range(3)]
+        want = tuple(tuple(sum((a[i][k] * b[k][j] for k in range(3)), zero)
+                           for j in range(3)) for i in range(3))
+        assert (Matrix3(a) * Matrix3(b)).rows == want
+        assert Matrix3(a).apply_vec(v) == tuple(
+            sum((a[i][k] * v[k] for k in range(3)), zero) for i in range(3))
 
 
 def test_line_frame_map():
