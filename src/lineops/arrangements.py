@@ -10,17 +10,17 @@ k-1, ..., 1, so t_k = c_(k-1) - c_k, c_s the number of row groups of size s.
 A row key only has to tell apart points on line i, so over Q ``_row_keys``
 gives each meet one integer, floor(2^s u/v) for a chart pair (u, v) of the
 point on line i; it is exact because distinct rationals of denominator at
-most V >= max |v| differ by at least 1/V^2 > 2^-s.  Each field
-kind has an exact integer codec (``_encode``), so no pair touches a Fraction,
-a Scalar or a residue tuple: primitive integer triples over Q; residues with
-the first nonzero one over GF(p); element codes and flat product tables over
-GF(p^k); primitive integer vectors in Z[theta], scaled by the adjugate of the
-first nonzero coordinate, over a number field, where the pair loop is
-straight-line integer code generated and compiled once per modulus
-(``_nf_kernel``).  The inputs are encoded once per pass; ``property_suite``
-encodes its input once and works on sets of codes, keeping no memo past the
-call.  ``_from_key`` turns a key back into a point or line, with the usual
-first-nonzero-is-one coordinates, at the API boundary.
+most V >= max |v| differ by at least 1/V^2 > 2^-s.  Each field kind has an
+exact integer codec (``_encode``), so no pair touches a Fraction, a Scalar or
+a residue tuple: primitive integer triples over Q; residues with the first
+nonzero one over GF(p); element codes and flat product tables over GF(p^k);
+primitive integer vectors in Z[theta], scaled by the adjugate of the first
+nonzero coordinate, over a number field, where the pair loop and the adjugate
+are straight-line integer code built once per modulus (``_nf_kernel`` and
+``fields._adjugate``, by Cayley-Hamilton).  The inputs are encoded once per
+pass; ``property_suite`` encodes its input once and works on sets of codes,
+keeping no memo past the call.  ``_from_key`` turns a key back into a point
+or line, with the usual first-nonzero-is-one coordinates, at the API boundary.
 """
 from __future__ import annotations
 
@@ -29,13 +29,13 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import combinations, compress, islice
 from math import comb, gcd, isqrt
 from typing import Iterable, Optional, Sequence
 
 from .fields import (Field, FieldError, NUMBER_FIELD, PRIME_FIELD,
                      PRIME_POWER_FIELD, RATIONALS, _adjugate, _gf_tables,
-                     _nf_codec, _primitive_int, field_make,
+                     _mul_src, _nf_codec, _primitive_int, field_make,
                      format_scalar, parse_field_spec, parse_scalar)
 from .projective import (ProjLine, ProjPoint, _canonical, dualize,
                          projectively_equivalent)
@@ -322,52 +322,32 @@ def _nf_kernel(g: tuple):
     A pair's key is the 3n integers of the primitive multiple of (1, y/e,
     z/e) on the basis theta^i whose leading integer is positive, for the
     cross product (e, y, z), e its first nonzero coordinate: it is
-    multiplied by adj(e) = N(e)/e, which turns e into the rational integer
-    N(e).  Each product in Z[theta] is written out coefficient by
-    coefficient, and theta^k for n <= k < 2n - 1 is replaced by its
-    constant vector ``red[k]``.  The source holds only names and integers
-    computed from g; ``_adjugate``, which pivots on the data, is the one
-    call per pair.
+    multiplied by w with e*w = d an integer, from ``fields._adjugate(g)``.
+    Every product is written out by ``fields._mul_src``, and the source
+    holds only names and integers computed from g.
     """
     n = len(g) - 1
-    high, red, v = range(n, 2 * n - 1), {}, [0] * (n - 1) + [1]
-    for k in high:  # theta^k = theta * theta^(k-1)
-        v = red[k] = [-v[-1] * g[0]] + [v[i - 1] - v[-1] * g[i] for i in range(1, n)]
 
     def vec(v, sep=", "):  # the names v0, v1, ... of a vector's coefficients
         return sep.join(f"{v}{i}" for i in range(n))
-
-    def lin(terms):  # the sum of k * e over the terms (k != 0, e)
-        src = " ".join(("- " if k < 0 else "+ ") + (e if abs(k) == 1 else f"{abs(k)} * {e}")
-                       for k, e in terms)
-        return src[2:] if src[0] == "+" else "-" + src[2:]
-
-    def mul(out, *products):  # out0, out1, ... = sum of sign * a * b, reduced
-        conv = [[(s, f"{a}{i} * {b}{k - i}") for s, a, b in products
-                 for i in range(max(0, k - n + 1), min(k, n - 1) + 1)]
-                for k in range(2 * n - 1)]
-        return ([f"h{k} = {lin(conv[k])}" for k in high]
-                + [f"{out}{i} = " + lin(conv[i] + [(red[k][i], f"h{k}")
-                                                   for k in high if red[k][i]])
-                   for i in range(n)])
 
     a, b = ([f"{v}{k}_" for k in range(3)] for v in "ab")
     src = ["def kernel(tris):",
            f" for i, ({', '.join(map(vec, a))}) in enumerate(tris):",
            f"  for {', '.join(map(vec, b))} in tris[i + 1:]:"]
-    src += ["   " + s for s in mul("x", (1, a[1], b[2]), (-1, a[2], b[1]))
-            + mul("y", (1, a[2], b[0]), (-1, a[0], b[2]))
-            + mul("z", (1, a[0], b[1]), (-1, a[1], b[0]))]
+    src += ["   " + s for s in _mul_src(g, "x", (1, a[1], b[2]), (-1, a[2], b[1]))
+            + _mul_src(g, "y", (1, a[2], b[0]), (-1, a[0], b[2]))
+            + _mul_src(g, "z", (1, a[0], b[1]), (-1, a[1], b[0]))]
     for test, e, later in ((f"if {vec('x', ' or ')}", "x", "yz"),
                            (f"elif {vec('y', ' or ')}", "y", "z"), ("else", "z", "")):
         key = (["0"] * (n * (2 - len(later))) + ["d"] + ["0"] * (n - 1)
                + [f"{r}w{i}" for r in later for i in range(n)])
-        src += [f"   {test}:", f"    d, ({vec('w')}) = adj(({vec(e)}), g)"]
-        src += ["    " + s for r in later for s in mul(f"{r}w", (1, r, "w"))]
+        src += [f"   {test}:", f"    d, {vec('w')} = adj({vec(e)})"]
+        src += ["    " + s for r in later for s in _mul_src(g, f"{r}w", (1, r, "w"))]
         src += [f"    h = gcd({', '.join(k for k in key if k != '0')})",
                 "    if d < 0:", "     h = -h",
                 f"    yield ({', '.join(k if k == '0' else f'{k} // h' for k in key)})"]
-    ns = {"adj": _adjugate, "gcd": gcd, "g": g}
+    ns = {"adj": _adjugate(g), "gcd": gcd}
     exec("\n".join(src), ns)
     return ns["kernel"]
 
@@ -505,8 +485,10 @@ def lines_operator(sel: MultiplicitySelector, cfg: PointConfig) -> Arrangement:
 
 
 def _selected(sel: MultiplicitySelector, counts: dict) -> list:
-    """The keys of a pair table whose multiplicity lies in the selector."""
-    return [k for k, c in counts.items() if sel.contains(_mult_from_pairs(c))]
+    """The keys of a pair table whose multiplicity, tested once per distinct
+    pair count, lies in the selector."""
+    keep = {c: sel.contains(_mult_from_pairs(c)) for c in set(counts.values())}
+    return list(compress(counts, map(keep.__getitem__, counts.values())))
 
 
 def _select(sel: MultiplicitySelector, objs, field: Field, out):

@@ -176,47 +176,65 @@ def _nf_codec(spec: "FieldSpec") -> tuple:
     return c, tuple(int(a * c ** (n - i)) for i, a in enumerate(mp))
 
 
-def _adjugate(e, g) -> tuple:
-    """(d, w) with e*w = d for a nonzero e of Z[theta]/(g), all integers.
+def _theta_powers(g: tuple) -> list:
+    """theta^k on the basis 1, theta, ..., theta^(n-1), for 0 <= k <= 2n - 2."""
+    n = len(g) - 1
+    pw = [[int(i == k) for i in range(n)] for k in range(n)]
+    for _ in range(n - 1):  # theta^k = theta * theta^(k-1), reduced by g
+        pw.append([a - pw[-1][-1] * c for a, c in zip([0] + pw[-1][:-1], g)])
+    return pw
 
-    d is +-N(e) and w = d/e.  For degree 2, w is the conjugate of e and d
-    its norm; otherwise w is the first column of the adjugate of e's
-    multiplication matrix, by Bareiss's fraction-free elimination (Cohen, A
-    Course in Computational Algebraic Number Theory, 2.2).  A zero
-    divisor (d = 0) can only come from a reducible modulus.
+
+def _lin(terms) -> str:
+    """Source of the sum of k * e over the terms (k != 0, e)."""
+    return " ".join(("- " if k < 0 else "+ ") + (e if abs(k) == 1 else f"{abs(k)} * {e}")
+                    for k, e in terms).removeprefix("+ ")
+
+
+def _mul_src(g: tuple, out: str, *products) -> list:
+    """Source lines setting out0, out1, ... to the sum of sign * a * b over
+    the (sign, a, b) products of vectors named a0, a1, ... in Z[theta]/(g):
+    h<k> = the terms of theta^k for n <= k < 2n - 1, then each out<i> with
+    theta^k replaced by its constant vector.  A square doubles cross terms."""
+    n = len(g) - 1
+    pw, high = _theta_powers(g), range(n, 2 * n - 1)
+    conv = [[(s * (2 if a == b and i < k - i else 1), f"{a}{i} * {b}{k - i}")
+             for s, a, b in products for i in range(max(0, k - n + 1), min(k, n - 1) + 1)
+             if a != b or i <= k - i] for k in range(2 * n - 1)]
+    return ([f"h{k} = {_lin(conv[k])}" for k in high]
+            + [f"{out}{i} = " + _lin(conv[i] + [(pw[k][i], f"h{k}") for k in high if pw[k][i]])
+               for i in range(n)])
+
+
+@lru_cache(maxsize=None)
+def _adjugate(g: tuple):
+    """``adj(e0, ..., e(n-1))`` -> (d, w0, ..., w(n-1)) with e*w = d != 0 in
+    Z[theta]/(g), as straight-line integer code built once per modulus g.
+
+    Cayley-Hamilton: the power sums p_k = Tr(e^k) come from the powers of e
+    and the constants Tr(theta^i), Newton's identities give the monic
+    characteristic polynomial with coefficients a_1, ..., a_n (dividing
+    exactly: e is an algebraic integer), and w = e^(n-1) + a_1 e^(n-2) + ...
+    + a_(n-1) has e*w = -a_n = +-N(e), zero only over a reducible modulus.
     """
-    n = len(e)
-    if n == 2:
-        a, b = e
-        d = a * a - a * b * g[1] + b * b * g[0]
-        w = [a - b * g[1], -b]
-    else:
-        # column j of the multiplication matrix is e*theta^j
-        cols = [list(e)]
-        for _ in range(n - 1):
-            v = cols[-1]
-            t = v[-1]
-            cols.append([-t * g[0]] + [v[i - 1] - t * g[i] for i in range(1, n)])
-        rows = [[col[i] for col in cols] + [int(i == 0)] for i in range(n)]
-        prev = 1
-        for k in range(n):
-            piv = next((r for r in range(k, n) if rows[r][k]), None)
-            if piv is None:
-                raise FieldError("non-invertible element (reducible modulus)")
-            rows[k], rows[piv] = rows[piv], rows[k]
-            rk = rows[k]
-            for ri in rows[k + 1:]:
-                for j in range(k + 1, n + 1):
-                    ri[j] = (ri[j] * rk[k] - ri[k] * rk[j]) // prev
-            prev = rk[k]
-        d = prev
-        w = [0] * n
-        for i in range(n - 1, -1, -1):
-            ri = rows[i]
-            w[i] = (d * ri[n] - sum(ri[j] * w[j] for j in range(i + 1, n))) // ri[i]
-    if not d:
-        raise FieldError("non-invertible element (reducible modulus)")
-    return d, w
+    n, pw = len(g) - 1, _theta_powers(g)
+    tr = [sum(pw[i + j][j] for j in range(n)) for i in range(n)]  # Tr(theta^i)
+    src = [f"def adj({', '.join(f'e1_{i}' for i in range(n))}):"]
+    for k in range(2, n):  # e^k = e^(k-1) * e, or (e^(k/2))^2 for even k
+        src += _mul_src(g, f"e{k}_", (1, f"e{k - 1}_", "e1_") if k % 2
+                        else (1, f"e{k // 2}_", f"e{k // 2}_"))
+    for k in range(1, n):
+        newton = " + ".join([f"p{k}"] + [f"a{i} * p{k - i}" for i in range(1, k)])
+        src += [f"p{k} = " + _lin([(t, f"e{k}_{i}") for i, t in enumerate(tr) if t]),
+                f"a{k} = -({newton})" + f" // {k}" * (k > 1)]
+    src += [f"w{i} = e{n - 1}_{i}" + f" + a{n - 1}" * (i == 0) + "".join(
+        f" + a{j} * e{n - 1 - j}_{i}" for j in range(1, n - 1)) for i in range(n)]
+    src += _mul_src(g, "ew", (1, "e1_", "w"))[:n]  # the h<k> and ew0 = d
+    src += ["if not ew0:", " raise FieldError('non-invertible element (reducible modulus)')",
+            "return ew0, " + ", ".join(f"w{i}" for i in range(n))]
+    ns = {"FieldError": FieldError}
+    exec("\n ".join(src), ns)
+    return ns["adj"]
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +540,7 @@ def _number_field_arith(spec):
         s = math.lcm(*(v.denominator for v in a)) * c ** (len(a) - 1)
         u = [v.numerator * (s // (v.denominator * c ** i))
              for i, v in enumerate(a)]
-        d, w = _adjugate(u, g)  # 1/u = w/d
+        d, *w = _adjugate(g)(*u)  # 1/u = w/d
         return tuple(Fraction(s * v * c ** i, d) for i, v in enumerate(w))
     return (lambda a, b: tuple(x + y for x, y in zip(a, b)),
             lambda a, b: tuple(x - y for x, y in zip(a, b)),

@@ -172,6 +172,7 @@ KERNEL_INPUTS = {
     "Q[x]/(x^2-1/2)": lambda: _moved_into(number_field([Fraction(-1, 2), 0, 1])),
     "Q(zeta_7)": lambda: _moved_into(cyclotomic_field(7)),
     "Q(zeta_5)": lambda: _moved_into(cyclotomic_field(5)),
+    "Q(zeta_15)": lambda: _moved_into(cyclotomic_field(15)),
     # x^3 + x/2 + 1/3: theta = 6x is a root of y^3 + 18y + 72
     "Q[x]/(x^3+x/2+1/3)": lambda: _moved_into(
         number_field([Fraction(1, 3), Fraction(1, 2), 0, 1])),
@@ -207,7 +208,7 @@ def test_number_field_kernel_makes_no_mulmod_call(monkeypatch):
     """The number-field pair loop is straight-line code: no field product."""
     arrs = [make() for make in KERNEL_INPUTS.values()]
     arrs = [arr for arr in arrs if arr.field.kind == NUMBER_FIELD]
-    assert {arr.field.degree for arr in arrs} == {2, 3, 4, 6}
+    assert {arr.field.degree for arr in arrs} == {2, 3, 4, 6, 8}
     want = [list(arrangements._meet_keys(arr.lines, arr.field)) for arr in arrs]
 
     def forbidden(*args):
@@ -215,31 +216,41 @@ def test_number_field_kernel_makes_no_mulmod_call(monkeypatch):
     monkeypatch.setattr(fields, "_mulmod", forbidden)
     monkeypatch.setattr(arrangements, "_mulmod", forbidden, raising=False)
     arrangements._nf_kernel.cache_clear()  # building the code calls none either
+    fields._adjugate.cache_clear()
     assert [list(arrangements._meet_keys(arr.lines, arr.field))
             for arr in arrs] == want
 
 
 def test_number_field_kernel_is_built_once_per_modulus():
-    kernel = arrangements._nf_kernel
+    kernel, adjugate = arrangements._nf_kernel, fields._adjugate
     kernel.cache_clear()
+    adjugate.cache_clear()
     omega = build("dual-hesse")
+    assert adjugate.cache_info().misses == 1  # the build's inverses made it
     for objs in (omega.lines, points_operator(sel_at_least(2), omega).points,
                  _moved_into(omega.field).lines, build("grunbaum-rigby").lines):
         _pair_counts(objs, objs[0].field)
     assert kernel.cache_info().misses == 2  # Q(omega) and the cubic
+    # the kernel uses the inverses' adjugate: one per modulus
+    assert adjugate.cache_info().misses == 2
     # Q[x]/(x^2 - 1/2) and Q(sqrt 2) share the integer modulus y^2 - 2
     for f in (number_field([Fraction(-1, 2), 0, 1]), number_field([-2, 0, 1])):
         _pair_counts(_moved_into(f).lines, f)
-    assert kernel.cache_info().misses == 3
+    assert kernel.cache_info().misses == adjugate.cache_info().misses == 3
 
 
 def test_pair_kernel_zero_divisor_is_a_field_error():
-    """Over a reducible modulus the kernel meets a zero divisor and says so."""
+    """Over a reducible modulus the kernel meets a zero divisor and says so,
+    in the same one line as the inverse of that zero divisor."""
     field = number_field([6, 0, 0, -5, 0, 0, 1])  # (x^3 - 2)(x^3 - 3)
     x = field.generator
     lines = [line(field, 1, 0, 0), line(field, 0, 1, x ** 3 - 2)]
-    with pytest.raises(FieldError, match="non-invertible"):
+    with pytest.raises(FieldError) as kernel:
         _pair_counts(lines, field)
+    with pytest.raises(FieldError) as inverse:
+        (x ** 3 - 2).inverse()
+    assert (str(kernel.value) == str(inverse.value)
+            == "non-invertible element (reducible modulus)")
 
 
 def test_points_operator_examples():

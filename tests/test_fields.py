@@ -1,6 +1,8 @@
 import itertools
+import math
 import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -287,3 +289,127 @@ def test_generator_only_for_extensions():
         QQ().generator
     with pytest.raises(FieldError):
         GF(5).generator
+
+
+# -- the generated adjugate against Bareiss elimination --------------------------
+#
+# ``fields._adjugate(g)`` is straight-line code from Cayley-Hamilton.  The
+# reference takes the other road: the first column of the adjugate of e's
+# multiplication matrix by Bareiss's fraction-free elimination (Cohen, A Course
+# in Computational Algebraic Number Theory, 2.2).  Both give e*w = d, so their
+# primitive (d, w) with d > 0 must agree.
+
+def _bareiss_adjugate(e, g):
+    """(d, w) with e*w = d in Z[theta]/(g), by fraction-free elimination."""
+    n = len(e)
+    cols = [list(e)]  # column j of the multiplication matrix is e*theta^j
+    for _ in range(n - 1):
+        v = cols[-1]
+        t = v[-1]
+        cols.append([-t * g[0]] + [v[i - 1] - t * g[i] for i in range(1, n)])
+    rows = [[col[i] for col in cols] + [int(i == 0)] for i in range(n)]
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if rows[r][k]), None)
+        if piv is None:
+            raise FieldError("non-invertible element (reducible modulus)")
+        rows[k], rows[piv] = rows[piv], rows[k]
+        rk = rows[k]
+        for ri in rows[k + 1:]:
+            for j in range(k + 1, n + 1):
+                ri[j] = (ri[j] * rk[k] - ri[k] * rk[j]) // prev
+        prev = rk[k]
+    d = prev
+    w = [0] * n
+    for i in range(n - 1, -1, -1):
+        ri = rows[i]
+        w[i] = (d * ri[n] - sum(ri[j] * w[j] for j in range(i + 1, n))) // ri[i]
+    return d, w
+
+
+def _zmul(a, b, g):
+    """a*b in Z[theta]/(g): the full product, then theta^n = -(g0 + ... )
+    substituted from the top degree down."""
+    n = len(g) - 1
+    prod = [0] * (2 * n - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for k in range(2 * n - 2, n - 1, -1):
+        t, prod[k] = prod[k], 0
+        for i in range(n):
+            prod[k - n + i] -= t * g[i]
+    return prod[:n]
+
+
+def _primitive(d, w):
+    h = math.gcd(d, *w)
+    h = -h if d < 0 else h
+    return (d // h, *(v // h for v in w))
+
+
+ADJUGATE_FIELDS = {
+    "Q(omega)": lambda: number_field([1, 1, 1]),
+    "x^2-1/2": lambda: number_field([Fraction(-1, 2), 0, 1]),
+    "cubic": lambda: number_field([1, -2, -1, 1]),
+    "x^3+x/2+1/3": lambda: number_field([Fraction(1, 3), Fraction(1, 2), 0, 1]),
+    "Q(zeta_5)": lambda: cyclotomic_field(5),
+    "Q(zeta_7)": lambda: cyclotomic_field(7),
+    "Q(zeta_15)": lambda: cyclotomic_field(15),
+    "Q(zeta_13)": lambda: cyclotomic_field(13),
+    "Q(zeta_29)": lambda: cyclotomic_field(29),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADJUGATE_FIELDS))
+def test_generated_adjugate_matches_bareiss(name):
+    g = fl._nf_codec(ADJUGATE_FIELDS[name]().spec)[1]
+    n = len(g) - 1
+    fl._adjugate.cache_clear()
+    t0 = time.perf_counter()
+    adj = fl._adjugate(g)
+    assert time.perf_counter() - t0 < 1.0  # the degree-28 code builds in ~0.1 s
+    rng = random.Random(n)
+    for trial in range(60 if n < 12 else 8):
+        e = [rng.randint(-9, 9) for _ in range(n)] if trial else [0] * (n - 1) + [1]
+        if not any(e):
+            continue
+        d, *w = adj(*e)
+        assert _zmul(e, w, g) == [d] + [0] * (n - 1)
+        assert _primitive(d, w) == _primitive(*_bareiss_adjugate(e, g))
+
+
+def test_adjugate_degrees():
+    degrees = {make().degree for make in ADJUGATE_FIELDS.values()}
+    assert degrees == {2, 3, 4, 6, 8, 12, 28}
+    # the codec cases: theta = c*x with c > 1
+    assert {fl._nf_codec(ADJUGATE_FIELDS[k]().spec)[0]
+            for k in ("x^2-1/2", "x^3+x/2+1/3")} == {2, 6}
+
+
+@pytest.mark.parametrize("mp", [
+    [1, 1, 1],                                  # Q(omega)
+    [1, -2, -1, 1],                             # the Grunbaum-Rigby cubic
+    cyclotomic_minpoly(5), cyclotomic_minpoly(7),
+    [Fraction(1, 3), Fraction(1, 2), 0, 1],     # x^3 + x/2 + 1/3
+])
+def test_inverse_matches_sympy(mp):
+    """An oracle that shares no code with lineops: sympy's inverse modulo
+    the minimal polynomial over QQ."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    field = number_field(mp)
+    n = field.degree
+    modulus = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                          for c in reversed(field.spec.min_poly)], x, domain="QQ")
+    rng = random.Random(n)
+    for _ in range(20):
+        rep = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n))
+        if not any(rep):
+            continue
+        inv = sympy.invert(sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                                       for c in reversed(rep)], x, domain="QQ"),
+                           modulus)
+        want = [Fraction(int(c.p), int(c.q)) for c in reversed(inv.all_coeffs())]
+        want += [Fraction(0)] * (n - len(want))
+        assert field.from_rep(rep).inverse().rep == tuple(want)
