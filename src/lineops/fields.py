@@ -2,6 +2,7 @@
 
 Every scalar carries a canonical representative, so equality is literal
 comparison of representatives and scalars can be used as dict/set keys.
+Number-field products and inverses run generated Z[theta] integer code.
 No floating point enters the exact path; floats appear only in
 ``real_embedding`` (rendering support).
 """
@@ -109,28 +110,6 @@ def poly_eval(p, x):
     return acc
 
 
-def _mulmod(a, b, min_poly):
-    """a*b, reduced by the monic min_poly from the top degree down.
-
-    Coefficients are low -> high; the result has len(min_poly) - 1 of
-    them.  Serves Q[x]/(f) directly and GF(p)[x]/(f) before reduction mod p.
-    """
-    n = len(min_poly) - 1
-    prod = [min_poly[0] * 0] * (2 * n - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    prod[i + j] += x * y
-    for e in range(2 * n - 2, n - 1, -1):
-        t = prod[e]
-        if t:
-            for i in range(n):
-                if min_poly[i]:
-                    prod[e - n + i] -= t * min_poly[i]
-    return tuple(prod[:n])
-
-
 class _GFTables(NamedTuple):
     elems: list  # code -> representative (tuple of least residues)
     code: dict   # representative -> code
@@ -149,10 +128,16 @@ def _gf_tables(spec: "FieldSpec") -> _GFTables:
     tables double as the irreducibility test.
     """
     p, mp = spec.characteristic, spec.min_poly
-    elems = [t[::-1] for t in itertools.product(range(p), repeat=len(mp) - 1)]
+    n = len(mp) - 1
+    elems = [t[::-1] for t in itertools.product(range(p), repeat=n)]
     code = {e: i for i, e in enumerate(elems)}
-    mul = [code[tuple(c % p for c in _mulmod(a, b, mp))]
-           for a in elems for b in elems]
+
+    def mulmod(a, b):  # by Horner's rule in b: prod * x + y * a, reduced by mp
+        prod = [0] * n
+        for y in reversed(b):
+            prod = [(u + y * v - prod[-1] * m) % p for u, v, m in zip([0] + prod[:-1], a, mp)]
+        return code[tuple(prod)]
+    mul = [mulmod(a, b) for a in elems for b in elems]
     sub = [code[tuple((x - y) % p for x, y in zip(a, b))]
            for a in elems for b in elems]
     q = len(elems)
@@ -235,6 +220,35 @@ def _adjugate(g: tuple):
     ns = {"FieldError": FieldError}
     exec("\n ".join(src), ns)
     return ns["adj"]
+
+
+@lru_cache(maxsize=None)
+def _nf_ops(spec: "FieldSpec") -> tuple:
+    """(mul, inv) on the Fraction reps of Q[x]/(f), as straight-line code
+    built once per spec.  Each operand v is cleared into Z[theta] as the
+    integers v0, v1, ... over s<v>, since x^i = theta^i / c^i for the (c, g)
+    of ``_nf_codec``; ``_mul_src(g)`` multiplies and ``_adjugate(g)``
+    inverts them, and each coefficient is divided once."""
+    c, g = _nf_codec(spec)
+    n = len(g) - 1
+
+    def to_z(v):  # v<i>_ = v[i] = v<i> / (s<v> * c^i)
+        e = [f"{v}{i}_" for i in range(n)]
+        den = ", ".join(x + ".denominator" for x in e)
+        return ([f"{', '.join(e)}, = {v}", f"s{v} = lcm({den}) * {c ** (n - 1)}"]
+                + [f"{v}{i} = {x}.numerator * (s{v} // ({x}.denominator * {c ** i}))"
+                   for i, x in enumerate(e)])
+
+    def from_z(num, den):  # the reps of the sum of num<i> theta^i / den
+        return "return " + "".join(f"F({num}{i} * {c ** i}, {den}), " for i in range(n))
+    a, w = (", ".join(f"{v}{i}" for i in range(n)) for v in "aw")
+    src = (["def mul(a, b):"] + to_z("a") + to_z("b") + _mul_src(g, "p", (1, "a", "b"))
+           + [from_z("p", "sa * sb"), "def inv(a):"] + to_z("a")
+           + ["if not any(a):", " raise ZeroDivisionError('division by zero')",
+              f"d, {w} = adj({a})", from_z("sa * w", "d")])
+    ns = {"F": Fraction, "lcm": math.lcm, "adj": _adjugate(g)}
+    exec("\n".join(s if s.startswith("def ") else " " + s for s in src), ns)
+    return ns["mul"], ns["inv"]
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +457,7 @@ class Field:
         if k == RATIONALS:
             return Scalar(self, Fraction(value))
         if k == NUMBER_FIELD:
-            c = Fraction(value)
-            rep = (c,) + (Fraction(0),) * (self.degree - 1)
-            return Scalar(self, rep)
+            return Scalar(self, (Fraction(value),) + (Fraction(0),) * (self.degree - 1))
         p = self.characteristic
         if isinstance(value, Fraction):
             if value.denominator % p == 0:
@@ -529,23 +541,10 @@ def _prime_power_arith(spec):
 
 
 def _number_field_arith(spec):
-    mp = spec.min_poly
-    c, g = _nf_codec(spec)
-
-    def r_inv(a):
-        if not any(a):
-            raise ZeroDivisionError("division by zero")
-        # through the kernel's integers: a = u/s with u in Z[theta],
-        # where x^i = theta^i / c^i
-        s = math.lcm(*(v.denominator for v in a)) * c ** (len(a) - 1)
-        u = [v.numerator * (s // (v.denominator * c ** i))
-             for i, v in enumerate(a)]
-        d, *w = _adjugate(g)(*u)  # 1/u = w/d
-        return tuple(Fraction(s * v * c ** i, d) for i, v in enumerate(w))
+    mul, inv = _nf_ops(spec)
     return (lambda a, b: tuple(x + y for x, y in zip(a, b)),
             lambda a, b: tuple(x - y for x, y in zip(a, b)),
-            lambda a: tuple(-x for x in a),
-            lambda a, b: _mulmod(a, b, mp), lambda a: not any(a), r_inv)
+            lambda a: tuple(-x for x in a), mul, lambda a: not any(a), inv)
 
 
 _ARITH = {RATIONALS: _rational_arith, PRIME_FIELD: _prime_arith,
@@ -794,7 +793,7 @@ def parse_field_spec(text: str) -> FieldSpec:
                 p = _char_of_order(q)
                 return gf_spec(q, _parse_poly(poly_text, rational=False, mod=p))
             return gf_spec(int(inner))
-    except ValueError:  # a malformed number inside the spec
+    except (ValueError, ZeroDivisionError):  # a malformed number inside the spec
         pass
     raise FieldError(f"cannot parse field spec {text!r}")
 

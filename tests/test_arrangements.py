@@ -26,7 +26,7 @@ from lineops.arrangements import (Arrangement, ArrangementError,
                                   psi_op, sel_at_least, sel_exact)
 from lineops.catalog import build
 from lineops.fields import (GF, NUMBER_FIELD, QQ, RATIONALS, FieldError,
-                            cyclotomic_field, number_field)
+                            Scalar, cyclotomic_field, number_field)
 from lineops.projective import (Matrix3, ProjLine, ProjPoint, Projectivity,
                                 apply_projectivity, dualize, join, line, meet,
                                 point)
@@ -205,16 +205,23 @@ def test_pair_kernel_matches_single_meets_and_joins(name):
 
 
 def test_number_field_kernel_makes_no_mulmod_call(monkeypatch):
-    """The number-field pair loop is straight-line code: no field product."""
+    """The number-field pair loop is straight-line code: it multiplies no
+    Scalar and calls no field's product."""
     arrs = [make() for make in KERNEL_INPUTS.values()]
     arrs = [arr for arr in arrs if arr.field.kind == NUMBER_FIELD]
     assert {arr.field.degree for arr in arrs} == {2, 3, 4, 6, 8}
     want = [list(arrangements._meet_keys(arr.lines, arr.field)) for arr in arrs]
 
     def forbidden(*args):
-        raise AssertionError("_mulmod called in the pair kernel")
-    monkeypatch.setattr(fields, "_mulmod", forbidden)
-    monkeypatch.setattr(arrangements, "_mulmod", forbidden, raising=False)
+        raise AssertionError("field product called in the pair kernel")
+    monkeypatch.setattr(Scalar, "__mul__", forbidden)
+    monkeypatch.setattr(Scalar, "__rmul__", forbidden)
+    # every Field the inputs hold, and every one made from now on
+    for f in [arr.field for arr in arrs] + [s.field for arr in arrs
+                                            for o in arr.lines for s in o.coords]:
+        monkeypatch.setattr(f, "r_mul", forbidden)
+    ops = fields._nf_ops
+    monkeypatch.setattr(fields, "_nf_ops", lambda spec: (forbidden, ops(spec)[1]))
     arrangements._nf_kernel.cache_clear()  # building the code calls none either
     fields._adjugate.cache_clear()
     assert [list(arrangements._meet_keys(arr.lines, arr.field))

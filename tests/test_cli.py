@@ -227,6 +227,11 @@ def test_malformed_integer_parameter_is_a_domain_error(capsys, monkeypatch,
       "--param", "field=Q[x]/(x^2+x+1)"], None),
     (["catalog", "build", "pappus", "--param", "a1=abc"], None),
     (["catalog", "build", "gv13", "--param", "a=abc"], None),
+    # a zero denominator inside a field spec
+    (["catalog", "build", "complete-quadrilateral",
+      "--param", "field=Q[x]/(x^2-1/0)"], None),
+    (["catalog", "build", "complete-quadrilateral",
+      "--param", "field=GF(4;x^2+x+1/0)"], None),
 ])
 def test_malformed_document_is_a_domain_error(capsys, monkeypatch, argv, doc):
     code, out, err = run(capsys, monkeypatch, argv, stdin=doc)

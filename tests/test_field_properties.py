@@ -1,0 +1,39 @@
+"""Field axioms of the number-field product and inverse, on examples drawn
+by Hypothesis from a fixed seed (``derandomize=True``), so that every run
+checks the same cases."""
+from fractions import Fraction
+
+import pytest
+
+from lineops.fields import number_field
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+PROPERTY_FIELDS = {
+    "Q(omega)": number_field([1, 1, 1]),
+    "cubic": number_field([1, -2, -1, 1]),  # the Grunbaum-Rigby field
+    "x^3+x/2+1/3": number_field([Fraction(1, 3), Fraction(1, 2), 0, 1]),
+}
+
+
+@st.composite
+def _field_and_reps(draw):
+    field = PROPERTY_FIELDS[draw(st.sampled_from(sorted(PROPERTY_FIELDS)))]
+    q = st.fractions(min_value=-50, max_value=50, max_denominator=30)
+    reps = st.tuples(*[q] * field.degree)
+    return field, draw(reps), draw(reps), draw(reps)
+
+
+@hypothesis.settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@hypothesis.given(_field_and_reps())
+def test_product_field_axioms(case):
+    """Commutativity, associativity, distributivity over r_add, and
+    a * a^-1 = 1, on fixed-seed examples."""
+    f, a, b, c = case
+    mul, add = f.r_mul, f.r_add
+    assert mul(a, b) == mul(b, a)
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+    if any(a):
+        assert mul(a, f.r_inv(a)) == f.one.rep

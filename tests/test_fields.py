@@ -413,3 +413,67 @@ def test_inverse_matches_sympy(mp):
         want = [Fraction(int(c.p), int(c.q)) for c in reversed(inv.all_coeffs())]
         want += [Fraction(0)] * (n - len(want))
         assert field.from_rep(rep).inverse().rep == tuple(want)
+
+
+# -- the generated number-field product against schoolbook Fractions -------------
+#
+# ``Field.r_mul`` over Q[x]/(f) is straight-line integer code from
+# ``fields._nf_ops``.  The reference is the schoolbook product on Fractions,
+# reduced by the monic f from the top degree down, as the package computed it
+# before.
+
+def _mulmod(a, b, min_poly):
+    """a*b, reduced by the monic min_poly from the top degree down."""
+    n = len(min_poly) - 1
+    prod = [min_poly[0] * 0] * (2 * n - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    prod[i + j] += x * y
+    for e in range(2 * n - 2, n - 1, -1):
+        t = prod[e]
+        if t:
+            for i in range(n):
+                if min_poly[i]:
+                    prod[e - n + i] -= t * min_poly[i]
+    return tuple(prod[:n])
+
+
+PRODUCT_FIELDS = {
+    **{f"x^{n}-2": (lambda n=n: number_field([-2] + [0] * (n - 1) + [1]))
+       for n in range(2, 13)},  # Eisenstein at 2
+    **{f"Q(zeta_{m})": (lambda m=m: cyclotomic_field(m)) for m in (3, 5, 7, 9, 13)},
+    "cubic": lambda: number_field([1, -2, -1, 1]),
+    "x^2-1/2": lambda: number_field([Fraction(-1, 2), 0, 1]),
+    "x^3+x/2+1/3": lambda: number_field([Fraction(1, 3), Fraction(1, 2), 0, 1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_FIELDS))
+def test_generated_product_matches_mulmod(name):
+    field = PRODUCT_FIELDS[name]()
+    n, mp = field.degree, field.spec.min_poly
+    rng = random.Random(n)
+
+    def rep(kind):
+        if kind == "zero":
+            return (Fraction(0),) * n
+        if kind == "int":  # integer coefficients, as Fractions and as ints
+            return tuple(rng.choice((Fraction, int))(rng.randint(-9, 9)) for _ in range(n))
+        return tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(n))
+    kinds = ("zero", "int", "frac")
+    for ka, kb in list(itertools.product(kinds, kinds)) + [("frac", "frac")] * 30:
+        a, b = rep(ka), rep(kb)
+        got = field.r_mul(a, b)
+        assert got == _mulmod(a, b, mp) and len(got) == n
+        # projective._canonical picks the key order from the class of the
+        # first coefficient, so an int coefficient would break the order
+        assert all(type(v) is Fraction for v in got)
+
+
+def test_product_degrees():
+    fields = [make() for make in PRODUCT_FIELDS.values()]
+    assert {f.degree for f in fields} == set(range(2, 13))
+    assert {fl._nf_codec(f.spec)[0] for f in fields} == {1, 2, 6}
+
