@@ -131,13 +131,13 @@ def _gf_tables(spec: "FieldSpec") -> _GFTables:
     n = len(mp) - 1
     elems = [t[::-1] for t in itertools.product(range(p), repeat=n)]
     code = {e: i for i, e in enumerate(elems)}
-
-    def mulmod(a, b):  # by Horner's rule in b: prod * x + y * a, reduced by mp
-        prod = [0] * n
-        for y in reversed(b):
-            prod = [(u + y * v - prod[-1] * m) % p for u, v, m in zip([0] + prod[:-1], a, mp)]
-        return code[tuple(prod)]
-    mul = [mulmod(a, b) for a in elems for b in elems]
+    # the product in Z[x]/(mp) from ``_mul_src``, then its residues mod p
+    va, vb = (", ".join(f"{v}{i}" for i in range(n)) for v in "ab")
+    src = [f"def mul({va}, {vb}):", *_mul_src(mp, "c", (1, "a", "b")),
+           "return code[" + "".join(f"c{i} % {p}, " for i in range(n)) + "]"]
+    ns = {"code": code}
+    exec("\n ".join(src), ns)
+    mul = [ns["mul"](*x, *y) for x in elems for y in elems]
     sub = [code[tuple((x - y) % p for x, y in zip(a, b))]
            for a in elems for b in elems]
     q = len(elems)
@@ -232,7 +232,7 @@ def _nf_ops(spec: "FieldSpec") -> tuple:
     c, g = _nf_codec(spec)
     n = len(g) - 1
 
-    def to_z(v):  # v<i>_ = v[i] = v<i> / (s<v> * c^i)
+    def to_z(v):  # v<i>_ = v[i] = v<i> * c^i / s<v>
         e = [f"{v}{i}_" for i in range(n)]
         den = ", ".join(x + ".denominator" for x in e)
         return ([f"{', '.join(e)}, = {v}", f"s{v} = lcm({den}) * {c ** (n - 1)}"]

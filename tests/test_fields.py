@@ -472,6 +472,17 @@ def test_generated_product_matches_mulmod(name):
         assert all(type(v) is Fraction for v in got)
 
 
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49, 64])
+def test_gf_product_table_matches_mulmod(q):
+    """GF(p^k) products come from generated Z[x]/(f) code, reduced mod p."""
+    spec = GF(q).spec
+    p = spec.characteristic
+    fl._gf_tables.cache_clear()
+    elems, code, mul, _, _ = fl._gf_tables(spec)
+    assert mul == [code[tuple(v % p for v in _mulmod(a, b, spec.min_poly))]
+                   for a in elems for b in elems]
+
+
 def test_product_degrees():
     fields = [make() for make in PRODUCT_FIELDS.values()]
     assert {f.degree for f in fields} == set(range(2, 13))
