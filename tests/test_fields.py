@@ -419,8 +419,7 @@ def test_inverse_matches_sympy(mp):
 #
 # ``Field.r_mul`` over Q[x]/(f) is straight-line integer code from
 # ``fields._nf_ops``.  The reference is the schoolbook product on Fractions,
-# reduced by the monic f from the top degree down, as the package computed it
-# before.
+# reduced by the monic f from the top degree down.
 
 def _mulmod(a, b, min_poly):
     """a*b, reduced by the monic min_poly from the top degree down."""
@@ -487,4 +486,3 @@ def test_product_degrees():
     fields = [make() for make in PRODUCT_FIELDS.values()]
     assert {f.degree for f in fields} == set(range(2, 13))
     assert {fl._nf_codec(f.spec)[0] for f in fields} == {1, 2, 6}
-
