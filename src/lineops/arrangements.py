@@ -10,7 +10,13 @@ k-1, ..., 1, so t_k = c_(k-1) - c_k, c_s the number of row groups of size s.
 A row key only has to tell apart points on line i, so over Q ``_row_keys``
 gives each meet one integer, floor(2^s u/v) for a chart pair (u, v) of the
 point on line i; it is exact because distinct rationals of denominator at
-most V >= max |v| differ by at least 1/V^2 > 2^-s.  Each field kind has an
+most V >= max |v| differ by at least 1/V^2 > 2^-s.  The rows split into W
+strided shares (rows w, w + W, ...): ``profile`` forks W - 1 children, which
+send the group-size counts c_s of their shares through pipes, and it counts
+the first share itself.  W is the number of usable CPUs, at most one per
+``_SHARE_PAIRS`` = 2^17 pairs, and 1 unless on Linux in a process with one
+thread; the counts add exactly, and a child that fails leaves its share to
+the parent, so the profile does not depend on W.  Each field kind has an
 exact integer codec (``_encode``), so no pair touches a Fraction, a Scalar or
 a residue tuple: primitive integer triples over Q; residues with the first
 nonzero one over GF(p); element codes and flat product tables over GF(p^k);
@@ -25,6 +31,11 @@ or line, with the usual first-nonzero-is-one coordinates, at the API boundary.
 from __future__ import annotations
 
 import json
+import os
+import signal
+import sys
+import threading
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -238,10 +249,14 @@ def _meet_keys(objs, field: Field):
     return _code_meets(_encode(objs, field), field)
 
 
-def _code_meets(codes: list, field: Field):
-    """The pair kernel on a list of ``_encode`` codes; every pair pass,
-    ``property_suite``'s included, runs through here."""
-    return _KERNELS[field.kind](codes, field)
+def _code_meets(codes: list, field: Field, rows: Optional[range] = None):
+    """The pair kernel on a list of ``_encode`` codes, over the pairs (i, j),
+    i < j, of each row i in ``rows`` (default: every row), row by row; every
+    pair pass, ``property_suite``'s and ``profile``'s included, runs through
+    here."""
+    if rows is None:
+        rows = range(len(codes) - 1)
+    return _KERNELS[field.kind](codes, field, rows)
 
 
 def _encode(objs, field: Field) -> list:
@@ -262,11 +277,12 @@ def _encode(objs, field: Field) -> list:
     return [_primitive_int([a for r in o.key() for a in r], w) for o in objs]
 
 
-def _q_meets(tris, field):
+def _q_meets(tris, field, rows):
     """Over Q: the primitive integer triple with first nonzero > 0."""
     # the objects' first nonzero coordinate is 1, so that of each
     # primitive integer triple is positive
-    for i, (a0, a1, a2) in enumerate(tris):
+    for i in rows:
+        a0, a1, a2 = tris[i]
         for b0, b1, b2 in tris[i + 1:]:
             x = a1 * b2 - a2 * b1
             y = a2 * b0 - a0 * b2
@@ -277,11 +293,12 @@ def _q_meets(tris, field):
             yield (x // g, y // g, z // g)
 
 
-def _prime_meets(tris, field):
+def _prime_meets(tris, field, rows):
     """Over GF(p): the residue triple with first nonzero 1."""
     p = field.characteristic
     e = p - 2
-    for i, (a0, a1, a2) in enumerate(tris):
+    for i in rows:
+        a0, a1, a2 = tris[i]
         for b0, b1, b2 in tris[i + 1:]:
             x = (a1 * b2 - a2 * b1) % p
             y = (a2 * b0 - a0 * b2) % p
@@ -295,11 +312,12 @@ def _prime_meets(tris, field):
                 yield (0, 0, 1)
 
 
-def _prime_power_meets(tris, field):
+def _prime_power_meets(tris, field, rows):
     """Over GF(p^k): the triple of element codes with first nonzero 1."""
     _, code, mul, sub, inv = _gf_tables(field.spec)
     q = len(code)
-    for i, (a0, a1, a2) in enumerate(tris):
+    for i in rows:
+        a0, a1, a2 = tris[i]
         a0, a1, a2 = a0 * q, a1 * q, a2 * q  # row offsets into the tables
         for b0, b1, b2 in tris[i + 1:]:
             x = sub[mul[a1 + b2] * q + mul[a2 + b1]]
@@ -332,8 +350,8 @@ def _nf_kernel(g: tuple):
         return sep.join(f"{v}{i}" for i in range(n))
 
     a, b = ([f"{v}{k}_" for k in range(3)] for v in "ab")
-    src = ["def kernel(tris):",
-           f" for i, ({', '.join(map(vec, a))}) in enumerate(tris):",
+    src = ["def kernel(tris, rows):", " for i in rows:",
+           f"  {', '.join(map(vec, a))} = tris[i]",
            f"  for {', '.join(map(vec, b))} in tris[i + 1:]:"]
     src += ["   " + s for s in _mul_src(g, "x", (1, a[1], b[2]), (-1, a[2], b[1]))
             + _mul_src(g, "y", (1, a[2], b[0]), (-1, a[0], b[2]))
@@ -354,14 +372,16 @@ def _nf_kernel(g: tuple):
 
 _KERNELS = {RATIONALS: _q_meets, PRIME_FIELD: _prime_meets,
             PRIME_POWER_FIELD: _prime_power_meets,
-            NUMBER_FIELD: lambda tris, f: _nf_kernel(_nf_codec(f.spec)[1])(tris)}
+            NUMBER_FIELD: lambda tris, f, rows: _nf_kernel(
+                _nf_codec(f.spec)[1])(tris, rows)}
 
 
-def _row_keys(objs, field: Field):
-    """The keys of each row, in order: the meets (joins) of object i with
-    objects i+1, ..., as keys that tell apart only points on object i.
+def _row_keys(tris: list, field: Field, rows: range):
+    """The keys of each row i in ``rows``, in order: the meets (joins) of
+    the objects with codes tris[i] and tris[i+1], ..., as keys that tell
+    apart only points on object i.
 
-    Over every kind but Q a row is the next slice of ``_meet_keys``, so the
+    Over every kind but Q a row is the next slice of ``_code_meets``, so the
     rows must be consumed in order.  Over Q, with a the primitive integer
     triple of line i and (x, y, z) = a x b, a point on a is fixed by a chart
     pair (u, v): (x, y) if a2 != 0, else (x, z) if a1 != 0, else (y, z).  Its
@@ -369,13 +389,13 @@ def _row_keys(objs, field: Field):
     2^s > V^2 for V = 2 bmax^2 >= |v|, bmax the largest |coordinate|.
     """
     if field.kind != RATIONALS:
-        keys = _meet_keys(objs, field)
-        for row in range(len(objs) - 1, 0, -1):
-            yield islice(keys, row)
+        keys = _code_meets(tris, field, rows)
+        for i in rows:
+            yield islice(keys, len(tris) - 1 - i)
         return
-    tris = _encode(objs, field)
     s = (4 * max(max(map(abs, t)) for t in tris) ** 4).bit_length()
-    for i, (a0, a1, a2) in enumerate(tris[:-1]):
+    for i in rows:
+        a0, a1, a2 = tris[i]
         rest = tris[i + 1:]
         if a2:
             yield [((a1 * b2 - a2 * b1) << s) // v if (v := a2 * b0 - a0 * b2)
@@ -385,6 +405,101 @@ def _row_keys(objs, field: Field):
                    else None for b0, b1, b2 in rest]
         else:  # a = (1, 0, 0): y = -b2, z = b1
             yield [(-b2 << s) // b1 if b1 else None for b0, b1, b2 in rest]
+
+
+def _share_sizes(tris: list, field: Field, rows: range) -> Counter:
+    """s -> the number of groups of size s in the rows ``rows``."""
+    c = Counter()
+    for row in _row_keys(tris, field, rows):
+        c.update(Counter(row).values())
+    return c
+
+
+# A share of fewer pairs is not worth a child.  On a 2-vCPU Xeon VM a fork,
+# exit and reap took 1.4-2.0 ms and a Q row pass 0.3-0.38 us a pair, so the
+# fork is under 5% of the 40-50 ms a share of 2^17 pairs takes.
+_SHARE_PAIRS = 1 << 17
+
+
+def _workers(pairs: int) -> int:
+    """The number of shares ``profile`` splits ``pairs`` pairs into: one per
+    usable CPU, each of at least ``_SHARE_PAIRS`` pairs; one where ``fork``
+    is unsafe or missing (a process with threads, or not Linux)."""
+    if sys.platform != "linux" or threading.active_count() != 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), pairs // _SHARE_PAIRS))
+
+
+def _row_sizes(tris: list, field: Field, workers: int) -> Counter:
+    """``_share_sizes`` over every row, the rows split into ``workers``
+    strided shares: share w is rows w, w + workers, ...  A forked child
+    computes each share but the first, which the parent computes; the
+    counts add exactly, so the result does not depend on ``workers``."""
+    rows = range(len(tris) - 1)
+    mine, kids = [rows[::workers]], []  # kids: (share, pid, read end)
+    try:
+        for w in range(1, workers):
+            kid = _spawn(tris, field, rows[w::workers])
+            if kid is None:
+                mine.append(rows[w::workers])
+            else:
+                kids.append(kid)
+        total = Counter()
+        for share in mine:
+            total.update(_share_sizes(tris, field, share))
+        while kids:
+            share, pid, pipe = kids[-1]
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            kids.pop()
+            counts = _received(data, share, len(tris)) if status == 0 else None
+            total.update(_share_sizes(tris, field, share) if counts is None
+                         else counts)
+    finally:
+        for _, pid, pipe in kids:  # the parent raised: stop the rest first
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return total
+
+
+def _spawn(tris: list, field: Field, share: range):
+    """(share, pid, read end) of a forked child that writes the
+    ``_share_sizes`` of ``share`` to a pipe and exits, or None if no child
+    can be made.  The child leaves only through ``os._exit``."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            counts = _share_sizes(tris, field, share)
+            with open(w, "wb") as pipe:
+                pipe.write(array("q", [v for item in counts.items()
+                                       for v in item]).tobytes())
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    return share, pid, open(r, "rb")
+
+
+def _received(data: bytes, share: range, d: int) -> Optional[Counter]:
+    """The sizes a child wrote for ``share`` of d rows, or None for a short
+    result: the groups of a row split its pairs, so the sizes must add up
+    to the share's pairs."""
+    if len(data) % 16:
+        return None
+    flat = array("q", data)
+    counts = Counter(dict(zip(flat[::2], flat[1::2])))
+    pairs = sum(s * n for s, n in counts.items())
+    return counts if pairs == sum(d - 1 - i for i in share) else None
 
 
 def _pair_counts(objs, field: Field) -> Counter:
@@ -411,6 +526,14 @@ def _mult_from_pairs(c: int) -> int:
     if k * (k - 1) // 2 != c:
         raise AssertionError("pair count is not a binomial; engine bug")
     return k
+
+
+def _table_profile(d: int, counts: dict) -> "SingularityProfile":
+    """The profile of d objects from their pair table (``_pair_counts``):
+    a point met C(k,2) times lies on k of them."""
+    slots = Counter(counts.values())
+    return SingularityProfile.from_dict(
+        d, {_mult_from_pairs(c): n for c, n in slots.items()})
 
 
 def _from_key(cls, key, field):
@@ -507,6 +630,20 @@ def lambda_op(nsel: MultiplicitySelector, msel: MultiplicitySelector,
     return lines_operator(msel, points_operator(nsel, arr))
 
 
+def _lambda_and_profile(nsel: MultiplicitySelector, msel: MultiplicitySelector,
+                        arr: Arrangement) -> tuple:
+    """(lambda_op(nsel, msel, arr), profile(arr)) from one pass over the
+    pairs of arr: the profile is read off the pair table P_nsel selects
+    from.  As in ``_select``, the table is dropped before the points are
+    built and their keys before the points are sorted."""
+    counts = _pair_counts(arr.lines, arr.field)
+    prof, keys = _table_profile(len(arr), counts), _selected(nsel, counts)
+    del counts
+    pts = [_from_key(ProjPoint, k, arr.field) for k in keys]
+    del keys
+    return lines_operator(msel, PointConfig(arr.field, pts)), prof
+
+
 def psi_op(nsel: MultiplicitySelector, msel: MultiplicitySelector,
            cfg: PointConfig) -> PointConfig:
     """The point operator: P_msel after L_nsel."""
@@ -567,14 +704,14 @@ class SingularityProfile:
 
 
 def profile(arr: Arrangement) -> SingularityProfile:
-    """d and each t_k, from the meets grouped one row at a time (see the
-    module docstring)."""
+    """d and each t_k, from the meets grouped one row at a time, the rows
+    split among forked workers when there are many (see the module
+    docstring)."""
     d = len(arr)
     if d < 2:
         return SingularityProfile(d, ())
-    c = Counter()
-    for row in _row_keys(arr.lines, arr.field):
-        c.update(Counter(row).values())
+    c = _row_sizes(_encode(arr.lines, arr.field), arr.field,
+                   _workers(comb(d, 2)))
     return SingularityProfile.from_dict(d, {k: c[k - 1] - c[k]
                                             for k in range(2, max(c) + 2)})
 
@@ -811,9 +948,7 @@ def property_suite(arr: Arrangement, real: Optional[bool] = None) -> list:
         return img
 
     lines = frozenset(_encode(arr.lines, field))
-    slots = Counter(table(lines).values())
-    prof = SingularityProfile.from_dict(
-        d, {_mult_from_pairs(c): n for c, n in slots.items()})
+    prof = _table_profile(d, table(lines))
     results = [("profile-consistency", True, prof.text())]
     # dualizing keeps every code and P, L are one selection, so the dual of
     # Lambda(A) and Psi(dual A) are the same code set; the tests check the

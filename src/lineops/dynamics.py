@@ -10,8 +10,8 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .arrangements import (Arrangement, ArrangementError, MultiplicitySelector,
-                           SingularityProfile, dual_lines_op, h_constant,
-                           lambda_op, profile)
+                           SingularityProfile, _lambda_and_profile,
+                           dual_lines_op, h_constant, lambda_op, profile)
 
 DEFAULT_MAX_STEPS = 16
 DEFAULT_MAX_LINES = 20000
@@ -61,17 +61,24 @@ OperatorChain = Union[OperatorSpec, Sequence[OperatorSpec]]
 
 def apply_operator(op: OperatorChain, arr: Arrangement) -> Arrangement:
     """Apply one operator or a chain (right-to-left, like composition)."""
-    if isinstance(op, OperatorSpec):
-        chain = (op,)
-    else:
-        chain = tuple(op)
-    out = arr
-    for spec in reversed(chain):
-        if spec.kind == "lambda":
-            out = lambda_op(spec.nsel, spec.msel, out)
-        else:
+    return _apply(op, arr, False)[0]
+
+
+def _apply(op: OperatorChain, arr: Arrangement, profiled: bool) -> tuple:
+    """(apply_operator(op, arr), the profile of arr or None).  The profile
+    is given when ``profiled`` and the first operator applied is a Lambda:
+    it is read off the pair table of that Lambda's P_nsel, so the pairs of
+    arr are met once."""
+    chain = (op,) if isinstance(op, OperatorSpec) else tuple(op)
+    out, prof = arr, None
+    for n, spec in enumerate(reversed(chain)):
+        if spec.kind != "lambda":
             out = dual_lines_op(spec.sel, out)
-    return out
+        elif n == 0 and profiled:
+            out, prof = _lambda_and_profile(spec.nsel, spec.msel, out)
+        else:
+            out = lambda_op(spec.nsel, spec.msel, out)
+    return out, prof
 
 
 def _lemma_gate(op: OperatorChain, before: Arrangement, after: Arrangement):
@@ -133,14 +140,15 @@ class SequenceTrace:
         return self.arrangements[i]
 
 
-def _step_record(i: int, arr: Arrangement, profile_budget: int) -> TraceStep:
-    prof = None
-    h = None
-    if len(arr) <= profile_budget:
+def _step_record(i: int, arr: Arrangement, digest: tuple,
+                 prof: Optional[SingularityProfile],
+                 profile_budget: int) -> TraceStep:
+    """Step i; ``prof`` is arr's profile when its operator pass gave it, and
+    otherwise a profile of its own is made within the budget."""
+    if prof is None and len(arr) <= profile_budget:
         prof = profile(arr)
-        if prof.total_points:
-            h = h_constant(prof)
-    return TraceStep(i, len(arr), prof, h, arr.digest())
+    h = h_constant(prof) if prof is not None and prof.total_points else None
+    return TraceStep(i, len(arr), prof, h, digest)
 
 
 def run_sequence(op: OperatorChain, start: Arrangement,
@@ -157,9 +165,10 @@ def run_sequence(op: OperatorChain, start: Arrangement,
         raise ArrangementError("budgets must be positive")
     op_text = op.text if isinstance(op, OperatorSpec) else \
         "".join(s.text for s in op)
-    steps = [_step_record(0, start, profile_budget)]
     arrs = [start]
-    seen = {steps[0].digest: 0}
+    digests = [start.digest()]
+    profs = []  # the profile each operator pass gave of the step it paired
+    seen = {digests[0]: 0}
     verdict = None
     current = start
     if start.is_empty():
@@ -169,15 +178,16 @@ def run_sequence(op: OperatorChain, start: Arrangement,
         if step >= max_steps:
             verdict = Verdict("budget_steps", at_step=step)
             break
-        nxt = apply_operator(op, current)
+        nxt, prof = _apply(op, current, len(current) <= profile_budget)
+        profs.append(prof)
         _lemma_gate(op, current, nxt)
         step += 1
-        steps.append(_step_record(step, nxt, profile_budget))
         arrs.append(nxt)
+        dig = nxt.digest()
+        digests.append(dig)
         if nxt.is_empty():
             verdict = Verdict("extinguished", length=step)
             break
-        dig = steps[-1].digest
         if dig in seen:
             first = seen[dig]
             period = step - first
@@ -191,7 +201,9 @@ def run_sequence(op: OperatorChain, start: Arrangement,
             verdict = Verdict("budget_lines", at_step=step)
             break
         current = nxt
-    return SequenceTrace(op_text, tuple(steps), verdict, max_steps, max_lines,
+    steps = tuple(_step_record(i, *rec, profile_budget) for i, rec in
+                  enumerate(zip(arrs, digests, profs + [None])))
+    return SequenceTrace(op_text, steps, verdict, max_steps, max_lines,
                          profile_budget, tuple(arrs))
 
 

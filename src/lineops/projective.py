@@ -160,11 +160,14 @@ def incident(p: ProjPoint, l: ProjLine) -> bool:
 
 
 def dualize(obj):
-    """Coordinate-identity swap of role; an involution."""
+    """Coordinate-identity swap of role; an involution.  The triple is
+    already normalized, so the dual object shares it unchecked."""
     dual = _DUAL.get(obj.__class__)
     if dual is None:
         raise GeometryError("dualize expects a point or a line")
-    return dual(obj.coords)
+    out = object.__new__(dual)
+    object.__setattr__(out, "coords", obj.coords)
+    return out
 
 
 def collinear(p: ProjPoint, q: ProjPoint, r: ProjPoint) -> bool:

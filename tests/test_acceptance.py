@@ -452,9 +452,9 @@ def test_criterion_14_property_suites(monkeypatch):
     calls, passes = [], {}  # pair-kernel calls of each suite, by tag
     kernel = arrangements._code_meets
 
-    def counting(codes, field):
+    def counting(codes, field, *rows):
         calls.append(len(codes))
-        return kernel(codes, field)
+        return kernel(codes, field, *rows)
     monkeypatch.setattr(arrangements, "_code_meets", counting)
 
     def run_suite(tag, arr, real=None):

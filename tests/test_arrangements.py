@@ -1,5 +1,11 @@
+import os
 import random
+import signal
+import sys
+import threading
+import time
 import tracemalloc
+import warnings
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, islice
@@ -7,7 +13,7 @@ from math import comb
 
 import pytest
 
-from lineops import arrangements, fields
+from lineops import arrangements, fields, projective
 from lineops.arrangements import (Arrangement, ArrangementError,
                                   _from_key, _pair_counts, _pair_index,
                                   MultiplicitySelector, PointConfig,
@@ -114,6 +120,18 @@ def test_dualize_twice_is_identity():
         assert cfg.points == PointConfig(arr.field, [dualize(o) for o in arr]).points
         assert dualize_arrangement(cfg).lines == \
             Arrangement(arr.field, [dualize(o) for o in cfg]).lines
+
+
+def test_dualize_does_not_normalize_again(monkeypatch):
+    """The dual object shares the already normalized triple."""
+    arr = _cq_step2()
+
+    def normalize(*args):
+        raise AssertionError("dualize normalized a triple again")
+    monkeypatch.setattr(projective, "_normalize", normalize)
+    cfg = dualize_arrangement(arr)
+    assert [p.coords for p in cfg.points] == [l.coeffs for l in arr.lines]
+    assert dualize_arrangement(cfg) == arr
 
 
 def test_set_equality_is_order_independent():
@@ -436,19 +454,30 @@ PROFILE_INPUTS = {
 }
 
 
+@pytest.fixture
+def forks_unwarned():
+    """Fail the test if a fork warned: Python 3.12 and later warn when a
+    process with threads forks.  The warning is recorded, because raised as
+    an error inside ``os.fork`` it would be cleared."""
+    with warnings.catch_warnings(record=True) as log:
+        warnings.simplefilter("always")
+        yield
+    assert not [w for w in log if "fork" in str(w.message)]
+
+
 @pytest.mark.parametrize("name", sorted(PROFILE_INPUTS))
-def test_profile_matches_pair_table(name, monkeypatch):
+def test_profile_matches_pair_table(name, monkeypatch, forks_unwarned):
     """Grouping row by row gives the profile the whole pair table gives,
-    and so does the table inside a suite call.  Each row's keys split the
-    row's lines as the pair kernel's keys do."""
+    with the rows in one share or split among 2 or 3 forked workers, and
+    so does the table inside a suite call.  Each row's keys split the row's
+    lines as the pair kernel's keys do."""
     make, want = PROFILE_INPUTS[name]
     arr = make()
-    table = Counter(arrangements._meet_keys(arr.lines, arr.field))
-    ref = {arrangements._mult_from_pairs(c): n
-           for c, n in Counter(table.values()).items()}
+    ref = _table_profile(arr)
     assert want is None or ref == want
+    codes = arrangements._encode(arr.lines, arr.field)
     keys = arrangements._meet_keys(arr.lines, arr.field)
-    for row in arrangements._row_keys(arr.lines, arr.field):
+    for row in arrangements._row_keys(codes, arr.field, range(len(arr) - 1)):
         row = list(row)
         pairs = set(zip(row, islice(keys, len(row))))
         assert len(pairs) == len(set(row)) == len({k for _, k in pairs})
@@ -456,8 +485,124 @@ def test_profile_matches_pair_table(name, monkeypatch):
     prof = profile(arr)
     assert len(calls) == (arr.field.kind != "rationals")
     assert prof.d == len(arr) and prof.as_dict() == ref
+    for workers in (2, 3):
+        monkeypatch.setattr(arrangements, "_workers", lambda pairs: workers)
+        assert profile(arr) == prof
     details = {check: detail for check, _, detail in property_suite(arr)}
     assert details["profile-consistency"] == prof.text()
+
+
+def _table_profile(arr):
+    """The profile from the whole pair table, as a dict."""
+    table = Counter(arrangements._meet_keys(arr.lines, arr.field))
+    return {arrangements._mult_from_pairs(c): n
+            for c, n in Counter(table.values()).items()}
+
+
+SPLIT_INPUTS = (_cq_step2, lambda: build("dual-hesse"),
+                lambda: _sample_of_plane(49, 40))
+
+
+@pytest.mark.parametrize("fault", ["raises", "short result", "killed",
+                                   "exits non-zero"])
+def test_profile_split_child_fault_is_recomputed(fault, monkeypatch,
+                                                 forks_unwarned):
+    """A child that raises, sends too little, dies, or exits non-zero after
+    sending leaves its share to the parent, which still gives the profile
+    of the pair table, and every child is reaped."""
+    share_sizes = arrangements._share_sizes
+
+    def raises(tris, field, rows):
+        raise RuntimeError("fault in a profile worker")
+
+    def short(tris, field, rows):  # one size missing
+        counts = share_sizes(tris, field, rows)
+        del counts[max(counts)]
+        return counts
+
+    def killed(tris, field, rows):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    def wrong(tris, field, rows):  # every pair its own group: adds up
+        return Counter({1: sum(len(tris) - 1 - i for i in rows)})
+    if fault == "exits non-zero":
+        exit_ = os._exit
+        monkeypatch.setattr(os, "_exit", lambda status: exit_(3))
+    child_fault = {"raises": raises, "short result": short, "killed": killed,
+                   "exits non-zero": wrong}[fault]
+    parent = os.getpid()
+
+    def faulty(tris, field, rows):  # only a child sees the fault
+        if os.getpid() != parent:
+            return child_fault(tris, field, rows)
+        return share_sizes(tris, field, rows)
+    monkeypatch.setattr(arrangements, "_share_sizes", faulty)
+    monkeypatch.setattr(arrangements, "_workers", lambda pairs: 3)
+    for make in SPLIT_INPUTS:
+        arr = make()
+        assert profile(arr).as_dict() == _table_profile(arr)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_profile_split_parent_fault_stops_children(monkeypatch,
+                                                   forks_unwarned):
+    """When the parent raises, it kills and reaps the children first: here
+    they would otherwise run for a minute."""
+    parent = os.getpid()
+
+    def faulty(tris, field, rows):
+        if os.getpid() == parent:
+            raise RuntimeError("fault in the parent's share")
+        time.sleep(60)
+    monkeypatch.setattr(arrangements, "_share_sizes", faulty)
+    t0 = time.monotonic()
+    with pytest.raises(RuntimeError, match="parent's share"):
+        arrangements._row_sizes(arrangements._encode(_cq_step2().lines, F),
+                                F, 3)
+    assert time.monotonic() - t0 < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="forks only on Linux")
+def test_profile_split_not_with_threads(monkeypatch):
+    """With a second thread alive, profile never forks."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(arrangements, "_SHARE_PAIRS", 1)
+    arr = _cq_step2()
+    assert arrangements._workers(comb(len(arr), 2)) == 3
+
+    def no_fork():
+        raise AssertionError("forked with a second thread alive")
+    monkeypatch.setattr(os, "fork", no_fork)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert arrangements._workers(comb(len(arr), 2)) == 1
+        assert profile(arr).as_dict() == _table_profile(arr)
+    finally:
+        stop.set()
+        thread.join(10)
+    assert not thread.is_alive()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="forks only on Linux")
+def test_profile_split_workers_bounded(monkeypatch):
+    """One worker per usable CPU at most, and each share of at least
+    ``_SHARE_PAIRS`` pairs."""
+    least = arrangements._SHARE_PAIRS
+    cpus = len(os.sched_getaffinity(0))
+    for pairs in (0, 1, least - 1, least, 2 * least, 7 * least, 10 ** 9):
+        workers = arrangements._workers(pairs)
+        assert 1 <= workers <= max(1, min(cpus, pairs // least))
+    for n in (1, 2, 3, 8):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid, n=n: set(range(n)))
+        for pairs in (0, least - 1, least, 3 * least, 10 ** 9):
+            workers = arrangements._workers(pairs)
+            assert workers == max(1, min(n, pairs // least))
 
 
 def test_profile_holds_no_pair_table():
@@ -612,9 +757,9 @@ def _count_kernel_calls(monkeypatch):
     calls = []
     kernel = arrangements._code_meets
 
-    def counting(codes, field):
+    def counting(codes, field, *rows):
         calls.append(len(codes))
-        return kernel(codes, field)
+        return kernel(codes, field, *rows)
     monkeypatch.setattr(arrangements, "_code_meets", counting)
     return calls
 

@@ -4,7 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from lineops.arrangements import (Arrangement, ArrangementError,
+from lineops import arrangements
+from lineops.arrangements import (Arrangement, ArrangementError, h_constant,
                                   make_arrangement, profile, sel_at_least,
                                   sel_exact)
 from lineops.catalog import build
@@ -129,3 +130,44 @@ def test_lemma28_gate_runs_on_every_step():
     tr = run_sequence(lambda_spec(sel_at_least(2), sel_at_least(3)),
                       build("parallel-pairs6"), max_steps=2)
     assert tr.counts()[:3] == [6, 10, 13]
+
+
+def test_one_pair_pass_per_operated_step(monkeypatch):
+    """A step that the next Lambda pairs takes its profile from that
+    Lambda's pair table: P_{>=3} and L_{>=3} pair 21 lines and 28 points,
+    and the 21 lines are not paired again for the profile."""
+    gr = build("grunbaum-rigby")
+    want = profile(gr)
+    calls = []
+    kernel = arrangements._code_meets
+
+    def counting(codes, field, *rows):
+        calls.append(len(codes))
+        return kernel(codes, field, *rows)
+    monkeypatch.setattr(arrangements, "_code_meets", counting)
+    tr = run_sequence(lambda_spec(sel_at_least(3), sel_at_least(3)), gr,
+                      max_steps=1, profile_budget=len(gr))
+    assert calls == [21, 28]
+    assert tr.steps[0].profile == want and tr.steps[1].profile is None
+
+
+@pytest.mark.parametrize("op, start, steps, budget", [
+    (L2, "complete-quadrilateral", 3, 100),
+    (lambda_spec(sel_at_least(2), sel_at_least(3)), "parallel-pairs6", 4, 30),
+    (lambda_spec(sel_exact(2), sel_exact(3)), "flashing3", 3, 100),
+    ((L2, dual_spec(sel_at_least(3))), "complete-quadrilateral", 3, 100),
+    ((lambda_spec(sel_exact(3), sel_exact(2)), dual_spec(sel_exact(2))),
+     "grid6", 4, 100),
+    ((dual_spec(sel_exact(2)), lambda_spec(sel_exact(3), sel_exact(2))),
+     "pappus", 2, 100),
+])
+def test_step_profiles_match_row_pass(op, start, steps, budget):
+    """Whether a step's profile comes from its operator's pair table or
+    from a row pass of its own, it is the row-pass profile, within the
+    budget, and H follows it."""
+    tr = run_sequence(op, build(start), max_steps=steps, profile_budget=budget)
+    for step, arr in zip(tr.steps, tr.arrangements):
+        want = profile(arr) if len(arr) <= budget else None
+        assert step.profile == want
+        assert step.h == (h_constant(want) if want and want.total_points
+                          else None)

@@ -67,6 +67,8 @@ def test_dualize_involution():
     for l in rand_lines(rng, 10):
         assert dualize(dualize(l)) == l
     assert dualize(line(F, 1, 0, 0)) == point(F, 1, 0, 0)
+    with pytest.raises(GeometryError):
+        dualize((F.one, F.zero, F.zero))
 
 
 def test_join_meet_duality():
