@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import json
 import os
-import signal
 import sys
 import threading
 from array import array
@@ -436,32 +435,40 @@ def _row_sizes(tris: list, field: Field, workers: int) -> Counter:
     computes each share but the first, which the parent computes; the
     counts add exactly, so the result does not depend on ``workers``."""
     rows = range(len(tris) - 1)
-    mine, kids = [rows[::workers]], []  # kids: (share, pid, read end)
+    total, kids = Counter(), []  # kids: (share, pid, read end)
     try:
         for w in range(1, workers):
             kid = _spawn(tris, field, rows[w::workers])
-            if kid is None:
-                mine.append(rows[w::workers])
+            if kid is None:  # no process to be had: count the share here
+                total.update(_share_sizes(tris, field, rows[w::workers]))
             else:
                 kids.append(kid)
-        total = Counter()
-        for share in mine:
-            total.update(_share_sizes(tris, field, share))
+        total.update(_share_sizes(tris, field, rows[::workers]))
         while kids:
             share, pid, pipe = kids[-1]
             with pipe:
                 data = pipe.read()
-            status = os.waitpid(pid, 0)[1]
+            status = _reap(pid)
             kids.pop()
             counts = _received(data, share, len(tris)) if status == 0 else None
             total.update(_share_sizes(tris, field, share) if counts is None
                          else counts)
     finally:
         for _, pid, pipe in kids:  # the parent raised: stop the rest first
+            from signal import SIGKILL  # off the start-up path: about 1 ms
             pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            os.kill(pid, SIGKILL)
+            _reap(pid)
     return total
+
+
+def _reap(pid: int) -> int:
+    """The wait status of child ``pid``, or -1 when the system reaped it
+    (a process that ignores SIGCHLD)."""
+    try:
+        return os.waitpid(pid, 0)[1]
+    except ChildProcessError:
+        return -1
 
 
 def _spawn(tris: list, field: Field, share: range):

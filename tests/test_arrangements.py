@@ -565,6 +565,30 @@ def test_profile_split_parent_fault_stops_children(monkeypatch,
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_profile_split_without_processes(monkeypatch):
+    """When no process can be made, the parent counts every share."""
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(arrangements, "_workers", lambda pairs: 3)
+    for make in SPLIT_INPUTS:
+        arr = make()
+        assert profile(arr).as_dict() == _table_profile(arr)
+
+
+def test_profile_split_with_sigchld_ignored(monkeypatch, forks_unwarned):
+    """A process that ignores SIGCHLD has its children reaped by the
+    system; their shares are then counted again, not lost."""
+    monkeypatch.setattr(arrangements, "_workers", lambda pairs: 2)
+    arr = _cq_step2()
+    old = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        prof = profile(arr)
+    finally:
+        signal.signal(signal.SIGCHLD, old)
+    assert prof.as_dict() == _table_profile(arr)
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="forks only on Linux")
 def test_profile_split_not_with_threads(monkeypatch):
     """With a second thread alive, profile never forks."""
