@@ -1,10 +1,17 @@
 """Line arrangements, point configurations and the incidence operators.
 
-The engine underlying every operator is the canonical pair kernel,
-``_meet_keys``: the meets (dually: joins) of all pairs, each as a canonical
-coordinate key, in ``combinations`` order.  A point met by k lines receives
-C(k,2) of the pair meets, so the operators read multiplicity off the size of
-its group.  ``profile`` groups one row (line i with the later lines) at a
+The engine underlying every operator is the pair table: the meet (dually:
+join) of each pair, as a canonical coordinate key, with the number of pairs
+meeting there.  A point met by k lines receives C(k,2) of the pair meets, so
+the operators read multiplicity off its count.  Over GF(q), q <=
+``_PLANE_ORDER``, the table comes from incidences, not pairs:
+``_plane_table`` holds, once per field, the q+1 dual objects of PG(2,q)
+incident to each object, by ordinals computed from the key (``_ordinals``),
+and a pass counts the rows of its objects (``_incidences``), n(q+1) counts
+at C speed; a position counted k >= 2 times is a k-fold meet, so
+``profile`` reads t_k off the same counts.  Elsewhere the canonical pair
+kernel, ``_meet_keys``, gives the meets of all pairs in ``combinations``
+order, and ``profile`` groups one row (line i with the later lines) at a
 time, holding O(d) keys: a point on k lines makes one row group of each size
 k-1, ..., 1, so t_k = c_(k-1) - c_k, c_s the number of row groups of size s.
 A row key only has to tell apart points on line i, so over Q ``_row_keys``
@@ -19,10 +26,10 @@ thread; the counts add exactly, and a child that fails leaves its share to
 the parent, so the profile does not depend on W.  Each field kind has an
 exact integer codec (``_encode``), so no pair touches a Fraction, a Scalar or
 a residue tuple: primitive integer triples over Q; residues with the first
-nonzero one over GF(p); element codes and flat product tables over GF(p^k);
-primitive integer vectors in Z[theta], scaled by the adjugate of the first
-nonzero coordinate, over a number field, where the pair loop and the adjugate
-are straight-line integer code built once per modulus (``_nf_kernel`` and
+nonzero one over GF(p); element codes over GF(p^k); primitive integer
+vectors in Z[theta], scaled by the adjugate of the first nonzero coordinate,
+over a number field, where the pair loop and the adjugate are straight-line
+integer code built once per modulus (``_nf_kernel`` and
 ``fields._adjugate``, by Cayley-Hamilton).  The inputs are encoded once per
 pass; ``property_suite`` encodes its input once and works on sets of codes,
 keeping no memo past the call.  ``_from_key`` turns a key back into a point
@@ -39,7 +46,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, compress, islice
+from itertools import chain, combinations, compress, islice
 from math import comb, gcd, isqrt
 from typing import Iterable, Optional, Sequence
 
@@ -250,9 +257,10 @@ def _meet_keys(objs, field: Field):
 
 def _code_meets(codes: list, field: Field, rows: Optional[range] = None):
     """The pair kernel on a list of ``_encode`` codes, over the pairs (i, j),
-    i < j, of each row i in ``rows`` (default: every row), row by row; every
-    pair pass, ``property_suite``'s and ``profile``'s included, runs through
-    here."""
+    i < j, of each row i in ``rows`` (default: every row), row by row.  Every
+    pair pass over Q, a number field or GF(p), p > ``_PLANE_ORDER``, runs
+    through here; over a smaller finite field ``_incidences`` (or
+    ``_pair_index``) counts incidences instead."""
     if rows is None:
         rows = range(len(codes) - 1)
     return _KERNELS[field.kind](codes, field, rows)
@@ -311,26 +319,6 @@ def _prime_meets(tris, field, rows):
                 yield (0, 0, 1)
 
 
-def _prime_power_meets(tris, field, rows):
-    """Over GF(p^k): the triple of element codes with first nonzero 1."""
-    _, code, mul, sub, inv = _gf_tables(field.spec)
-    q = len(code)
-    for i in rows:
-        a0, a1, a2 = tris[i]
-        a0, a1, a2 = a0 * q, a1 * q, a2 * q  # row offsets into the tables
-        for b0, b1, b2 in tris[i + 1:]:
-            x = sub[mul[a1 + b2] * q + mul[a2 + b1]]
-            y = sub[mul[a2 + b0] * q + mul[a0 + b2]]
-            z = sub[mul[a0 + b1] * q + mul[a1 + b0]]
-            if x:
-                w = inv[x]
-                yield (1, mul[y * q + w], mul[z * q + w])
-            elif y:
-                yield (0, 1, mul[z * q + inv[y]])
-            else:
-                yield (0, 0, 1)
-
-
 @lru_cache(maxsize=None)
 def _nf_kernel(g: tuple):
     """The pair loop over Q[x]/(f) for the monic integer g of ``_nf_codec``,
@@ -370,9 +358,88 @@ def _nf_kernel(g: tuple):
 
 
 _KERNELS = {RATIONALS: _q_meets, PRIME_FIELD: _prime_meets,
-            PRIME_POWER_FIELD: _prime_power_meets,
             NUMBER_FIELD: lambda tris, f, rows: _nf_kernel(
                 _nf_codec(f.spec)[1])(tris, rows)}
+
+
+# ---------------------------------------------------------------------------
+# finite planes
+
+# The largest prime-power order ``fields`` accepts, so every GF(p^k) and
+# GF(p) for p <= 61 pair through ``_plane_table``; at q = 64 the table is
+# 4,161 rows of 65 entries, 528 KiB.
+_PLANE_ORDER = 64
+
+
+def _plane_order(field: Field) -> int:
+    """q when ``field`` is GF(q) with q <= ``_PLANE_ORDER``, else 0."""
+    q = field.characteristic ** field.degree  # 0 in characteristic 0
+    return q if q <= _PLANE_ORDER else 0
+
+
+def _ordinals(codes: list, q: int) -> list:
+    """The ordinal of each code of PG(2,q), first nonzero 1: (1, y, z) ->
+    yq + z, (0, 1, z) -> q^2 + z, (0, 0, 1) -> q^2 + q."""
+    q2 = q * q
+    return [y * q + z if x else q2 + z if y else q2 + q for x, y, z in codes]
+
+
+def _plane_key(o: int, q: int) -> tuple:
+    """The code, and kernel key, of ordinal o of PG(2,q)."""
+    q2 = q * q
+    if o < q2:
+        return (1, *divmod(o, q))
+    return (0, 1, o - q2) if o < q2 + q else (0, 0, 1)
+
+
+@lru_cache(maxsize=None)
+def _plane_table(spec) -> array:
+    """The incidences of PG(2,q) over GF(q) of ``spec``, built once per spec:
+    entries (q+1)o to (q+1)o + q are the ordinals of the q+1 lines through
+    the point of ordinal o, which are those of the points on the line of
+    ordinal o, since a.b = 0 is symmetric.
+
+    On the line a, a point (1, y, z) has z = -(a0 + a1 y)/a2 for each y if
+    a2 != 0, and y = -a0/a1 for each z if a2 = 0 != a1; a point (0, 1, z)
+    has z = -a1/a2, or any z if a1 = a2 = 0; (0, 0, 1) lies on a if a2 = 0.
+    """
+    if spec.kind == PRIME_POWER_FIELD:
+        _, _, mul, sub, inv = _gf_tables(spec)
+        q = len(inv)
+    else:
+        q = spec.characteristic
+        mul = [a * b % q for a in range(q) for b in range(q)]
+        sub = [(a - b) % q for a in range(q) for b in range(q)]
+        inv = [0] + [pow(a, q - 2, q) for a in range(1, q)]
+    q2, yq = q * q, range(0, q * q, q)
+    table = array("H")
+    # the lines in ordinal order: a0, a1, then a2 (only a2 = 1 for a1 = 0)
+    for a0, a1, a2s in ([(1, a1, range(q)) for a1 in range(q)]
+                        + [(0, 1, range(q)), (0, 0, (1,))]):
+        a0q = a0 * q  # sub[a0q + sub[m]] = a0 + m, sub[x] = -x
+        s = [sub[a0q + sub[m]] for m in mul[a1 * q:a1 * q + q]]  # a0 + a1 y
+        for a2 in a2s:
+            if a2:
+                c = sub[inv[a2]] * q  # the row of -1/a2 in mul
+                table.extend([y + mul[c + v] for y, v in zip(yq, s)])
+                table.append(q2 + mul[c + a1])
+            elif a1:
+                y = mul[sub[a0] * q + inv[a1]] * q
+                table.extend(range(y, y + q))
+                table.append(q2 + q)
+            else:  # a = (1, 0, 0)
+                table.extend(range(q2, q2 + q + 1))
+    return table
+
+
+def _incidences(codes: list, field: Field) -> Counter:
+    """ordinal -> the number of the objects with ``codes`` incident to the
+    dual object of that ordinal: the pair pass over a finite plane, which
+    counts the objects' rows of ``_plane_table``."""
+    q = _plane_order(field)
+    table, r = _plane_table(field.spec), q + 1
+    return Counter(chain.from_iterable(table[o * r:o * r + r]
+                                       for o in _ordinals(codes, q)))
 
 
 def _row_keys(tris: list, field: Field, rows: range):
@@ -380,12 +447,13 @@ def _row_keys(tris: list, field: Field, rows: range):
     the objects with codes tris[i] and tris[i+1], ..., as keys that tell
     apart only points on object i.
 
-    Over every kind but Q a row is the next slice of ``_code_meets``, so the
-    rows must be consumed in order.  Over Q, with a the primitive integer
-    triple of line i and (x, y, z) = a x b, a point on a is fixed by a chart
-    pair (u, v): (x, y) if a2 != 0, else (x, z) if a1 != 0, else (y, z).  Its
-    key is (u << s) // v, or None when v = 0 (one point per row), and
-    2^s > V^2 for V = 2 bmax^2 >= |v|, bmax the largest |coordinate|.
+    Over a number field or GF(p) a row is the next slice of
+    ``_code_meets``, so the rows must be consumed in order.  Over Q, with a
+    the primitive integer triple of line i and (x, y, z) = a x b, a point on
+    a is fixed by a chart pair (u, v): (x, y) if a2 != 0, else (x, z) if
+    a1 != 0, else (y, z).  Its key is (u << s) // v, or None when v = 0 (one
+    point per row), and 2^s > V^2 for V = 2 bmax^2 >= |v|, bmax the largest
+    |coordinate|.
     """
     if field.kind != RATIONALS:
         keys = _code_meets(tris, field, rows)
@@ -509,14 +577,32 @@ def _received(data: bytes, share: range, d: int) -> Optional[Counter]:
     return counts if pairs == sum(d - 1 - i for i in share) else None
 
 
-def _pair_counts(objs, field: Field) -> Counter:
+def _pair_counts(objs, field: Field) -> dict:
     """key -> number of pairs meeting (joining) there, over all C(n,2) pairs."""
-    return Counter(_meet_keys(objs, field))
+    return _code_counts(_encode(objs, field), field)
+
+
+def _code_counts(codes: list, field: Field) -> dict:
+    """``_pair_counts`` of the objects with ``codes``: over a finite plane a
+    position on k >= 2 of them gets C(k,2), elsewhere the kernel's keys are
+    counted."""
+    q = _plane_order(field)
+    if not q:
+        return Counter(_code_meets(codes, field))
+    return {_plane_key(o, q): k * (k - 1) // 2
+            for o, k in _incidences(codes, field).items() if k > 1}
 
 
 def _pair_index(objs, field: Field) -> dict:
     """key -> set of indices of the objects through the keyed position."""
-    index = {}
+    index, q = {}, _plane_order(field)
+    if q:
+        table, r = _plane_table(field.spec), q + 1
+        for i, o in enumerate(_ordinals(_encode(objs, field), q)):
+            for pos in table[o * r:o * r + r]:
+                index.setdefault(pos, []).append(i)
+        return {_plane_key(pos, q): set(s) for pos, s in index.items()
+                if len(s) > 1}
     for (i, j), key in zip(combinations(range(len(objs)), 2),
                            _meet_keys(objs, field)):
         s = index.get(key)
@@ -711,14 +797,18 @@ class SingularityProfile:
 
 
 def profile(arr: Arrangement) -> SingularityProfile:
-    """d and each t_k, from the meets grouped one row at a time, the rows
-    split among forked workers when there are many (see the module
-    docstring)."""
-    d = len(arr)
+    """d and each t_k: over a finite plane, the number of positions counted
+    k times by ``_incidences``; elsewhere from the meets grouped one row at
+    a time, the rows split among forked workers when there are many (see
+    the module docstring)."""
+    d, field = len(arr), arr.field
     if d < 2:
         return SingularityProfile(d, ())
-    c = _row_sizes(_encode(arr.lines, arr.field), arr.field,
-                   _workers(comb(d, 2)))
+    codes = _encode(arr.lines, field)
+    if _plane_order(field):
+        return SingularityProfile.from_dict(d, Counter(
+            k for k in _incidences(codes, field).values() if k > 1))
+    c = _row_sizes(codes, field, _workers(comb(d, 2)))
     return SingularityProfile.from_dict(d, {k: c[k - 1] - c[k]
                                             for k in range(2, max(c) + 2)})
 
@@ -944,8 +1034,8 @@ def property_suite(arr: Arrangement, real: Optional[bool] = None) -> list:
     def table(codes):
         counts = tables.get(codes)
         if counts is None:
-            counts = tables[codes] = Counter(
-                _code_meets(list(codes), field) if len(codes) > 1 else ())
+            counts = tables[codes] = (_code_counts(list(codes), field)
+                                      if len(codes) > 1 else {})
         return counts
 
     def op(sel, codes):  # P_sel of lines, L_sel of points

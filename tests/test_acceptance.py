@@ -450,12 +450,12 @@ def test_criterion_14_property_suites(monkeypatch):
     t0 = time.time()
     failures = []
     calls, passes = [], {}  # pair-kernel calls of each suite, by tag
-    kernel = arrangements._code_meets
-
-    def counting(codes, field, *rows):
-        calls.append(len(codes))
-        return kernel(codes, field, *rows)
-    monkeypatch.setattr(arrangements, "_code_meets", counting)
+    # a pair pass: the pair kernel, or the incidence count over a finite plane
+    for name in ("_code_meets", "_incidences"):
+        def counting(codes, field, *rows, pass_=getattr(arrangements, name)):
+            calls.append(len(codes))
+            return pass_(codes, field, *rows)
+        monkeypatch.setattr(arrangements, name, counting)
 
     def run_suite(tag, arr, real=None):
         del calls[:]

@@ -466,7 +466,8 @@ def forks_unwarned():
 
 
 @pytest.mark.parametrize("name", sorted(PROFILE_INPUTS))
-def test_profile_matches_pair_table(name, monkeypatch, forks_unwarned):
+def test_profile_matches_pair_table(name, monkeypatch, forks_unwarned,
+                                    reference_kernels):
     """Grouping row by row gives the profile the whole pair table gives,
     with the rows in one share or split among 2 or 3 forked workers, and
     so does the table inside a suite call.  Each row's keys split the row's
@@ -506,7 +507,8 @@ SPLIT_INPUTS = (_cq_step2, lambda: build("dual-hesse"),
 @pytest.mark.parametrize("fault", ["raises", "short result", "killed",
                                    "exits non-zero"])
 def test_profile_split_child_fault_is_recomputed(fault, monkeypatch,
-                                                 forks_unwarned):
+                                                 forks_unwarned,
+                                                 reference_kernels):
     """A child that raises, sends too little, dies, or exits non-zero after
     sending leaves its share to the parent, which still gives the profile
     of the pair table, and every child is reaped."""
@@ -565,7 +567,7 @@ def test_profile_split_parent_fault_stops_children(monkeypatch,
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_profile_split_without_processes(monkeypatch):
+def test_profile_split_without_processes(monkeypatch, reference_kernels):
     """When no process can be made, the parent counts every share."""
     def no_fork():
         raise BlockingIOError(11, "Resource temporarily unavailable")
@@ -777,14 +779,14 @@ def test_property_suite_clean_on_catalog():
 
 
 def _count_kernel_calls(monkeypatch):
-    """A list that grows by one for each pair-kernel call."""
+    """A list that grows by one for each pair pass: a call of the pair
+    kernel, or of the incidence count over a finite plane."""
     calls = []
-    kernel = arrangements._code_meets
-
-    def counting(codes, field, *rows):
-        calls.append(len(codes))
-        return kernel(codes, field, *rows)
-    monkeypatch.setattr(arrangements, "_code_meets", counting)
+    for name in ("_code_meets", "_incidences"):
+        def counting(codes, field, *rows, pass_=getattr(arrangements, name)):
+            calls.append(len(codes))
+            return pass_(codes, field, *rows)
+        monkeypatch.setattr(arrangements, name, counting)
     return calls
 
 

@@ -139,12 +139,12 @@ def test_one_pair_pass_per_operated_step(monkeypatch):
     gr = build("grunbaum-rigby")
     want = profile(gr)
     calls = []
-    kernel = arrangements._code_meets
-
-    def counting(codes, field, *rows):
-        calls.append(len(codes))
-        return kernel(codes, field, *rows)
-    monkeypatch.setattr(arrangements, "_code_meets", counting)
+    # a pair pass: the pair kernel, or the incidence count over a finite plane
+    for name in ("_code_meets", "_incidences"):
+        def counting(codes, field, *rows, pass_=getattr(arrangements, name)):
+            calls.append(len(codes))
+            return pass_(codes, field, *rows)
+        monkeypatch.setattr(arrangements, name, counting)
     tr = run_sequence(lambda_spec(sel_at_least(3), sel_at_least(3)), gr,
                       max_steps=1, profile_budget=len(gr))
     assert calls == [21, 28]
