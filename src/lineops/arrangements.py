@@ -46,8 +46,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations, compress, islice
+from itertools import chain, combinations, compress, islice, repeat
 from math import comb, gcd, isqrt
+from operator import lt
 from typing import Iterable, Optional, Sequence
 
 from .fields import (Field, FieldError, NUMBER_FIELD, PRIME_FIELD,
@@ -413,7 +414,7 @@ def _plane_table(spec) -> array:
         inv = [0] + [pow(a, q - 2, q) for a in range(1, q)]
     q2, yq = q * q, range(0, q * q, q)
     table = array("H")
-    # the lines in ordinal order: a0, a1, then a2 (only a2 = 1 for a1 = 0)
+    # the lines in ordinal order: (1, a1, a2), (0, 1, a2), then (0, 0, 1)
     for a0, a1, a2s in ([(1, a1, range(q)) for a1 in range(q)]
                         + [(0, 1, range(q)), (0, 0, (1,))]):
         a0q = a0 * q  # sub[a0q + sub[m]] = a0 + m, sub[x] = -x
@@ -440,6 +441,12 @@ def _incidences(codes: list, field: Field) -> Counter:
     table, r = _plane_table(field.spec), q + 1
     return Counter(chain.from_iterable(table[o * r:o * r + r]
                                        for o in _ordinals(codes, q)))
+
+
+def _multiple(counts: Counter):
+    """The (ordinal, k) of ``_incidences`` counts with k >= 2, the meets
+    (joins), picked at C speed: most positions are counted once."""
+    return compress(counts.items(), map(lt, repeat(1), counts.values()))
 
 
 def _row_keys(tris: list, field: Field, rows: range):
@@ -590,19 +597,19 @@ def _code_counts(codes: list, field: Field) -> dict:
     if not q:
         return Counter(_code_meets(codes, field))
     return {_plane_key(o, q): k * (k - 1) // 2
-            for o, k in _incidences(codes, field).items() if k > 1}
+            for o, k in _multiple(_incidences(codes, field))}
 
 
 def _pair_index(objs, field: Field) -> dict:
     """key -> set of indices of the objects through the keyed position."""
     index, q = {}, _plane_order(field)
-    if q:
-        table, r = _plane_table(field.spec), q + 1
-        for i, o in enumerate(_ordinals(_encode(objs, field), q)):
-            for pos in table[o * r:o * r + r]:
-                index.setdefault(pos, []).append(i)
-        return {_plane_key(pos, q): set(s) for pos, s in index.items()
-                if len(s) > 1}
+    if q:  # each object's row, cut down to the meets (joins) at C speed
+        codes, table, r = _encode(objs, field), _plane_table(field.spec), q + 1
+        index = {o: set() for o, _ in _multiple(_incidences(codes, field))}
+        for i, o in enumerate(_ordinals(codes, q)):
+            for pos in index.keys() & table[o * r:o * r + r]:
+                index[pos].add(i)
+        return {_plane_key(o, q): s for o, s in index.items()}
     for (i, j), key in zip(combinations(range(len(objs)), 2),
                            _meet_keys(objs, field)):
         s = index.get(key)
@@ -806,8 +813,9 @@ def profile(arr: Arrangement) -> SingularityProfile:
         return SingularityProfile(d, ())
     codes = _encode(arr.lines, field)
     if _plane_order(field):
-        return SingularityProfile.from_dict(d, Counter(
-            k for k in _incidences(codes, field).values() if k > 1))
+        t = Counter(_incidences(codes, field).values())
+        del t[1]  # positions on one line
+        return SingularityProfile.from_dict(d, t)
     c = _row_sizes(codes, field, _workers(comb(d, 2)))
     return SingularityProfile.from_dict(d, {k: c[k - 1] - c[k]
                                             for k in range(2, max(c) + 2)})

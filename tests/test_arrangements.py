@@ -222,6 +222,25 @@ def test_pair_kernel_matches_single_meets_and_joins(name):
         assert len(got) == len(counts) and got == want_counts
 
 
+def test_incidence_table_built_once_per_spec():
+    """One PG(2,q) table per finite field of order <= 64, however many
+    passes use it, and none for GF(101), which the pair kernel serves."""
+    table = arrangements._plane_table
+    table.cache_clear()
+    finite = [KERNEL_INPUTS[name]() for name in ("GF(7)", "GF(8)", "GF(49)",
+                                                 "GF(64)", "GF(101)")]
+    for _ in range(2):
+        for arr in finite:
+            profile(arr)
+            incidence_index(arr)
+            points_operator(sel_at_least(2), arr)
+    assert table.cache_info().misses == 4
+    table.cache_clear()
+    profile(finite[-1])
+    incidence_index(finite[-1])
+    assert table.cache_info().misses == table.cache_info().currsize == 0
+
+
 def test_number_field_kernel_makes_no_mulmod_call(monkeypatch):
     """The number-field pair loop is straight-line code: it multiplies no
     Scalar and calls no field's product."""
@@ -437,6 +456,8 @@ PROFILE_INPUTS = {
     "cubic moved": (_moved_grunbaum_rigby, None),
     "GF(7)": (lambda: _sample_of_plane(7, 25), None),
     "GF(49)": (lambda: _sample_of_plane(49, 40), None),
+    # over GF(p), p > 64, the profile is a row pass, which may fork
+    "GF(101)": (lambda: _sample_of_plane(101, 40), None),
     "pencil": (lambda: make_arrangement([(1, k, 0) for k in range(6)], F)[0],
                {6: 1}),
     "near pencil": (lambda: _near_pencil(7), {6: 1, 2: 6}),
@@ -501,7 +522,8 @@ def _table_profile(arr):
 
 
 SPLIT_INPUTS = (_cq_step2, lambda: build("dual-hesse"),
-                lambda: _sample_of_plane(49, 40))
+                lambda: _sample_of_plane(49, 40),
+                lambda: _sample_of_plane(101, 40))
 
 
 @pytest.mark.parametrize("fault", ["raises", "short result", "killed",

@@ -1,0 +1,187 @@
+"""The finite-plane incidence pass against the reference pair kernels.
+
+Over GF(q), q <= ``arrangements._PLANE_ORDER``, pair tables, pair indices,
+profiles and operator images come from counting incidences in one table of
+PG(2,q) per field (``arrangements._plane_table``).  The references are the
+pair kernels: ``_prime_meets`` over GF(p), and over GF(p^k) the kernel the
+``reference_kernels`` fixture supplies.
+"""
+import os
+import random
+from collections import Counter
+from itertools import combinations
+from math import comb
+
+import pytest
+
+from lineops import arrangements
+from lineops.arrangements import (Arrangement, _from_key, _mult_from_pairs,
+                                  _pair_counts, _pair_index, _table_profile,
+                                  all_projective_lines, dualize_arrangement,
+                                  lambda_op, lines_operator, points_operator,
+                                  profile, sel_at_least, sel_exact)
+from lineops.catalog import build
+from lineops.dynamics import apply_operator, lambda_spec
+from lineops.fields import GF, _gf_tables
+from lineops.projective import ProjPoint, meet
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+ORDERS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 61, 64)
+# over GF(49) and up the reference kernels pair about 12M point pairs, several
+# seconds, so tier-1 skips those orders and the heavy CI step runs them
+HEAVY = os.environ.get("LINEOPS_HEAVY") == "1"
+
+
+def _dot(field):
+    """a.b of two codes of GF(q), for the incidence of a point and a line."""
+    if field.degree == 1:
+        p = field.characteristic
+        return lambda a, b: sum(x * y for x, y in zip(a, b)) % p
+    _, code, mul, sub, _ = _gf_tables(field.spec)
+    q = len(code)
+
+    def dot(a, b):
+        s = 0
+        for x, y in zip(a, b):
+            s = sub[s * q + sub[mul[x * q + y]]]  # s - (-(x y))
+        return s
+    return dot
+
+
+def _reference_table(codes, field):
+    """key -> pair count, from the reference pair kernel."""
+    return Counter(arrangements._code_meets(codes, field))
+
+
+def _selected_keys(sel, table):
+    return {k for k, c in table.items() if sel.contains(_mult_from_pairs(c))}
+
+
+def _keys(objs):
+    return set(arrangements._encode(objs, objs.field))
+
+
+def _check_pass(objs, field, ref):
+    """The pair table and the pair index of ``objs`` against the reference
+    table ``ref``: the index sets have the reference sizes, and each of
+    their objects is incident to the keyed position."""
+    assert _pair_counts(objs, field) == ref
+    index = _pair_index(objs, field)
+    assert index.keys() == ref.keys()
+    codes, dot = arrangements._encode(objs, field), _dot(field)
+    for key, s in index.items():
+        assert len(s) * (len(s) - 1) // 2 == ref[key]
+        assert all(dot(codes[i], key) == 0 for i in s)
+
+
+def _subsets(q):
+    """Fixed-seed line subsets of PG(2,q), of sizes 2, 3, q+1, 2q+3 and 60
+    (at most the whole plane)."""
+    field = GF(q)
+    lines = all_projective_lines(field).lines
+    rng = random.Random(q)
+    return [Arrangement(field, rng.sample(lines, n))
+            for n in sorted({min(n, len(lines))
+                             for n in (2, 3, q + 1, 2 * q + 3, 60)})]
+
+
+def _check_arrangement(arr):
+    """Every incidence pass over ``arr`` and its P_{>=2} points against
+    the reference pair kernels."""
+    field = arr.field
+    ref = _reference_table(arrangements._encode(arr.lines, field), field)
+    _check_pass(arr.lines, field, ref)
+    assert profile(arr).as_dict() == _table_profile(len(arr), ref).as_dict()
+    pts = points_operator(sel_at_least(2), arr)
+    assert _keys(pts) == _selected_keys(sel_at_least(2), ref)
+    two = points_operator(sel_exact(2), arr)
+    assert _keys(two) == _selected_keys(sel_exact(2), ref)
+    ref2 = _reference_table(arrangements._encode(two.points, field), field)
+    assert _keys(lambda_op(sel_exact(2), sel_exact(3), arr)) == \
+        _selected_keys(sel_exact(3), ref2)
+    # the P_{>=2} points, paired as points
+    ref_pts = _reference_table(arrangements._encode(pts.points, field), field)
+    _check_pass(pts.points, field, ref_pts)
+    for sel in (sel_at_least(2), sel_exact(3)):
+        assert _keys(lines_operator(sel, pts)) == _selected_keys(sel, ref_pts)
+    assert profile(dualize_arrangement(pts)).as_dict() == \
+        _table_profile(len(pts), ref_pts).as_dict()
+
+
+LARGE = pytest.mark.skipif(not HEAVY,
+                           reason="large fields run behind LINEOPS_HEAVY=1")
+
+
+@pytest.mark.parametrize("q", [pytest.param(q, marks=LARGE) if q >= 49 else q
+                               for q in ORDERS])
+def test_incidence_matches_reference_kernels(q, reference_kernels):
+    """Each subset's pair table, pair index, profile and P, L and
+    Lambda_{2,3} images, as lines and with its P_{>=2} points as points."""
+    for arr in _subsets(q):
+        _check_arrangement(arr)
+
+
+@st.composite
+def _plane_subset(draw):
+    q = draw(st.sampled_from((2, 3, 4, 5, 7, 8, 9)))
+    lines = all_projective_lines(GF(q)).lines
+    mask = draw(st.lists(st.booleans(), min_size=len(lines),
+                         max_size=len(lines)))
+    return Arrangement(GF(q), [l for l, keep in zip(lines, mask) if keep])
+
+
+# the fixture only adds a kernel to a table, so examples may share it
+@hypothesis.settings(derandomize=True, database=None, max_examples=150,
+                     deadline=None, suppress_health_check=[
+                         hypothesis.HealthCheck.function_scoped_fixture])
+@hypothesis.given(arr=_plane_subset())
+def test_incidence_property_on_small_planes(arr, reference_kernels):
+    """Any subset of PG(2,q), q <= 9, on fixed-seed examples: the passes
+    agree with the reference kernels, the pair index partitions the pairs
+    as ``meet`` on the objects does, and the profile counts every pair."""
+    _check_arrangement(arr)
+    lines, want = arr.lines, {}
+    for i, j in combinations(range(len(lines)), 2):
+        want.setdefault(meet(lines[i], lines[j]), set()).update((i, j))
+    assert {_from_key(ProjPoint, k, arr.field): s for k, s in
+            _pair_index(lines, arr.field).items()} == want
+    counts = profile(arr).counts
+    assert sum(comb(k, 2) * t for k, t in counts) == comb(len(arr), 2)
+
+
+@pytest.mark.parametrize("q", ORDERS)
+def test_incidence_table_structure(q):
+    """Each row holds q+1 distinct ordinals of objects incident to its own,
+    two rows share exactly one (every pair for q <= 9, 2,000 random pairs
+    above), and ordinal -> code -> ordinal is the identity on the plane."""
+    field = GF(q)
+    table, r, n = arrangements._plane_table(field.spec), q + 1, q * q + q + 1
+    assert len(table) == n * r
+    codes = [arrangements._plane_key(o, q) for o in range(n)]
+    assert arrangements._ordinals(codes, q) == list(range(n))
+    assert set(codes) == set(arrangements._encode(
+        all_projective_lines(field).lines, field))
+    rows = [table[o * r:o * r + r] for o in range(n)]
+    dot = _dot(field)
+    for o, row in enumerate(rows):
+        assert len(set(row)) == r
+        assert all(dot(codes[o], codes[x]) == 0 for x in row)
+    rows = list(map(set, rows))
+    if q <= 9:
+        pairs = combinations(range(n), 2)
+    else:
+        rng = random.Random(q)
+        pairs = (rng.sample(range(n), 2) for _ in range(2000))
+    assert all(len(rows[a] & rows[b]) == 1 for a, b in pairs)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 61, 64))
+def test_incidence_finite_plane_closed_form(q):
+    """PG(2,q) has t_(q+1) = q^2+q+1, which its build checks, and
+    L{>=2;>=2} fixes it."""
+    plane = build("finite-plane", q=q)
+    assert profile(plane).as_dict() == {q + 1: q * q + q + 1}
+    L22 = lambda_spec(sel_at_least(2), sel_at_least(2))
+    assert apply_operator(L22, plane) == plane
