@@ -32,8 +32,11 @@ over a number field, where the pair loop and the adjugate are straight-line
 integer code built once per modulus (``_nf_kernel`` and
 ``fields._adjugate``, by Cayley-Hamilton).  The inputs are encoded once per
 pass; ``property_suite`` encodes its input once and works on sets of codes,
-keeping no memo past the call.  ``_from_key`` turns a key back into a point
-or line, with the usual first-nonzero-is-one coordinates, at the API boundary.
+keeping no memo past the call.  Every operator and operator chain is a run
+of selections on codes (``_operate``): a kernel key is the code of the object
+it names, so each selection's keys are the next one's codes.  ``_from_key``
+turns a key back into a point or line, with the usual first-nonzero-is-one
+coordinates, at the API boundary, for the result only.
 """
 from __future__ import annotations
 
@@ -584,14 +587,10 @@ def _received(data: bytes, share: range, d: int) -> Optional[Counter]:
     return counts if pairs == sum(d - 1 - i for i in share) else None
 
 
-def _pair_counts(objs, field: Field) -> dict:
-    """key -> number of pairs meeting (joining) there, over all C(n,2) pairs."""
-    return _code_counts(_encode(objs, field), field)
-
-
 def _code_counts(codes: list, field: Field) -> dict:
-    """``_pair_counts`` of the objects with ``codes``: over a finite plane a
-    position on k >= 2 of them gets C(k,2), elsewhere the kernel's keys are
+    """key -> the number of pairs of the objects with ``codes`` meeting
+    (joining) there, over all C(n,2) pairs: over a finite plane a position
+    on k >= 2 of them gets C(k,2), elsewhere the kernel's keys are
     counted."""
     q = _plane_order(field)
     if not q:
@@ -629,7 +628,7 @@ def _mult_from_pairs(c: int) -> int:
 
 
 def _table_profile(d: int, counts: dict) -> "SingularityProfile":
-    """The profile of d objects from their pair table (``_pair_counts``):
+    """The profile of d objects from their pair table (``_code_counts``):
     a point met C(k,2) times lies on k of them."""
     slots = Counter(counts.values())
     return SingularityProfile.from_dict(
@@ -695,7 +694,7 @@ def richness_index(cfg: PointConfig) -> IncidenceIndex:
 
 def points_operator(sel: MultiplicitySelector, arr: Arrangement) -> PointConfig:
     """P_sel: the points whose multiplicity lies in the selector."""
-    return _select(sel, arr.lines, arr.field, PointConfig)
+    return _operate((sel,), arr.lines, arr.field, PointConfig)[0]
 
 
 def lines_operator(sel: MultiplicitySelector, cfg: PointConfig) -> Arrangement:
@@ -704,7 +703,7 @@ def lines_operator(sel: MultiplicitySelector, cfg: PointConfig) -> Arrangement:
     Since selector members are >= 2, every qualifying line joins some pair
     of points, so pair grouping is complete.
     """
-    return _select(sel, cfg.points, cfg.field, Arrangement)
+    return _operate((sel,), cfg.points, cfg.field, Arrangement)[0]
 
 
 def _selected(sel: MultiplicitySelector, counts: dict) -> list:
@@ -714,45 +713,41 @@ def _selected(sel: MultiplicitySelector, counts: dict) -> list:
     return list(compress(counts, map(keep.__getitem__, counts.values())))
 
 
-def _select(sel: MultiplicitySelector, objs, field: Field, out):
-    """The ``out`` set of the pair meets (joins) of ``objs`` whose
-    multiplicity lies in the selector: ``_selected`` on codes, then
-    ``_from_key`` at the boundary."""
-    if len(objs) < 2:
-        return out(field)
-    return out(field, [_from_key(out._member, k, field)
-                       for k in _selected(sel, _pair_counts(objs, field))])
+def _operate(sels: Sequence[MultiplicitySelector], objs, field: Field, out,
+             profiled: bool = False) -> tuple:
+    """(the ``out`` set after the selections ``sels`` in turn, the profile of
+    ``objs`` when ``profiled``, read off the first pair table, else None).
+    Each selection keeps the ``_selected`` keys of its codes' pair table,
+    P_sel of lines or L_sel of points, and a key is the code of the object it
+    names, so the keys are the next selection's codes.  A table is dropped
+    once its keys are selected, and the keys before the result sorts."""
+    codes, prof = _encode(objs, field), None
+    for n, sel in enumerate(sels):
+        counts = _code_counts(codes, field) if len(codes) > 1 else {}
+        if profiled and not n:
+            prof = _table_profile(len(codes), counts)
+        codes = _selected(sel, counts)
+        del counts
+    objs = [_from_key(out._member, k, field) for k in codes]
+    del codes
+    return out(field, objs), prof
 
 
 def lambda_op(nsel: MultiplicitySelector, msel: MultiplicitySelector,
               arr: Arrangement) -> Arrangement:
     """The line operator: L_msel after P_nsel."""
-    return lines_operator(msel, points_operator(nsel, arr))
-
-
-def _lambda_and_profile(nsel: MultiplicitySelector, msel: MultiplicitySelector,
-                        arr: Arrangement) -> tuple:
-    """(lambda_op(nsel, msel, arr), profile(arr)) from one pass over the
-    pairs of arr: the profile is read off the pair table P_nsel selects
-    from.  As in ``_select``, the table is dropped before the points are
-    built and their keys before the points are sorted."""
-    counts = _pair_counts(arr.lines, arr.field)
-    prof, keys = _table_profile(len(arr), counts), _selected(nsel, counts)
-    del counts
-    pts = [_from_key(ProjPoint, k, arr.field) for k in keys]
-    del keys
-    return lines_operator(msel, PointConfig(arr.field, pts)), prof
+    return _operate((nsel, msel), arr.lines, arr.field, Arrangement)[0]
 
 
 def psi_op(nsel: MultiplicitySelector, msel: MultiplicitySelector,
            cfg: PointConfig) -> PointConfig:
     """The point operator: P_msel after L_nsel."""
-    return points_operator(msel, lines_operator(nsel, cfg))
+    return _operate((nsel, msel), cfg.points, cfg.field, PointConfig)[0]
 
 
 def dual_lines_op(sel: MultiplicitySelector, arr: Arrangement) -> Arrangement:
-    """L_sel applied to the dual point set of the arrangement."""
-    return lines_operator(sel, dualize_arrangement(arr))
+    """L_sel of the arrangement's dual point set, whose codes are its own."""
+    return _operate((sel,), arr.lines, arr.field, Arrangement)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,11 @@ import json
 import sys
 from fractions import Fraction
 
-from .arrangements import (Arrangement, ArrangementError,
-                           arrangement_from_json, arrangement_to_json,
-                           classify_degenerate, dump_json, freeness_necessary,
-                           h_constant, inequality_report, lines_from_json,
-                           parse_selector, point_config_from_json, profile,
+from .arrangements import (Arrangement, ArrangementError, _classify,
+                           _inequalities, arrangement_from_json,
+                           arrangement_to_json, dump_json, freeness_necessary,
+                           h_constant, lines_from_json, parse_selector,
+                           point_config_from_json, profile,
                            arrangements_equivalent)
 from .catalog import CatalogError, build, entries, get_entry
 from .dynamics import (apply_operator, dual_spec, lambda_spec,
@@ -184,14 +184,15 @@ def cmd_profile(args):
 def cmd_check(args):
     arr = _load_arrangement(args)
     real = args.real if args.real is not None else arr.field.spec.text == "Q"
-    rep = inequality_report(arr, real=real)
-    _emit(f"classification: {classify_degenerate(arr)}\n")
+    prof = profile(arr)  # one pair pass serves every line below
+    rep = _inequalities(len(arr), prof, arr.field, real)
+    _emit(f"classification: {_classify(len(arr), prof, arr.field)}\n")
     for chk in rep.checks():
         slack = "n/a" if chk.slack is None else _fmt_fraction(chk.slack, 0)
         flag = "applies" if chk.applicable else "informational"
         note = f"  [{chk.note}]" if chk.note else ""
         _emit(f"{chk.name}: slack {slack} ({flag}){note}\n")
-    roots = freeness_necessary(profile(arr))
+    roots = freeness_necessary(prof)
     if roots is None:
         _emit("freeness root test: no integer roots\n")
     else:

@@ -10,8 +10,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .arrangements import (Arrangement, ArrangementError, MultiplicitySelector,
-                           SingularityProfile, _lambda_and_profile,
-                           dual_lines_op, h_constant, lambda_op, profile)
+                           SingularityProfile, _operate, h_constant, profile)
 
 DEFAULT_MAX_STEPS = 16
 DEFAULT_MAX_LINES = 20000
@@ -65,32 +64,27 @@ def apply_operator(op: OperatorChain, arr: Arrangement) -> Arrangement:
 
 
 def _apply(op: OperatorChain, arr: Arrangement, profiled: bool) -> tuple:
-    """(apply_operator(op, arr), the profile of arr or None).  The profile
-    is given when ``profiled`` and the first operator applied is a Lambda:
-    it is read off the pair table of that Lambda's P_nsel, so the pairs of
-    arr are met once."""
+    """(apply_operator(op, arr), the profile of arr or None): the chain's
+    selections, right to left (Lambda: nsel then msel; a dual step: sel), in
+    one ``_operate`` call, which reads the profile, when ``profiled``, off
+    the first pair table, so the pairs of arr are met once."""
     chain = (op,) if isinstance(op, OperatorSpec) else tuple(op)
-    out, prof = arr, None
-    for n, spec in enumerate(reversed(chain)):
-        if spec.kind != "lambda":
-            out = dual_lines_op(spec.sel, out)
-        elif n == 0 and profiled:
-            out, prof = _lambda_and_profile(spec.nsel, spec.msel, out)
-        else:
-            out = lambda_op(spec.nsel, spec.msel, out)
-    return out, prof
+    sels = [s for spec in reversed(chain) for s in
+            ((spec.nsel, spec.msel) if spec.kind == "lambda" else (spec.sel,))]
+    return _operate(sels, arr.lines, arr.field, Arrangement, profiled)
 
 
 def _lemma_gate(op: OperatorChain, before: Arrangement, after: Arrangement):
-    """New lines force |before| >= min(n) * min(k) for a single Lambda step."""
+    """New lines force |before| >= min(n) * min(k) for a single Lambda step.
+    The gate can fire only below that bound, so only there is a new line
+    looked for."""
     if not isinstance(op, OperatorSpec) or op.kind != "lambda":
         return
-    if len(before.union(after)) > len(before):
-        bound = op.nsel.min_member * op.msel.min_member
-        if len(before) < bound:
-            raise AssertionError(
-                f"new line out of {len(before)} lines violates the m >= nk bound "
-                f"({bound}); engine bug")
+    bound = op.nsel.min_member * op.msel.min_member
+    if len(before) < bound and not set(after.lines) <= set(before.lines):
+        raise AssertionError(
+            f"new line out of {len(before)} lines violates the m >= nk bound "
+            f"({bound}); engine bug")
 
 
 @dataclass(frozen=True)

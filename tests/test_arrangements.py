@@ -15,7 +15,8 @@ import pytest
 
 from lineops import arrangements, fields, projective
 from lineops.arrangements import (Arrangement, ArrangementError,
-                                  _from_key, _pair_counts, _pair_index,
+                                  _code_counts, _encode, _from_key,
+                                  _pair_index,
                                   MultiplicitySelector, PointConfig,
                                   SingularityProfile, all_projective_lines,
                                   arrangement_from_json, arrangement_to_json,
@@ -31,6 +32,7 @@ from lineops.arrangements import (Arrangement, ArrangementError,
                                   points_operator, profile, property_suite,
                                   psi_op, sel_at_least, sel_exact)
 from lineops.catalog import build
+from lineops.dynamics import apply_operator, dual_spec, lambda_spec
 from lineops.fields import (GF, NUMBER_FIELD, QQ, RATIONALS, FieldError,
                             Scalar, cyclotomic_field, number_field)
 from lineops.projective import (Matrix3, ProjLine, ProjPoint, Projectivity,
@@ -217,9 +219,53 @@ def test_pair_kernel_matches_single_meets_and_joins(name):
         idx = _pair_index(objs, field)
         got = {_from_key(cls, k, field): s for k, s in idx.items()}
         assert len(got) == len(idx) and got == want_index
-        counts = _pair_counts(objs, field)
+        counts = _code_counts(_encode(objs, field), field)
         got = {_from_key(cls, k, field): c for k, c in counts.items()}
         assert len(got) == len(counts) and got == want_counts
+
+
+OPERATOR_SELS = (sel_exact(2), sel_exact(3), sel_at_least(2), sel_at_least(3))
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_INPUTS))
+def test_operators_match_object_compositions(name):
+    """Lambda, Psi and the dual step, each one run of selections on codes,
+    equal P and L applied one at a time through point and line sets, and L
+    on the dualized arrangement."""
+    arr = KERNEL_INPUTS[name]()
+    cfg = dualize_arrangement(arr)
+    # each selector once as the first and once as the second selection
+    for n, m in zip(OPERATOR_SELS, OPERATOR_SELS[1:] + OPERATOR_SELS[:1]):
+        assert lambda_op(n, m, arr) == lines_operator(m, points_operator(n, arr))
+        assert psi_op(n, m, cfg) == points_operator(m, lines_operator(n, cfg))
+        assert dual_lines_op(n, arr) == lines_operator(n, dualize_arrangement(arr))
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_INPUTS))
+def test_operator_chain_matches_single_operators(name):
+    """A chain of three operators, flattened into one run of selections,
+    equals its operators applied one at a time, right to left."""
+    arr = KERNEL_INPUTS[name]()
+    arr = Arrangement(arr.field, arr.lines[:24])  # keeps every image small
+    g3 = sel_at_least(3)
+    chain = (dual_spec(g3), lambda_spec(g3, g3), dual_spec(sel_exact(3)))
+    want = arr
+    for spec in reversed(chain):
+        want = apply_operator(spec, want)
+    assert apply_operator(chain, arr) == want
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_INPUTS))
+def test_operator_keys_round_trip(name):
+    """Every key of a pair table is the code of the point, and of the line,
+    it names: what lets a selection's keys be the next selection's codes."""
+    arr = KERNEL_INPUTS[name]()
+    field = arr.field
+    keys = _code_counts(_encode(arr.lines, field), field)
+    assert keys
+    for key in keys:
+        for cls in (ProjPoint, ProjLine):
+            assert _encode([_from_key(cls, key, field)], field) == [key]
 
 
 def test_incidence_table_built_once_per_spec():
@@ -273,13 +319,13 @@ def test_number_field_kernel_is_built_once_per_modulus():
     assert adjugate.cache_info().misses == 1  # the build's inverses made it
     for objs in (omega.lines, points_operator(sel_at_least(2), omega).points,
                  _moved_into(omega.field).lines, build("grunbaum-rigby").lines):
-        _pair_counts(objs, objs[0].field)
+        _code_counts(_encode(objs, objs[0].field), objs[0].field)
     assert kernel.cache_info().misses == 2  # Q(omega) and the cubic
     # the kernel uses the inverses' adjugate: one per modulus
     assert adjugate.cache_info().misses == 2
     # Q[x]/(x^2 - 1/2) and Q(sqrt 2) share the integer modulus y^2 - 2
     for f in (number_field([Fraction(-1, 2), 0, 1]), number_field([-2, 0, 1])):
-        _pair_counts(_moved_into(f).lines, f)
+        _code_counts(_encode(_moved_into(f).lines, f), f)
     assert kernel.cache_info().misses == adjugate.cache_info().misses == 3
 
 
@@ -290,7 +336,7 @@ def test_pair_kernel_zero_divisor_is_a_field_error():
     x = field.generator
     lines = [line(field, 1, 0, 0), line(field, 0, 1, x ** 3 - 2)]
     with pytest.raises(FieldError) as kernel:
-        _pair_counts(lines, field)
+        _code_counts(_encode(lines, field), field)
     with pytest.raises(FieldError) as inverse:
         (x ** 3 - 2).inverse()
     assert (str(kernel.value) == str(inverse.value)
@@ -940,7 +986,8 @@ def test_property_suite_builds_no_objects(monkeypatch):
     for arr in arrs:
         assert all(ok for _, ok, _ in property_suite(arr))
     assert built == []
-    lambda_op(sel_at_least(2), sel_at_least(2), arrs[0])  # the count works
+    sel = sel_at_least(2)
+    lines_operator(sel, points_operator(sel, arrs[0]))  # the count works
     assert {"ProjPoint", "ProjLine", "Arrangement", "PointConfig"} <= set(built)
 
 

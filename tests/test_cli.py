@@ -96,6 +96,30 @@ def test_check_command(capsys, monkeypatch):
     assert "freeness root test: roots 2, 3" in out
 
 
+def test_check_command_pairs_once(capsys, monkeypatch):
+    """check reads the classification, the slacks and the freeness roots
+    off one profile: with the catalog build's validation, two row passes
+    over the 21 lines in all."""
+    from lineops import arrangements
+    passes = []
+    row_sizes = arrangements._row_sizes
+
+    def counting(codes, field, workers):
+        passes.append(len(codes))
+        return row_sizes(codes, field, workers)
+    monkeypatch.setattr(arrangements, "_row_sizes", counting)
+    code, out, _ = run(capsys, monkeypatch,
+                       ["check", "--catalog", "grunbaum-rigby"])
+    assert code == 0 and passes == [21, 21]
+    assert out == (
+        "classification: other\n"
+        "hirzebruch: slack 49 (applies)\n"
+        "melchior: slack 39 (informational)  [not declared real]\n"
+        "simplicial: slack -39 (applies)  [zero slack = combinatorially simplicial]\n"
+        "de-bruijn-erdos: slack 70 (applies)  [zero slack = near pencil or finite plane]\n"
+        "freeness root test: no integer roots\n")
+
+
 def test_equiv_command(tmp_path, capsys, monkeypatch):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -4,16 +4,18 @@ from itertools import combinations
 
 import pytest
 
-from lineops import arrangements
-from lineops.arrangements import (Arrangement, ArrangementError, h_constant,
-                                  make_arrangement, profile, sel_at_least,
-                                  sel_exact)
+from lineops import arrangements, dynamics, projective
+from lineops.arrangements import (Arrangement, ArrangementError, PointConfig,
+                                  dual_lines_op, dualize_arrangement,
+                                  h_constant, lambda_op, lines_operator,
+                                  make_arrangement, points_operator, profile,
+                                  psi_op, sel_at_least, sel_exact)
 from lineops.catalog import build
 from lineops.dynamics import (apply_operator, dual_spec, lambda_spec,
                               orbit_over_finite_field, run_sequence,
                               trace_table, trace_to_json, union_of_steps)
 from lineops.fields import GF, QQ
-from lineops.projective import join, point
+from lineops.projective import ProjLine, ProjPoint, join, point
 
 F = QQ()
 L2 = lambda_spec(sel_at_least(2), sel_at_least(2))
@@ -149,6 +151,76 @@ def test_one_pair_pass_per_operated_step(monkeypatch):
                       max_steps=1, profile_budget=len(gr))
     assert calls == [21, 28]
     assert tr.steps[0].profile == want and tr.steps[1].profile is None
+
+
+def test_dual_step_takes_its_profile_from_its_pass(monkeypatch):
+    """A step whose first operator is a dual step takes its profile from
+    that pass, since the join table of the dual points is the lines' meet
+    table: the 9 lines of pappus are paired once, and only the last step
+    gets a row pass of its own (over Q a row pass does not go through the
+    pair kernel, so it is counted apart)."""
+    pappus = build("pappus")
+    calls = []
+    for name in ("_code_meets", "_incidences", "_row_sizes"):
+        def counting(codes, field, *rest, name=name,
+                     pass_=getattr(arrangements, name)):
+            calls.append((name, len(codes)))
+            return pass_(codes, field, *rest)
+        monkeypatch.setattr(arrangements, name, counting)
+    tr = run_sequence(dual_spec(sel_at_least(2)), pappus, max_steps=1,
+                      profile_budget=100)
+    assert calls == [("_code_meets", 9), ("_row_sizes", 18)]
+    monkeypatch.undo()
+    assert [s.profile for s in tr.steps] == [profile(a) for a in tr.arrangements]
+
+
+def test_operators_build_no_intermediate_set(monkeypatch):
+    """Lambda and the dual step build no point, point set or dual line;
+    Psi builds no line or arrangement: the objects of the result are the
+    only ones made."""
+    sel = sel_at_least(2)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an intermediate object was built")
+    for arr in (build("pappus"), build("dual-hesse"),
+                build("finite-plane", q=3)):
+        cfg = dualize_arrangement(arr)
+        want = (lines_operator(sel, points_operator(sel, arr)),
+                lines_operator(sel, dualize_arrangement(arr)),
+                points_operator(sel, lines_operator(sel, cfg)))
+        with monkeypatch.context() as m:
+            for obj, name in ((ProjPoint, "__init__"), (PointConfig, "__init__"),
+                              (projective, "dualize"), (arrangements, "dualize")):
+                m.setattr(obj, name, forbidden)
+            got = (lambda_op(sel, sel, arr), dual_lines_op(sel, arr))
+        with monkeypatch.context() as m:
+            for cls in (ProjLine, Arrangement):
+                m.setattr(cls, "__init__", forbidden)
+            got += (psi_op(sel, sel, cfg),)
+        assert got == want
+
+
+NK = lambda_spec(sel_at_least(2), sel_at_least(3))  # m >= nk: at least 6 lines
+
+
+@pytest.mark.parametrize("d, new, fires", [(5, True, True), (6, True, False),
+                                           (5, False, False)])
+def test_lemma_gate_fires_on_a_new_line_below_the_bound(monkeypatch, d, new,
+                                                        fires):
+    """A step that adds a line to fewer than nk lines is an engine bug; at
+    nk lines or more, or with no new line, the step passes."""
+    start, _ = make_arrangement([(1, k, k * k) for k in range(d)], F)
+    extra = (0, 0, 1) if new else (1, 0, 0)
+    step, _ = make_arrangement(start.digest() + (extra,), F)
+
+    def patched(op, arr, profiled):
+        return step, None
+    monkeypatch.setattr(dynamics, "_apply", patched)
+    if fires:
+        with pytest.raises(AssertionError, match="violates the m >= nk bound"):
+            run_sequence(NK, start, max_steps=1)
+    else:
+        run_sequence(NK, start, max_steps=1)
 
 
 @pytest.mark.parametrize("op, start, steps, budget", [

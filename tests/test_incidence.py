@@ -15,8 +15,9 @@ from math import comb
 import pytest
 
 from lineops import arrangements
-from lineops.arrangements import (Arrangement, _from_key, _mult_from_pairs,
-                                  _pair_counts, _pair_index, _table_profile,
+from lineops.arrangements import (Arrangement, _code_counts, _encode,
+                                  _from_key, _mult_from_pairs, _pair_index,
+                                  _table_profile,
                                   all_projective_lines, dualize_arrangement,
                                   lambda_op, lines_operator, points_operator,
                                   profile, sel_at_least, sel_exact)
@@ -67,10 +68,10 @@ def _check_pass(objs, field, ref):
     """The pair table and the pair index of ``objs`` against the reference
     table ``ref``: the index sets have the reference sizes, and each of
     their objects is incident to the keyed position."""
-    assert _pair_counts(objs, field) == ref
+    codes, dot = _encode(objs, field), _dot(field)
+    assert _code_counts(codes, field) == ref
     index = _pair_index(objs, field)
     assert index.keys() == ref.keys()
-    codes, dot = arrangements._encode(objs, field), _dot(field)
     for key, s in index.items():
         assert len(s) * (len(s) - 1) // 2 == ref[key]
         assert all(dot(codes[i], key) == 0 for i in s)
