@@ -1,42 +1,44 @@
 """Line arrangements, point configurations and the incidence operators.
 
-The engine underlying every operator is the pair table: the meet (dually:
-join) of each pair, as a canonical coordinate key, with the number of pairs
-meeting there.  A point met by k lines receives C(k,2) of the pair meets, so
-the operators read multiplicity off its count.  Over GF(q), q <=
-``_PLANE_ORDER``, the table comes from incidences, not pairs:
-``_plane_table`` holds, once per field, the q+1 dual objects of PG(2,q)
-incident to each object, by ordinals computed from the key (``_ordinals``),
-and a pass counts the rows of its objects (``_incidences``), n(q+1) counts
-at C speed; a position counted k >= 2 times is a k-fold meet, so
-``profile`` reads t_k off the same counts.  Elsewhere the canonical pair
-kernel, ``_meet_keys``, gives the meets of all pairs in ``combinations``
-order, and ``profile`` groups one row (line i with the later lines) at a
-time, holding O(d) keys: a point on k lines makes one row group of each size
-k-1, ..., 1, so t_k = c_(k-1) - c_k, c_s the number of row groups of size s.
-A row key only has to tell apart points on line i, so over Q ``_row_keys``
-gives each meet one integer, floor(2^s u/v) for a chart pair (u, v) of the
-point on line i; it is exact because distinct rationals of denominator at
-most V >= max |v| differ by at least 1/V^2 > 2^-s.  The rows split into W
-strided shares (rows w, w + W, ...): ``profile`` forks W - 1 children, which
-send the group-size counts c_s of their shares through pipes, and it counts
-the first share itself.  W is the number of usable CPUs, at most one per
-``_SHARE_PAIRS`` = 2^17 pairs, and 1 unless on Linux in a process with one
-thread; the counts add exactly, and a child that fails leaves its share to
-the parent, so the profile does not depend on W.  Each field kind has an
-exact integer codec (``_encode``), so no pair touches a Fraction, a Scalar or
-a residue tuple: primitive integer triples over Q; residues with the first
-nonzero one over GF(p); element codes over GF(p^k); primitive integer
-vectors in Z[theta], scaled by the adjugate of the first nonzero coordinate,
-over a number field, where the pair loop and the adjugate are straight-line
-integer code built once per modulus (``_nf_kernel`` and
-``fields._adjugate``, by Cayley-Hamilton).  The inputs are encoded once per
-pass; ``property_suite`` encodes its input once and works on sets of codes,
-keeping no memo past the call.  Every operator and operator chain is a run
-of selections on codes (``_operate``): a kernel key is the code of the object
-it names, so each selection's keys are the next one's codes.  ``_from_key``
-turns a key back into a point or line, with the usual first-nonzero-is-one
-coordinates, at the API boundary, for the result only.
+The engine underlying every operator is the pair table (``_code_counts``):
+each position where k >= 2 of the objects meet (dually: join), as a
+canonical key, with its multiplicity k, which the operators select on.  Over
+GF(q), q <= ``_PLANE_ORDER``, an object's code is its ordinal in PG(2,q)
+(``_ordinals``), and the table comes from incidences, not pairs:
+``_plane_table`` holds, once per field, the ordinals of the q+1 dual objects
+incident to each object, and a pass counts the rows of its objects
+(``_incidences``), n(q+1) counts at C speed; a position counted k >= 2 times
+is a k-fold meet, so the counts are the table as they stand.  Elsewhere the
+canonical pair kernel, ``_code_meets``, gives the meets of all pairs in
+``combinations`` order, a point on k lines C(k,2) times, and the table turns
+each distinct count into k once.  There ``profile`` groups one row (line i
+with the later lines) at a time, holding O(d) keys: a point on k lines makes
+one row group of each size k-1, ..., 1, so t_k = c_(k-1) - c_k, c_s the
+number of row groups of size s.  A row key only has to tell apart points on
+line i, so over Q ``_row_keys`` gives each meet one integer, floor(2^s u/v)
+for a chart pair (u, v) of the point on line i; it is exact because distinct
+rationals of denominator at most V >= max |v| differ by at least 1/V^2
+> 2^(-s).  The rows split into W strided shares (rows w, w + W, ...):
+``profile`` forks W - 1 children, which send the group-size counts c_s of
+their shares through pipes, and it counts the first share itself.  W is the
+number of usable CPUs, at most one per ``_SHARE_PAIRS`` = 2^17 pairs, and 1
+unless on Linux in a process with one thread; the counts add exactly, and a
+child that fails leaves its share to the parent, so the profile does not
+depend on W.  Each field kind has an exact integer codec (``_encode``), so
+no pair touches a Fraction, a Scalar or a residue tuple: primitive integer
+triples over Q; PG(2,q) ordinals over GF(q), q <= ``_PLANE_ORDER``; residues
+with the first nonzero one over a larger GF(p); primitive integer vectors in
+Z[theta], scaled by the adjugate of the first nonzero coordinate, over a
+number field, where the pair loop and the adjugate are straight-line integer
+code built once per modulus (``_nf_kernel`` and ``fields._adjugate``, by
+Cayley-Hamilton).  The inputs are encoded once per pass; ``property_suite``
+encodes its input once and works on sets of codes, keeping no memo past the
+call.  Every operator and operator chain is a run of selections on codes
+(``_operate``): a key of the table is the code of the object it names, so
+each selection's keys are the next one's codes.  ``_from_key`` is the one
+decoder: it turns a key back into a point or line, with the usual
+first-nonzero-is-one coordinates, at the API boundary, for the result only,
+so no pass decodes an ordinal.
 """
 from __future__ import annotations
 
@@ -49,9 +51,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations, compress, islice, repeat
+from itertools import chain, combinations, compress, islice
 from math import comb, gcd, isqrt
-from operator import lt
 from typing import Iterable, Optional, Sequence
 
 from .fields import (Field, FieldError, NUMBER_FIELD, PRIME_FIELD,
@@ -250,35 +251,28 @@ def dualize_arrangement(arr: Arrangement) -> PointConfig:
 # ---------------------------------------------------------------------------
 # the pair-grouping engine
 
-def _meet_keys(objs, field: Field):
-    """Canonical integer key of the meet (join) of each pair of lines (points).
-
-    Keys come in ``combinations(range(len(objs)), 2)`` order, from the
-    integer codec of the field's kind; ``_from_key`` decodes them.
-    """
-    return _code_meets(_encode(objs, field), field)
-
-
 def _code_meets(codes: list, field: Field, rows: Optional[range] = None):
-    """The pair kernel on a list of ``_encode`` codes, over the pairs (i, j),
-    i < j, of each row i in ``rows`` (default: every row), row by row.  Every
-    pair pass over Q, a number field or GF(p), p > ``_PLANE_ORDER``, runs
-    through here; over a smaller finite field ``_incidences`` (or
-    ``_pair_index``) counts incidences instead."""
+    """The pair kernel on a list of ``_encode`` codes: the key of the meet
+    (join) of each pair (i, j), i < j, of each row i in ``rows`` (default:
+    every row), in ``combinations`` order.  Every pair pass over Q, a number
+    field or GF(p), p > ``_PLANE_ORDER``, runs through here; over a smaller
+    finite field ``_incidences`` counts incidences instead."""
     if rows is None:
         rows = range(len(codes) - 1)
     return _KERNELS[field.kind](codes, field, rows)
 
 
 def _encode(objs, field: Field) -> list:
-    """The objects in the integer codec of the field's kind, one tuple each
-    (see the module docstring); equal codes mean equal objects."""
+    """The objects in the integer codec of the field's kind, one ordinal or
+    tuple each (see the module docstring); equal codes mean equal objects."""
     kind = field.kind
     if kind == PRIME_FIELD:
-        return [o.key() for o in objs]
-    if kind == PRIME_POWER_FIELD:
+        keys, q = [o.key() for o in objs], _plane_order(field)
+        return _ordinals(keys, q) if q else keys
+    if kind == PRIME_POWER_FIELD:  # every GF(p^k) is a finite plane
         code = _gf_tables(field.spec).code
-        return [tuple([code[r] for r in o.key()]) for o in objs]
+        return _ordinals(([code[r] for r in o.key()] for o in objs),
+                         _plane_order(field))
     if kind == RATIONALS:
         return [_primitive_int(o.key()) for o in objs]
     # sum a_i x^i = sum a_i c^(n-1-i) theta^i / c^(n-1)
@@ -381,15 +375,15 @@ def _plane_order(field: Field) -> int:
     return q if q <= _PLANE_ORDER else 0
 
 
-def _ordinals(codes: list, q: int) -> list:
-    """The ordinal of each code of PG(2,q), first nonzero 1: (1, y, z) ->
-    yq + z, (0, 1, z) -> q^2 + z, (0, 0, 1) -> q^2 + q."""
+def _ordinals(triples: Iterable, q: int) -> list:
+    """The ordinal of each triple of element codes of PG(2,q), first nonzero
+    1: (1, y, z) -> yq + z, (0, 1, z) -> q^2 + z, (0, 0, 1) -> q^2 + q."""
     q2 = q * q
-    return [y * q + z if x else q2 + z if y else q2 + q for x, y, z in codes]
+    return [y * q + z if x else q2 + z if y else q2 + q for x, y, z in triples]
 
 
 def _plane_key(o: int, q: int) -> tuple:
-    """The code, and kernel key, of ordinal o of PG(2,q)."""
+    """The triple of element codes of ordinal o of PG(2,q)."""
     q2 = q * q
     if o < q2:
         return (1, *divmod(o, q))
@@ -407,14 +401,8 @@ def _plane_table(spec) -> array:
     a2 != 0, and y = -a0/a1 for each z if a2 = 0 != a1; a point (0, 1, z)
     has z = -a1/a2, or any z if a1 = a2 = 0; (0, 0, 1) lies on a if a2 = 0.
     """
-    if spec.kind == PRIME_POWER_FIELD:
-        _, _, mul, sub, inv = _gf_tables(spec)
-        q = len(inv)
-    else:
-        q = spec.characteristic
-        mul = [a * b % q for a in range(q) for b in range(q)]
-        sub = [(a - b) % q for a in range(q) for b in range(q)]
-        inv = [0] + [pow(a, q - 2, q) for a in range(1, q)]
+    _, _, mul, sub, inv = _gf_tables(spec)
+    q = len(inv)
     q2, yq = q * q, range(0, q * q, q)
     table = array("H")
     # the lines in ordinal order: (1, a1, a2), (0, 1, a2), then (0, 0, 1)
@@ -437,19 +425,11 @@ def _plane_table(spec) -> array:
 
 
 def _incidences(codes: list, field: Field) -> Counter:
-    """ordinal -> the number of the objects with ``codes`` incident to the
-    dual object of that ordinal: the pair pass over a finite plane, which
-    counts the objects' rows of ``_plane_table``."""
-    q = _plane_order(field)
-    table, r = _plane_table(field.spec), q + 1
-    return Counter(chain.from_iterable(table[o * r:o * r + r]
-                                       for o in _ordinals(codes, q)))
-
-
-def _multiple(counts: Counter):
-    """The (ordinal, k) of ``_incidences`` counts with k >= 2, the meets
-    (joins), picked at C speed: most positions are counted once."""
-    return compress(counts.items(), map(lt, repeat(1), counts.values()))
+    """ordinal -> the number of the objects with ordinals ``codes`` incident
+    to the dual object of that ordinal: the pair pass over a finite plane,
+    which counts the objects' rows of ``_plane_table``."""
+    table, r = _plane_table(field.spec), _plane_order(field) + 1
+    return Counter(chain.from_iterable(table[o * r:o * r + r] for o in codes))
 
 
 def _row_keys(tris: list, field: Field, rows: range):
@@ -588,29 +568,32 @@ def _received(data: bytes, share: range, d: int) -> Optional[Counter]:
 
 
 def _code_counts(codes: list, field: Field) -> dict:
-    """key -> the number of pairs of the objects with ``codes`` meeting
-    (joining) there, over all C(n,2) pairs: over a finite plane a position
-    on k >= 2 of them gets C(k,2), elsewhere the kernel's keys are
-    counted."""
-    q = _plane_order(field)
-    if not q:
-        return Counter(_code_meets(codes, field))
-    return {_plane_key(o, q): k * (k - 1) // 2
-            for o, k in _multiple(_incidences(codes, field))}
+    """The pair table of the objects with ``codes``: key -> k for each
+    position on k >= 2 of them, the meets (joins).  Over a finite plane it
+    keeps the ``_incidences`` counts of at least 2; elsewhere a key that the
+    kernel gives C(k,2) times gets k, converted once per distinct count."""
+    if _plane_order(field):
+        return {o: k for o, k in _incidences(codes, field).items() if k > 1}
+    counts = Counter(_code_meets(codes, field))
+    k = {c: _mult_from_pairs(c) for c in set(counts.values())}
+    # in place at C speed: no key is added, so iterating the table is sound
+    dict.update(counts, zip(counts, map(k.__getitem__, counts.values())))
+    return counts
 
 
 def _pair_index(objs, field: Field) -> dict:
     """key -> set of indices of the objects through the keyed position."""
-    index, q = {}, _plane_order(field)
+    codes, q = _encode(objs, field), _plane_order(field)
     if q:  # each object's row, cut down to the meets (joins) at C speed
-        codes, table, r = _encode(objs, field), _plane_table(field.spec), q + 1
-        index = {o: set() for o, _ in _multiple(_incidences(codes, field))}
-        for i, o in enumerate(_ordinals(codes, q)):
+        table, r = _plane_table(field.spec), q + 1
+        index = {o: set() for o in _code_counts(codes, field)}
+        for i, o in enumerate(codes):
             for pos in index.keys() & table[o * r:o * r + r]:
                 index[pos].add(i)
-        return {_plane_key(o, q): s for o, s in index.items()}
-    for (i, j), key in zip(combinations(range(len(objs)), 2),
-                           _meet_keys(objs, field)):
+        return index
+    index = {}
+    for (i, j), key in zip(combinations(range(len(codes)), 2),
+                           _code_meets(codes, field)):
         s = index.get(key)
         if s is None:
             index[key] = {i, j}
@@ -621,6 +604,7 @@ def _pair_index(objs, field: Field) -> dict:
 
 
 def _mult_from_pairs(c: int) -> int:
+    """k with C(k,2) = c: the multiplicity of a key the kernel gave c times."""
     k = (1 + isqrt(1 + 8 * c)) // 2
     if k * (k - 1) // 2 != c:
         raise AssertionError("pair count is not a binomial; engine bug")
@@ -628,19 +612,19 @@ def _mult_from_pairs(c: int) -> int:
 
 
 def _table_profile(d: int, counts: dict) -> "SingularityProfile":
-    """The profile of d objects from their pair table (``_code_counts``):
-    a point met C(k,2) times lies on k of them."""
-    slots = Counter(counts.values())
-    return SingularityProfile.from_dict(
-        d, {_mult_from_pairs(c): n for c, n in slots.items()})
+    """The profile of d objects from their pair table (``_code_counts``)."""
+    return SingularityProfile.from_dict(d, Counter(counts.values()))
 
 
 def _from_key(cls, key, field):
-    """The ProjPoint or ProjLine (``cls``) with kernel key ``key``.
+    """The ProjPoint or ProjLine (``cls``) with kernel key ``key``: the one
+    decoder of codes, so the only place a PG(2,q) ordinal becomes a triple.
 
     The reps already have first nonzero coordinate 1, so the constructor
     does not scale them again.
     """
+    if key.__class__ is int:  # an ordinal of PG(2,q)
+        key = _plane_key(key, _plane_order(field))
     kind = field.kind
     if kind == RATIONALS:
         k = next(v for v in key if v)
@@ -708,8 +692,8 @@ def lines_operator(sel: MultiplicitySelector, cfg: PointConfig) -> Arrangement:
 
 def _selected(sel: MultiplicitySelector, counts: dict) -> list:
     """The keys of a pair table whose multiplicity, tested once per distinct
-    pair count, lies in the selector."""
-    keep = {c: sel.contains(_mult_from_pairs(c)) for c in set(counts.values())}
+    multiplicity, lies in the selector."""
+    keep = {k: sel.contains(k) for k in set(counts.values())}
     return list(compress(counts, map(keep.__getitem__, counts.values())))
 
 
@@ -799,18 +783,15 @@ class SingularityProfile:
 
 
 def profile(arr: Arrangement) -> SingularityProfile:
-    """d and each t_k: over a finite plane, the number of positions counted
-    k times by ``_incidences``; elsewhere from the meets grouped one row at
-    a time, the rows split among forked workers when there are many (see
-    the module docstring)."""
+    """d and each t_k: over a finite plane, from the pair table; elsewhere
+    from the meets grouped one row at a time, the rows split among forked
+    workers when there are many (see the module docstring)."""
     d, field = len(arr), arr.field
     if d < 2:
         return SingularityProfile(d, ())
     codes = _encode(arr.lines, field)
     if _plane_order(field):
-        t = Counter(_incidences(codes, field).values())
-        del t[1]  # positions on one line
-        return SingularityProfile.from_dict(d, t)
+        return _table_profile(d, _code_counts(codes, field))
     c = _row_sizes(codes, field, _workers(comb(d, 2)))
     return SingularityProfile.from_dict(d, {k: c[k - 1] - c[k]
                                             for k in range(2, max(c) + 2)})
@@ -1026,7 +1007,7 @@ def property_suite(arr: Arrangement, real: Optional[bool] = None) -> list:
     build no point, line or set.  A kernel key is the code of the object
     it names, and a line and the point with the same triple have the same
     code, so P_sel and L_sel both keep the keys of a pair table whose
-    counts are C(k,2) for k in sel.  For the length of the call each
+    multiplicities lie in sel.  For the length of the call each
     distinct code set is paired once and each image selected once.
     """
     field, d = arr.field, len(arr)

@@ -2,7 +2,8 @@
 
 Subcommands read and write the JSON documents of the arrangement layer, so
 `catalog build ... | apply ... | profile` pipelines compose.  Exit codes:
-0 success, 1 domain error (one-line reason on stderr), 2 usage error.
+0 success, 1 domain error or unreadable/unwritable file (one-line reason on
+stderr), 2 usage error.
 """
 from __future__ import annotations
 
@@ -18,8 +19,9 @@ from .arrangements import (Arrangement, ArrangementError, _classify,
                            point_config_from_json, profile,
                            arrangements_equivalent)
 from .catalog import CatalogError, build, entries, get_entry
-from .dynamics import (apply_operator, dual_spec, lambda_spec,
-                       run_sequence, trace_table, trace_to_json)
+from .dynamics import (DEFAULT_MAX_LINES, DEFAULT_MAX_STEPS,
+                       DEFAULT_PROFILE_BUDGET, apply_operator, dual_spec,
+                       lambda_spec, run_sequence, trace_table, trace_to_json)
 from .fields import FieldError
 from .matroids import (extract_matroid, matroid_from_json, matroid_isomorphic,
                        matroid_to_json)
@@ -27,7 +29,7 @@ from .projective import GeometryError, rich_conics
 from .render import RenderSpec, render_svg
 
 DOMAIN_ERRORS = (ArrangementError, CatalogError, FieldError, GeometryError,
-                 NotImplementedError)
+                 NotImplementedError, OSError)
 
 
 class UsageError(Exception):
@@ -124,6 +126,8 @@ def cmd_catalog(args):
             tag = " [heavy]" if e.heavy else ""
             _emit(f"{e.name}{tag}\n")
         return 0
+    if args.name is None:
+        raise UsageError(f"catalog {args.action} needs an entry name")
     if args.action == "show":
         e = get_entry(args.name)
         _emit(f"name: {e.name}\nsummary: {e.summary}\n")
@@ -173,11 +177,13 @@ def cmd_seq(args):
 
 
 def cmd_profile(args):
+    if args.approx < 0:
+        raise UsageError("--approx must be at least 0")
     arr = _load_arrangement(args)
     prof = profile(arr)
     _emit(prof.text() + "\n")
     if prof.total_points:
-        _emit("H = " + _fmt_fraction(h_constant(prof), args.approx or 4) + "\n")
+        _emit("H = " + _fmt_fraction(h_constant(prof), args.approx) + "\n")
     return 0
 
 
@@ -252,9 +258,12 @@ def cmd_render(args):
         layers.append(arrangement_from_json(_read_doc(path)))
     if not layers:
         raise UsageError("render needs --catalog or --in")
-    window = tuple(Fraction(v) for v in args.window.split(","))
+    try:
+        window = tuple(Fraction(v) for v in args.window.split(","))
+    except (ValueError, ZeroDivisionError):
+        window = ()
     if len(window) != 4:
-        raise UsageError("window must be x0,x1,y0,y1")
+        raise UsageError("window must be four numbers x0,x1,y0,y1")
     spec = RenderSpec(window=window, chart=args.chart,
                       root_index=args.root_index,
                       mark_points=not args.no_marks)
@@ -319,17 +328,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("seq", help="iterate an operator, print the trace")
     sp.add_argument("--op", required=True)
-    sp.add_argument("--steps", type=int, default=16)
-    sp.add_argument("--max-lines", type=int, default=20000, dest="max_lines")
-    sp.add_argument("--profile-budget", type=int, default=8000,
-                    dest="profile_budget")
+    sp.add_argument("--steps", type=int, default=DEFAULT_MAX_STEPS)
+    sp.add_argument("--max-lines", type=int, default=DEFAULT_MAX_LINES,
+                    dest="max_lines")
+    sp.add_argument("--profile-budget", type=int,
+                    default=DEFAULT_PROFILE_BUDGET, dest="profile_budget")
     sp.add_argument("--json", action="store_true")
     add_source(sp)
     sp.set_defaults(func=cmd_seq)
 
     sp = sub.add_parser("profile", help="singularity profile and H-constant")
     sp.add_argument("--approx", type=int, default=4,
-                    help="decimal places for the H approximation")
+                    help="decimal places for the H approximation "
+                    "(0: the exact H only)")
     add_source(sp)
     sp.set_defaults(func=cmd_profile)
 

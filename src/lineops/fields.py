@@ -120,14 +120,15 @@ class _GFTables(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _gf_tables(spec: "FieldSpec") -> _GFTables:
-    """Integer-coded arithmetic of GF(p)[x]/(f), built once per spec.
+    """Integer-coded arithmetic of GF(p)[x]/(f), built once per spec; a
+    prime spec reads as GF(p)[x]/(x), whose code of a residue is itself.
 
     Element ``i`` is the residue tuple of the base-p digits of ``i``, low
     digit first, so code 0 is zero and code 1 is one.  Only a unit has an
     inverse, so ``mul`` holds q - 1 ones exactly when f is irreducible: the
     tables double as the irreducibility test.
     """
-    p, mp = spec.characteristic, spec.min_poly
+    p, mp = spec.characteristic, spec.min_poly or (0, 1)
     n = len(mp) - 1
     elems = [t[::-1] for t in itertools.product(range(p), repeat=n)]
     code = {e: i for i, e in enumerate(elems)}

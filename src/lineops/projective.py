@@ -684,9 +684,8 @@ def rich_conics(pts: Sequence[ProjPoint], min_count: int) -> list:
     pts = _canonical(pts)
     if len(pts) > 30:
         raise GeometryError("rich_conics accepts at most 30 points")
-    if len(pts) < 5 or min_count < 5:
-        if min_count < 5:
-            raise GeometryError("min_count must be at least 5")
+    if min_count < 5:
+        raise GeometryError("min_count must be at least 5")
     field = pts[0].field if pts else None
     seen = {}
     for sub in combinations(pts, 5):

@@ -16,7 +16,6 @@ from math import gcd, lcm
 
 import pytest
 
-from lineops import arrangements
 from lineops.arrangements import (Arrangement, all_projective_lines,
                                   arrangements_equivalent, dual_lines_op,
                                   dualize_arrangement, freeness_necessary,
@@ -446,16 +445,10 @@ def test_criterion_13_finite_fields():
     _pass(13, t0, 30, f"all {1 << 13} GF(3) orbits swept")
 
 
-def test_criterion_14_property_suites(monkeypatch):
+def test_criterion_14_property_suites(count_passes):
     t0 = time.time()
     failures = []
-    calls, passes = [], {}  # pair-kernel calls of each suite, by tag
-    # a pair pass: the pair kernel, or the incidence count over a finite plane
-    for name in ("_code_meets", "_incidences"):
-        def counting(codes, field, *rows, pass_=getattr(arrangements, name)):
-            calls.append(len(codes))
-            return pass_(codes, field, *rows)
-        monkeypatch.setattr(arrangements, name, counting)
+    calls, passes = count_passes(), {}  # pair passes of each suite, by tag
 
     def run_suite(tag, arr, real=None):
         del calls[:]

@@ -15,8 +15,8 @@ import pytest
 
 from lineops import arrangements, fields, projective
 from lineops.arrangements import (Arrangement, ArrangementError,
-                                  _code_counts, _encode, _from_key,
-                                  _pair_index,
+                                  _code_counts, _code_meets, _encode,
+                                  _from_key, _mult_from_pairs, _pair_index,
                                   MultiplicitySelector, PointConfig,
                                   SingularityProfile, all_projective_lines,
                                   arrangement_from_json, arrangement_to_json,
@@ -220,8 +220,9 @@ def test_pair_kernel_matches_single_meets_and_joins(name):
         got = {_from_key(cls, k, field): s for k, s in idx.items()}
         assert len(got) == len(idx) and got == want_index
         counts = _code_counts(_encode(objs, field), field)
-        got = {_from_key(cls, k, field): c for k, c in counts.items()}
-        assert len(got) == len(counts) and got == want_counts
+        got = {_from_key(cls, key, field): k for key, k in counts.items()}
+        assert len(got) == len(counts) and got == {
+            o: _mult_from_pairs(c) for o, c in want_counts.items()}
 
 
 OPERATOR_SELS = (sel_exact(2), sel_exact(3), sel_at_least(2), sel_at_least(3))
@@ -293,7 +294,8 @@ def test_number_field_kernel_makes_no_mulmod_call(monkeypatch):
     arrs = [make() for make in KERNEL_INPUTS.values()]
     arrs = [arr for arr in arrs if arr.field.kind == NUMBER_FIELD]
     assert {arr.field.degree for arr in arrs} == {2, 3, 4, 6, 8}
-    want = [list(arrangements._meet_keys(arr.lines, arr.field)) for arr in arrs]
+    want = [list(_code_meets(_encode(arr.lines, arr.field), arr.field))
+            for arr in arrs]
 
     def forbidden(*args):
         raise AssertionError("field product called in the pair kernel")
@@ -307,7 +309,7 @@ def test_number_field_kernel_makes_no_mulmod_call(monkeypatch):
     monkeypatch.setattr(fields, "_nf_ops", lambda spec: (forbidden, ops(spec)[1]))
     arrangements._nf_kernel.cache_clear()  # building the code calls none either
     fields._adjugate.cache_clear()
-    assert [list(arrangements._meet_keys(arr.lines, arr.field))
+    assert [list(_code_meets(_encode(arr.lines, arr.field), arr.field))
             for arr in arrs] == want
 
 
@@ -534,7 +536,7 @@ def forks_unwarned():
 
 @pytest.mark.parametrize("name", sorted(PROFILE_INPUTS))
 def test_profile_matches_pair_table(name, monkeypatch, forks_unwarned,
-                                    reference_kernels):
+                                    reference_kernels, count_passes):
     """Grouping row by row gives the profile the whole pair table gives,
     with the rows in one share or split among 2 or 3 forked workers, and
     so does the table inside a suite call.  Each row's keys split the row's
@@ -544,12 +546,12 @@ def test_profile_matches_pair_table(name, monkeypatch, forks_unwarned,
     ref = _table_profile(arr)
     assert want is None or ref == want
     codes = arrangements._encode(arr.lines, arr.field)
-    keys = arrangements._meet_keys(arr.lines, arr.field)
+    keys = _code_meets(codes, arr.field)
     for row in arrangements._row_keys(codes, arr.field, range(len(arr) - 1)):
         row = list(row)
         pairs = set(zip(row, islice(keys, len(row))))
         assert len(pairs) == len(set(row)) == len({k for _, k in pairs})
-    calls = _count_kernel_calls(monkeypatch)
+    calls = count_passes()
     prof = profile(arr)
     assert len(calls) == (arr.field.kind != "rationals")
     assert prof.d == len(arr) and prof.as_dict() == ref
@@ -562,9 +564,8 @@ def test_profile_matches_pair_table(name, monkeypatch, forks_unwarned,
 
 def _table_profile(arr):
     """The profile from the whole pair table, as a dict."""
-    table = Counter(arrangements._meet_keys(arr.lines, arr.field))
-    return {arrangements._mult_from_pairs(c): n
-            for c, n in Counter(table.values()).items()}
+    table = Counter(_code_meets(_encode(arr.lines, arr.field), arr.field))
+    return {_mult_from_pairs(c): n for c, n in Counter(table.values()).items()}
 
 
 SPLIT_INPUTS = (_cq_step2, lambda: build("dual-hesse"),
@@ -707,7 +708,7 @@ def test_profile_holds_no_pair_table():
     assert len(arr) > 250
     tracemalloc.start()
     try:
-        table = Counter(arrangements._meet_keys(arr.lines, arr.field))
+        table = Counter(_code_meets(_encode(arr.lines, arr.field), arr.field))
         table_peak = tracemalloc.get_traced_memory()[1]
         ref = Counter(table.values())
         del table
@@ -716,8 +717,7 @@ def test_profile_holds_no_pair_table():
         profile_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert prof.as_dict() == {arrangements._mult_from_pairs(c): n
-                              for c, n in ref.items()}
+    assert prof.as_dict() == {_mult_from_pairs(c): n for c, n in ref.items()}
     assert profile_peak < 500_000 and profile_peak * 20 < table_peak, \
         (profile_peak, table_peak)
 
@@ -846,20 +846,8 @@ def test_property_suite_clean_on_catalog():
             assert ok, (name, check, detail)
 
 
-def _count_kernel_calls(monkeypatch):
-    """A list that grows by one for each pair pass: a call of the pair
-    kernel, or of the incidence count over a finite plane."""
-    calls = []
-    for name in ("_code_meets", "_incidences"):
-        def counting(codes, field, *rows, pass_=getattr(arrangements, name)):
-            calls.append(len(codes))
-            return pass_(codes, field, *rows)
-        monkeypatch.setattr(arrangements, name, counting)
-    return calls
-
-
-def test_property_suite_pairs_each_distinct_set_once(monkeypatch):
-    calls = _count_kernel_calls(monkeypatch)
+def test_property_suite_pairs_each_distinct_set_once(count_passes):
+    calls = count_passes()
     for arr, want in ((build("dual-hesse"), 2), (build("hesse"), 4),
                       (build("finite-plane", q=3), 1)):
         for _ in range(2):  # nothing kept from the previous call
@@ -877,8 +865,9 @@ def test_property_suite_pairs_each_distinct_set_once(monkeypatch):
         points_operator(sel_at_least(2), arr)
 
 
-def test_property_suite_drops_its_memo_when_it_raises(monkeypatch):
-    calls = _count_kernel_calls(monkeypatch)
+def test_property_suite_drops_its_memo_when_it_raises(monkeypatch,
+                                                     count_passes):
+    calls = count_passes()
 
     def broken(*args, **kwargs):
         raise RuntimeError("boom")

@@ -11,7 +11,9 @@ import lineops
 from lineops.arrangements import (arrangement_from_json, arrangement_to_json,
                                   dump_json, sel_at_least, sel_exact)
 from lineops.catalog import build, entries
-from lineops.cli import UsageError, parse_operator_expr, run_cli
+from lineops.cli import UsageError, build_parser, parse_operator_expr, run_cli
+from lineops.dynamics import (DEFAULT_MAX_LINES, DEFAULT_MAX_STEPS,
+                              DEFAULT_PROFILE_BUDGET)
 
 
 def run(capsys, monkeypatch, argv, stdin=None):
@@ -202,6 +204,41 @@ def test_exit_codes(capsys, monkeypatch):
     code, _, err = run(capsys, monkeypatch, ["apply", "--op", "L{2;3}"],
                        stdin="not json")
     assert code == 1
+    # a file that cannot be read or written is a one-line domain error
+    for argv in (["profile", "--in", "/nonexistent"],
+                 ["equiv", "/nonexistent", "/nonexistent"],
+                 ["render", "--catalog", "pappus",
+                  "--out", "/nonexistent/dir/x.svg"]):
+        code, out, err = run(capsys, monkeypatch, argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("error:") and err.count("\n") == 1, argv
+    # a bad argument is a usage error, not a traceback
+    for argv in (["catalog", "show"], ["catalog", "build"],
+                 ["render", "--catalog", "pappus", "--window", "a,b,c,d"],
+                 ["render", "--catalog", "pappus", "--window", "1/0,1,0,1"],
+                 ["profile", "--catalog", "pappus", "--approx", "-1"]):
+        code, out, err = run(capsys, monkeypatch, argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("usage error:") and err.count("\n") == 1, argv
+
+
+def test_profile_approx_places(capsys, monkeypatch):
+    """--approx 0 prints the exact H only; the default is four places."""
+    outs = {}
+    for extra in ([], ["--approx", "0"], ["--approx", "2"]):
+        code, out, _ = run(capsys, monkeypatch,
+                           ["profile", "--catalog", "dual-hesse"] + extra)
+        assert code == 0
+        outs[tuple(extra)] = out.splitlines()[-1]
+    assert outs[()] == "H = -9/4 (-2.2500)"
+    assert outs[("--approx", "0")] == "H = -9/4"
+    assert outs[("--approx", "2")] == "H = -9/4 (-2.25)"
+
+
+def test_seq_budget_defaults_are_the_dynamics_defaults():
+    args = build_parser().parse_args(["seq", "--op", "L{2}"])
+    assert (args.steps, args.max_lines, args.profile_budget) == (
+        DEFAULT_MAX_STEPS, DEFAULT_MAX_LINES, DEFAULT_PROFILE_BUDGET)
 
 
 def test_reducible_modulus_is_a_domain_error(capsys, monkeypatch):

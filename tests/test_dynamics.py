@@ -134,39 +134,28 @@ def test_lemma28_gate_runs_on_every_step():
     assert tr.counts()[:3] == [6, 10, 13]
 
 
-def test_one_pair_pass_per_operated_step(monkeypatch):
+def test_one_pair_pass_per_operated_step(count_passes):
     """A step that the next Lambda pairs takes its profile from that
     Lambda's pair table: P_{>=3} and L_{>=3} pair 21 lines and 28 points,
     and the 21 lines are not paired again for the profile."""
     gr = build("grunbaum-rigby")
     want = profile(gr)
-    calls = []
-    # a pair pass: the pair kernel, or the incidence count over a finite plane
-    for name in ("_code_meets", "_incidences"):
-        def counting(codes, field, *rows, pass_=getattr(arrangements, name)):
-            calls.append(len(codes))
-            return pass_(codes, field, *rows)
-        monkeypatch.setattr(arrangements, name, counting)
+    calls = count_passes()
     tr = run_sequence(lambda_spec(sel_at_least(3), sel_at_least(3)), gr,
                       max_steps=1, profile_budget=len(gr))
-    assert calls == [21, 28]
+    assert [n for _, n in calls] == [21, 28]
     assert tr.steps[0].profile == want and tr.steps[1].profile is None
 
 
-def test_dual_step_takes_its_profile_from_its_pass(monkeypatch):
+def test_dual_step_takes_its_profile_from_its_pass(monkeypatch,
+                                                   count_passes):
     """A step whose first operator is a dual step takes its profile from
     that pass, since the join table of the dual points is the lines' meet
     table: the 9 lines of pappus are paired once, and only the last step
     gets a row pass of its own (over Q a row pass does not go through the
     pair kernel, so it is counted apart)."""
     pappus = build("pappus")
-    calls = []
-    for name in ("_code_meets", "_incidences", "_row_sizes"):
-        def counting(codes, field, *rest, name=name,
-                     pass_=getattr(arrangements, name)):
-            calls.append((name, len(codes)))
-            return pass_(codes, field, *rest)
-        monkeypatch.setattr(arrangements, name, counting)
+    calls = count_passes("_row_sizes")
     tr = run_sequence(dual_spec(sel_at_least(2)), pappus, max_steps=1,
                       profile_budget=100)
     assert calls == [("_code_meets", 9), ("_row_sizes", 18)]

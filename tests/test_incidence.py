@@ -1,10 +1,11 @@
 """The finite-plane incidence pass against the reference pair kernels.
 
-Over GF(q), q <= ``arrangements._PLANE_ORDER``, pair tables, pair indices,
-profiles and operator images come from counting incidences in one table of
-PG(2,q) per field (``arrangements._plane_table``).  The references are the
-pair kernels: ``_prime_meets`` over GF(p), and over GF(p^k) the kernel the
-``reference_kernels`` fixture supplies.
+Over GF(q), q <= ``arrangements._PLANE_ORDER``, objects are coded by their
+ordinals in PG(2,q), and pair tables, pair indices, profiles and operator
+images come from counting incidences in one table of PG(2,q) per field
+(``arrangements._plane_table``).  The references are the pair kernels the
+``reference_kernels`` fixture supplies: ``_prime_meets`` over GF(p), and a
+table kernel over GF(p^k), each run on the triples of the ordinals.
 """
 import os
 import random
@@ -17,13 +18,13 @@ import pytest
 from lineops import arrangements
 from lineops.arrangements import (Arrangement, _code_counts, _encode,
                                   _from_key, _mult_from_pairs, _pair_index,
-                                  _table_profile,
+                                  _plane_key, _table_profile,
                                   all_projective_lines, dualize_arrangement,
                                   lambda_op, lines_operator, points_operator,
                                   profile, sel_at_least, sel_exact)
 from lineops.catalog import build
 from lineops.dynamics import apply_operator, lambda_spec
-from lineops.fields import GF, _gf_tables
+from lineops.fields import GF, _gf_tables, prime_field_spec
 from lineops.projective import ProjPoint, meet
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -36,28 +37,27 @@ HEAVY = os.environ.get("LINEOPS_HEAVY") == "1"
 
 
 def _dot(field):
-    """a.b of two codes of GF(q), for the incidence of a point and a line."""
-    if field.degree == 1:
-        p = field.characteristic
-        return lambda a, b: sum(x * y for x, y in zip(a, b)) % p
+    """a.b of the triples of two ordinals of PG(2,q), for the incidence of
+    a point and a line."""
     _, code, mul, sub, _ = _gf_tables(field.spec)
     q = len(code)
 
     def dot(a, b):
         s = 0
-        for x, y in zip(a, b):
+        for x, y in zip(_plane_key(a, q), _plane_key(b, q)):
             s = sub[s * q + sub[mul[x * q + y]]]  # s - (-(x y))
         return s
     return dot
 
 
 def _reference_table(codes, field):
-    """key -> pair count, from the reference pair kernel."""
-    return Counter(arrangements._code_meets(codes, field))
+    """key -> multiplicity, from the reference pair kernel's pair counts."""
+    counts = Counter(arrangements._code_meets(codes, field))
+    return {k: _mult_from_pairs(c) for k, c in counts.items()}
 
 
 def _selected_keys(sel, table):
-    return {k for k, c in table.items() if sel.contains(_mult_from_pairs(c))}
+    return {key for key, k in table.items() if sel.contains(k)}
 
 
 def _keys(objs):
@@ -73,7 +73,7 @@ def _check_pass(objs, field, ref):
     index = _pair_index(objs, field)
     assert index.keys() == ref.keys()
     for key, s in index.items():
-        assert len(s) * (len(s) - 1) // 2 == ref[key]
+        assert len(s) == ref[key]
         assert all(dot(codes[i], key) == 0 for i in s)
 
 
@@ -154,21 +154,20 @@ def test_incidence_property_on_small_planes(arr, reference_kernels):
 
 @pytest.mark.parametrize("q", ORDERS)
 def test_incidence_table_structure(q):
-    """Each row holds q+1 distinct ordinals of objects incident to its own,
-    two rows share exactly one (every pair for q <= 9, 2,000 random pairs
-    above), and ordinal -> code -> ordinal is the identity on the plane."""
+    """The lines of the plane are coded by the ordinals 0, ..., q^2+q; each
+    row holds q+1 distinct ordinals of objects incident to its own, and two
+    rows share exactly one (every pair for q <= 9, 2,000 random pairs
+    above)."""
     field = GF(q)
     table, r, n = arrangements._plane_table(field.spec), q + 1, q * q + q + 1
     assert len(table) == n * r
-    codes = [arrangements._plane_key(o, q) for o in range(n)]
-    assert arrangements._ordinals(codes, q) == list(range(n))
-    assert set(codes) == set(arrangements._encode(
-        all_projective_lines(field).lines, field))
+    assert sorted(_encode(all_projective_lines(field).lines, field)) == \
+        list(range(n))
     rows = [table[o * r:o * r + r] for o in range(n)]
     dot = _dot(field)
     for o, row in enumerate(rows):
         assert len(set(row)) == r
-        assert all(dot(codes[o], codes[x]) == 0 for x in row)
+        assert all(dot(o, x) == 0 for x in row)
     rows = list(map(set, rows))
     if q <= 9:
         pairs = combinations(range(n), 2)
@@ -186,3 +185,15 @@ def test_incidence_finite_plane_closed_form(q):
     assert profile(plane).as_dict() == {q + 1: q * q + q + 1}
     L22 = lambda_spec(sel_at_least(2), sel_at_least(2))
     assert apply_operator(L22, plane) == plane
+
+
+def test_prime_field_tables_are_residue_arithmetic():
+    """A prime spec reads as GF(p)[x]/(x), so ``_gf_tables`` gives the
+    residue product, difference and inverse tables that ``_plane_table``
+    takes for every GF(p), p <= 61."""
+    for p in (p for p in range(2, 62) if all(p % d for d in range(2, p))):
+        _, code, mul, sub, inv = _gf_tables(prime_field_spec(p))
+        assert code == {(a,): a for a in range(p)}
+        assert mul == [a * b % p for a in range(p) for b in range(p)]
+        assert sub == [(a - b) % p for a in range(p) for b in range(p)]
+        assert inv == [0] + [pow(a, -1, p) for a in range(1, p)]
