@@ -31,14 +31,15 @@ with the first nonzero one over a larger GF(p); primitive integer vectors in
 Z[theta], scaled by the adjugate of the first nonzero coordinate, over a
 number field, where the pair loop and the adjugate are straight-line integer
 code built once per modulus (``_nf_kernel`` and ``fields._adjugate``, by
-Cayley-Hamilton).  The inputs are encoded once per pass; ``property_suite``
-encodes its input once and works on sets of codes, keeping no memo past the
-call.  Every operator and operator chain is a run of selections on codes
+Cayley-Hamilton).  A set keeps its codes, so it is encoded at most once;
+``property_suite`` works on sets of codes, keeping no memo past the call.
+Every operator and operator chain is a run of selections on codes
 (``_operate``): a key of the table is the code of the object it names, so
-each selection's keys are the next one's codes.  ``_from_key`` is the one
-decoder: it turns a key back into a point or line, with the usual
-first-nonzero-is-one coordinates, at the API boundary, for the result only,
-so no pass decodes an ordinal.
+each selection's keys are the next one's codes, and the last are the
+result's.  ``_from_key`` is the one decoder: it turns a key back into a
+point or line, with the usual first-nonzero-is-one coordinates, at the API
+boundary, decoded on first access to the members, so no pass decodes an
+ordinal and a result that is only counted builds no object.
 """
 from __future__ import annotations
 
@@ -145,10 +146,12 @@ class _ObjectSet:
     """Deduplicated finite set of points or of lines, in canonical order.
 
     A subclass names its member class and, in ``_name``, the attribute and
-    JSON key under which the members are read.
+    JSON key under which the members are read.  Members are encoded
+    (``_encode``) when a pass first needs their codes; an operator's result
+    holds only its codes and decodes them on first access to the members.
     """
 
-    __slots__ = ("field", "_members")
+    __slots__ = ("field", "_objs", "_codes")
 
     def __init__(self, field: Field, members: Iterable = ()):
         members = tuple(members)
@@ -160,13 +163,29 @@ class _ObjectSet:
             if o.field.spec != spec:
                 raise FieldError(f"{cls.__name__} from a different field")
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "_members", tuple(_canonical(members)))
+        object.__setattr__(self, "_objs", tuple(_canonical(members)))
+        object.__setattr__(self, "_codes", None)
+
+    @property
+    def _members(self) -> tuple:
+        """The members; codes are decoded once, through ``__init__``."""
+        if self._objs is None:
+            cls, field = self._member, self.field
+            object.__setattr__(self, "_objs", type(self)(
+                field, [_from_key(cls, k, field) for k in self._codes])._objs)
+        return self._objs
+
+    def _code_list(self) -> list:
+        """The members' codes, encoded once."""
+        if self._codes is None:
+            object.__setattr__(self, "_codes", _encode(self._objs, self.field))
+        return self._codes
 
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __len__(self):
-        return len(self._members)
+        return len(self._codes if self._objs is None else self._objs)
 
     def __iter__(self):
         return iter(self._members)
@@ -183,10 +202,10 @@ class _ObjectSet:
         return hash((self.field.spec, self._members))
 
     def is_empty(self) -> bool:
-        return not self._members
+        return not len(self)
 
     def __repr__(self):
-        return (f"{type(self).__name__}({len(self._members)} {self._name} "
+        return (f"{type(self).__name__}({len(self)} {self._name} "
                 f"over {self.field.spec.text})")
 
 
@@ -678,7 +697,7 @@ def richness_index(cfg: PointConfig) -> IncidenceIndex:
 
 def points_operator(sel: MultiplicitySelector, arr: Arrangement) -> PointConfig:
     """P_sel: the points whose multiplicity lies in the selector."""
-    return _operate((sel,), arr.lines, arr.field, PointConfig)[0]
+    return _operate((sel,), arr, PointConfig)[0]
 
 
 def lines_operator(sel: MultiplicitySelector, cfg: PointConfig) -> Arrangement:
@@ -687,7 +706,7 @@ def lines_operator(sel: MultiplicitySelector, cfg: PointConfig) -> Arrangement:
     Since selector members are >= 2, every qualifying line joins some pair
     of points, so pair grouping is complete.
     """
-    return _operate((sel,), cfg.points, cfg.field, Arrangement)[0]
+    return _operate((sel,), cfg, Arrangement)[0]
 
 
 def _selected(sel: MultiplicitySelector, counts: dict) -> list:
@@ -697,41 +716,42 @@ def _selected(sel: MultiplicitySelector, counts: dict) -> list:
     return list(compress(counts, map(keep.__getitem__, counts.values())))
 
 
-def _operate(sels: Sequence[MultiplicitySelector], objs, field: Field, out,
+def _operate(sels: Sequence[MultiplicitySelector], src: _ObjectSet, out,
              profiled: bool = False) -> tuple:
-    """(the ``out`` set after the selections ``sels`` in turn, the profile of
-    ``objs`` when ``profiled``, read off the first pair table, else None).
-    Each selection keeps the ``_selected`` keys of its codes' pair table,
-    P_sel of lines or L_sel of points, and a key is the code of the object it
-    names, so the keys are the next selection's codes.  A table is dropped
-    once its keys are selected, and the keys before the result sorts."""
-    codes, prof = _encode(objs, field), None
+    """(the ``out`` set of the codes left by the selections ``sels`` in turn
+    on those of ``src``, the profile of ``src`` when ``profiled``, read off
+    the first pair table, else None).  Each selection keeps the ``_selected``
+    keys of its codes' pair table, P_sel of lines or L_sel of points, and a
+    key is the code of the object it names, so the keys are the next
+    selection's codes.  A table is dropped once its keys are selected."""
+    field, codes, prof = src.field, src._code_list(), None
     for n, sel in enumerate(sels):
         counts = _code_counts(codes, field) if len(codes) > 1 else {}
         if profiled and not n:
             prof = _table_profile(len(codes), counts)
         codes = _selected(sel, counts)
         del counts
-    objs = [_from_key(out._member, k, field) for k in codes]
-    del codes
-    return out(field, objs), prof
+    res = object.__new__(out)  # the codes are distinct: no check, no sort
+    for name, value in (("field", field), ("_objs", None), ("_codes", codes)):
+        object.__setattr__(res, name, value)
+    return res, prof
 
 
 def lambda_op(nsel: MultiplicitySelector, msel: MultiplicitySelector,
               arr: Arrangement) -> Arrangement:
     """The line operator: L_msel after P_nsel."""
-    return _operate((nsel, msel), arr.lines, arr.field, Arrangement)[0]
+    return _operate((nsel, msel), arr, Arrangement)[0]
 
 
 def psi_op(nsel: MultiplicitySelector, msel: MultiplicitySelector,
            cfg: PointConfig) -> PointConfig:
     """The point operator: P_msel after L_nsel."""
-    return _operate((nsel, msel), cfg.points, cfg.field, PointConfig)[0]
+    return _operate((nsel, msel), cfg, PointConfig)[0]
 
 
 def dual_lines_op(sel: MultiplicitySelector, arr: Arrangement) -> Arrangement:
     """L_sel of the arrangement's dual point set, whose codes are its own."""
-    return _operate((sel,), arr.lines, arr.field, Arrangement)[0]
+    return _operate((sel,), arr, Arrangement)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -783,15 +803,18 @@ class SingularityProfile:
 
 
 def profile(arr: Arrangement) -> SingularityProfile:
-    """d and each t_k: over a finite plane, from the pair table; elsewhere
-    from the meets grouped one row at a time, the rows split among forked
-    workers when there are many (see the module docstring)."""
+    """d and each t_k: over a finite plane, the number of positions the
+    incidence pass counts k >= 2 times; elsewhere from the meets grouped one
+    row at a time, the rows split among forked workers when there are many
+    (see the module docstring)."""
     d, field = len(arr), arr.field
     if d < 2:
         return SingularityProfile(d, ())
-    codes = _encode(arr.lines, field)
+    codes = arr._code_list()
     if _plane_order(field):
-        return _table_profile(d, _code_counts(codes, field))
+        t = Counter(_incidences(codes, field).values())
+        del t[1]
+        return SingularityProfile.from_dict(d, t)
     c = _row_sizes(codes, field, _workers(comb(d, 2)))
     return SingularityProfile.from_dict(d, {k: c[k - 1] - c[k]
                                             for k in range(2, max(c) + 2)})
@@ -1028,7 +1051,7 @@ def property_suite(arr: Arrangement, real: Optional[bool] = None) -> list:
             img = images[sel, codes] = frozenset(_selected(sel, table(codes)))
         return img
 
-    lines = frozenset(_encode(arr.lines, field))
+    lines = frozenset(arr._code_list())
     prof = _table_profile(d, table(lines))
     results = [("profile-consistency", True, prof.text())]
     # dualizing keeps every code and P, L are one selection, so the dual of

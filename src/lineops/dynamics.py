@@ -71,7 +71,7 @@ def _apply(op: OperatorChain, arr: Arrangement, profiled: bool) -> tuple:
     chain = (op,) if isinstance(op, OperatorSpec) else tuple(op)
     sels = [s for spec in reversed(chain) for s in
             ((spec.nsel, spec.msel) if spec.kind == "lambda" else (spec.sel,))]
-    return _operate(sels, arr.lines, arr.field, Arrangement, profiled)
+    return _operate(sels, arr, Arrangement, profiled)
 
 
 def _lemma_gate(op: OperatorChain, before: Arrangement, after: Arrangement):
@@ -81,7 +81,8 @@ def _lemma_gate(op: OperatorChain, before: Arrangement, after: Arrangement):
     if not isinstance(op, OperatorSpec) or op.kind != "lambda":
         return
     bound = op.nsel.min_member * op.msel.min_member
-    if len(before) < bound and not set(after.lines) <= set(before.lines):
+    if len(before) < bound and not (set(after._code_list())
+                                    <= set(before._code_list())):
         raise AssertionError(
             f"new line out of {len(before)} lines violates the m >= nk bound "
             f"({bound}); engine bug")

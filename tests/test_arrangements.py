@@ -127,6 +127,7 @@ def test_dualize_twice_is_identity():
 def test_dualize_does_not_normalize_again(monkeypatch):
     """The dual object shares the already normalized triple."""
     arr = _cq_step2()
+    list(arr)  # an operator's result: decode it before the patch
 
     def normalize(*args):
         raise AssertionError("dualize normalized a triple again")
@@ -267,6 +268,70 @@ def test_operator_keys_round_trip(name):
     for key in keys:
         for cls in (ProjPoint, ProjLine):
             assert _encode([_from_key(cls, key, field)], field) == [key]
+
+
+LAZY_INPUTS = ("Q", "Q(omega)", "cubic", "GF(7)", "GF(8)", "GF(49)",
+               "GF(101)")
+
+
+@pytest.mark.parametrize("name", LAZY_INPUTS)
+def test_lazy_results_match_eager_sets(name):
+    """An operator's result holds its codes and decodes them on first
+    access to the members; it then equals the set built from the decoded
+    codes in members, order, digest, hash, length and equality, both ways,
+    and its codes are those of its members."""
+    arr = KERNEL_INPUTS[name]()
+    arr = Arrangement(arr.field, arr.lines[:16])  # keeps every image small
+    cfg = dualize_arrangement(arr)
+    g2, g3 = sel_at_least(2), sel_at_least(3)
+    results = [points_operator(g2, arr), lines_operator(g2, cfg),
+               lambda_op(g2, g3, arr), psi_op(g2, g3, cfg), dual_lines_op(g3, arr),
+               apply_operator((dual_spec(g2), lambda_spec(g2, g3)), arr),
+               lines_operator(g3, points_operator(g2, arr))]
+    for res in results:
+        codes, field, cls = list(res._code_list()), res.field, type(res)
+        assert res._objs is None and len(res) == len(codes)
+        eager = cls(field, [_from_key(cls._member, k, field) for k in codes])
+        assert list(res) == list(eager) and len(res) == len(eager)
+        assert res == eager and eager == res and hash(res) == hash(eager)
+        if cls is Arrangement:
+            assert res.digest() == eager.digest()
+        assert set(res._code_list()) == set(_encode(list(res), field))
+        assert len(set(codes)) == len(codes)
+
+
+def test_lazy_count_builds_no_object(monkeypatch):
+    """len, is_empty and repr of P_{>=2} read its codes and build no point
+    and no set."""
+    arrs = [_cq_step2(), build("grunbaum-rigby"), _sample_of_plane(8, 30),
+            _sample_of_plane(101, 40)]
+    for arr in arrs:  # operators' results: decode them before the patch
+        list(arr)
+    built = []
+    for cls in (ProjPoint, ProjLine, Arrangement, PointConfig):
+        def counting(self, *args, init=cls.__init__):
+            built.append(type(self).__name__)
+            init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counting)
+    results = [points_operator(sel_at_least(2), arr) for arr in arrs]
+    for res, arr in zip(results, arrs):
+        assert len(res) == profile(arr).total_points and not res.is_empty()
+        assert repr(res).startswith(f"PointConfig({len(res)} points over")
+    assert built == []
+    assert len(list(results[0])) == len(results[0])  # the count works
+    assert {"ProjPoint", "PointConfig"} <= set(built)
+
+
+def test_lazy_codes_are_encoded_once(count_passes):
+    """A chain, its result's profile and its property suite encode only the
+    chain's input: the result's codes are the chain's last keys."""
+    calls = count_passes("_encode")
+    g2 = sel_at_least(2)
+    step = apply_operator((lambda_spec(g2, g2), lambda_spec(g2, g2)),
+                          complete_quadrilateral())
+    assert profile(step).d == len(step) == 25
+    assert all(ok for _, ok, _ in property_suite(step))
+    assert [c for c in calls if c[0] == "_encode"] == [("_encode", 6)]
 
 
 def test_incidence_table_built_once_per_spec():
@@ -966,6 +1031,8 @@ def test_property_suite_matches_reference_suite(name):
 def test_property_suite_builds_no_objects(monkeypatch):
     arrs = [build("dual-hesse"), build("grunbaum-rigby"), _cq_step2(),
             all_projective_lines(GF(4)), Arrangement(F)]
+    for arr in arrs:  # operators' results: decode them before the patch
+        list(arr)
     built = []
     for cls in (ProjPoint, ProjLine, Arrangement, PointConfig):
         def counting(self, *args, init=cls.__init__):
@@ -976,7 +1043,8 @@ def test_property_suite_builds_no_objects(monkeypatch):
         assert all(ok for _, ok, _ in property_suite(arr))
     assert built == []
     sel = sel_at_least(2)
-    lines_operator(sel, points_operator(sel, arrs[0]))  # the count works
+    pts = points_operator(sel, arrs[0])
+    list(pts), list(lines_operator(sel, pts))  # the count works
     assert {"ProjPoint", "ProjLine", "Arrangement", "PointConfig"} <= set(built)
 
 
