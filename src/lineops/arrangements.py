@@ -31,15 +31,14 @@ with the first nonzero one over a larger GF(p); primitive integer vectors in
 Z[theta], scaled by the adjugate of the first nonzero coordinate, over a
 number field, where the pair loop and the adjugate are straight-line integer
 code built once per modulus (``_nf_kernel`` and ``fields._adjugate``, by
-Cayley-Hamilton).  A set keeps its codes, so it is encoded at most once;
-``property_suite`` works on sets of codes, keeping no memo past the call.
-Every operator and operator chain is a run of selections on codes
-(``_operate``): a key of the table is the code of the object it names, so
-each selection's keys are the next one's codes, and the last are the
-result's.  ``_from_key`` is the one decoder: it turns a key back into a
-point or line, with the usual first-nonzero-is-one coordinates, at the API
-boundary, decoded on first access to the members, so no pass decodes an
-ordinal and a result that is only counted builds no object.
+Cayley-Hamilton).  A set keeps its codes once encoded; ``property_suite``
+works on sets of codes, keeping no memo past the call.  Every operator and
+operator chain is a run of selections on codes (``_operate``): a key of the
+table is the code of the object it names, so each selection's keys are the
+next one's codes, and the last the result's, decoded on first access to the
+members, so a result only counted builds no object.  ``_from_key``, the one
+decoder, turns a key back into a point or line with the usual
+first-nonzero-is-one coordinates, so no pass decodes an ordinal.
 """
 from __future__ import annotations
 
@@ -146,9 +145,7 @@ class _ObjectSet:
     """Deduplicated finite set of points or of lines, in canonical order.
 
     A subclass names its member class and, in ``_name``, the attribute and
-    JSON key under which the members are read.  Members are encoded
-    (``_encode``) when a pass first needs their codes; an operator's result
-    holds only its codes and decodes them on first access to the members.
+    JSON key under which the members are read.
     """
 
     __slots__ = ("field", "_objs", "_codes")
@@ -168,11 +165,17 @@ class _ObjectSet:
 
     @property
     def _members(self) -> tuple:
-        """The members; codes are decoded once, through ``__init__``."""
+        """The members, decoded once through ``__init__``; off the finite
+        planes, whose incidence counts ignore the order, the codes then
+        follow them, an order on which a Q row pass runs faster."""
         if self._objs is None:
-            cls, field = self._member, self.field
-            object.__setattr__(self, "_objs", type(self)(
-                field, [_from_key(cls, k, field) for k in self._codes])._objs)
+            cls, field, codes = self._member, self.field, self._codes
+            objs = [_from_key(cls, k, field) for k in codes]
+            code = not _plane_order(field) and dict(zip(map(id, objs), codes))
+            objs = type(self)(field, objs)._objs  # the same instances, sorted
+            object.__setattr__(self, "_objs", objs)
+            if code:
+                object.__setattr__(self, "_codes", [code[id(o)] for o in objs])
         return self._objs
 
     def _code_list(self) -> list:
@@ -803,18 +806,16 @@ class SingularityProfile:
 
 
 def profile(arr: Arrangement) -> SingularityProfile:
-    """d and each t_k: over a finite plane, the number of positions the
-    incidence pass counts k >= 2 times; elsewhere from the meets grouped one
-    row at a time, the rows split among forked workers when there are many
-    (see the module docstring)."""
+    """d and each t_k: over a finite plane, the positions the incidence pass
+    counts k >= 2 times; elsewhere from the meets grouped one row at a time,
+    split among forked workers when there are many (module docstring)."""
     d, field = len(arr), arr.field
     if d < 2:
         return SingularityProfile(d, ())
     codes = arr._code_list()
     if _plane_order(field):
         t = Counter(_incidences(codes, field).values())
-        del t[1]
-        return SingularityProfile.from_dict(d, t)
+        return SingularityProfile.from_dict(d, {k: t[k] for k in t if k > 1})
     c = _row_sizes(codes, field, _workers(comb(d, 2)))
     return SingularityProfile.from_dict(d, {k: c[k - 1] - c[k]
                                             for k in range(2, max(c) + 2)})

@@ -279,7 +279,8 @@ def test_lazy_results_match_eager_sets(name):
     """An operator's result holds its codes and decodes them on first
     access to the members; it then equals the set built from the decoded
     codes in members, order, digest, hash, length and equality, both ways,
-    and its codes are those of its members."""
+    and its codes are those of its members, off the finite planes in their
+    order."""
     arr = KERNEL_INPUTS[name]()
     arr = Arrangement(arr.field, arr.lines[:16])  # keeps every image small
     cfg = dualize_arrangement(arr)
@@ -296,7 +297,10 @@ def test_lazy_results_match_eager_sets(name):
         assert res == eager and eager == res and hash(res) == hash(eager)
         if cls is Arrangement:
             assert res.digest() == eager.digest()
-        assert set(res._code_list()) == set(_encode(list(res), field))
+        want = _encode(list(res), field)
+        assert set(res._code_list()) == set(want)
+        if not arrangements._plane_order(field):
+            assert res._code_list() == want
         assert len(set(codes)) == len(codes)
 
 
@@ -324,12 +328,14 @@ def test_lazy_count_builds_no_object(monkeypatch):
 
 def test_lazy_codes_are_encoded_once(count_passes):
     """A chain, its result's profile and its property suite encode only the
-    chain's input: the result's codes are the chain's last keys."""
+    chain's input, once: the result's codes are the chain's last keys, and
+    a set keeps its codes, decoded or not."""
     calls = count_passes("_encode")
     g2 = sel_at_least(2)
-    step = apply_operator((lambda_spec(g2, g2), lambda_spec(g2, g2)),
-                          complete_quadrilateral())
-    assert profile(step).d == len(step) == 25
+    cq = complete_quadrilateral()
+    step = apply_operator((lambda_spec(g2, g2), lambda_spec(g2, g2)), cq)
+    list(step)
+    assert profile(step).d == len(step) == 25 and profile(cq).d == 6
     assert all(ok for _, ok, _ in property_suite(step))
     assert [c for c in calls if c[0] == "_encode"] == [("_encode", 6)]
 
