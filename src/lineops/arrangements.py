@@ -31,7 +31,12 @@ with the first nonzero one over a larger GF(p); primitive integer vectors in
 Z[theta], scaled by the adjugate of the first nonzero coordinate, over a
 number field, where the pair loop and the adjugate are straight-line integer
 code built once per modulus (``_nf_kernel`` and ``fields._adjugate``, by
-Cayley-Hamilton).  A set keeps its codes once encoded; ``property_suite``
+Cayley-Hamilton).  A projectivity acts on codes too (``_act``): at
+construction its matrix and cofactor matrix are put in the codec
+(``_matrix_codes``), and one action per field kind maps a code list to the
+normalized image codes, over a number field by straight-line code that
+ends as the pair loop does (``_nf_action``, ``_nf_key_src``).  A set keeps
+its codes once encoded; ``property_suite``
 works on sets of codes, keeping no memo past the call.  Every operator and
 operator chain is a run of selections on codes (``_operate``): a key of the
 table is the code of the object it names, so each selection's keys are the
@@ -59,8 +64,8 @@ from .fields import (Field, FieldError, NUMBER_FIELD, PRIME_FIELD,
                      PRIME_POWER_FIELD, RATIONALS, _adjugate, _gf_tables,
                      _mul_src, _nf_codec, _primitive_int, field_make,
                      format_scalar, parse_field_spec, parse_scalar)
-from .projective import (ProjLine, ProjPoint, _canonical, dualize,
-                         projectively_equivalent)
+from .projective import (GeometryError, ProjLine, ProjPoint, _canonical,
+                         dualize, projectively_equivalent)
 
 
 class ArrangementError(Exception):
@@ -297,11 +302,17 @@ def _encode(objs, field: Field) -> list:
                          _plane_order(field))
     if kind == RATIONALS:
         return [_primitive_int(o.key()) for o in objs]
-    # sum a_i x^i = sum a_i c^(n-1-i) theta^i / c^(n-1)
+    return [_theta_ints(o.key(), field) for o in objs]
+
+
+def _theta_ints(reps, field: Field) -> tuple:
+    """The primitive integer multiple of number-field reps scaled together,
+    each as n integers on the basis theta^i of ``_nf_codec``:
+    sum a_i x^i = sum a_i c^(n-1-i) theta^i / c^(n-1)."""
     c, g = _nf_codec(field.spec)
     n = len(g) - 1
-    w = [c ** (n - 1 - i) for i in range(n)] * 3
-    return [_primitive_int([a for r in o.key() for a in r], w) for o in objs]
+    return _primitive_int([a for r in reps for a in r],
+                          [c ** (n - 1 - i) for i in range(n)] * len(reps))
 
 
 def _q_meets(tris, field, rows):
@@ -339,47 +350,208 @@ def _prime_meets(tris, field, rows):
                 yield (0, 0, 1)
 
 
+def _vec(v: str, n: int, sep: str = ", ") -> str:
+    """Source of the names v0, v1, ..., v(n-1) of a vector's coefficients."""
+    return sep.join(f"{v}{i}" for i in range(n))
+
+
+def _nf_key_src(g: tuple) -> list:
+    """Source lines that yield the key of the point (line) whose coordinates
+    are the vectors x, y, z of Z[theta]/(g), not all zero: the 3n integers
+    of the primitive multiple of (1, y/e, z/e) on the basis theta^i whose
+    leading integer is positive, e the first nonzero coordinate.  It is
+    multiplied by w with e*w = d an integer, from ``fields._adjugate(g)``."""
+    n, src = len(g) - 1, []
+    for test, e, later in ((f"if {_vec('x', n, ' or ')}", "x", "yz"),
+                           (f"elif {_vec('y', n, ' or ')}", "y", "z"), ("else", "z", "")):
+        key = (["0"] * (n * (2 - len(later))) + ["d"] + ["0"] * (n - 1)
+               + [f"{r}w{i}" for r in later for i in range(n)])
+        src += [f"{test}:", f" d, {_vec('w', n)} = adj({_vec(e, n)})"]
+        src += [" " + s for r in later for s in _mul_src(g, f"{r}w", (1, r, "w"))]
+        src += [f" h = gcd({', '.join(k for k in key if k != '0')})",
+                " if d < 0:", "  h = -h",
+                f" yield ({', '.join(k if k == '0' else f'{k} // h' for k in key)})"]
+    return src
+
+
+def _nf_compiled(g: tuple, name: str, src: list):
+    """The function ``name`` that the source lines ``src`` define, compiled
+    with ``adj`` = ``fields._adjugate(g)`` and ``gcd`` in scope."""
+    ns = {"adj": _adjugate(g), "gcd": gcd}
+    exec("\n".join(src), ns)
+    return ns[name]
+
+
 @lru_cache(maxsize=None)
 def _nf_kernel(g: tuple):
     """The pair loop over Q[x]/(f) for the monic integer g of ``_nf_codec``,
     as straight-line integer code built and compiled once per modulus.
 
-    A pair's key is the 3n integers of the primitive multiple of (1, y/e,
-    z/e) on the basis theta^i whose leading integer is positive, for the
-    cross product (e, y, z), e its first nonzero coordinate: it is
-    multiplied by w with e*w = d an integer, from ``fields._adjugate(g)``.
-    Every product is written out by ``fields._mul_src``, and the source
-    holds only names and integers computed from g.
+    A pair's key is that of ``_nf_key_src`` for its cross product.  Every
+    product is written out by ``fields._mul_src``, and the source holds
+    only names and integers computed from g.
     """
     n = len(g) - 1
-
-    def vec(v, sep=", "):  # the names v0, v1, ... of a vector's coefficients
-        return sep.join(f"{v}{i}" for i in range(n))
-
     a, b = ([f"{v}{k}_" for k in range(3)] for v in "ab")
     src = ["def kernel(tris, rows):", " for i in rows:",
-           f"  {', '.join(map(vec, a))} = tris[i]",
-           f"  for {', '.join(map(vec, b))} in tris[i + 1:]:"]
+           f"  {', '.join(_vec(v, n) for v in a)} = tris[i]",
+           f"  for {', '.join(_vec(v, n) for v in b)} in tris[i + 1:]:"]
     src += ["   " + s for s in _mul_src(g, "x", (1, a[1], b[2]), (-1, a[2], b[1]))
             + _mul_src(g, "y", (1, a[2], b[0]), (-1, a[0], b[2]))
-            + _mul_src(g, "z", (1, a[0], b[1]), (-1, a[1], b[0]))]
-    for test, e, later in ((f"if {vec('x', ' or ')}", "x", "yz"),
-                           (f"elif {vec('y', ' or ')}", "y", "z"), ("else", "z", "")):
-        key = (["0"] * (n * (2 - len(later))) + ["d"] + ["0"] * (n - 1)
-               + [f"{r}w{i}" for r in later for i in range(n)])
-        src += [f"   {test}:", f"    d, {vec('w')} = adj({vec(e)})"]
-        src += ["    " + s for r in later for s in _mul_src(g, f"{r}w", (1, r, "w"))]
-        src += [f"    h = gcd({', '.join(k for k in key if k != '0')})",
-                "    if d < 0:", "     h = -h",
-                f"    yield ({', '.join(k if k == '0' else f'{k} // h' for k in key)})"]
-    ns = {"adj": _adjugate(g), "gcd": gcd}
-    exec("\n".join(src), ns)
-    return ns["kernel"]
+            + _mul_src(g, "z", (1, a[0], b[1]), (-1, a[1], b[0])) + _nf_key_src(g)]
+    return _nf_compiled(g, "kernel", src)
 
 
 _KERNELS = {RATIONALS: _q_meets, PRIME_FIELD: _prime_meets,
             NUMBER_FIELD: lambda tris, f, rows: _nf_kernel(
                 _nf_codec(f.spec)[1])(tris, rows)}
+
+
+# ---------------------------------------------------------------------------
+# projectivities on codes
+
+def _matrix_codes(matrix) -> tuple:
+    """(P, C) for the invertible 3x3 matrix M of Scalars of a projectivity,
+    in the codec of its field: P = M maps point codes and C = adj(M)^T,
+    M's inverse-transpose up to the determinant, maps line codes (``_act``).
+
+    Each is the nine entries row by row, scaled together, which leaves the
+    action as it is: integers over Q, residues over GF(p), element codes
+    over GF(p^k), and over a number field 9n integers, n per entry on the
+    basis theta^i.  The cofactors and the determinant come from
+    ``_cofactors`` in Z[theta]/(g): g of ``_nf_codec`` over a number field,
+    the modulus over GF(p^k) (then reduced mod p), and Z itself over Q and
+    GF(p).  A singular M raises GeometryError.
+    """
+    field = matrix.field
+    kind, p, spec = field.kind, field.characteristic, field.spec
+    reps = [e.rep for row in matrix.rows for e in row]
+    if kind == RATIONALS:
+        flat, g = _primitive_int(reps), (0, 1)
+    elif kind == PRIME_FIELD:
+        flat, g = reps, (0, 1)
+    elif kind == PRIME_POWER_FIELD:
+        flat, g = [a for r in reps for a in r], spec.min_poly
+    else:
+        flat, g = _theta_ints(reps, field), _nf_codec(spec)[1]
+    det, cof = _cofactors(g)(flat)
+    if p:
+        det, cof = [v % p for v in det], [v % p for v in cof]
+    if not any(det):
+        raise GeometryError("projectivity matrix must be invertible")
+    if kind == PRIME_POWER_FIELD:
+        code, n = _gf_tables(spec).code, len(g) - 1
+        return tuple([code[tuple(m[i:i + n])] for i in range(0, 9 * n, n)]
+                     for m in (flat, cof))
+    return tuple(flat), tuple(cof)
+
+
+@lru_cache(maxsize=None)
+def _cofactors(g: tuple):
+    """``cof(m)`` -> (det, C) for a 3x3 matrix M over Z[theta]/(g), its
+    nine entries m row by row, each n integers: C = adj(M)^T, whose entry
+    (i, j) is M[i+1][j+1] M[i+2][j+2] - M[i+1][j+2] M[i+2][j+1] (indices
+    mod 3), and det = M00 C00 + M01 C01 + M02 C02, as flat integer tuples.
+    Straight-line code from ``fields._mul_src``, built once per modulus."""
+    n = len(g) - 1
+    m = [f"m{k}_" for k in range(9)]
+
+    def at(i, j):
+        return m[i % 3 * 3 + j % 3]
+    src = ["def cof(m):", f"{', '.join(_vec(v, n) for v in m)}, = m"]
+    for i in range(3):
+        for j in range(3):
+            src += _mul_src(g, f"c{3 * i + j}_", (1, at(i + 1, j + 1), at(i + 2, j + 2)),
+                            (-1, at(i + 1, j + 2), at(i + 2, j + 1)))
+    src += _mul_src(g, "d", *((1, m[j], f"c{j}_") for j in range(3)))
+    src += [f"return ({_vec('d', n)},), ({', '.join(_vec(f'c{k}_', n) for k in range(9))},)"]
+    ns = {}
+    exec("\n ".join(src), ns)
+    return ns["cof"]
+
+
+def _act(m, codes: list, field: Field):
+    """The codes of the images, in order, of the objects with ``codes``
+    under a matrix m of ``_matrix_codes`` (P on points, C on lines), as an
+    iterator; each image is normalized as ``_encode`` codes its object."""
+    if _plane_order(field):
+        return _plane_act(m, codes, field)
+    return _ACTIONS[field.kind](m, codes, field)
+
+
+def _q_act(m, tris, field):
+    """Over Q: the primitive integer triple with first nonzero > 0."""
+    m0, m1, m2, m3, m4, m5, m6, m7, m8 = m
+    for a0, a1, a2 in tris:
+        x = m0 * a0 + m1 * a1 + m2 * a2
+        y = m3 * a0 + m4 * a1 + m5 * a2
+        z = m6 * a0 + m7 * a1 + m8 * a2
+        g = gcd(x, y, z)
+        if (x or y or z) < 0:
+            g = -g
+        yield (x // g, y // g, z // g)
+
+
+def _prime_act(m, tris, field):
+    """Over GF(p), p > ``_PLANE_ORDER``: the residue triple with first
+    nonzero 1."""
+    p = field.characteristic
+    e = p - 2
+    m0, m1, m2, m3, m4, m5, m6, m7, m8 = m
+    for a0, a1, a2 in tris:
+        x = (m0 * a0 + m1 * a1 + m2 * a2) % p
+        y = (m3 * a0 + m4 * a1 + m5 * a2) % p
+        z = (m6 * a0 + m7 * a1 + m8 * a2) % p
+        if x:
+            w = pow(x, e, p)
+            yield (1, y * w % p, z * w % p)
+        elif y:
+            yield (0, 1, z * pow(y, e, p) % p)
+        else:
+            yield (0, 0, 1)
+
+
+def _plane_act(m, codes, field):
+    """Over GF(q), q <= ``_PLANE_ORDER``: the PG(2,q) ordinal, each
+    coordinate a sum of products of element codes in ``fields._gf_tables``
+    (a + b = a - (-b))."""
+    q = _plane_order(field)
+    _, _, mul, sub, inv = _gf_tables(field.spec)
+    neg, q2 = sub[:q], q * q  # sub[0 * q + b] = -b
+    rows = [[e * q for e in m[i:i + 3]] for i in (0, 3, 6)]  # rows of mul
+    for o in codes:
+        a0, a1, a2 = _plane_key(o, q)
+        x, y, z = (sub[sub[mul[r0 + a0] * q + neg[mul[r1 + a1]]] * q
+                       + neg[mul[r2 + a2]]] for r0, r1, r2 in rows)
+        if x:
+            w = inv[x] * q
+            yield mul[w + y] * q + mul[w + z]
+        elif y:
+            yield q2 + mul[inv[y] * q + z]
+        else:
+            yield q2 + q
+
+
+@lru_cache(maxsize=None)
+def _nf_action(g: tuple):
+    """``act(m, codes)`` over Q[x]/(f) for the monic integer g of
+    ``_nf_codec``: for each code, three vectors a0, a1, a2 of Z[theta]/(g),
+    the image (x, y, z) = M a by ``fields._mul_src``, keyed by
+    ``_nf_key_src`` as the pair kernel keys a meet.  Straight-line integer
+    code built once per modulus."""
+    n = len(g) - 1
+    m, a = [f"m{k}_" for k in range(9)], [f"a{k}_" for k in range(3)]
+    src = ["def act(m, codes):", f" {', '.join(_vec(v, n) for v in m)}, = m",
+           f" for {', '.join(_vec(v, n) for v in a)} in codes:"]
+    src += ["  " + s for i, r in enumerate("xyz") for s in _mul_src(
+        g, r, *((1, m[3 * i + j], a[j]) for j in range(3)))]
+    src += ["  " + s for s in _nf_key_src(g)]
+    return _nf_compiled(g, "act", src)
+
+
+_ACTIONS = {RATIONALS: _q_act, PRIME_FIELD: _prime_act,
+            NUMBER_FIELD: lambda m, codes, f: _nf_action(
+                _nf_codec(f.spec)[1])(m, codes)}
 
 
 # ---------------------------------------------------------------------------

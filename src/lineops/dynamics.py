@@ -183,15 +183,14 @@ def run_sequence(op: OperatorChain, start: Arrangement,
         if nxt.is_empty():
             verdict = Verdict("extinguished", length=step)
             break
-        if dig in seen:
-            first = seen[dig]
+        first = seen.setdefault(dig, step)  # one hash of the digest
+        if first < step:
             period = step - first
             if period == 1:
                 verdict = Verdict("fixed", at_step=first)
             else:
                 verdict = Verdict("cycle", preperiod=first, period=period)
             break
-        seen[dig] = step
         if len(nxt) > max_lines:
             verdict = Verdict("budget_lines", at_step=step)
             break
@@ -216,11 +215,9 @@ def orbit_over_finite_field(op: OperatorChain, start: Arrangement):
     while True:
         current = apply_operator(op, current)
         step += 1
-        dig = current.digest()
-        if dig in seen:
-            first = seen[dig]
+        first = seen.setdefault(current.digest(), step)
+        if first < step:
             return first, step - first
-        seen[dig] = step
 
 
 def union_of_steps(trace: SequenceTrace, i: int, j: int) -> Arrangement:

@@ -257,17 +257,21 @@ class Matrix3:
 
 
 class Projectivity:
-    """Invertible 3x3 matrix acting on points; lines map by inverse-transpose."""
+    """Invertible 3x3 matrix acting on points; lines map by inverse-transpose.
 
-    __slots__ = ("matrix", "_line_matrix")
+    It acts on the integer codes of its field: the matrix and its cofactor
+    matrix adj^T, the inverse-transpose up to the determinant, are kept in
+    the codec at construction (``arrangements._matrix_codes``), which also
+    refuses a singular matrix.
+    """
+
+    __slots__ = ("matrix", "_on_points", "_on_lines")
 
     def __init__(self, matrix: Matrix3):
-        if matrix.det().is_zero():
-            raise GeometryError("projectivity matrix must be invertible")
+        on_points, on_lines = _arrangements()._matrix_codes(matrix)
         object.__setattr__(self, "matrix", matrix)
-        # adjugate^T acts on line coefficients; equals inverse-transpose
-        # up to the (irrelevant) determinant factor
-        object.__setattr__(self, "_line_matrix", matrix.adjugate().transpose())
+        object.__setattr__(self, "_on_points", on_points)
+        object.__setattr__(self, "_on_lines", on_lines)
 
     def __setattr__(self, *a):
         raise AttributeError("Projectivity is immutable")
@@ -300,13 +304,43 @@ class Projectivity:
         return f"Projectivity({self.matrix!r})"
 
 
+def _arrangements():
+    """The ``arrangements`` module, home of the integer codec (``_encode``,
+    ``_from_key``) and of the actions on codes (``_matrix_codes``,
+    ``_act``); imported on first use, since it imports this module."""
+    from . import arrangements
+    return arrangements
+
+
 def apply_projectivity(g: Projectivity, obj):
-    """Image of a point / line / iterable of lines, renormalized."""
+    """The image of one point or one line under g, normalized.
+
+    Anything else, an iterable of lines or an Arrangement included, raises
+    GeometryError: map a collection one member at a time.  The object is
+    encoded, moved by ``arrangements._act`` and decoded.
+    """
     if isinstance(obj, ProjPoint):
-        return ProjPoint(g.matrix.apply_vec(obj.coords))
-    if isinstance(obj, ProjLine):
-        return ProjLine(g._line_matrix.apply_vec(obj.coeffs))
-    raise GeometryError("apply_projectivity expects a point or a line")
+        m = g._on_points
+    elif isinstance(obj, ProjLine):
+        m = g._on_lines
+    else:
+        raise GeometryError("apply_projectivity expects a point or a line")
+    _check_same_field(g, obj)
+    arr, field = _arrangements(), g.field
+    image, = arr._act(m, arr._encode([obj], field), field)
+    return arr._from_key(obj.__class__, image, field)
+
+
+def _maps_onto(lines_a: Sequence[ProjLine], lines_b: Sequence[ProjLine]):
+    """``maps(g)``: whether g maps lines_a onto lines_b, two lists of as
+    many distinct lines.  A's image codes are checked one at a time against
+    B's code set, and no object is built; g is injective, so images all in
+    B are all of B."""
+    arr = _arrangements()
+    field = lines_a[0].field
+    codes_a = arr._encode(lines_a, field)
+    in_b = set(arr._encode(lines_b, field)).__contains__
+    return lambda g: all(map(in_b, arr._act(g._on_lines, codes_a, field)))
 
 
 def _point_frame_matrix(pts: Sequence[ProjPoint]) -> Matrix3:
@@ -330,12 +364,15 @@ def _point_frame_matrix(pts: Sequence[ProjPoint]) -> Matrix3:
     return Matrix3([[cols[j][i] for j in range(3)] for i in range(3)])
 
 
+def _frame_map(src: Sequence[ProjPoint], dst: Sequence[ProjPoint]) -> Matrix3:
+    """The matrix sending one ordered 4-point frame to another."""
+    return _point_frame_matrix(dst) * _point_frame_matrix(src).inverse()
+
+
 def projectivity_from_point_frames(src: Sequence[ProjPoint],
                                    dst: Sequence[ProjPoint]) -> Projectivity:
     """Unique projectivity sending one ordered 4-point frame to another."""
-    a = _point_frame_matrix(src)
-    b = _point_frame_matrix(dst)
-    return Projectivity(b * a.inverse())
+    return Projectivity(_frame_map(src, dst))
 
 
 def projectivity_from_line_frames(src: Sequence[ProjLine],
@@ -346,9 +383,8 @@ def projectivity_from_line_frames(src: Sequence[ProjLine],
     to those of dst transforms line coefficients, hence the point action is
     its inverse-transpose.
     """
-    h = projectivity_from_point_frames([dualize(l) for l in src],
-                                       [dualize(l) for l in dst])
-    return Projectivity(h.matrix.adjugate().transpose())
+    h = _frame_map([dualize(l) for l in src], [dualize(l) for l in dst])
+    return Projectivity(h.adjugate().transpose())
 
 
 def lines_in_general_position(lines: Sequence[ProjLine]) -> bool:
@@ -387,17 +423,17 @@ def projectively_equivalent(lines_a: Sequence[ProjLine],
         return None  # no canvas to define a witness on; treated by caller
     if len(lines_a) != len(lines_b):
         return None
-    set_b = set(lines_b)
+    maps = _maps_onto(lines_a, lines_b)
     quad = _first_gp_quadruple(lines_a)
     if quad is None:
-        return _degenerate_equivalent(lines_a, lines_b)
+        return _degenerate_equivalent(lines_a, lines_b, maps)
     src = [lines_a[i] for i in quad]
     for cand in permutations(range(len(lines_b)), 4):
         dst = [lines_b[i] for i in cand]
         if not lines_in_general_position(dst):
             continue
         g = projectivity_from_line_frames(src, dst)
-        if {apply_projectivity(g, l) for l in lines_a} == set_b:
+        if maps(g):
             return g
     return None
 
@@ -426,24 +462,24 @@ def _near_pencil_split(pts):
     return None
 
 
-def _degenerate_equivalent(lines_a, lines_b) -> Optional[Projectivity]:
+def _degenerate_equivalent(lines_a, lines_b, maps) -> Optional[Projectivity]:
     """Equivalence for arrangements without a general-position quadruple.
 
     Dually these are collinear point sets (pencils), collinear plus one
     (near pencils / quasi-trivial arrangements) or at most 3 points; the
-    first two get a cross-ratio normal form, the rest a frame search.
+    first two get a cross-ratio normal form, the rest a frame search.  A
+    candidate g is a witness when ``maps(g)`` (``_maps_onto``).
     """
     field = lines_a[0].field
     dual_a = [dualize(l) for l in lines_a]
     dual_b = [dualize(l) for l in lines_b]
-    set_b = set(lines_b)
 
     if len(dual_a) <= 2:
-        return _small_frame_search(dual_a, dual_b, lines_a, set_b, field)
+        return _small_frame_search(dual_a, dual_b, maps, field)
     if _all_collinear(dual_a):
         if not _all_collinear(dual_b):
             return None
-        return _pencil_witness(dual_a, None, dual_b, None, lines_a, set_b, field)
+        return _pencil_witness(dual_a, None, dual_b, None, maps, field)
     split_a = _near_pencil_split(dual_a)
     if split_a is not None:
         split_b = _near_pencil_split(dual_b)
@@ -451,8 +487,8 @@ def _degenerate_equivalent(lines_a, lines_b) -> Optional[Projectivity]:
             return None
         on_a, off_a = split_a
         on_b, off_b = split_b
-        return _pencil_witness(on_a, off_a, on_b, off_b, lines_a, set_b, field)
-    return _small_frame_search(dual_a, dual_b, lines_a, set_b, field)
+        return _pencil_witness(on_a, off_a, on_b, off_b, maps, field)
+    return _small_frame_search(dual_a, dual_b, maps, field)
 
 
 def _column_matrix(v1, v2, v3) -> Matrix3:
@@ -501,7 +537,7 @@ def _solve_2d(rows, target, field):
     return None
 
 
-def _pencil_witness(on_a, off_a, on_b, off_b, lines_a, set_b, field):
+def _pencil_witness(on_a, off_a, on_b, off_b, maps, field):
     if len(on_a) != len(on_b):
         return None
     base_a = _pencil_basis(on_a, off_a, field)
@@ -515,12 +551,12 @@ def _pencil_witness(on_a, off_a, on_b, off_b, lines_a, set_b, field):
             continue
         h = base_b * n_a  # dual-plane point map
         g = Projectivity(h.adjugate().transpose())
-        if {apply_projectivity(g, l) for l in lines_a} == set_b:
+        if maps(g):
             return g
     return None
 
 
-def _small_frame_search(dual_a, dual_b, lines_a, set_b, field):
+def _small_frame_search(dual_a, dual_b, maps, field):
     """Frame-completion search; sound for <= 3 lines in any position."""
     pool = _pool_points(field)
 
@@ -536,11 +572,11 @@ def _small_frame_search(dual_a, dual_b, lines_a, set_b, field):
             cand = [dual_b[i] for i in idx]
             for dst_frame in completions(cand, dual_b):
                 try:
-                    g_pts = projectivity_from_point_frames(src_frame, dst_frame)
+                    h = _frame_map(src_frame, dst_frame)
                 except GeometryError:
                     continue
-                g = Projectivity(g_pts.matrix.adjugate().transpose())
-                if {apply_projectivity(g, l) for l in lines_a} == set_b:
+                g = Projectivity(h.adjugate().transpose())
+                if maps(g):
                     return g
     return None
 

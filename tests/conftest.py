@@ -1,5 +1,5 @@
-"""Shared fixtures: the reference pair kernels over GF(q), and a counter of
-pair passes.
+"""Shared fixtures: the reference pair kernels over GF(q), a counter of pair
+passes, and the reference projective-equivalence search.
 
 Over every finite field of order at most ``arrangements._PLANE_ORDER`` the
 program codes an object by its ordinal in PG(2,q) and counts incidences in
@@ -7,10 +7,19 @@ a table of PG(2,q) instead of pairing.  The pair kernels below are the ones
 those fields used before; the tests keep them as the reference those counts
 are checked against.
 """
+from itertools import combinations, permutations
+
 import pytest
 
-from lineops import arrangements
+from lineops import arrangements, projective
 from lineops.fields import PRIME_FIELD, PRIME_POWER_FIELD, _gf_tables
+from lineops.projective import (GeometryError, ProjLine, Projectivity,
+                                _all_collinear, _canonical,
+                                _first_gp_quadruple, _near_pencil_split,
+                                _pencil_basis, _pool_points, collinear,
+                                dualize, lines_in_general_position,
+                                projectivity_from_line_frames,
+                                projectivity_from_point_frames)
 
 
 def _prime_power_meets(tris, field, rows):
@@ -74,3 +83,100 @@ def count_passes(monkeypatch):
             monkeypatch.setattr(arrangements, name, counting)
         return calls
     return install
+
+
+# ---------------------------------------------------------------------------
+# projective equivalence
+
+def _image_set(g, lines):
+    """The images of ``lines`` under g as objects: the Scalar matrix
+    adj(M)^T on each line's coefficients, then the constructor."""
+    cof = g.matrix.adjugate().transpose()
+    return {ProjLine(cof.apply_vec(l.coeffs)) for l in lines}
+
+
+def reference_equivalent(lines_a, lines_b):
+    """``projectively_equivalent`` with each candidate checked as it was
+    before the check moved to codes: the full image set of A's lines, built
+    as objects by ``_image_set``, against the set of B's lines.  The frames
+    and the order of the candidates are the program's."""
+    if len({l.field.spec for l in (*lines_a, *lines_b)}) > 1:
+        raise projective.FieldError("arrangements live in different fields")
+    lines_a, lines_b = _canonical(lines_a), _canonical(lines_b)
+    if not lines_a or len(lines_a) != len(lines_b):
+        return None
+    set_b = set(lines_b)
+    quad = _first_gp_quadruple(lines_a)
+    if quad is not None:
+        src = [lines_a[i] for i in quad]
+        for cand in permutations(range(len(lines_b)), 4):
+            dst = [lines_b[i] for i in cand]
+            if lines_in_general_position(dst):
+                g = projectivity_from_line_frames(src, dst)
+                if _image_set(g, lines_a) == set_b:
+                    return g
+        return None
+    field = lines_a[0].field
+    dual_a, dual_b = [dualize(l) for l in lines_a], [dualize(l) for l in lines_b]
+    if len(dual_a) > 2 and _all_collinear(dual_a):
+        if not _all_collinear(dual_b):
+            return None
+        return _reference_pencil(dual_a, None, dual_b, None, lines_a, set_b, field)
+    split_a = _near_pencil_split(dual_a) if len(dual_a) > 2 else None
+    if split_a is not None:
+        split_b = _near_pencil_split(dual_b)
+        if split_b is None:
+            return None
+        return _reference_pencil(*split_a, *split_b, lines_a, set_b, field)
+    pool = _pool_points(field)
+
+    def completions(base, duals):
+        for extra in combinations([p for p in pool if p not in duals], 4 - len(base)):
+            frame = list(base) + list(extra)
+            if all(not collinear(x, y, z) and len({x, y, z}) == 3
+                   for x, y, z in combinations(frame, 3)):
+                yield frame
+    for src_frame in completions(dual_a[:3], dual_a):
+        for idx in permutations(range(len(dual_b)), min(3, len(dual_b))):
+            for dst_frame in completions([dual_b[i] for i in idx], dual_b):
+                try:
+                    g_pts = projectivity_from_point_frames(src_frame, dst_frame)
+                except GeometryError:
+                    continue
+                g = Projectivity(g_pts.matrix.adjugate().transpose())
+                if _image_set(g, lines_a) == set_b:
+                    return g
+    return None
+
+
+def _reference_pencil(on_a, off_a, on_b, off_b, lines_a, set_b, field):
+    if len(on_a) != len(on_b):
+        return None
+    base_a = _pencil_basis(on_a, off_a, field)
+    if base_a is None:
+        return None
+    n_a = base_a.inverse()
+    for idx in permutations(range(len(on_b)), min(3, len(on_b))):
+        base_b = _pencil_basis([on_b[i] for i in idx], off_b, field)
+        if base_b is not None:
+            g = Projectivity((base_b * n_a).adjugate().transpose())
+            if _image_set(g, lines_a) == set_b:
+                return g
+    return None
+
+
+@pytest.fixture
+def same_witness(monkeypatch):
+    """A ``projectively_equivalent`` that also runs ``reference_equivalent``
+    and asserts that both give the same witness matrix, or both None; it
+    replaces the one ``arrangements`` calls, so ``arrangements_equivalent``
+    and the CLI's ``equiv`` are checked too."""
+    search = arrangements.projectively_equivalent
+
+    def checked(lines_a, lines_b):
+        got, want = search(lines_a, lines_b), reference_equivalent(lines_a, lines_b)
+        assert (got is None) == (want is None)
+        assert got is None or got.matrix == want.matrix
+        return got
+    monkeypatch.setattr(arrangements, "projectively_equivalent", checked)
+    return checked

@@ -155,7 +155,7 @@ def test_criterion_03_dual_hesse_growth():
     _pass(3, t0, 600, "stretch count 7401 included")
 
 
-def test_criterion_04_hesse_family():
+def test_criterion_04_hesse_family(same_witness):
     t0 = time.time()
     h = build("hesse")
     dh = build("dual-hesse")
@@ -219,7 +219,7 @@ def test_criterion_05_flashing_six_lines():
     _pass(5, t0, 10)
 
 
-def test_criterion_06_flashing_duals():
+def test_criterion_06_flashing_duals(same_witness):
     t0 = time.time()
     f0 = build("flashing3")
     a0 = dual_lines_op(sel_exact(2), f0)

@@ -35,7 +35,8 @@ from lineops.catalog import build
 from lineops.dynamics import apply_operator, dual_spec, lambda_spec
 from lineops.fields import (GF, NUMBER_FIELD, QQ, RATIONALS, FieldError,
                             Scalar, cyclotomic_field, number_field)
-from lineops.projective import (Matrix3, ProjLine, ProjPoint, Projectivity,
+from lineops.projective import (GeometryError, Matrix3, ProjLine, ProjPoint,
+                                Projectivity,
                                 apply_projectivity, dualize, join, line, meet,
                                 point)
 
@@ -270,7 +271,104 @@ def test_operator_keys_round_trip(name):
             assert _encode([_from_key(cls, key, field)], field) == [key]
 
 
-LAZY_INPUTS = ("Q", "Q(omega)", "cubic", "GF(7)", "GF(8)", "GF(49)",
+def _random_scalar(field, rng, zeros=True):
+    """A seeded element of ``field``, zero one time in three when ``zeros``:
+    a polynomial in the generator with coefficients in -5..5, divided by
+    1..4 over a number field, or a rational or residue over Q or GF(p)."""
+    while True:
+        if zeros and not rng.randrange(3):
+            return field.zero
+        if field.degree > 1:
+            x = field.generator
+            e = sum((field.scalar(rng.randint(-5, 5)) * x ** i
+                     for i in range(field.degree)), field.zero)
+            e = e if field.characteristic else e / rng.randint(1, 4)
+        elif field.characteristic:
+            e = field.scalar(rng.randrange(field.characteristic))
+        else:
+            e = field.scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+        if not e.is_zero():
+            return e
+
+
+def _random_matrices(field, rng, count):
+    """A monomial matrix (one nonzero entry per row and column), then
+    random ones with zero entries one time in three, singular ones too."""
+    perm = rng.sample(range(3), 3)
+    yield Matrix3([[_random_scalar(field, rng, False) if j == perm[i]
+                    else field.zero for j in range(3)] for i in range(3)])
+    for _ in range(count - 1):
+        yield Matrix3([[_random_scalar(field, rng) for _ in range(3)]
+                       for _ in range(3)])
+
+
+def _random_projectivity(field, rng):
+    for m in _random_matrices(field, rng, 8):
+        if not m.det().is_zero():
+            return Projectivity(m)
+    raise AssertionError("no invertible matrix in eight draws")
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_INPUTS))
+def test_projectivity_action_matches_matrix_images(name):
+    """``apply_projectivity`` moves integer codes (``arrangements._act``)
+    and gives the object that the Scalar matrix and the constructor give:
+    M v for a point v, adj(M)^T u for a line u.  A matrix is refused
+    exactly when its determinant is zero."""
+    arr = KERNEL_INPUTS[name]()
+    field, rng = arr.field, random.Random(22)
+    lines = arr.lines[:12]
+    points = points_operator(sel_at_least(2), arr).points[:12]
+    singular = 0
+    for m in _random_matrices(field, rng, 10):
+        if m.det().is_zero():
+            singular += 1
+            with pytest.raises(GeometryError):
+                Projectivity(m)
+            continue
+        g, cof = Projectivity(m), m.adjugate().transpose()
+        assert ([apply_projectivity(g, p) for p in points]
+                == [ProjPoint(m.apply_vec(p.coords)) for p in points])
+        assert ([apply_projectivity(g, l) for l in lines]
+                == [ProjLine(cof.apply_vec(l.coeffs)) for l in lines])
+    # a third row that is a combination of the first two
+    r0, r1 = m.rows[:2]
+    c = _random_scalar(field, rng)
+    with pytest.raises(GeometryError):
+        Projectivity(Matrix3([r0, r1, [a + c * b for a, b in zip(r0, r1)]]))
+    assert singular < 10
+
+
+@pytest.mark.parametrize("field", [QQ(), cyclotomic_field(3), GF(7), GF(8),
+                                   GF(101)],
+                         ids=["Q", "Q(omega)", "GF(7)", "GF(8)", "GF(101)"])
+def test_equivalence_witness_matches_reference_on_seeded_pairs(field,
+                                                               same_witness):
+    """The search with images on codes finds the reference's witness: on
+    arrangements A against g(A) for a seeded g, and on pairs of
+    arrangements with the same profile, some of them inequivalent; five
+    lines over Q and Q(omega), six over the finite fields, where five-line
+    pairs of one profile are mostly equivalent."""
+    rng, size = random.Random(23), 6 if field.characteristic else 5
+    first, outcomes = {}, []
+    while len(outcomes) < 3 or None not in outcomes:
+        lines = set()
+        while len(lines) < size:
+            try:
+                lines.add(ProjLine([_random_scalar(field, rng) for _ in range(3)]))
+            except GeometryError:  # the zero triple
+                pass
+        arr = Arrangement(field, lines)
+        g = _random_projectivity(field, rng)
+        assert same_witness(list(arr.lines), [apply_projectivity(g, l)
+                                              for l in arr.lines]) is not None
+        other = first.setdefault(profile(arr), arr)
+        if other is not arr:
+            outcomes.append(same_witness(list(other.lines), list(arr.lines)))
+        assert len(outcomes) < 12, "no inequivalent pair of the same profile"
+
+
+LAZY_INPUTS =("Q", "Q(omega)", "cubic", "GF(7)", "GF(8)", "GF(49)",
                "GF(101)")
 
 
@@ -1121,7 +1219,7 @@ def test_psi_brianchon_point():
     assert psi_op(sel_exact(2), sel_exact(2), PointConfig(F)).is_empty()
 
 
-def test_equivalence_reflexive_symmetric_on_catalog():
+def test_equivalence_reflexive_symmetric_on_catalog(same_witness):
     from lineops.projective import apply_projectivity
     for name in ("trivial", "quasi-trivial", "complete-quadrilateral",
                  "grid6", "dual-hesse", "hesse", "klein"):
@@ -1134,7 +1232,7 @@ def test_equivalence_reflexive_symmetric_on_catalog():
         assert {apply_projectivity(back, l) for l in arr.lines} == set(arr.lines)
 
 
-def test_equivalence_wrapper():
+def test_equivalence_wrapper(same_witness):
     cq = complete_quadrilateral()
     assert arrangements_equivalent(cq, cq) is not None
     assert arrangements_equivalent(Arrangement(F), Arrangement(F)) is not None

@@ -110,7 +110,7 @@ def test_generic_certified_nodal():
         assert profile(arr).as_dict() == {2: comb(n, 2)}
 
 
-def test_ceva_family():
+def test_ceva_family(same_witness):
     c2 = build("ceva", n=2)
     cq = build("complete-quadrilateral")
     assert arrangements_equivalent(c2, cq) is not None

@@ -122,7 +122,7 @@ def test_check_command_pairs_once(capsys, monkeypatch):
         "freeness root test: no integer roots\n")
 
 
-def test_equiv_command(tmp_path, capsys, monkeypatch):
+def test_equiv_command(tmp_path, capsys, monkeypatch, same_witness):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
     dh = build("dual-hesse")

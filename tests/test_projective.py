@@ -116,6 +116,18 @@ def test_projectivity_actions():
         Projectivity(Matrix3.from_values(F, [[1, 0, 0], [0, 1, 0], [1, 1, 0]]))
 
 
+def test_apply_projectivity_takes_one_point_or_line():
+    """A list of lines, an Arrangement or a bare triple is refused, and so
+    is an object of another field."""
+    g = Projectivity(Matrix3.from_values(F, [[1, 2, 0], [0, 1, 1], [1, 0, 3]]))
+    lines = [line(F, 1, 0, 0), line(F, 0, 1, 2)]
+    for bad in (lines, Arrangement(F, lines), (1, 0, 0)):
+        with pytest.raises(GeometryError):
+            apply_projectivity(g, bad)
+    with pytest.raises(FieldError):
+        apply_projectivity(g, line(GF(7), 1, 0, 0))
+
+
 @pytest.mark.parametrize("field", [cyclotomic_field(3), GF(8)],
                          ids=["Q(omega)", "GF(8)"])
 def test_matrix_products_match_textbook_sums(field):
@@ -149,7 +161,7 @@ def test_line_frame_map():
             dst)
 
 
-def test_equivalence_generic_and_degenerate():
+def test_equivalence_generic_and_degenerate(same_witness):
     g = Projectivity(Matrix3.from_values(F, [[1, 2, 0], [0, 1, 1], [1, 0, 3]]))
     rng = random.Random(21)
     cases = [
@@ -162,15 +174,15 @@ def test_equivalence_generic_and_degenerate():
     ]
     for lines in cases:
         image = [apply_projectivity(g, l) for l in lines]
-        w = projectively_equivalent(lines, image)
+        w = same_witness(lines, image)
         assert w is not None
         assert {apply_projectivity(w, l) for l in lines} == set(image)
     # different cross-ratio pencils are inequivalent
     p1 = [line(F, 1, t, 0) for t in (0, 1, 2, 3)]
     p2 = [line(F, 1, t, 0) for t in (0, 1, 2, 5)]
-    assert projectively_equivalent(p1, p2) is None
+    assert same_witness(p1, p2) is None
     # cardinality mismatch
-    assert projectively_equivalent(p1, p1[:3]) is None
+    assert same_witness(p1, p1[:3]) is None
     # a GF(7) line with the reps of a rational one is refused, not merged
     with pytest.raises(FieldError):
         projectively_equivalent([line(GF(7), 1, 0, 0)] + p1, p1)
