@@ -1,49 +1,40 @@
 """Line arrangements, point configurations and the incidence operators.
 
-The engine underlying every operator is the pair table (``_code_counts``):
-each position where k >= 2 of the objects meet (dually: join), as a
-canonical key, with its multiplicity k, which the operators select on.  Over
-GF(q), q <= ``_PLANE_ORDER``, an object's code is its ordinal in PG(2,q)
-(``_ordinals``), and the table comes from incidences, not pairs:
-``_plane_table`` holds, once per field, the ordinals of the q+1 dual objects
-incident to each object, and a pass counts the rows of its objects
-(``_incidences``), n(q+1) counts at C speed; a position counted k >= 2 times
-is a k-fold meet, so the counts are the table as they stand.  Elsewhere the
-canonical pair kernel, ``_code_meets``, gives the meets of all pairs in
-``combinations`` order, a point on k lines C(k,2) times, and the table turns
-each distinct count into k once.  There ``profile`` groups one row (line i
-with the later lines) at a time, holding O(d) keys: a point on k lines makes
-one row group of each size k-1, ..., 1, so t_k = c_(k-1) - c_k, c_s the
-number of row groups of size s.  A row key only has to tell apart points on
-line i, so over Q ``_row_keys`` gives each meet one integer, floor(2^s u/v)
-for a chart pair (u, v) of the point on line i; it is exact because distinct
-rationals of denominator at most V >= max |v| differ by at least 1/V^2
-> 2^(-s).  The rows split into W strided shares (rows w, w + W, ...):
-``profile`` forks W - 1 children, which send the group-size counts c_s of
-their shares through pipes, and it counts the first share itself.  W is the
-number of usable CPUs, at most one per ``_SHARE_PAIRS`` = 2^17 pairs, and 1
-unless on Linux in a process with one thread; the counts add exactly, and a
-child that fails leaves its share to the parent, so the profile does not
-depend on W.  Each field kind has an exact integer codec (``_encode``), so
-no pair touches a Fraction, a Scalar or a residue tuple: primitive integer
-triples over Q; PG(2,q) ordinals over GF(q), q <= ``_PLANE_ORDER``; residues
-with the first nonzero one over a larger GF(p); primitive integer vectors in
-Z[theta], scaled by the adjugate of the first nonzero coordinate, over a
-number field, where the pair loop and the adjugate are straight-line integer
-code built once per modulus (``_nf_kernel`` and ``fields._adjugate``, by
-Cayley-Hamilton).  A projectivity acts on codes too (``_act``): at
-construction its matrix and cofactor matrix are put in the codec
-(``_matrix_codes``), and one action per field kind maps a code list to the
-normalized image codes, over a number field by straight-line code that
-ends as the pair loop does (``_nf_action``, ``_nf_key_src``).  A set keeps
-its codes once encoded; ``property_suite``
-works on sets of codes, keeping no memo past the call.  Every operator and
-operator chain is a run of selections on codes (``_operate``): a key of the
-table is the code of the object it names, so each selection's keys are the
-next one's codes, and the last the result's, decoded on first access to the
-members, so a result only counted builds no object.  ``_from_key``, the one
-decoder, turns a key back into a point or line with the usual
-first-nonzero-is-one coordinates, so no pass decodes an ordinal.
+Each field kind has an exact integer codec (``_encode``), and equal codes
+mean equal objects: primitive integer triples over Q; PG(2,q) ordinals over
+GF(q), q <= ``_PLANE_ORDER``; residues with the first nonzero one over a
+larger GF(p); primitive integer vectors in Z[theta], scaled by the adjugate
+of the first nonzero coordinate, over a number field, where the pair loop
+and the adjugate are straight-line integer code built once per modulus
+(``_nf_kernel`` and ``fields._adjugate``, by Cayley-Hamilton).  No pair
+touches a Fraction, a Scalar or a residue tuple.  ``_from_key``, the one
+decoder, turns a code back into a point or line.
+
+The engine under every operator is the pair table (``_pair_counts``): each
+position where k >= 2 of the objects meet (dually: join), as a code, with
+the number of times a pass counted it, read as k once per distinct count.
+Over a finite plane a pass counts the objects' rows of ``_plane_table``,
+the q+1 dual objects incident to each (``_incidences``), so a position
+counted k times is a k-fold meet; elsewhere the pair kernel ``_code_meets``
+meets all pairs, a point on k lines C(k,2) times.  Off the finite planes
+``profile`` groups one row (line i with the later lines) at a time
+(``_row_keys``): a point on k lines makes one row group of each size k-1,
+..., 1, so t_k = c_(k-1) - c_k, c_s the number of row groups of size s;
+the rows split into strided shares among forked workers (``_row_sizes``),
+whose counts add exactly, so the profile does not depend on their number.
+
+Every operator and operator chain is a run of selections on codes
+(``_operate``): a key of the table is the code of the object it names, so
+each selection's keys are the next one's codes, and the last the result's.
+A set keeps its codes once encoded and decodes its members on first access
+to them; equality, hashing and membership compare the frozenset of its
+codes, so a result only counted or compared builds no object, and
+``property_suite`` works on code sets, keeping no memo past the call.  A
+projectivity acts on codes too (``_act``): at construction its matrix and
+cofactor matrix are put in the codec (``_matrix_codes``), and one action per
+field kind maps a code list to the normalized image codes, over a number
+field by straight-line code that ends as the pair loop does (``_nf_action``,
+``_nf_key_src``).
 """
 from __future__ import annotations
 
@@ -150,10 +141,12 @@ class _ObjectSet:
     """Deduplicated finite set of points or of lines, in canonical order.
 
     A subclass names its member class and, in ``_name``, the attribute and
-    JSON key under which the members are read.
+    JSON key under which the members are read.  Equality, hashing and
+    membership compare the frozenset of the members' codes, which names
+    them exactly (``_encode``), so none of them decodes a member.
     """
 
-    __slots__ = ("field", "_objs", "_codes")
+    __slots__ = ("field", "_objs", "_codes", "_key")
 
     def __init__(self, field: Field, members: Iterable = ()):
         members = tuple(members)
@@ -167,12 +160,12 @@ class _ObjectSet:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "_objs", tuple(_canonical(members)))
         object.__setattr__(self, "_codes", None)
+        object.__setattr__(self, "_key", None)
 
     @property
     def _members(self) -> tuple:
         """The members, decoded once through ``__init__``; off the finite
-        planes, whose incidence counts ignore the order, the codes then
-        follow them, an order on which a Q row pass runs faster."""
+        planes the codes then follow them, as ``_encode`` gives them."""
         if self._objs is None:
             cls, field, codes = self._member, self.field, self._codes
             objs = [_from_key(cls, k, field) for k in codes]
@@ -189,6 +182,12 @@ class _ObjectSet:
             object.__setattr__(self, "_codes", _encode(self._objs, self.field))
         return self._codes
 
+    def _code_set(self) -> frozenset:
+        """The members' codes as a frozenset, made once: the set's identity."""
+        if self._key is None:
+            object.__setattr__(self, "_key", frozenset(self._code_list()))
+        return self._key
+
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
@@ -199,15 +198,16 @@ class _ObjectSet:
         return iter(self._members)
 
     def __contains__(self, o):
-        return o in self._members
+        return (o.__class__ is self._member and o.field.spec == self.field.spec
+                and _encode((o,), self.field)[0] in self._code_set())
 
     def __eq__(self, other):
         return (other.__class__ is self.__class__
                 and self.field.spec == other.field.spec
-                and self._members == other._members)
+                and self._code_set() == other._code_set())
 
     def __hash__(self):
-        return hash((self.field.spec, self._members))
+        return hash((self.field.spec, self._code_set()))
 
     def is_empty(self) -> bool:
         return not len(self)
@@ -658,6 +658,16 @@ def _row_keys(tris: list, field: Field, rows: range):
             yield [(-b2 << s) // b1 if b1 else None for b0, b1, b2 in rest]
 
 
+def _q_canonical(tris: list) -> list:
+    """Primitive integer triples in the canonical order of their objects
+    (``projective._canonical``), in which a Q row pass runs fastest: by
+    floor(2^s v/k) for each coordinate v, k the first nonzero one, which
+    is exact, as in ``_row_keys``, for 2^s > K^2, K the largest k."""
+    s = (max(a or b or c for a, b, c in tris) ** 2).bit_length()
+    return sorted(tris, key=lambda t: [(v << s) // (t[0] or t[1] or t[2])
+                                       for v in t])
+
+
 def _share_sizes(tris: list, field: Field, rows: range) -> Counter:
     """s -> the number of groups of size s in the rows ``rows``."""
     c = Counter()
@@ -761,18 +771,24 @@ def _received(data: bytes, share: range, d: int) -> Optional[Counter]:
     return counts if pairs == sum(d - 1 - i for i in share) else None
 
 
+def _pair_counts(codes: list, field: Field) -> tuple:
+    """(counts, k) of the objects with ``codes``: counts maps the key of
+    each position on k >= 2 of them, the meets (joins), to the number of
+    times the pass counted it, and k maps each distinct count to its k, so
+    a reader converts once per count and each key is hashed once.  Over a
+    finite plane a count is one per incidence, so it is k, and k is None."""
+    if _plane_order(field):
+        return {o: k for o, k in _incidences(codes, field).items() if k > 1}, None
+    counts = Counter(_code_meets(codes, field))
+    return counts, {c: _mult_from_pairs(c) for c in set(counts.values())}
+
+
 def _code_counts(codes: list, field: Field) -> dict:
     """The pair table of the objects with ``codes``: key -> k for each
-    position on k >= 2 of them, the meets (joins).  Over a finite plane it
-    keeps the ``_incidences`` counts of at least 2; elsewhere a key that the
-    kernel gives C(k,2) times gets k, converted once per distinct count."""
-    if _plane_order(field):
-        return {o: k for o, k in _incidences(codes, field).items() if k > 1}
-    counts = Counter(_code_meets(codes, field))
-    k = {c: _mult_from_pairs(c) for c in set(counts.values())}
-    # in place at C speed: no key is added, so iterating the table is sound
-    dict.update(counts, zip(counts, map(k.__getitem__, counts.values())))
-    return counts
+    position on k >= 2 of them (``_pair_counts``)."""
+    counts, k = _pair_counts(codes, field)
+    return counts if k is None else dict(zip(counts, map(k.__getitem__,
+                                                         counts.values())))
 
 
 def _pair_index(objs, field: Field) -> dict:
@@ -805,9 +821,12 @@ def _mult_from_pairs(c: int) -> int:
     return k
 
 
-def _table_profile(d: int, counts: dict) -> "SingularityProfile":
-    """The profile of d objects from their pair table (``_code_counts``)."""
-    return SingularityProfile.from_dict(d, Counter(counts.values()))
+def _table_profile(d: int, counts: dict, k: Optional[dict] = None):
+    """The profile of d objects from their ``_pair_counts`` (counts, k), or
+    from a pair table (``_code_counts``)."""
+    t = Counter(counts.values())
+    return SingularityProfile.from_dict(d, {k[c] if k else c: n
+                                            for c, n in t.items()})
 
 
 def _from_key(cls, key, field):
@@ -884,10 +903,10 @@ def lines_operator(sel: MultiplicitySelector, cfg: PointConfig) -> Arrangement:
     return _operate((sel,), cfg, Arrangement)[0]
 
 
-def _selected(sel: MultiplicitySelector, counts: dict) -> list:
-    """The keys of a pair table whose multiplicity, tested once per distinct
-    multiplicity, lies in the selector."""
-    keep = {k: sel.contains(k) for k in set(counts.values())}
+def _selected(sel: MultiplicitySelector, counts: dict, k: Optional[dict]) -> list:
+    """The keys of ``_pair_counts`` (counts, k) whose multiplicity, tested
+    once per distinct count, lies in the selector."""
+    keep = {c: sel.contains(k[c] if k else c) for c in set(counts.values())}
     return list(compress(counts, map(keep.__getitem__, counts.values())))
 
 
@@ -901,13 +920,14 @@ def _operate(sels: Sequence[MultiplicitySelector], src: _ObjectSet, out,
     selection's codes.  A table is dropped once its keys are selected."""
     field, codes, prof = src.field, src._code_list(), None
     for n, sel in enumerate(sels):
-        counts = _code_counts(codes, field) if len(codes) > 1 else {}
+        counts, k = _pair_counts(codes, field) if len(codes) > 1 else ({}, None)
         if profiled and not n:
-            prof = _table_profile(len(codes), counts)
-        codes = _selected(sel, counts)
+            prof = _table_profile(len(codes), counts, k)
+        codes = _selected(sel, counts, k)
         del counts
     res = object.__new__(out)  # the codes are distinct: no check, no sort
-    for name, value in (("field", field), ("_objs", None), ("_codes", codes)):
+    for name, value in (("field", field), ("_objs", None), ("_codes", codes),
+                        ("_key", None)):
         object.__setattr__(res, name, value)
     return res, prof
 
@@ -988,6 +1008,8 @@ def profile(arr: Arrangement) -> SingularityProfile:
     if _plane_order(field):
         t = Counter(_incidences(codes, field).values())
         return SingularityProfile.from_dict(d, {k: t[k] for k in t if k > 1})
+    if field.kind == RATIONALS:
+        codes = _q_canonical(codes)
     c = _row_sizes(codes, field, _workers(comb(d, 2)))
     return SingularityProfile.from_dict(d, {k: c[k - 1] - c[k]
                                             for k in range(2, max(c) + 2)})
@@ -1043,17 +1065,10 @@ def all_projective_lines(field: Field) -> Arrangement:
         raise ArrangementError("the full line set exists only over finite fields")
     reps = (range(field.characteristic) if field.kind == PRIME_FIELD
             else _gf_tables(field.spec).elems)
-    elements = [field.from_rep(r) for r in reps]
-    lines = []
-    one = field.one
-    zero = field.zero
-    for b in elements:
-        for c in elements:
-            lines.append(ProjLine((one, b, c)))
-    for c in elements:
-        lines.append(ProjLine((zero, one, c)))
-    lines.append(ProjLine((zero, zero, one)))
-    return Arrangement(field, lines)
+    elements, one, zero = [field.from_rep(r) for r in reps], field.one, field.zero
+    lines = [ProjLine((one, b, c)) for b in elements for c in elements]
+    lines += [ProjLine((zero, one, c)) for c in elements]
+    return Arrangement(field, lines + [ProjLine((zero, zero, one))])
 
 
 # ---------------------------------------------------------------------------
@@ -1140,11 +1155,8 @@ def is_km_configuration(arr: Arrangement, k: int, m: int):
         return False, 0, len(arr)
     idx = _pair_index(arr.lines, arr.field)
     k_point_sets = [s for s in idx.values() if len(s) == k]
-    per_line = [0] * len(arr)
-    for s in k_point_sets:
-        for i in s:
-            per_line[i] += 1
-    ok = all(c == m for c in per_line)
+    per_line = Counter(i for s in k_point_sets for i in s)
+    ok = all(per_line[i] == m for i in range(len(arr)))
     return ok, len(k_point_sets), len(arr)
 
 
@@ -1211,21 +1223,21 @@ def property_suite(arr: Arrangement, real: Optional[bool] = None) -> list:
         real = field.kind == RATIONALS
     tables, images = {}, {}
 
-    def table(codes):
-        counts = tables.get(codes)
-        if counts is None:
-            counts = tables[codes] = (_code_counts(list(codes), field)
-                                      if len(codes) > 1 else {})
-        return counts
+    def table(codes):  # its _pair_counts
+        pair = tables.get(codes)
+        if pair is None:
+            pair = tables[codes] = (_pair_counts(list(codes), field)
+                                    if len(codes) > 1 else ({}, None))
+        return pair
 
     def op(sel, codes):  # P_sel of lines, L_sel of points
         img = images.get((sel, codes))
         if img is None:
-            img = images[sel, codes] = frozenset(_selected(sel, table(codes)))
+            img = images[sel, codes] = frozenset(_selected(sel, *table(codes)))
         return img
 
-    lines = frozenset(arr._code_list())
-    prof = _table_profile(d, table(lines))
+    lines = arr._code_set()
+    prof = _table_profile(d, *table(lines))
     results = [("profile-consistency", True, prof.text())]
     # dualizing keeps every code and P, L are one selection, so the dual of
     # Lambda(A) and Psi(dual A) are the same code set; the tests check the

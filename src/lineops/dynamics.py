@@ -1,7 +1,9 @@
 """Iteration of line operators: fixed points, cycles, extinction, budgets.
 
-A run keeps the full history of arrangements (canonical digests), so cycle
-detection is exact set equality, never a fingerprint.
+A run keeps the full history of arrangements and detects cycles on their
+sets of integer codes (``_ObjectSet._code_set``): equal codes mean equal
+lines, so this is exact set equality, never a fingerprint, and a step is
+decoded only when its lines or its digest are read.
 """
 from __future__ import annotations
 
@@ -81,8 +83,7 @@ def _lemma_gate(op: OperatorChain, before: Arrangement, after: Arrangement):
     if not isinstance(op, OperatorSpec) or op.kind != "lambda":
         return
     bound = op.nsel.min_member * op.msel.min_member
-    if len(before) < bound and not (set(after._code_list())
-                                    <= set(before._code_list())):
+    if len(before) < bound and not after._code_set() <= before._code_set():
         raise AssertionError(
             f"new line out of {len(before)} lines violates the m >= nk bound "
             f"({bound}); engine bug")
@@ -94,7 +95,12 @@ class TraceStep:
     count: int
     profile: Optional[SingularityProfile]
     h: Optional[Fraction]
-    digest: tuple
+    arrangement: Arrangement
+
+    @property
+    def digest(self) -> tuple:
+        """The step's canonical digest, made only when read."""
+        return self.arrangement.digest()
 
 
 @dataclass(frozen=True)
@@ -135,17 +141,6 @@ class SequenceTrace:
         return self.arrangements[i]
 
 
-def _step_record(i: int, arr: Arrangement, digest: tuple,
-                 prof: Optional[SingularityProfile],
-                 profile_budget: int) -> TraceStep:
-    """Step i; ``prof`` is arr's profile when its operator pass gave it, and
-    otherwise a profile of its own is made within the budget."""
-    if prof is None and len(arr) <= profile_budget:
-        prof = profile(arr)
-    h = h_constant(prof) if prof is not None and prof.total_points else None
-    return TraceStep(i, len(arr), prof, h, digest)
-
-
 def run_sequence(op: OperatorChain, start: Arrangement,
                  max_steps: int = DEFAULT_MAX_STEPS,
                  max_lines: int = DEFAULT_MAX_LINES,
@@ -154,50 +149,41 @@ def run_sequence(op: OperatorChain, start: Arrangement,
 
     Verdicts: fixed (next equals current), cycle (an earlier step recurs,
     period >= 2), extinguished (empty reached; its index is the length),
-    budget_lines / budget_steps.
+    budget_lines / budget_steps.  A step's profile is the one its operator
+    pass gave, or else one of its own within the budget.
     """
     if max_steps < 1 or max_lines < 1:
         raise ArrangementError("budgets must be positive")
     op_text = op.text if isinstance(op, OperatorSpec) else \
         "".join(s.text for s in op)
-    arrs = [start]
-    digests = [start.digest()]
-    profs = []  # the profile each operator pass gave of the step it paired
-    seen = {digests[0]: 0}
-    verdict = None
-    current = start
-    if start.is_empty():
-        verdict = Verdict("extinguished", length=0)
-    step = 0
+    arrs, profs = [start], []  # profs: what each pass gave of the step it paired
+    seen = {start._code_set(): 0}
+    verdict = Verdict("extinguished", length=0) if start.is_empty() else None
     while verdict is None:
+        step, current = len(profs), arrs[-1]
         if step >= max_steps:
             verdict = Verdict("budget_steps", at_step=step)
             break
         nxt, prof = _apply(op, current, len(current) <= profile_budget)
-        profs.append(prof)
         _lemma_gate(op, current, nxt)
-        step += 1
+        profs.append(prof)
         arrs.append(nxt)
-        dig = nxt.digest()
-        digests.append(dig)
+        first = seen.setdefault(nxt._code_set(), step + 1)
         if nxt.is_empty():
-            verdict = Verdict("extinguished", length=step)
-            break
-        first = seen.setdefault(dig, step)  # one hash of the digest
-        if first < step:
-            period = step - first
-            if period == 1:
-                verdict = Verdict("fixed", at_step=first)
-            else:
-                verdict = Verdict("cycle", preperiod=first, period=period)
-            break
-        if len(nxt) > max_lines:
-            verdict = Verdict("budget_lines", at_step=step)
-            break
-        current = nxt
-    steps = tuple(_step_record(i, *rec, profile_budget) for i, rec in
-                  enumerate(zip(arrs, digests, profs + [None])))
-    return SequenceTrace(op_text, steps, verdict, max_steps, max_lines,
+            verdict = Verdict("extinguished", length=step + 1)
+        elif first == step:
+            verdict = Verdict("fixed", at_step=first)
+        elif first < step:
+            verdict = Verdict("cycle", preperiod=first, period=step + 1 - first)
+        elif len(nxt) > max_lines:
+            verdict = Verdict("budget_lines", at_step=step + 1)
+    steps = []
+    for i, (arr, prof) in enumerate(zip(arrs, profs + [None])):
+        if prof is None and len(arr) <= profile_budget:
+            prof = profile(arr)
+        h = h_constant(prof) if prof is not None and prof.total_points else None
+        steps.append(TraceStep(i, len(arr), prof, h, arr))
+    return SequenceTrace(op_text, tuple(steps), verdict, max_steps, max_lines,
                          profile_budget, tuple(arrs))
 
 

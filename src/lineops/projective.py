@@ -427,14 +427,18 @@ def projectively_equivalent(lines_a: Sequence[ProjLine],
     quad = _first_gp_quadruple(lines_a)
     if quad is None:
         return _degenerate_equivalent(lines_a, lines_b, maps)
-    src = [lines_a[i] for i in quad]
+    # projectivity_from_line_frames, A's frame inverted once per search
+    to_a = _point_frame_matrix([dualize(lines_a[i]) for i in quad]).inverse()
+    dual_b, general = [dualize(l) for l in lines_b], {}  # by 4-set of B
     for cand in permutations(range(len(lines_b)), 4):
-        dst = [lines_b[i] for i in cand]
-        if not lines_in_general_position(dst):
-            continue
-        g = projectivity_from_line_frames(src, dst)
-        if maps(g):
-            return g
+        four = frozenset(cand)
+        if four not in general:
+            general[four] = lines_in_general_position([lines_b[i] for i in cand])
+        if general[four]:
+            h = _point_frame_matrix([dual_b[i] for i in cand]) * to_a
+            g = Projectivity(h.adjugate().transpose())
+            if maps(g):
+                return g
     return None
 
 
@@ -485,9 +489,7 @@ def _degenerate_equivalent(lines_a, lines_b, maps) -> Optional[Projectivity]:
         split_b = _near_pencil_split(dual_b)
         if split_b is None:
             return None
-        on_a, off_a = split_a
-        on_b, off_b = split_b
-        return _pencil_witness(on_a, off_a, on_b, off_b, maps, field)
+        return _pencil_witness(*split_a, *split_b, maps, field)
     return _small_frame_search(dual_a, dual_b, maps, field)
 
 

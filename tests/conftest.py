@@ -1,5 +1,6 @@
 """Shared fixtures: the reference pair kernels over GF(q), a counter of pair
-passes, and the reference projective-equivalence search.
+passes, the reference projective-equivalence search, and the reference
+operator sequence with cycle detection on digests.
 
 Over every finite field of order at most ``arrangements._PLANE_ORDER`` the
 program codes an object by its ordinal in PG(2,q) and counts incidences in
@@ -11,7 +12,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from lineops import arrangements, projective
+from lineops import arrangements, dynamics, projective
 from lineops.fields import PRIME_FIELD, PRIME_POWER_FIELD, _gf_tables
 from lineops.projective import (GeometryError, ProjLine, Projectivity,
                                 _all_collinear, _canonical,
@@ -180,3 +181,44 @@ def same_witness(monkeypatch):
         return got
     monkeypatch.setattr(arrangements, "projectively_equivalent", checked)
     return checked
+
+
+# ---------------------------------------------------------------------------
+# operator sequences
+
+def reference_sequence(op, start, max_steps=dynamics.DEFAULT_MAX_STEPS,
+                       max_lines=dynamics.DEFAULT_MAX_LINES,
+                       profile_budget=dynamics.DEFAULT_PROFILE_BUDGET):
+    """``run_sequence`` as it was with cycle detection on the canonical
+    digest of every step: (verdict, one (count, profile, H, digest) per
+    step).  Each step is decoded, and profiled within the budget by
+    ``profile`` on its own, apart from any operator pass."""
+    Verdict = dynamics.Verdict
+    arrs, verdict = [start], None
+    seen = {start.digest(): 0}
+    if start.is_empty():
+        verdict = Verdict("extinguished", length=0)
+    while verdict is None:
+        step = len(arrs) - 1
+        if step >= max_steps:
+            verdict = Verdict("budget_steps", at_step=step)
+            break
+        nxt = dynamics.apply_operator(op, arrs[-1])
+        arrs.append(nxt)
+        if nxt.is_empty():
+            verdict = Verdict("extinguished", length=step + 1)
+            break
+        first = seen.setdefault(nxt.digest(), step + 1)
+        if first <= step:
+            period = step + 1 - first
+            verdict = (Verdict("fixed", at_step=first) if period == 1 else
+                       Verdict("cycle", preperiod=first, period=period))
+        elif len(nxt) > max_lines:
+            verdict = Verdict("budget_lines", at_step=step + 1)
+    steps = []
+    for arr in arrs:
+        prof = arrangements.profile(arr) if len(arr) <= profile_budget else None
+        h = (arrangements.h_constant(prof) if prof is not None
+             and prof.total_points else None)
+        steps.append((len(arr), prof, h, arr.digest()))
+    return verdict, steps

@@ -375,15 +375,21 @@ def test_lazy_results_match_eager_sets(name):
     access to the members; it then equals the set built from the decoded
     codes in members, order, digest, hash, length and equality, both ways,
     and its codes are those of its members, off the finite planes in their
-    order."""
+    order, which over Q the integer keys of the codes give.  Equality,
+    hash and membership agree on the decoded result and on the same result
+    undecoded, both ways, and decode nothing; a point is never in an
+    arrangement, nor a line in a point set."""
     arr = KERNEL_INPUTS[name]()
     arr = Arrangement(arr.field, arr.lines[:16])  # keeps every image small
     cfg = dualize_arrangement(arr)
     g2, g3 = sel_at_least(2), sel_at_least(3)
-    results = [points_operator(g2, arr), lines_operator(g2, cfg),
-               lambda_op(g2, g3, arr), psi_op(g2, g3, cfg), dual_lines_op(g3, arr),
-               apply_operator((dual_spec(g2), lambda_spec(g2, g3)), arr),
-               lines_operator(g3, points_operator(g2, arr))]
+
+    def operate():
+        return [points_operator(g2, arr), lines_operator(g2, cfg),
+                lambda_op(g2, g3, arr), psi_op(g2, g3, cfg), dual_lines_op(g3, arr),
+                apply_operator((dual_spec(g2), lambda_spec(g2, g3)), arr),
+                lines_operator(g3, points_operator(g2, arr))]
+    results = operate()
     for res in results:
         codes, field, cls = list(res._code_list()), res.field, type(res)
         assert res._objs is None and len(res) == len(codes)
@@ -396,7 +402,17 @@ def test_lazy_results_match_eager_sets(name):
         assert set(res._code_list()) == set(want)
         if not arrangements._plane_order(field):
             assert res._code_list() == want
+        if field.kind == RATIONALS:  # the canonical order, read off codes
+            assert arrangements._q_canonical(codes) == want
         assert len(set(codes)) == len(codes)
+    other = KERNEL_INPUTS["Q" if arr.field.characteristic else "GF(7)"]()
+    for res, lazy in zip(results, operate()):
+        assert lazy == res and res == lazy and hash(lazy) == hash(res)
+        members = set(res)
+        for o in (*arr, *cfg, *res, *map(dualize, res), *other.lines[:3]):
+            assert (o in lazy) == (o in res) == (o in members)
+        assert not any(dualize(o) in lazy for o in res)
+        assert lazy._objs is None
 
 
 def test_lazy_count_builds_no_object(monkeypatch):

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -14,8 +15,10 @@ from lineops.catalog import build
 from lineops.dynamics import (apply_operator, dual_spec, lambda_spec,
                               orbit_over_finite_field, run_sequence,
                               trace_table, trace_to_json, union_of_steps)
-from lineops.fields import GF, QQ
+from lineops.fields import GF, QQ, number_field
 from lineops.projective import ProjLine, ProjPoint, join, point
+
+from conftest import reference_sequence
 
 F = QQ()
 L2 = lambda_spec(sel_at_least(2), sel_at_least(2))
@@ -232,3 +235,102 @@ def test_step_profiles_match_row_pass(op, start, steps, budget):
         assert step.profile == want
         assert step.h == (h_constant(want) if want and want.total_points
                           else None)
+
+
+def _agrees_with_reference(op, start, **budgets):
+    """run_sequence and the digest-based reference loop give the same
+    verdict, and per step the same count, profile, H and digest; the
+    digests are read last, so the run is compared before any of its steps
+    is decoded.  Returns the verdict."""
+    tr = run_sequence(op, start, **budgets)
+    verdict, steps = reference_sequence(op, start, **budgets)
+    assert tr.verdict == verdict
+    assert [(s.count, s.profile, s.h) for s in tr.steps] == \
+        [step[:3] for step in steps]
+    assert [s.digest for s in tr.steps] == [step[3] for step in steps]
+    return verdict
+
+
+Lx23 = lambda_spec(sel_exact(2), sel_exact(3))
+Lx32 = lambda_spec(sel_exact(3), sel_exact(2))
+L23 = lambda_spec(sel_at_least(2), sel_at_least(3))
+L32 = lambda_spec(sel_at_least(3), sel_at_least(2))
+
+
+@pytest.mark.parametrize("op, make, budgets", [
+    (L2, lambda: build("complete-quadrilateral"),
+     {"max_steps": 3, "profile_budget": 100}),
+    (L23, lambda: build("parallel-pairs6"),
+     {"max_steps": 4, "profile_budget": 200}),
+    (L32, lambda: build("dual-hesse"), {"max_steps": 3, "profile_budget": 100}),
+    (Lx23, lambda: build("flashing3", t=Fraction(3)), {}),
+    (Lx23, lambda: build("flashing3", t=Fraction(5)), {}),
+    (Lx23, lambda: build("flashing3", t=Fraction(7, 3)), {}),
+    (Lx32, lambda: dual_lines_op(sel_exact(2), build("flashing3")), {}),
+    (lambda_spec(sel_exact(2), sel_exact(4)),
+     lambda: build("flashing4", part="c0"), {}),
+    (lambda_spec(sel_exact(2), sel_exact(2)),
+     lambda: build("generic", n=4, seed=1), {"max_steps": 6}),
+    (Lx23, lambda: build("unassuming"), {"max_steps": 3}),
+    ((L2, dual_spec(sel_at_least(3))), lambda: build("complete-quadrilateral"),
+     {"max_steps": 3, "profile_budget": 100}),
+], ids=["cq", "pp6", "dual-hesse", "flashing3-3", "flashing3-5",
+        "flashing3-7/3", "flashing3-dual", "flashing4", "generic4",
+        "unassuming", "cq-chain"])
+def test_sequence_matches_digest_reference(op, make, budgets):
+    """The acceptance sequences: the same trace with cycles found on code
+    sets as with cycles found on digests."""
+    _agrees_with_reference(op, make(), **budgets)
+
+
+SEQUENCE_FIELDS = {"Q": QQ(), "GF(101)": GF(101), "GF(8)": GF(8),
+                   "Q(omega)": number_field([1, 1, 1])}
+
+
+@pytest.mark.parametrize("name", sorted(SEQUENCE_FIELDS))
+def test_sequence_matches_digest_reference_on_random_arrangements(name):
+    """Seeded arrangements, the joins of five points whose coordinates come
+    from a few small elements, so that they have rich points, under five
+    operators: the same trace as the reference, and among the verdicts
+    both one at a recurring step and one that is not."""
+    field = SEQUENCE_FIELDS[name]
+    if field.characteristic:
+        elems = [field.zero] + ([field.generator ** i for i in range(7)]
+                                if field.degree > 1 else
+                                [field.scalar(v) for v in range(1, 7)])
+    else:
+        x = field.generator if field.degree > 1 else field.zero
+        elems = [field.scalar(a) + field.scalar(b) * x
+                 for a in range(-1, 2) for b in range(-1, 2)]
+    rng, kinds = random.Random(7), set()
+    for _ in range(4):
+        pts = set()
+        while len(pts) < 5:
+            t = [rng.choice(elems) for _ in range(3)]
+            if any(not c.is_zero() for c in t):
+                pts.add(ProjPoint(t))
+        start = Arrangement(field, [join(a, b) for a, b in combinations(pts, 2)])
+        for op in (L2, L23, Lx23, L32, Lx32):
+            kinds.add(_agrees_with_reference(op, start, max_steps=6,
+                                             max_lines=40, profile_budget=40).kind)
+    assert kinds & {"fixed", "cycle"} and kinds - {"fixed", "cycle"}
+
+
+def test_counted_sequence_builds_no_object(monkeypatch):
+    """A sequence whose trace is only counted and profiled decodes no step:
+    no line, point or set is built, and a digest is made only when read."""
+    cq = build("complete-quadrilateral")
+    built = []
+    for cls in (ProjPoint, ProjLine, Arrangement, PointConfig):
+        def counting(self, *args, init=cls.__init__):
+            built.append(type(self).__name__)
+            init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counting)
+    tr = run_sequence(L2, cq, max_steps=3)
+    assert tr.counts() == [6, 9, 25, 1741]
+    assert [s.profile.d for s in tr.steps] == tr.counts()
+    assert tr.steps[2].h == Fraction(-239, 97)
+    assert trace_to_json(tr)["verdict"]["kind"] == "budget_steps"
+    assert built == []
+    assert len(tr.steps[2].digest) == 25 and set(built) == {"ProjLine",
+                                                            "Arrangement"}
