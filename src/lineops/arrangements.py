@@ -4,11 +4,11 @@ Each field kind has an exact integer codec (``_encode``), and equal codes
 mean equal objects: primitive integer triples over Q; PG(2,q) ordinals over
 GF(q), q <= ``_PLANE_ORDER``; residues with the first nonzero one over a
 larger GF(p); primitive integer vectors in Z[theta], scaled by the adjugate
-of the first nonzero coordinate, over a number field, where the pair loop
-and the adjugate are straight-line integer code built once per modulus
-(``_nf_kernel`` and ``fields._adjugate``, by Cayley-Hamilton).  No pair
-touches a Fraction, a Scalar or a residue tuple.  ``_from_key``, the one
-decoder, turns a code back into a point or line.
+of the first nonzero coordinate, over a number field.  Off the finite
+planes the codes live in one ring (``_ring``), Z[theta]/(g), Z or Z/p, and
+the pair loop is straight-line integer code built once per ring
+(``_ring_kernel``).  No pair touches a Fraction, a Scalar or a residue
+tuple.  ``_from_key``, the one decoder, turns a code back into an object.
 
 The engine under every operator is the pair table (``_pair_counts``): each
 position where k >= 2 of the objects meet (dually: join), as a code, with
@@ -31,10 +31,10 @@ to them; equality, hashing and membership compare the frozenset of its
 codes, so a result only counted or compared builds no object, and
 ``property_suite`` works on code sets, keeping no memo past the call.  A
 projectivity acts on codes too (``_act``): at construction its matrix and
-cofactor matrix are put in the codec (``_matrix_codes``), and one action per
-field kind maps a code list to the normalized image codes, over a number
-field by straight-line code that ends as the pair loop does (``_nf_action``,
-``_nf_key_src``).
+cofactor matrix are put in the codec (``_matrix_codes``), and the action
+maps a code list to the normalized image codes: over a finite plane by
+table look-ups (``_plane_act``), elsewhere by straight-line code for the
+ring that ends as the pair loop does (``_ring_action``, ``_key_src``).
 """
 from __future__ import annotations
 
@@ -286,7 +286,13 @@ def _code_meets(codes: list, field: Field, rows: Optional[range] = None):
     finite field ``_incidences`` counts incidences instead."""
     if rows is None:
         rows = range(len(codes) - 1)
-    return _KERNELS[field.kind](codes, field, rows)
+    return _kernel(field)(codes, rows)
+
+
+def _kernel(field: Field):
+    """``kernel(codes, rows)``, the pair loop emitted for the field's ring
+    (``_ring``, ``_ring_kernel``); the tests put reference kernels here."""
+    return _ring_kernel(*_ring(field))
 
 
 def _encode(objs, field: Field) -> list:
@@ -315,53 +321,43 @@ def _theta_ints(reps, field: Field) -> tuple:
                           [c ** (n - 1 - i) for i in range(n)] * len(reps))
 
 
-def _q_meets(tris, field, rows):
-    """Over Q: the primitive integer triple with first nonzero > 0."""
-    # the objects' first nonzero coordinate is 1, so that of each
-    # primitive integer triple is positive
-    for i in rows:
-        a0, a1, a2 = tris[i]
-        for b0, b1, b2 in tris[i + 1:]:
-            x = a1 * b2 - a2 * b1
-            y = a2 * b0 - a0 * b2
-            z = a0 * b1 - a1 * b0
-            g = gcd(x, y, z)
-            if (x or y or z) < 0:  # the first nonzero coordinate
-                g = -g
-            yield (x // g, y // g, z // g)
-
-
-def _prime_meets(tris, field, rows):
-    """Over GF(p): the residue triple with first nonzero 1."""
-    p = field.characteristic
-    e = p - 2
-    for i in rows:
-        a0, a1, a2 = tris[i]
-        for b0, b1, b2 in tris[i + 1:]:
-            x = (a1 * b2 - a2 * b1) % p
-            y = (a2 * b0 - a0 * b2) % p
-            z = (a0 * b1 - a1 * b0) % p
-            if x:
-                w = pow(x, e, p)
-                yield (1, y * w % p, z * w % p)
-            elif y:
-                yield (0, 1, z * pow(y, e, p) % p)
-            else:
-                yield (0, 0, 1)
-
-
 def _vec(v: str, n: int, sep: str = ", ") -> str:
     """Source of the names v0, v1, ..., v(n-1) of a vector's coefficients."""
     return sep.join(f"{v}{i}" for i in range(n))
 
 
-def _nf_key_src(g: tuple) -> list:
-    """Source lines that yield the key of the point (line) whose coordinates
-    are the vectors x, y, z of Z[theta]/(g), not all zero: the 3n integers
+def _ring(field: Field) -> tuple:
+    """(g, p) of the ring Z[theta]/(g), mod p if p != 0, of the field's
+    codes off the finite planes: g of ``_nf_codec`` over a number field,
+    g = theta (Z) over Q and over GF(p)."""
+    if field.kind == NUMBER_FIELD:
+        return _nf_codec(field.spec)[1], 0
+    return (0, 1), field.characteristic
+
+
+def _mod_src(src: list, p: int) -> list:
+    """Source lines ``v = e`` of ``fields._mul_src``, as ``v = (e) % p``
+    when p != 0."""
+    return [s.replace(" = ", " = (", 1) + f") % {p}" for s in src] if p else src
+
+
+def _key_src(g: tuple, p: int) -> list:
+    """Source lines that yield the ``_encode`` code of the point (line) with
+    coordinates x, y, z in the ring (g, p) of ``_ring``, not all zero.  Over
+    Z the primitive triple with positive first nonzero entry; over Z/p the
+    residues over the first nonzero one; for degree n >= 2 the 3n integers
     of the primitive multiple of (1, y/e, z/e) on the basis theta^i whose
     leading integer is positive, e the first nonzero coordinate.  It is
     multiplied by w with e*w = d an integer, from ``fields._adjugate(g)``."""
     n, src = len(g) - 1, []
+    if p:
+        e = f"{p - 2}, {p}"
+        return ["if x0:", f" w = pow(x0, {e})", f" yield (1, y0 * w % {p}, z0 * w % {p})",
+                "elif y0:", f" yield (0, 1, z0 * pow(y0, {e}) % {p})",
+                "else:", " yield (0, 0, 1)"]
+    if n == 1:
+        return ["h = gcd(x0, y0, z0)", "if (x0 or y0 or z0) < 0:", " h = -h",
+                "yield (x0 // h, y0 // h, z0 // h)"]
     for test, e, later in ((f"if {_vec('x', n, ' or ')}", "x", "yz"),
                            (f"elif {_vec('y', n, ' or ')}", "y", "z"), ("else", "z", "")):
         key = (["0"] * (n * (2 - len(later))) + ["d"] + ["0"] * (n - 1)
@@ -374,37 +370,35 @@ def _nf_key_src(g: tuple) -> list:
     return src
 
 
-def _nf_compiled(g: tuple, name: str, src: list):
+def _ring_compiled(g: tuple, name: str, src: list):
     """The function ``name`` that the source lines ``src`` define, compiled
-    with ``adj`` = ``fields._adjugate(g)`` and ``gcd`` in scope."""
-    ns = {"adj": _adjugate(g), "gcd": gcd}
+    with ``gcd`` and, for degree >= 2, ``adj`` = ``fields._adjugate(g)``."""
+    ns = {"gcd": gcd}
+    if len(g) > 2:
+        ns["adj"] = _adjugate(g)
     exec("\n".join(src), ns)
     return ns[name]
 
 
 @lru_cache(maxsize=None)
-def _nf_kernel(g: tuple):
-    """The pair loop over Q[x]/(f) for the monic integer g of ``_nf_codec``,
-    as straight-line integer code built and compiled once per modulus.
+def _ring_kernel(g: tuple, p: int):
+    """The pair loop over the ring (g, p) of ``_ring``, as straight-line
+    integer code built and compiled once per ring.
 
-    A pair's key is that of ``_nf_key_src`` for its cross product.  Every
-    product is written out by ``fields._mul_src``, and the source holds
-    only names and integers computed from g.
+    A pair's key is that of ``_key_src`` for its cross product.  Every
+    product is written out by ``fields._mul_src``, reduced mod p over Z/p,
+    and the source holds only names and integers computed from g and p.
     """
     n = len(g) - 1
     a, b = ([f"{v}{k}_" for k in range(3)] for v in "ab")
     src = ["def kernel(tris, rows):", " for i in rows:",
            f"  {', '.join(_vec(v, n) for v in a)} = tris[i]",
            f"  for {', '.join(_vec(v, n) for v in b)} in tris[i + 1:]:"]
-    src += ["   " + s for s in _mul_src(g, "x", (1, a[1], b[2]), (-1, a[2], b[1]))
-            + _mul_src(g, "y", (1, a[2], b[0]), (-1, a[0], b[2]))
-            + _mul_src(g, "z", (1, a[0], b[1]), (-1, a[1], b[0])) + _nf_key_src(g)]
-    return _nf_compiled(g, "kernel", src)
-
-
-_KERNELS = {RATIONALS: _q_meets, PRIME_FIELD: _prime_meets,
-            NUMBER_FIELD: lambda tris, f, rows: _nf_kernel(
-                _nf_codec(f.spec)[1])(tris, rows)}
+    src += ["   " + s for s in _mod_src(
+        _mul_src(g, "x", (1, a[1], b[2]), (-1, a[2], b[1]))
+        + _mul_src(g, "y", (1, a[2], b[0]), (-1, a[0], b[2]))
+        + _mul_src(g, "z", (1, a[0], b[1]), (-1, a[1], b[0])), p) + _key_src(g, p)]
+    return _ring_compiled(g, "kernel", src)
 
 
 # ---------------------------------------------------------------------------
@@ -476,39 +470,7 @@ def _act(m, codes: list, field: Field):
     iterator; each image is normalized as ``_encode`` codes its object."""
     if _plane_order(field):
         return _plane_act(m, codes, field)
-    return _ACTIONS[field.kind](m, codes, field)
-
-
-def _q_act(m, tris, field):
-    """Over Q: the primitive integer triple with first nonzero > 0."""
-    m0, m1, m2, m3, m4, m5, m6, m7, m8 = m
-    for a0, a1, a2 in tris:
-        x = m0 * a0 + m1 * a1 + m2 * a2
-        y = m3 * a0 + m4 * a1 + m5 * a2
-        z = m6 * a0 + m7 * a1 + m8 * a2
-        g = gcd(x, y, z)
-        if (x or y or z) < 0:
-            g = -g
-        yield (x // g, y // g, z // g)
-
-
-def _prime_act(m, tris, field):
-    """Over GF(p), p > ``_PLANE_ORDER``: the residue triple with first
-    nonzero 1."""
-    p = field.characteristic
-    e = p - 2
-    m0, m1, m2, m3, m4, m5, m6, m7, m8 = m
-    for a0, a1, a2 in tris:
-        x = (m0 * a0 + m1 * a1 + m2 * a2) % p
-        y = (m3 * a0 + m4 * a1 + m5 * a2) % p
-        z = (m6 * a0 + m7 * a1 + m8 * a2) % p
-        if x:
-            w = pow(x, e, p)
-            yield (1, y * w % p, z * w % p)
-        elif y:
-            yield (0, 1, z * pow(y, e, p) % p)
-        else:
-            yield (0, 0, 1)
+    return _ring_action(*_ring(field))(m, codes)
 
 
 def _plane_act(m, codes, field):
@@ -533,25 +495,19 @@ def _plane_act(m, codes, field):
 
 
 @lru_cache(maxsize=None)
-def _nf_action(g: tuple):
-    """``act(m, codes)`` over Q[x]/(f) for the monic integer g of
-    ``_nf_codec``: for each code, three vectors a0, a1, a2 of Z[theta]/(g),
-    the image (x, y, z) = M a by ``fields._mul_src``, keyed by
-    ``_nf_key_src`` as the pair kernel keys a meet.  Straight-line integer
-    code built once per modulus."""
+def _ring_action(g: tuple, p: int):
+    """``act(m, codes)`` over the ring (g, p) of ``_ring``: for each code,
+    three vectors a0, a1, a2 of the ring, the image (x, y, z) = M a by
+    ``fields._mul_src``, keyed by ``_key_src`` as the pair kernel keys a
+    meet.  Straight-line integer code built once per ring."""
     n = len(g) - 1
     m, a = [f"m{k}_" for k in range(9)], [f"a{k}_" for k in range(3)]
     src = ["def act(m, codes):", f" {', '.join(_vec(v, n) for v in m)}, = m",
            f" for {', '.join(_vec(v, n) for v in a)} in codes:"]
-    src += ["  " + s for i, r in enumerate("xyz") for s in _mul_src(
-        g, r, *((1, m[3 * i + j], a[j]) for j in range(3)))]
-    src += ["  " + s for s in _nf_key_src(g)]
-    return _nf_compiled(g, "act", src)
-
-
-_ACTIONS = {RATIONALS: _q_act, PRIME_FIELD: _prime_act,
-            NUMBER_FIELD: lambda m, codes, f: _nf_action(
-                _nf_codec(f.spec)[1])(m, codes)}
+    image = [s for i, r in enumerate("xyz")
+             for s in _mul_src(g, r, *((1, m[3 * i + j], a[j]) for j in range(3)))]
+    src += ["  " + s for s in _mod_src(image, p) + _key_src(g, p)]
+    return _ring_compiled(g, "act", src)
 
 
 # ---------------------------------------------------------------------------

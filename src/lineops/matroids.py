@@ -13,7 +13,7 @@ from math import comb
 from typing import Optional, Sequence, Union
 
 from .arrangements import Arrangement, ArrangementError, _pair_index
-from .fields import QQ
+from .fields import QQ, FieldError
 from .projective import ProjLine, nullspace
 
 
@@ -73,6 +73,8 @@ def extract_matroid(lines: Union[Arrangement, Sequence[ProjLine]]) -> Matroid3:
         if not seq:
             return Matroid3.from_flats(0, ())
         field = seq[0].field
+        if any(l.field.spec != field.spec for l in seq):
+            raise FieldError("lines live in different fields")
     if len(set(seq)) != len(seq):
         raise MatroidError("labelled arrangement must have distinct lines")
     if len(seq) < 3:

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .arrangements import ArrangementError, _from_key, _pair_index
-from .fields import real_embedding
+from .arrangements import ArrangementError, _code_counts, _encode, _from_key
+from .fields import FieldError, real_embedding
 from .projective import ProjPoint
 
 _CLIP_EPS = 1e-9
@@ -98,7 +98,8 @@ def render_svg(layers: Sequence, spec: RenderSpec = RenderSpec()) -> RenderResul
     """Render (Arrangement, style-class) layers to one SVG document.
 
     Styles default to step0, step1, ... when a layer gives None.  Every
-    field involved must admit a real embedding.
+    field involved must admit a real embedding, and with point marks on
+    all lines must be over one field.
     """
     x0, x1, y0, y1 = [float(v) for v in spec.window]
     size = spec.size
@@ -153,11 +154,11 @@ def render_svg(layers: Sequence, spec: RenderSpec = RenderSpec()) -> RenderResul
 
     if spec.mark_points and len(all_lines) >= 2:
         field = all_lines[0].field
+        if any(l.field.spec != field.spec for l in all_lines):
+            raise FieldError("layers live in different fields")
         distinct = list(dict.fromkeys(all_lines))
-        idx = _pair_index(distinct, field)
         marks = []
-        for key, lines_on in idx.items():
-            mult = len(lines_on)
+        for key, mult in _code_counts(_encode(distinct, field), field).items():
             p = _from_key(ProjPoint, key, field)
             u1, u2, u3 = _chart_coeffs(p.coords, spec.chart)
             zc = real_embedding(u3, spec.root_index)

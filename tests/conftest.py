@@ -23,6 +23,25 @@ from lineops.projective import (GeometryError, ProjLine, Projectivity,
                                 projectivity_from_point_frames)
 
 
+def _prime_meets(tris, field, rows):
+    """Over GF(p): the residue triple with first nonzero 1."""
+    p = field.characteristic
+    e = p - 2
+    for i in rows:
+        a0, a1, a2 = tris[i]
+        for b0, b1, b2 in tris[i + 1:]:
+            x = (a1 * b2 - a2 * b1) % p
+            y = (a2 * b0 - a0 * b2) % p
+            z = (a0 * b1 - a1 * b0) % p
+            if x:
+                w = pow(x, e, p)
+                yield (1, y * w % p, z * w % p)
+            elif y:
+                yield (0, 1, z * pow(y, e, p) % p)
+            else:
+                yield (0, 0, 1)
+
+
 def _prime_power_meets(tris, field, rows):
     """Over GF(p^k): the triple of element codes with first nonzero 1."""
     _, code, mul, sub, inv = _gf_tables(field.spec)
@@ -43,28 +62,26 @@ def _prime_power_meets(tris, field, rows):
                 yield (0, 0, 1)
 
 
-def _on_ordinals(kernel):
-    """``kernel`` over PG(2,q) ordinal codes: it pairs their triples and
-    gives the ordinals of the meets, as an iterator, so that ``_row_keys``
-    can slice it row by row.  Over a larger field it is ``kernel``."""
-    def meets(codes, field, rows):
-        q = arrangements._plane_order(field)
-        if not q:
-            return kernel(codes, field, rows)
-        tris = [arrangements._plane_key(o, q) for o in codes]
-        return iter(arrangements._ordinals(kernel(tris, field, rows), q))
-    return meets
-
-
 @pytest.fixture
 def reference_kernels(monkeypatch):
     """``_code_meets`` and ``_row_keys`` run a pair kernel over every field
-    kind: over GF(q), q <= ``_PLANE_ORDER``, the reference ones above, on
-    ordinals (GF(p) pairs residues with ``arrangements._prime_meets``)."""
-    monkeypatch.setitem(arrangements._KERNELS, PRIME_POWER_FIELD,
-                        _on_ordinals(_prime_power_meets))
-    monkeypatch.setitem(arrangements._KERNELS, PRIME_FIELD,
-                        _on_ordinals(arrangements._prime_meets))
+    kind: over GF(q), q <= ``_PLANE_ORDER``, the reference ones above on
+    the triples of the ordinal codes (``_prime_meets`` over GF(p)), giving
+    the ordinals of the meets as an iterator, so that ``_row_keys`` can
+    slice it row by row; over any other field the program's kernel."""
+    kernels = {PRIME_FIELD: _prime_meets, PRIME_POWER_FIELD: _prime_power_meets}
+    program = arrangements._kernel
+
+    def kernel(field):
+        q = arrangements._plane_order(field)
+        if not q:
+            return program(field)
+
+        def meets(codes, rows):
+            tris = [arrangements._plane_key(o, q) for o in codes]
+            return iter(arrangements._ordinals(kernels[field.kind](tris, field, rows), q))
+        return meets
+    monkeypatch.setattr(arrangements, "_kernel", kernel)
 
 
 @pytest.fixture

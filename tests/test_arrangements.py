@@ -185,8 +185,36 @@ def _moved_into(field):
         for l in _cq_step2().lines])
 
 
+def _big_rationals():
+    """The complete quadrilateral's step 2 moved by a projectivity with
+    entries beyond 2^64, so that the integer codes go beyond 2^64 with both
+    signs.  M's first column is (1, 0, 0), so the six lines with first
+    coordinate 0 keep it."""
+    g = Projectivity(Matrix3.from_values(F, (
+        (1, 2 ** 70 + 3, -(2 ** 66 + 5)), (0, 3 ** 45, -(5 ** 30)),
+        (0, -(7 ** 25), 2 ** 65 - 1))))
+    return Arrangement(F, [apply_projectivity(g, l) for l in _cq_step2().lines])
+
+
+def _large_prime_lines(p=1048583):
+    """25 seeded lines over GF(p), p > 2^20: the 15 joins of six points,
+    each then on five lines, and ten lines, each through one of the six and
+    one of ten more points."""
+    rng = random.Random(24)
+    pts = [[rng.randrange(p) for _ in range(3)] for _ in range(16)]
+
+    def join3(a, b):
+        return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                a[0] * b[1] - a[1] * b[0])
+    normals = ([join3(a, b) for a, b in combinations(pts[:6], 2)]
+               + [join3(pts[i % 6], pts[6 + i]) for i in range(10)])
+    return make_arrangement(normals, GF(p))[0]
+
+
 KERNEL_INPUTS = {
     "Q": _cq_step2,
+    "Q, beyond 2^64": _big_rationals,
+    "GF(1048583)": _large_prime_lines,
     "Q(omega)": lambda: build("dual-hesse"),
     "cubic": lambda: build("grunbaum-rigby"),
     # x^2 - 1/2 is monic but not integral: the codec works with theta = 2x
@@ -365,8 +393,8 @@ def test_equivalence_witness_matches_reference_on_seeded_pairs(field,
         assert len(outcomes) < 12, "no inequivalent pair of the same profile"
 
 
-LAZY_INPUTS = ("Q", "Q(omega)", "cubic", "GF(7)", "GF(8)", "GF(49)",
-               "GF(101)")
+LAZY_INPUTS = ("Q", "Q, beyond 2^64", "Q(omega)", "cubic", "GF(7)", "GF(8)",
+               "GF(49)", "GF(101)", "GF(1048583)")
 
 
 @pytest.mark.parametrize("name", LAZY_INPUTS)
@@ -489,14 +517,18 @@ def test_number_field_kernel_makes_no_mulmod_call(monkeypatch):
         monkeypatch.setattr(f, "r_mul", forbidden)
     ops = fields._nf_ops
     monkeypatch.setattr(fields, "_nf_ops", lambda spec: (forbidden, ops(spec)[1]))
-    arrangements._nf_kernel.cache_clear()  # building the code calls none either
+    arrangements._ring_kernel.cache_clear()  # building the code calls none either
     fields._adjugate.cache_clear()
     assert [list(_code_meets(_encode(arr.lines, arr.field), arr.field))
             for arr in arrs] == want
 
 
 def test_number_field_kernel_is_built_once_per_modulus():
-    kernel, adjugate = arrangements._nf_kernel, fields._adjugate
+    """One pair kernel per ring: per integer modulus over a number field,
+    one over Q and one per p over GF(p), p > 64; the rings of degree 1
+    build no adjugate."""
+    kernel, adjugate = arrangements._ring_kernel, fields._adjugate
+    gf101 = _sample_of_plane(101, 40)
     kernel.cache_clear()
     adjugate.cache_clear()
     omega = build("dual-hesse")
@@ -504,13 +536,19 @@ def test_number_field_kernel_is_built_once_per_modulus():
     for objs in (omega.lines, points_operator(sel_at_least(2), omega).points,
                  _moved_into(omega.field).lines, build("grunbaum-rigby").lines):
         _code_counts(_encode(objs, objs[0].field), objs[0].field)
-    assert kernel.cache_info().misses == 2  # Q(omega) and the cubic
-    # the kernel uses the inverses' adjugate: one per modulus
+    # Q(omega), the cubic and Z, for the operators over Q in _moved_into
+    assert kernel.cache_info().misses == 3
+    # the kernel uses the inverses' adjugate: one per modulus, none for Z
     assert adjugate.cache_info().misses == 2
     # Q[x]/(x^2 - 1/2) and Q(sqrt 2) share the integer modulus y^2 - 2
     for f in (number_field([Fraction(-1, 2), 0, 1]), number_field([-2, 0, 1])):
         _code_counts(_encode(_moved_into(f).lines, f), f)
-    assert kernel.cache_info().misses == adjugate.cache_info().misses == 3
+    assert kernel.cache_info().misses == 4
+    assert adjugate.cache_info().misses == 3
+    for arr in (_cq_step2(), gf101, gf101):  # Z again, then Z/101
+        _code_counts(_encode(arr.lines, arr.field), arr.field)
+    assert kernel.cache_info().misses == 5
+    assert adjugate.cache_info().misses == 3
 
 
 def test_pair_kernel_zero_divisor_is_a_field_error():

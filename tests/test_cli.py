@@ -179,6 +179,20 @@ def test_render_command(tmp_path, capsys, monkeypatch):
     assert svg.count("<line") == 6
 
 
+def test_render_mixed_fields_is_a_domain_error(tmp_path, capsys, monkeypatch):
+    """Marks over layers in Q and Q(sqrt 5) are one error line, exit 1;
+    with --no-marks the layers are drawn."""
+    doc = tmp_path / "poly10.json"
+    doc.write_text(dump_json(arrangement_to_json(build("polygonal", n=10))))
+    argv = ["render", "--catalog", "pappus", "--in", str(doc)]
+    code, out, err = run(capsys, monkeypatch, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "live in different fields" in err
+    code, out, _ = run(capsys, monkeypatch, argv + ["--no-marks"])
+    assert code == 0 and out.count("<line") > 0
+
+
 def test_export_import_roundtrip_all_entries(tmp_path, capsys, monkeypatch):
     for entry in entries():
         if entry.heavy:

@@ -3,9 +3,10 @@
 Over GF(q), q <= ``arrangements._PLANE_ORDER``, objects are coded by their
 ordinals in PG(2,q), and pair tables, pair indices, profiles and operator
 images come from counting incidences in one table of PG(2,q) per field
-(``arrangements._plane_table``).  The references are the pair kernels the
-``reference_kernels`` fixture supplies: ``_prime_meets`` over GF(p), and a
-table kernel over GF(p^k), each run on the triples of the ordinals.
+(``arrangements._plane_table``).  The references are the pair kernels of
+``conftest.py`` that the ``reference_kernels`` fixture supplies:
+``_prime_meets`` over GF(p), and a table kernel over GF(p^k), each run on
+the triples of the ordinals.
 """
 import os
 import random

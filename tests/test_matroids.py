@@ -1,6 +1,8 @@
 import pytest
 
+from lineops.arrangements import make_arrangement
 from lineops.catalog import build, build_lines
+from lineops.fields import GF, FieldError
 from lineops.matroids import (Matroid3, MatroidError, extract_matroid,
                               flashing_incidence, matroid_from_json,
                               matroid_isomorphic, matroid_to_json,
@@ -13,6 +15,17 @@ def test_extract_examples():
     assert fano.flat_sizes() == [3] * 7
     pap = extract_matroid(build("pappus"))
     assert pap.flat_sizes() == [3] * 9
+
+
+def test_extract_lines_from_different_fields_rejected():
+    """A labelled sequence of lines over GF(7) and GF(5), or over Q and a
+    number field, is refused, not coded in the first line's field."""
+    gf7, _ = make_arrangement([(1, 0, 0), (0, 1, 0)], GF(7))
+    gf5, _ = make_arrangement([(1, 1, 1)], GF(5))
+    q, nf = build("pappus"), build("polygonal", n=10)
+    for seq in ([*gf7.lines, *gf5.lines], [*q.lines[:2], *nf.lines[:2]]):
+        with pytest.raises(FieldError, match="live in different fields"):
+            extract_matroid(seq)
 
 
 def test_flat_rules_enforced():

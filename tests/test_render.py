@@ -6,7 +6,7 @@ import pytest
 from lineops import fields
 from lineops.arrangements import Arrangement, ArrangementError, make_arrangement
 from lineops.catalog import build
-from lineops.fields import QQ, real_roots
+from lineops.fields import QQ, FieldError, real_roots
 from lineops.render import RenderSpec, render_svg
 
 F = QQ()
@@ -66,6 +66,17 @@ def test_number_field_chart():
     arr = build("polygonal", n=10)  # over Q(2cos(2pi/5))
     result = render_svg([arr], RenderSpec(root_index=1, mark_points=False))
     assert len(seg_coords(result.svg)) >= 8
+
+
+def test_marks_of_layers_from_different_fields_rejected():
+    """Point marks meet lines of every layer, so the layers must share one
+    field; without marks, layers over Q and Q(sqrt 5) draw side by side."""
+    layers = [build("polygonal", n=10), build("pappus")]
+    with pytest.raises(FieldError, match="live in different fields"):
+        render_svg(layers, RenderSpec())
+    result = render_svg(layers, RenderSpec(mark_points=False))
+    assert len(seg_coords(result.svg)) == sum(len(a) for a in layers) - sum(
+        result.omitted)
 
 
 def test_real_roots_searched_once_per_field(monkeypatch):
