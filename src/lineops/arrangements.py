@@ -747,9 +747,9 @@ def _code_counts(codes: list, field: Field) -> dict:
                                                          counts.values())))
 
 
-def _pair_index(objs, field: Field) -> dict:
-    """key -> set of indices of the objects through the keyed position."""
-    codes, q = _encode(objs, field), _plane_order(field)
+def _pair_index(codes: list, field: Field) -> dict:
+    """key -> set of indices of the codes through the keyed position."""
+    q = _plane_order(field)
     if q:  # each object's row, cut down to the meets (joins) at C speed
         table, r = _plane_table(field.spec), q + 1
         index = {o: set() for o in _code_counts(codes, field)}
@@ -826,8 +826,9 @@ class IncidenceIndex:
 def _incidence(direction: str, cls, objs, field: Field) -> IncidenceIndex:
     if len(objs) < 2:
         return IncidenceIndex(direction, ())
+    index = _pair_index(_encode(objs, field), field)
     entries = _canonical([(_from_key(cls, k, field), frozenset(s))
-                          for k, s in _pair_index(objs, field).items()],
+                          for k, s in index.items()],
                          key=lambda e: e[0].key())
     return IncidenceIndex(direction, tuple(entries))
 
@@ -1109,7 +1110,7 @@ def is_km_configuration(arr: Arrangement, k: int, m: int):
         raise ArrangementError("configuration parameters must be >= 2")
     if len(arr) < 2:
         return False, 0, len(arr)
-    idx = _pair_index(arr.lines, arr.field)
+    idx = _pair_index(arr._code_list(), arr.field)  # labels do not matter
     k_point_sets = [s for s in idx.values() if len(s) == k]
     per_line = Counter(i for s in k_point_sets for i in s)
     ok = all(per_line[i] == m for i in range(len(arr)))
@@ -1120,7 +1121,7 @@ def configuration_connected(arr: Arrangement, k: int) -> bool:
     """Graph connectivity of the k-points, joined when collinear on a line."""
     if len(arr) < 2:
         return True
-    idx = _pair_index(arr.lines, arr.field)
+    idx = _pair_index(arr._code_list(), arr.field)  # labels do not matter
     k_keys = [key for key, s in idx.items() if len(s) == k]
     if len(k_keys) <= 1:
         return True

@@ -12,7 +12,7 @@ from itertools import combinations
 from math import comb
 from typing import Optional, Sequence, Union
 
-from .arrangements import Arrangement, ArrangementError, _pair_index
+from .arrangements import Arrangement, ArrangementError, _encode, _pair_index
 from .fields import QQ, FieldError
 from .projective import ProjLine, nullspace
 
@@ -79,7 +79,7 @@ def extract_matroid(lines: Union[Arrangement, Sequence[ProjLine]]) -> Matroid3:
         raise MatroidError("labelled arrangement must have distinct lines")
     if len(seq) < 3:
         return Matroid3.from_flats(len(seq), ())
-    idx = _pair_index(seq, field)
+    idx = _pair_index(_encode(seq, field), field)
     flats = [tuple(sorted(s)) for s in idx.values() if len(s) >= 3]
     return Matroid3.from_flats(len(seq), flats)
 

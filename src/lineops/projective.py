@@ -409,36 +409,26 @@ def projectively_equivalent(lines_a: Sequence[ProjLine],
                             lines_b: Sequence[ProjLine]) -> Optional[Projectivity]:
     """A witness g with g(A) = B as sets, or None.
 
-    Deterministic: the first general-position quadruple of A (in canonical
-    order) is matched against ordered quadruples of B in canonical order.
-    Arrangements without a general-position quadruple (pencils, near
-    pencils, <= 3 lines) go through a dual-frame fallback.
+    Deterministic: one loop over the frame pairs of ``_frames`` in their
+    order, whose first g that maps A onto B (``_maps_onto``) is the
+    witness; g is the inverse-transpose of frame_b * to_a, which moves A's
+    dual frame onto B's.  A with a general-position quadruple matches its
+    first one (in canonical order) against ordered quadruples of B in
+    canonical order; pencils, near pencils and <= 3 lines match dual frames
+    of their own in the same loop.
     """
     # every line, before _canonical merges lines by reps
     if len({l.field.spec for l in (*lines_a, *lines_b)}) > 1:
         raise FieldError("arrangements live in different fields")
     lines_a = _canonical(lines_a)
     lines_b = _canonical(lines_b)
-    if not lines_a and not lines_b:
-        return None  # no canvas to define a witness on; treated by caller
-    if len(lines_a) != len(lines_b):
-        return None
+    if not lines_a or len(lines_a) != len(lines_b):
+        return None  # no canvas for a witness when both are empty
     maps = _maps_onto(lines_a, lines_b)
-    quad = _first_gp_quadruple(lines_a)
-    if quad is None:
-        return _degenerate_equivalent(lines_a, lines_b, maps)
-    # projectivity_from_line_frames, A's frame inverted once per search
-    to_a = _point_frame_matrix([dualize(lines_a[i]) for i in quad]).inverse()
-    dual_b, general = [dualize(l) for l in lines_b], {}  # by 4-set of B
-    for cand in permutations(range(len(lines_b)), 4):
-        four = frozenset(cand)
-        if four not in general:
-            general[four] = lines_in_general_position([lines_b[i] for i in cand])
-        if general[four]:
-            h = _point_frame_matrix([dual_b[i] for i in cand]) * to_a
-            g = Projectivity(h.adjugate().transpose())
-            if maps(g):
-                return g
+    for to_a, frame_b in _frames(lines_a, lines_b):
+        g = Projectivity((frame_b * to_a).adjugate().transpose())
+        if maps(g):
+            return g
     return None
 
 
@@ -466,121 +456,83 @@ def _near_pencil_split(pts):
     return None
 
 
-def _degenerate_equivalent(lines_a, lines_b, maps) -> Optional[Projectivity]:
-    """Equivalence for arrangements without a general-position quadruple.
+def _pencil_split(pts):
+    """(pts, None) for at least 3 collinear points, else (on_line, off) for
+    a near pencil, else None."""
+    if len(pts) > 2 and _all_collinear(pts):
+        return pts, None
+    return _near_pencil_split(pts)
 
-    Dually these are collinear point sets (pencils), collinear plus one
-    (near pencils / quasi-trivial arrangements) or at most 3 points; the
-    first two get a cross-ratio normal form, the rest a frame search.  A
-    candidate g is a witness when ``maps(g)`` (``_maps_onto``).
+
+def _frames(lines_a, lines_b):
+    """The witness candidates in order, as pairs (to_a, frame_b) of the
+    inverse of a frame matrix of A's dual points, built once per frame of
+    A, and a frame matrix of B's dual points.
+
+    A's first general-position quadruple is matched against each ordered
+    quadruple of B in general position, tested once per 4-set.  Without
+    one, A is dually collinear points (a pencil), collinear points plus
+    one (a near pencil) or at most 3 points.  A pencil or near pencil pins
+    the basis of its first three collinear points (``_pencil_basis``)
+    against those of B's ordered triples; it has no match unless B splits
+    the same way.  Anything else completes its points to frames from a
+    fixed pool, each against the completions of B's ordered triples.
     """
-    field = lines_a[0].field
-    dual_a = [dualize(l) for l in lines_a]
-    dual_b = [dualize(l) for l in lines_b]
-
-    if len(dual_a) <= 2:
-        return _small_frame_search(dual_a, dual_b, maps, field)
-    if _all_collinear(dual_a):
-        if not _all_collinear(dual_b):
-            return None
-        return _pencil_witness(dual_a, None, dual_b, None, maps, field)
-    split_a = _near_pencil_split(dual_a)
+    dual_a, dual_b = [dualize(l) for l in lines_a], [dualize(l) for l in lines_b]
+    quad = _first_gp_quadruple(lines_a)
+    if quad is not None:
+        to_a = _point_frame_matrix([dual_a[i] for i in quad]).inverse()
+        general = {}  # by 4-set of B
+        for cand in permutations(range(len(lines_b)), 4):
+            four = frozenset(cand)
+            if four not in general:
+                general[four] = lines_in_general_position([lines_b[i] for i in cand])
+            if general[four]:
+                yield to_a, _point_frame_matrix([dual_b[i] for i in cand])
+        return
+    field, split_a = lines_a[0].field, _pencil_split(dual_a)
     if split_a is not None:
-        split_b = _near_pencil_split(dual_b)
-        if split_b is None:
-            return None
-        return _pencil_witness(*split_a, *split_b, maps, field)
-    return _small_frame_search(dual_a, dual_b, maps, field)
-
-
-def _column_matrix(v1, v2, v3) -> Matrix3:
-    return Matrix3([[v1[i], v2[i], v3[i]] for i in range(3)])
-
-
-def _pencil_basis(duals, off, field) -> Optional[Matrix3]:
-    """Matrix whose columns pin (d1, d2, d3 or unit-sum, off-or-pool point)."""
-    v1 = duals[0].coords
-    v2 = duals[1].coords
-    if len(duals) >= 3:
-        # scale v1, v2 so the third dual is v1 + v2
-        target = duals[2].coords
-        base2 = [[v1[i], v2[i]] for i in range(3)]
-        ab = _solve_2d(base2, target, field)
-        if ab is None:
-            return None
-        a, b = ab
-        if a.is_zero() or b.is_zero():
-            return None
-        v1 = tuple(a * x for x in v1)
-        v2 = tuple(b * x for x in v2)
-    if off is not None:
-        v3 = off.coords
-    else:
-        axis = join(duals[0], duals[1])
-        v3 = next(p for p in _pool_points(field) if not incident(p, axis)).coords
-    m = _column_matrix(v1, v2, v3)
-    if m.det().is_zero():
-        return None
-    return m
-
-
-def _solve_2d(rows, target, field):
-    """(a, b) with a*col1 + b*col2 = target for a 3x2 system, else None."""
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        det = rows[i][0] * rows[j][1] - rows[i][1] * rows[j][0]
-        if not det.is_zero():
-            inv = det.inverse()
-            a = (target[i] * rows[j][1] - target[j] * rows[i][1]) * inv
-            b = (rows[i][0] * target[j] - rows[j][0] * target[i]) * inv
-            for k in range(3):
-                if not (rows[k][0] * a + rows[k][1] * b - target[k]).is_zero():
-                    return None
-            return a, b
-    return None
-
-
-def _pencil_witness(on_a, off_a, on_b, off_b, maps, field):
-    if len(on_a) != len(on_b):
-        return None
-    base_a = _pencil_basis(on_a, off_a, field)
-    if base_a is None:
-        return None
-    n_a = base_a.inverse()
-    for idx in permutations(range(len(on_b)), min(3, len(on_b))):
-        cand = [on_b[i] for i in idx]
-        base_b = _pencil_basis(cand, off_b, field)
-        if base_b is None:
-            continue
-        h = base_b * n_a  # dual-plane point map
-        g = Projectivity(h.adjugate().transpose())
-        if maps(g):
-            return g
-    return None
-
-
-def _small_frame_search(dual_a, dual_b, maps, field):
-    """Frame-completion search; sound for <= 3 lines in any position."""
+        (on_a, off_a), (on_b, off_b) = split_a, _pencil_split(dual_b) or ((), None)
+        base_a = _pencil_basis(on_a, off_a, field)
+        if len(on_a) != len(on_b) or base_a is None:
+            return
+        to_a = base_a.inverse()
+        for idx in permutations(range(len(on_b)), 3):
+            base_b = _pencil_basis([on_b[i] for i in idx], off_b, field)
+            if base_b is not None:
+                yield to_a, base_b
+        return
     pool = _pool_points(field)
 
     def completions(base, duals):
+        # frames with no three points collinear, which _point_frame_matrix
+        # takes without raising
         for extra in combinations([p for p in pool if p not in duals], 4 - len(base)):
             frame = list(base) + list(extra)
-            if all(not collinear(x, y, z) and len({x, y, z}) == 3
-                   for x, y, z in combinations(frame, 3)):
-                yield frame
+            if not any(collinear(*three) for three in combinations(frame, 3)):
+                yield _point_frame_matrix(frame)
 
-    for src_frame in completions(dual_a[:3], dual_a):
+    for frame_a in completions(dual_a[:3], dual_a):
+        to_a = frame_a.inverse()
         for idx in permutations(range(len(dual_b)), min(3, len(dual_b))):
-            cand = [dual_b[i] for i in idx]
-            for dst_frame in completions(cand, dual_b):
-                try:
-                    h = _frame_map(src_frame, dst_frame)
-                except GeometryError:
-                    continue
-                g = Projectivity(h.adjugate().transpose())
-                if maps(g):
-                    return g
-    return None
+            for frame_b in completions([dual_b[i] for i in idx], dual_b):
+                yield to_a, frame_b
+
+
+def _pencil_basis(duals, off, field) -> Optional[Matrix3]:
+    """Matrix whose columns pin (d1, d2, d3 as their sum, off-or-pool
+    point) for the first three of distinct collinear points ``duals``."""
+    v1, v2, v3 = (p.coords for p in duals[:3])
+    # d3 is on the line d1 d2 and is neither: the kernel is one vector
+    # (x, y, 1), and d3 = a d1 + b d2 for a = -x, b = -y
+    (x, y, _), = nullspace([[v1[i], v2[i], v3[i]] for i in range(3)], field)
+    if x.is_zero() or y.is_zero():
+        return None
+    if off is None:
+        axis = join(duals[0], duals[1])
+        off = next(p for p in _pool_points(field) if not incident(p, axis))
+    m = Matrix3([[-x * v1[i], -y * v2[i], off.coords[i]] for i in range(3)])
+    return None if m.det().is_zero() else m
 
 
 # ---------------------------------------------------------------------------

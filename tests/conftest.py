@@ -9,16 +9,17 @@ those fields used before; the tests keep them as the reference those counts
 are checked against.
 """
 from itertools import combinations, permutations
+from typing import Optional
 
 import pytest
 
 from lineops import arrangements, dynamics, projective
 from lineops.fields import PRIME_FIELD, PRIME_POWER_FIELD, _gf_tables
-from lineops.projective import (GeometryError, ProjLine, Projectivity,
+from lineops.projective import (GeometryError, Matrix3, ProjLine, Projectivity,
                                 _all_collinear, _canonical,
                                 _first_gp_quadruple, _near_pencil_split,
-                                _pencil_basis, _pool_points, collinear,
-                                dualize, lines_in_general_position,
+                                _pool_points, collinear, dualize, incident,
+                                join, lines_in_general_position,
                                 projectivity_from_line_frames,
                                 projectivity_from_point_frames)
 
@@ -116,8 +117,10 @@ def _image_set(g, lines):
 def reference_equivalent(lines_a, lines_b):
     """``projectively_equivalent`` with each candidate checked as it was
     before the check moved to codes: the full image set of A's lines, built
-    as objects by ``_image_set``, against the set of B's lines.  The frames
-    and the order of the candidates are the program's."""
+    as objects by ``_image_set``, against the set of B's lines, and with
+    the three searches the program had before they became one loop over
+    frame pairs: the pencil bases below solve a 2x2 system of their own.
+    The frames and the order of the candidates are the program's."""
     if len({l.field.spec for l in (*lines_a, *lines_b)}) > 1:
         raise projective.FieldError("arrangements live in different fields")
     lines_a, lines_b = _canonical(lines_a), _canonical(lines_b)
@@ -164,6 +167,52 @@ def reference_equivalent(lines_a, lines_b):
                 g = Projectivity(g_pts.matrix.adjugate().transpose())
                 if _image_set(g, lines_a) == set_b:
                     return g
+    return None
+
+
+def _column_matrix(v1, v2, v3) -> Matrix3:
+    return Matrix3([[v1[i], v2[i], v3[i]] for i in range(3)])
+
+
+def _pencil_basis(duals, off, field) -> Optional[Matrix3]:
+    """Matrix whose columns pin (d1, d2, d3 or unit-sum, off-or-pool point)."""
+    v1 = duals[0].coords
+    v2 = duals[1].coords
+    if len(duals) >= 3:
+        # scale v1, v2 so the third dual is v1 + v2
+        target = duals[2].coords
+        base2 = [[v1[i], v2[i]] for i in range(3)]
+        ab = _solve_2d(base2, target, field)
+        if ab is None:
+            return None
+        a, b = ab
+        if a.is_zero() or b.is_zero():
+            return None
+        v1 = tuple(a * x for x in v1)
+        v2 = tuple(b * x for x in v2)
+    if off is not None:
+        v3 = off.coords
+    else:
+        axis = join(duals[0], duals[1])
+        v3 = next(p for p in _pool_points(field) if not incident(p, axis)).coords
+    m = _column_matrix(v1, v2, v3)
+    if m.det().is_zero():
+        return None
+    return m
+
+
+def _solve_2d(rows, target, field):
+    """(a, b) with a*col1 + b*col2 = target for a 3x2 system, else None."""
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        det = rows[i][0] * rows[j][1] - rows[i][1] * rows[j][0]
+        if not det.is_zero():
+            inv = det.inverse()
+            a = (target[i] * rows[j][1] - target[j] * rows[i][1]) * inv
+            b = (rows[i][0] * target[j] - rows[j][0] * target[i]) * inv
+            for k in range(3):
+                if not (rows[k][0] * a + rows[k][1] * b - target[k]).is_zero():
+                    return None
+            return a, b
     return None
 
 

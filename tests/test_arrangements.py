@@ -245,7 +245,7 @@ def test_pair_kernel_matches_single_meets_and_joins(name):
             o = op(objs[i], objs[j])
             want_index.setdefault(o, set()).update((i, j))
             want_counts[o] = want_counts.get(o, 0) + 1
-        idx = _pair_index(objs, field)
+        idx = _pair_index(_encode(objs, field), field)
         got = {_from_key(cls, k, field): s for k, s in idx.items()}
         assert len(got) == len(idx) and got == want_index
         counts = _code_counts(_encode(objs, field), field)
@@ -406,7 +406,9 @@ def test_lazy_results_match_eager_sets(name):
     order, which over Q the integer keys of the codes give.  Equality,
     hash and membership agree on the decoded result and on the same result
     undecoded, both ways, and decode nothing; a point is never in an
-    arrangement, nor a line in a point set."""
+    arrangement, nor a line in a point set.  The [k, m] predicates on an
+    undecoded arrangement read its codes, decode nothing and agree with
+    the set built from its decoded lines."""
     arr = KERNEL_INPUTS[name]()
     arr = Arrangement(arr.field, arr.lines[:16])  # keeps every image small
     cfg = dualize_arrangement(arr)
@@ -440,6 +442,13 @@ def test_lazy_results_match_eager_sets(name):
         for o in (*arr, *cfg, *res, *map(dualize, res), *other.lines[:3]):
             assert (o in lazy) == (o in res) == (o in members)
         assert not any(dualize(o) in lazy for o in res)
+        if type(res) is Arrangement and len(res) < 500:  # a loop per pair
+            eager = Arrangement(res.field, list(res))
+            for k in (2, 3):
+                assert is_km_configuration(lazy, k, 3) == \
+                    is_km_configuration(eager, k, 3)
+                assert configuration_connected(lazy, k) == \
+                    configuration_connected(eager, k)
         assert lazy._objs is None
 
 

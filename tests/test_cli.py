@@ -230,7 +230,10 @@ def test_exit_codes(capsys, monkeypatch):
     for argv in (["catalog", "show"], ["catalog", "build"],
                  ["render", "--catalog", "pappus", "--window", "a,b,c,d"],
                  ["render", "--catalog", "pappus", "--window", "1/0,1,0,1"],
-                 ["profile", "--catalog", "pappus", "--approx", "-1"]):
+                 ["profile", "--catalog", "pappus", "--approx", "-1"],
+                 ["seq", "--catalog", "pappus", "--op", "L{2}", "--steps", "0"],
+                 ["seq", "--catalog", "pappus", "--op", "L{2}",
+                  "--max-lines", "0"]):
         code, out, err = run(capsys, monkeypatch, argv)
         assert code == 2 and out == "", argv
         assert err.startswith("usage error:") and err.count("\n") == 1, argv

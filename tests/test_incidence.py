@@ -71,7 +71,7 @@ def _check_pass(objs, field, ref):
     their objects is incident to the keyed position."""
     codes, dot = _encode(objs, field), _dot(field)
     assert _code_counts(codes, field) == ref
-    index = _pair_index(objs, field)
+    index = _pair_index(codes, field)
     assert index.keys() == ref.keys()
     for key, s in index.items():
         assert len(s) == ref[key]
@@ -148,7 +148,7 @@ def test_incidence_property_on_small_planes(arr, reference_kernels):
     for i, j in combinations(range(len(lines)), 2):
         want.setdefault(meet(lines[i], lines[j]), set()).update((i, j))
     assert {_from_key(ProjPoint, k, arr.field): s for k, s in
-            _pair_index(lines, arr.field).items()} == want
+            _pair_index(_encode(lines, arr.field), arr.field).items()} == want
     counts = profile(arr).counts
     assert sum(comb(k, 2) * t for k, t in counts) == comb(len(arr), 2)
 

@@ -161,31 +161,67 @@ def test_line_frame_map():
             dst)
 
 
-def test_equivalence_generic_and_degenerate(same_witness):
-    g = Projectivity(Matrix3.from_values(F, [[1, 2, 0], [0, 1, 1], [1, 0, 3]]))
-    rng = random.Random(21)
+def _cross_ratios(lam):
+    """The six cross-ratios of four collinear points, one of them lam."""
+    one = lam.field.one
+    return {lam, one - lam, one / lam, one / (one - lam), (lam - one) / lam,
+            lam / (lam - one)}
+
+
+@pytest.mark.parametrize("field", [F, GF(2), GF(7), GF(8), GF(101),
+                                   cyclotomic_field(3)],
+                         ids=["Q", "GF(2)", "GF(7)", "GF(8)", "GF(101)",
+                              "Q(omega)"])
+def test_equivalence_generic_and_degenerate(field, same_witness):
+    """Witnesses for an arrangement and its image, generic over Q and
+    degenerate over every field kind: one and two lines, a triangle,
+    pencils of 3 to 5 lines as the field has room for them, and a near
+    pencil; none for a pencil against a near pencil, for pencils of four
+    lines with different cross-ratios, or for sets of different sizes."""
+    g = Projectivity(Matrix3.from_values(field, [[1, 2, 0], [0, 1, 1], [1, 0, 3]]))
+    zero, one = field.zero, field.one
+    x = field.generator if field.degree > 1 else zero
+    ts = list(dict.fromkeys(field.scalar(i) + x * j + x * x * k
+                            for k in range(2) for j in range(2) for i in range(6)))
+    # the lines through (0 : 0 : 1); t is the cross-ratio coordinate of [1 : t : 0]
+    through = [ProjLine((one, t, zero)) for t in ts] + [line(field, 0, 1, 0)]
+    pencils = [through[:n] for n in (3, 4, 5) if n <= len(through)]
+    near = through[:3] + [line(field, 0, 0, 1)]
     cases = [
-        rand_lines(rng, 6),
-        [line(F, 1, k, 0) for k in range(4)],                  # pencil
-        [line(F, 1, 0, 0), line(F, 1, 1, 0), line(F, 1, 2, 0),
-         line(F, 0, 0, 1)],                                    # quasi-trivial
-        [line(F, 1, 0, 0), line(F, 0, 1, 0), line(F, 0, 0, 1)],  # triangle
-        [line(F, 1, 2, 3)],
+        [line(field, 1, 2, 3)],
+        [line(field, 1, 0, 0), line(field, 0, 1, 0)],
+        [line(field, 1, 0, 0), line(field, 0, 1, 0), line(field, 0, 0, 1)],  # triangle
+        *pencils,
+        near,                                                  # quasi-trivial
     ]
+    if field is F:
+        cases.append(rand_lines(random.Random(21), 6))
     for lines in cases:
         image = [apply_projectivity(g, l) for l in lines]
         w = same_witness(lines, image)
         assert w is not None
         assert {apply_projectivity(w, l) for l in lines} == set(image)
-    # different cross-ratio pencils are inequivalent
-    p1 = [line(F, 1, t, 0) for t in (0, 1, 2, 3)]
-    p2 = [line(F, 1, t, 0) for t in (0, 1, 2, 5)]
-    assert same_witness(p1, p2) is None
+    if len(through) >= 4:
+        assert same_witness(through[:4], near) is None
+        assert same_witness(near, through[:4]) is None
+    # pencils of four lines with cross-ratios in different orbits are
+    # inequivalent; GF(2) has no such pencil, GF(8) one orbit of them
+    if len(ts) > 4:
+        a, b = ts[2:4]
+        lam = _cross_ratios(a * (b - one) / ((a - one) * b))
+        others = [c for c in ts[4:]
+                  if not lam & _cross_ratios(a * (c - one) / ((a - one) * c))]
+        assert bool(others) == (field.characteristic != 2)
+        for c in others[:1]:
+            p1, p2 = ([ProjLine((one, t, zero)) for t in (zero, one, a, d)]
+                      for d in (b, c))
+            assert same_witness(p1, p2) is None
     # cardinality mismatch
-    assert same_witness(p1, p1[:3]) is None
-    # a GF(7) line with the reps of a rational one is refused, not merged
+    assert same_witness(pencils[0], pencils[0][:2]) is None
+    # a line of another field with the same reps is refused, not merged
+    stranger = GF(7) if field is F else F
     with pytest.raises(FieldError):
-        projectively_equivalent([line(GF(7), 1, 0, 0)] + p1, p1)
+        projectively_equivalent([line(stranger, 1, 0, 0)] + pencils[0], pencils[0])
 
 
 def test_frame_map_recovers_flashing_involution():
