@@ -23,11 +23,14 @@ meets all pairs, a point on k lines C(k,2) times.  Off the finite planes
 the rows split into strided shares among forked workers (``_row_sizes``),
 whose counts add exactly, so the profile does not depend on their number.
 
-Every operator and operator chain is a run of selections on codes
-(``_operate``): a key of the table is the code of the object it names, so
-each selection's keys are the next one's codes, and the last the result's.
-A set keeps its codes once encoded and decodes its members on first access
-to them; equality, hashing and membership compare the frozenset of its
+A set is its distinct codes (``_ObjectSet``).  Every operator and operator
+chain is a run of selections on codes (``_operate``): a key of the table is
+the code of the object it names, so each selection's keys are the next
+one's codes, and the last the result's.  The codes are sorted into the
+canonical order of their objects (``_code_order``) when that order is first
+read, and the members are a cache decoded from them in that order: a set
+built from objects encodes them once, and decoding builds only points or
+lines.  Equality, hashing and membership compare the frozenset of the
 codes, so a result only counted or compared builds no object, and
 ``property_suite`` works on code sets, keeping no memo past the call.  A
 projectivity acts on codes too (``_act``): at construction its matrix and
@@ -55,8 +58,8 @@ from .fields import (Field, FieldError, NUMBER_FIELD, PRIME_FIELD,
                      PRIME_POWER_FIELD, RATIONALS, _adjugate, _gf_tables,
                      _mul_src, _nf_codec, _primitive_int, field_make,
                      format_scalar, parse_field_spec, parse_scalar)
-from .projective import (GeometryError, ProjLine, ProjPoint, _canonical,
-                         dualize, projectively_equivalent)
+from .projective import (GeometryError, ProjLine, ProjPoint, dualize,
+                         projectively_equivalent)
 
 
 class ArrangementError(Exception):
@@ -138,61 +141,54 @@ def parse_selector(text: str) -> MultiplicitySelector:
 # arrangements and point configurations
 
 class _ObjectSet:
-    """Deduplicated finite set of points or of lines, in canonical order.
-
-    A subclass names its member class and, in ``_name``, the attribute and
-    JSON key under which the members are read.  Equality, hashing and
-    membership compare the frozenset of the members' codes, which names
-    them exactly (``_encode``), so none of them decodes a member.
+    """Deduplicated finite set of points or of lines: its distinct codes,
+    with the members as a cache decoded from them in canonical order (see
+    the module docstring).  A subclass names its member class and, in
+    ``_name``, the attribute and JSON key under which the members are read.
     """
 
-    __slots__ = ("field", "_objs", "_codes", "_key")
+    __slots__ = ("field", "_codes", "_ordered", "_objs", "_key")
 
     def __init__(self, field: Field, members: Iterable = ()):
         members = tuple(members)
         cls, spec = self._member, field.spec
-        for o in members:  # every one: _canonical merges members by reps
+        for o in members:  # every one: members merge by code
             if o.__class__ is not cls:
                 raise ArrangementError(f"{type(self).__name__} members must be "
                                        f"{cls.__name__}, not {type(o).__name__}")
             if o.field.spec != spec:
                 raise FieldError(f"{cls.__name__} from a different field")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "_objs", tuple(_canonical(members)))
-        object.__setattr__(self, "_codes", None)
-        object.__setattr__(self, "_key", None)
+        by_code = dict(zip(_encode(members, field), members))
+        codes = _code_order(list(by_code), field)
+        _filled(self, field, codes, True, tuple(map(by_code.__getitem__, codes)))
 
     @property
     def _members(self) -> tuple:
-        """The members, decoded once through ``__init__``; off the finite
-        planes the codes then follow them, as ``_encode`` gives them."""
+        """The members, decoded once from the codes in canonical order."""
         if self._objs is None:
-            cls, field, codes = self._member, self.field, self._codes
-            objs = [_from_key(cls, k, field) for k in codes]
-            code = not _plane_order(field) and dict(zip(map(id, objs), codes))
-            objs = type(self)(field, objs)._objs  # the same instances, sorted
-            object.__setattr__(self, "_objs", objs)
-            if code:
-                object.__setattr__(self, "_codes", [code[id(o)] for o in objs])
+            cls, field = self._member, self.field
+            object.__setattr__(self, "_objs", tuple(
+                [_from_key(cls, k, field) for k in self._code_list()]))
         return self._objs
 
     def _code_list(self) -> list:
-        """The members' codes, encoded once."""
-        if self._codes is None:
-            object.__setattr__(self, "_codes", _encode(self._objs, self.field))
+        """The codes in canonical order, sorted when first read so."""
+        if not self._ordered:
+            object.__setattr__(self, "_codes", _code_order(self._codes, self.field))
+            object.__setattr__(self, "_ordered", True)
         return self._codes
 
     def _code_set(self) -> frozenset:
-        """The members' codes as a frozenset, made once: the set's identity."""
+        """The codes as a frozenset, made once: the set's identity."""
         if self._key is None:
-            object.__setattr__(self, "_key", frozenset(self._code_list()))
+            object.__setattr__(self, "_key", frozenset(self._codes))
         return self._key
 
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __len__(self):
-        return len(self._codes if self._objs is None else self._objs)
+        return len(self._codes)
 
     def __iter__(self):
         return iter(self._members)
@@ -210,11 +206,21 @@ class _ObjectSet:
         return hash((self.field.spec, self._code_set()))
 
     def is_empty(self) -> bool:
-        return not len(self)
+        return not self._codes
 
     def __repr__(self):
         return (f"{type(self).__name__}({len(self)} {self._name} "
                 f"over {self.field.spec.text})")
+
+
+def _filled(res: _ObjectSet, field: Field, codes: list, ordered: bool,
+            objs: Optional[tuple] = None) -> _ObjectSet:
+    """``res`` with its slots set: distinct ``codes``, in canonical order if
+    ``ordered``, and their members ``objs`` in that order, or None."""
+    for name, value in (("field", field), ("_codes", codes), ("_ordered", ordered),
+                        ("_objs", objs), ("_key", None)):
+        object.__setattr__(res, name, value)
+    return res
 
 
 # As with ProjPoint and ProjLine, __init__ (and Arrangement.digest) live in
@@ -236,7 +242,8 @@ class Arrangement(_ObjectSet):
     def union(self, other: "Arrangement") -> "Arrangement":
         if self.field.spec != other.field.spec:
             raise FieldError("arrangements live in different fields")
-        return Arrangement(self.field, self.lines + other.lines)
+        codes = list(dict.fromkeys(chain(self._codes, other._codes)))
+        return _filled(object.__new__(Arrangement), self.field, codes, False)
 
 
 class PointConfig(_ObjectSet):
@@ -270,9 +277,12 @@ def make_arrangement(normals: Sequence, field: Field):
 def dualize_arrangement(arr: Arrangement) -> PointConfig:
     """Each line relabelled as the point with the same triple, or back.
 
-    Applying it twice returns the input.
+    Applying it twice returns the input.  A point and a line with the same
+    triple have the same code, so the result shares the input's codes.
     """
-    return _DUAL_SET[arr.__class__](arr.field, map(dualize, arr))
+    objs = arr._objs
+    return _filled(object.__new__(_DUAL_SET[arr.__class__]), arr.field, arr._codes,
+                   arr._ordered, objs and tuple(map(dualize, objs)))
 
 
 # ---------------------------------------------------------------------------
@@ -614,16 +624,6 @@ def _row_keys(tris: list, field: Field, rows: range):
             yield [(-b2 << s) // b1 if b1 else None for b0, b1, b2 in rest]
 
 
-def _q_canonical(tris: list) -> list:
-    """Primitive integer triples in the canonical order of their objects
-    (``projective._canonical``), in which a Q row pass runs fastest: by
-    floor(2^s v/k) for each coordinate v, k the first nonzero one, which
-    is exact, as in ``_row_keys``, for 2^s > K^2, K the largest k."""
-    s = (max(a or b or c for a, b, c in tris) ** 2).bit_length()
-    return sorted(tris, key=lambda t: [(v << s) // (t[0] or t[1] or t[2])
-                                       for v in t])
-
-
 def _share_sizes(tris: list, field: Field, rows: range) -> Counter:
     """s -> the number of groups of size s in the rows ``rows``."""
     c = Counter()
@@ -811,6 +811,38 @@ def _from_key(cls, key, field):
     return cls(tuple(field.from_rep(r) for r in reps))
 
 
+def _code_order(codes: list, field: Field) -> list:
+    """The codes sorted into the canonical order of their objects, that of
+    ``projective._canonical``: by ``_plane_ranks`` over a finite plane, as
+    the rep tuples they are over a larger GF(p).  Over Q and a number field
+    of degree n ``_from_key`` decodes entry v in place i of a coordinate as
+    v c^i / k, k > 0 the first entry of the first nonzero coordinate; c^i
+    is the same for every code, so they sort by floor(2^s v / k), exact for
+    2^s > K^2, K the largest k, as in ``_row_keys``."""
+    if _plane_order(field):
+        return sorted(codes, key=_plane_ranks(field.spec).__getitem__)
+    if field.kind == PRIME_FIELD or not codes:
+        return sorted(codes)
+    n = field.degree
+    s = (max(t[0] or t[n] or t[2 * n] for t in codes) ** 2).bit_length()
+
+    def key(t):
+        k = t[0] or t[n] or t[2 * n]
+        return [(v << s) // k for v in t]
+    return sorted(codes, key=key)
+
+
+@lru_cache(maxsize=None)
+def _plane_ranks(spec) -> list:
+    """The place of each PG(2,q) ordinal in the canonical order, built once
+    per spec: (0, 0, 1), then each (0, 1, z), then each (1, y, z), by the
+    places r of the element reps (``fields._gf_tables``), zero's first."""
+    elems = _gf_tables(spec).elems
+    q = len(elems)
+    r = sorted(range(q), key=sorted(range(q), key=elems.__getitem__).__getitem__)
+    return [1 + q + y * q + z for y in r for z in r] + [1 + z for z in r] + [0]
+
+
 @dataclass(frozen=True)
 class IncidenceIndex:
     """Singular points (dually: rich lines) with their incident index sets.
@@ -823,24 +855,24 @@ class IncidenceIndex:
     entries: tuple  # ((ProjPoint|ProjLine, frozenset(indices)), ...)
 
 
-def _incidence(direction: str, cls, objs, field: Field) -> IncidenceIndex:
-    if len(objs) < 2:
-        return IncidenceIndex(direction, ())
-    index = _pair_index(_encode(objs, field), field)
-    entries = _canonical([(_from_key(cls, k, field), frozenset(s))
-                          for k, s in index.items()],
-                         key=lambda e: e[0].key())
-    return IncidenceIndex(direction, tuple(entries))
+def _incidence(objs: _ObjectSet) -> IncidenceIndex:
+    """``_pair_index`` of the set's codes in canonical order, the labels,
+    with its keys decoded as dual objects in canonical order."""
+    dual, field = _DUAL_SET[objs.__class__], objs.field
+    index = _pair_index(objs._code_list(), field) if len(objs) > 1 else {}
+    return IncidenceIndex(dual._name, tuple(
+        (_from_key(dual._member, k, field), frozenset(index[k]))
+        for k in _code_order(list(index), field)))
 
 
 def incidence_index(arr: Arrangement) -> IncidenceIndex:
     """Group the pairwise meets of an arrangement by canonical point."""
-    return _incidence("points", ProjPoint, arr.lines, arr.field)
+    return _incidence(arr)
 
 
 def richness_index(cfg: PointConfig) -> IncidenceIndex:
     """Group the pairwise joins of a point configuration by canonical line."""
-    return _incidence("lines", ProjLine, cfg.points, cfg.field)
+    return _incidence(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -875,18 +907,14 @@ def _operate(sels: Sequence[MultiplicitySelector], src: _ObjectSet, out,
     keys of its codes' pair table, P_sel of lines or L_sel of points, and a
     key is the code of the object it names, so the keys are the next
     selection's codes.  A table is dropped once its keys are selected."""
-    field, codes, prof = src.field, src._code_list(), None
+    field, codes, prof = src.field, src._codes, None
     for n, sel in enumerate(sels):
         counts, k = _pair_counts(codes, field) if len(codes) > 1 else ({}, None)
         if profiled and not n:
             prof = _table_profile(len(codes), counts, k)
         codes = _selected(sel, counts, k)
         del counts
-    res = object.__new__(out)  # the codes are distinct: no check, no sort
-    for name, value in (("field", field), ("_objs", None), ("_codes", codes),
-                        ("_key", None)):
-        object.__setattr__(res, name, value)
-    return res, prof
+    return _filled(object.__new__(out), field, codes, False), prof  # distinct
 
 
 def lambda_op(nsel: MultiplicitySelector, msel: MultiplicitySelector,
@@ -961,12 +989,10 @@ def profile(arr: Arrangement) -> SingularityProfile:
     d, field = len(arr), arr.field
     if d < 2:
         return SingularityProfile(d, ())
-    codes = arr._code_list()
+    codes = arr._code_list()  # canonical order: a Q row pass runs fastest so
     if _plane_order(field):
         t = Counter(_incidences(codes, field).values())
         return SingularityProfile.from_dict(d, {k: t[k] for k in t if k > 1})
-    if field.kind == RATIONALS:
-        codes = _q_canonical(codes)
     c = _row_sizes(codes, field, _workers(comb(d, 2)))
     return SingularityProfile.from_dict(d, {k: c[k - 1] - c[k]
                                             for k in range(2, max(c) + 2)})
@@ -1108,44 +1134,30 @@ def is_km_configuration(arr: Arrangement, k: int, m: int):
     """
     if k < 2 or m < 2:
         raise ArrangementError("configuration parameters must be >= 2")
-    if len(arr) < 2:
-        return False, 0, len(arr)
-    idx = _pair_index(arr._code_list(), arr.field)  # labels do not matter
-    k_point_sets = [s for s in idx.values() if len(s) == k]
+    idx = _pair_index(arr._codes, arr.field) if len(arr) > 1 else {}
+    k_point_sets = [s for s in idx.values() if len(s) == k]  # labels do not matter
     per_line = Counter(i for s in k_point_sets for i in s)
-    ok = all(per_line[i] == m for i in range(len(arr)))
+    ok = len(arr) > 1 and all(per_line[i] == m for i in range(len(arr)))
     return ok, len(k_point_sets), len(arr)
 
 
 def configuration_connected(arr: Arrangement, k: int) -> bool:
-    """Graph connectivity of the k-points, joined when collinear on a line."""
-    if len(arr) < 2:
-        return True
-    idx = _pair_index(arr._code_list(), arr.field)  # labels do not matter
-    k_keys = [key for key, s in idx.items() if len(s) == k]
-    if len(k_keys) <= 1:
-        return True
-    pos = {key: n for n, key in enumerate(k_keys)}
-    parent = list(range(len(k_keys)))
+    """Graph connectivity of the k-points, joined when collinear on a line:
+    a union-find over the lines merges the lines of each k-point, and the
+    k-points are connected when their lines end in one class."""
+    idx = _pair_index(arr._codes, arr.field) if len(arr) > 1 else {}
+    k_sets = [s for s in idx.values() if len(s) == k]  # labels do not matter
+    parent = list(range(len(arr)))
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    by_line = {}
-    for key, s in idx.items():
-        if key in pos:
-            for i in s:
-                by_line.setdefault(i, []).append(pos[key])
-    for members in by_line.values():
-        for other in members[1:]:
-            ra, rb = find(members[0]), find(other)
-            if ra != rb:
-                parent[ra] = rb
-    roots = {find(i) for i in range(len(k_keys))}
-    return len(roots) == 1
+    def find(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]  # path halving
+        return i
+    for s in k_sets:
+        first, *rest = {find(i) for i in s}
+        for r in rest:
+            parent[r] = first
+    return len({find(min(s)) for s in k_sets}) <= 1
 
 
 def lambda_decomposition_check(nsel: MultiplicitySelector,
@@ -1154,10 +1166,9 @@ def lambda_decomposition_check(nsel: MultiplicitySelector,
     """Union-of-singletons identity for finite exact selectors."""
     if not (nsel.is_finite and msel.is_finite):
         raise ArrangementError("decomposition check needs finite exact selectors")
-    whole = lambda_op(nsel, msel, arr)
-    pieces = [l for n in nsel.members() for m in msel.members()
-              for l in lambda_op(sel_exact(n), sel_exact(m), arr).lines]
-    return whole == Arrangement(arr.field, pieces)
+    return lambda_op(nsel, msel, arr)._code_set() == frozenset().union(*(
+        lambda_op(sel_exact(n), sel_exact(m), arr)._code_set()
+        for n in nsel.members() for m in msel.members()))
 
 
 def property_suite(arr: Arrangement, real: Optional[bool] = None) -> list:

@@ -66,8 +66,7 @@ def extract_matroid(lines: Union[Arrangement, Sequence[ProjLine]]) -> Matroid3:
     Passing an Arrangement uses its canonical line order as the labelling.
     """
     if isinstance(lines, Arrangement):
-        field = lines.field
-        seq = list(lines.lines)
+        field, codes = lines.field, lines._code_list()
     else:
         seq = list(lines)
         if not seq:
@@ -75,13 +74,14 @@ def extract_matroid(lines: Union[Arrangement, Sequence[ProjLine]]) -> Matroid3:
         field = seq[0].field
         if any(l.field.spec != field.spec for l in seq):
             raise FieldError("lines live in different fields")
-    if len(set(seq)) != len(seq):
+        codes = _encode(seq, field)
+    if len(set(codes)) != len(codes):
         raise MatroidError("labelled arrangement must have distinct lines")
-    if len(seq) < 3:
-        return Matroid3.from_flats(len(seq), ())
-    idx = _pair_index(_encode(seq, field), field)
+    if len(codes) < 3:
+        return Matroid3.from_flats(len(codes), ())
+    idx = _pair_index(codes, field)
     flats = [tuple(sorted(s)) for s in idx.values() if len(s) >= 3]
-    return Matroid3.from_flats(len(seq), flats)
+    return Matroid3.from_flats(len(codes), flats)
 
 
 def matroid_to_json(m: Matroid3) -> dict:

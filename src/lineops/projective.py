@@ -6,7 +6,6 @@ tuples and serve directly as dictionary keys.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Optional, Sequence
 
@@ -91,24 +90,11 @@ _DUAL = {ProjPoint: ProjLine, ProjLine: ProjPoint}
 
 def _canonical(objs, key=_ProjObject.key) -> list:
     """The distinct objects in canonical order: their reps (``key``)
-    compared by value, coordinate by coordinate.
-
-    Residues are compared as they are.  Each rational, alone or as a
-    number-field coefficient, becomes floor(2^s r) with 2^s > D^2, D the
-    largest denominator in the set; distinct rationals of denominator at
-    most D differ by at least 1/D^2, so the floor keeps them apart and in
-    order.  Objects with equal keys count once, so callers check the class
-    and the field first.
-    """
-    objs = list(objs)
-    keys = list(map(key, objs))
-    if keys and keys[0][0].__class__ is tuple:  # GF(p^k) or a number field
-        keys = [sum(k, ()) for k in keys]
-    if keys and keys[0][0].__class__ is Fraction:  # Q or a number field
-        s = (max(r.denominator for k in keys for r in k) ** 2).bit_length()
-        flat = iter([(r.numerator << s) // r.denominator for k in keys for r in k])
-        keys = list(zip(*[flat] * len(keys[0])))
-    canon = dict(zip(keys, objs))
+    compared by value, coordinate by coordinate, a number-field or GF(p^k)
+    rep as its tuple of coefficients.  Objects with equal keys count once,
+    so callers check the class and the field first.  An ``arrangements``
+    set keeps the same order on its codes (``_code_order``)."""
+    canon = {key(o): o for o in objs}
     return [canon[k] for k in sorted(canon)]
 
 

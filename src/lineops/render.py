@@ -7,9 +7,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Optional, Sequence
 
-from .arrangements import ArrangementError, _code_counts, _encode, _from_key
+from .arrangements import ArrangementError, _code_counts, _from_key
 from .fields import FieldError, real_embedding
 from .projective import ProjPoint
 
@@ -123,7 +124,7 @@ def render_svg(layers: Sequence, spec: RenderSpec = RenderSpec()) -> RenderResul
 
     omitted = []
     window = (x0, x1, y0, y1)
-    all_lines = []
+    arrs = []
     for layer_index, layer in enumerate(layers):
         if isinstance(layer, tuple):
             arr, style = layer
@@ -134,8 +135,9 @@ def render_svg(layers: Sequence, spec: RenderSpec = RenderSpec()) -> RenderResul
                 f"field {arr.field.spec.text} has no real embedding")
         style = style or f"step{layer_index % 6}"
         skipped = 0
+        if len(arr):  # the lines' fields must agree when marked
+            arrs.append(arr)
         for l in arr.lines:
-            all_lines.append(l)
             u1, u2, u3 = _chart_coeffs(l.coeffs, spec.chart)
             a = real_embedding(u1, spec.root_index)
             b = real_embedding(u2, spec.root_index)
@@ -152,13 +154,13 @@ def render_svg(layers: Sequence, spec: RenderSpec = RenderSpec()) -> RenderResul
                          f'y1="{py(ay):.4f}" x2="{px(bx):.4f}" y2="{py(by):.4f}"/>\n')
         omitted.append(skipped)
 
-    if spec.mark_points and len(all_lines) >= 2:
-        field = all_lines[0].field
-        if any(l.field.spec != field.spec for l in all_lines):
+    if spec.mark_points and sum(map(len, arrs)) >= 2:
+        field = arrs[0].field
+        if any(a.field.spec != field.spec for a in arrs):
             raise FieldError("layers live in different fields")
-        distinct = list(dict.fromkeys(all_lines))
+        codes = list(dict.fromkeys(chain.from_iterable(a._codes for a in arrs)))
         marks = []
-        for key, mult in _code_counts(_encode(distinct, field), field).items():
+        for key, mult in _code_counts(codes, field).items():
             p = _from_key(ProjPoint, key, field)
             u1, u2, u3 = _chart_coeffs(p.coords, spec.chart)
             zc = real_embedding(u3, spec.root_index)

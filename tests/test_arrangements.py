@@ -30,14 +30,18 @@ from lineops.arrangements import (Arrangement, ArrangementError,
                                   make_arrangement, parse_selector,
                                   point_config_from_json, point_config_to_json,
                                   points_operator, profile, property_suite,
-                                  psi_op, sel_at_least, sel_exact)
+                                  psi_op, richness_index, sel_at_least,
+                                  sel_exact)
 from lineops.catalog import build
 from lineops.dynamics import apply_operator, dual_spec, lambda_spec
 from lineops.fields import (GF, NUMBER_FIELD, QQ, RATIONALS, FieldError,
                             Scalar, cyclotomic_field, number_field)
+from lineops.matroids import extract_matroid
 from lineops.projective import (GeometryError, Matrix3, ProjLine, ProjPoint,
-                                Projectivity, apply_projectivity, dualize,
-                                join, line, meet, point)
+                                Projectivity, _canonical, apply_projectivity,
+                                dualize, join, line, meet, point)
+
+from test_projective import _reference
 
 F = QQ()
 
@@ -401,13 +405,13 @@ LAZY_INPUTS = ("Q", "Q, beyond 2^64", "Q(omega)", "cubic", "GF(7)", "GF(8)",
 def test_lazy_results_match_eager_sets(name):
     """An operator's result holds its codes and decodes them on first
     access to the members; it then equals the set built from the decoded
-    codes in members, order, digest, hash, length and equality, both ways,
-    and its codes are those of its members, off the finite planes in their
-    order, which over Q the integer keys of the codes give.  Equality,
-    hash and membership agree on the decoded result and on the same result
-    undecoded, both ways, and decode nothing; a point is never in an
-    arrangement, nor a line in a point set.  The [k, m] predicates on an
-    undecoded arrangement read its codes, decode nothing and agree with
+    codes in members, order, digest, hash, length and equality, both ways.
+    Its codes, sorted by ``_code_order`` when their order is first read,
+    are those of its members in their canonical order on every field.
+    Equality, hash and membership agree on the decoded result and on the
+    same result undecoded, both ways, and decode nothing; a point is never
+    in an arrangement, nor a line in a point set.  The [k, m] predicates on
+    an undecoded arrangement read its codes, decode nothing and agree with
     the set built from its decoded lines."""
     arr = KERNEL_INPUTS[name]()
     arr = Arrangement(arr.field, arr.lines[:16])  # keeps every image small
@@ -421,20 +425,16 @@ def test_lazy_results_match_eager_sets(name):
                 lines_operator(g3, points_operator(g2, arr))]
     results = operate()
     for res in results:
-        codes, field, cls = list(res._code_list()), res.field, type(res)
-        assert res._objs is None and len(res) == len(codes)
+        field, cls = res.field, type(res)
+        codes = list(res._codes)  # as the last selection left them
+        assert res._code_list() == arrangements._code_order(codes, field)
+        assert res._objs is None and len(res) == len(codes) == len(set(codes))
         eager = cls(field, [_from_key(cls._member, k, field) for k in codes])
-        assert list(res) == list(eager) and len(res) == len(eager)
+        assert list(res) == list(eager) == _canonical(eager) and len(res) == len(eager)
         assert res == eager and eager == res and hash(res) == hash(eager)
         if cls is Arrangement:
             assert res.digest() == eager.digest()
-        want = _encode(list(res), field)
-        assert set(res._code_list()) == set(want)
-        if not arrangements._plane_order(field):
-            assert res._code_list() == want
-        if field.kind == RATIONALS:  # the canonical order, read off codes
-            assert arrangements._q_canonical(codes) == want
-        assert len(set(codes)) == len(codes)
+        assert res._code_list() == eager._code_list() == _encode(list(res), field)
     other = KERNEL_INPUTS["Q" if arr.field.characteristic else "GF(7)"]()
     for res, lazy in zip(results, operate()):
         assert lazy == res and res == lazy and hash(lazy) == hash(res)
@@ -471,7 +471,57 @@ def test_lazy_count_builds_no_object(monkeypatch):
         assert repr(res).startswith(f"PointConfig({len(res)} points over")
     assert built == []
     assert len(list(results[0])) == len(results[0])  # the count works
-    assert {"ProjPoint", "PointConfig"} <= set(built)
+    assert set(built) == {"ProjPoint"}  # decoding builds no set
+
+
+# every field of KERNEL_INPUTS, GF(2), GF(61), GF(67) and every stock GF(p^k)
+ORDER_INPUTS = dict(KERNEL_INPUTS, **{
+    f"GF({q})": lambda q=q: _sample_of_plane(q, 7 if q == 2 else 16)
+    for q in (2, 61, 67, *fields._STOCK_IRREDUCIBLES) if f"GF({q})" not in KERNEL_INPUTS})
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_INPUTS))
+def test_code_order_matches_reference(name, monkeypatch):
+    """``_code_order`` sorts codes given in any order as the
+    continued-fraction reference of test_projective.py sorts the objects
+    they decode to: 16 lines of the input, their points of multiplicity
+    >= 2 and the lines through >= 3 of those, undecoded, and the whole
+    plane of a field of at most 67 elements.  Decoding a result builds its
+    points or lines and no set; ``dualize_arrangement``, ``union``,
+    ``incidence_index``, ``richness_index`` and ``extract_matroid`` read
+    the codes of undecoded results, decode none of them and agree with the
+    sets built from their decoded members."""
+    arr = ORDER_INPUTS[name]()
+    field, g2, g3 = arr.field, sel_at_least(2), sel_at_least(3)
+    arr = Arrangement(field, arr.lines[:16])
+    sets = [arr, points_operator(g2, arr), lambda_op(g2, g3, arr)]
+    if 0 < field.characteristic ** field.degree <= 67:
+        sets.append(all_projective_lines(field))
+    rng = random.Random(26)
+    for s in sets:
+        codes, cls = list(s._codes), s._member
+        rng.shuffle(codes)
+        assert ([_from_key(cls, k, field) for k in arrangements._code_order(codes, field)]
+                == _reference([_from_key(cls, k, field) for k in codes]))
+    built = []
+    for cls in (Arrangement, PointConfig):
+        def counting(self, *args, init=cls.__init__):
+            built.append(type(self).__name__)
+            init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counting)
+    cfg, img, other = (points_operator(g2, arr), lambda_op(g2, g3, arr),
+                       dual_lines_op(g3, arr))
+    both, dual = img.union(other), dualize_arrangement(img)
+    found = (incidence_index(other), richness_index(cfg), extract_matroid(other))
+    assert all(s._objs is None for s in (cfg, img, other, both, dual))
+    for s in (cfg, img, other, both, dual):
+        assert len(list(s)) == len(s)
+    assert built == []
+    eager = Arrangement(field, list(other))
+    assert found == (incidence_index(eager), richness_index(PointConfig(field, list(cfg))),
+                     extract_matroid(eager))
+    assert both == Arrangement(field, [*img, *other])
+    assert list(dual) == [dualize(l) for l in img]
 
 
 def test_lazy_codes_are_encoded_once(count_passes):
@@ -1041,6 +1091,54 @@ def test_km_configuration():
     assert configuration_connected(pap, 3)
 
 
+def _connected_reference(arr, k):
+    """Whether the k-points of arr, its lines met one pair at a time, are
+    one component when two are joined by sharing a line: a search over the
+    k-points."""
+    on = {}
+    for a, b in combinations(arr.lines, 2):
+        on.setdefault(meet(a, b), set()).update((a, b))
+    pts = [p for p, ls in on.items() if len(ls) == k]
+    seen, todo = set(), pts[:1]
+    while todo:
+        p = todo.pop()
+        if p not in seen:
+            seen.add(p)
+            todo += [r for r in pts if on[r] & on[p]]
+    return len(seen) == len(pts)
+
+
+def test_configuration_connected_matches_reference():
+    """The union-find over lines agrees with a search over the k-points
+    that share a line: on two 3-line pencils with no line through both
+    centres, whose two 3-points are apart, and on seeded arrangements over
+    Q, GF(5) and GF(7), both connected and not: lines of the plane, and
+    pencils of three lines through two or three points."""
+    pencils, _ = make_arrangement([(1, 0, 0), (0, 1, 0), (1, 1, 0),
+                                   (1, 0, -5), (0, 1, -7), (1, 1, -12)], F)
+    assert profile(pencils).get(3) == 2
+    assert not configuration_connected(pencils, 3)
+    assert configuration_connected(pencils, 2)
+    rng, outcomes = random.Random(27), Counter()
+    cases = [pencils, build("finite-plane", q=2), build("pappus")]
+    for _ in range(8):
+        lines = all_projective_lines(GF(5)).lines
+        cases.append(Arrangement(GF(5), rng.sample(lines, rng.randint(4, 9))))
+        for field in (F, GF(7)):
+            normals = []
+            for _ in range(rng.randint(2, 3)):
+                x, y = rng.randint(-3, 3), rng.randint(-3, 3)
+                for a, b in rng.sample([(1, 0), (0, 1), (1, 1), (1, -1), (2, 1)], 3):
+                    normals.append((a, b, -a * x - b * y))
+            cases.append(make_arrangement(normals, field)[0])
+    for arr in cases:
+        for k in (2, 3, 4):
+            got = configuration_connected(arr, k)
+            assert got == _connected_reference(arr, k), (arr, k)
+            outcomes[got] += 1
+    assert min(outcomes[True], outcomes[False]) > 5
+
+
 def test_km_configuration_closure():
     # a [k, m]-configuration is contained in its own exact-(k, m) image
     cases = [(build("finite-plane", q=2), 3, 3), (build("pappus"), 3, 3),
@@ -1209,7 +1307,8 @@ def test_property_suite_builds_no_objects(monkeypatch):
     sel = sel_at_least(2)
     pts = points_operator(sel, arrs[0])
     list(pts), list(lines_operator(sel, pts))  # the count works
-    assert {"ProjPoint", "ProjLine", "Arrangement", "PointConfig"} <= set(built)
+    # decoding builds the members, never a set
+    assert set(built) == {"ProjPoint", "ProjLine"}
 
 
 # -- json --------------------------------------------------------------------

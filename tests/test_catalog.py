@@ -80,14 +80,14 @@ def test_forbidden_parameters():
 
 
 def test_build_makes_one_arrangement(monkeypatch):
-    canonical = arrangements._canonical
+    init = arrangements.Arrangement.__init__
     calls = []
 
-    def counting(objs, *args, **kw):
+    def counting(self, *args):
         calls.append(1)
-        return canonical(objs, *args, **kw)
+        init(self, *args)
 
-    monkeypatch.setattr(arrangements, "_canonical", counting)
+    monkeypatch.setattr(arrangements.Arrangement, "__init__", counting)
     build("flashing3")
     assert len(calls) == 1
 

@@ -466,8 +466,7 @@ def test_generated_product_matches_mulmod(name):
         a, b = rep(ka), rep(kb)
         got = field.r_mul(a, b)
         assert got == _mulmod(a, b, mp) and len(got) == n
-        # projective._canonical picks the key order from the class of the
-        # first coefficient, so an int coefficient would break the order
+        # a product of reps with int coefficients is still Fractions
         assert all(type(v) is Fraction for v in got)
 
 

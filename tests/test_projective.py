@@ -300,9 +300,10 @@ def test_degenerate_conic_detected():
 # -- the canonical order ---------------------------------------------------------
 #
 # The reference order compares reps by value through a second, independent
-# key: the signed continued fraction of each rational.  ``_canonical`` keys
-# rationals by floor(2^s r) instead and must give the same order and the same
-# deduplication.
+# key: the signed continued fraction of each rational.  ``_canonical``
+# compares the rationals themselves, and ``arrangements._code_order`` keys
+# the integer codes by floor(2^s r); both must give the same order and the
+# same deduplication (the code order is checked in test_arrangements.py).
 
 def _q_key(x):
     """The signed continued fraction (a0, -a1, a2, -a3, ...) of x.
