@@ -22,6 +22,8 @@ meets all pairs, a point on k lines C(k,2) times.  Off the finite planes
 ..., 1, so t_k = c_(k-1) - c_k, c_s the number of row groups of size s;
 the rows split into strided shares among forked workers (``_row_sizes``),
 whose counts add exactly, so the profile does not depend on their number.
+Which objects pass through each position is read off one grouping of the
+same rows, or of the same table over a finite plane (``_groups``).
 
 A set is its distinct codes (``_ObjectSet``).  Every operator and operator
 chain is a run of selections on codes (``_operate``): a key of the table is
@@ -50,7 +52,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations, compress, islice
+from itertools import chain, compress, filterfalse, islice
 from math import comb, gcd, isqrt
 from typing import Iterable, Optional, Sequence
 
@@ -747,25 +749,34 @@ def _code_counts(codes: list, field: Field) -> dict:
                                                          counts.values())))
 
 
-def _pair_index(codes: list, field: Field) -> dict:
-    """key -> set of indices of the codes through the keyed position."""
-    q = _plane_order(field)
-    if q:  # each object's row, cut down to the meets (joins) at C speed
+def _groups(codes: list, field: Field, least: int) -> dict:
+    """key -> the sorted indices of the objects with ``codes``, all
+    distinct, through the keyed position, for each position on at least
+    ``least`` >= 2 of them.
+
+    Over a finite plane each object's row of ``_plane_table`` is cut down
+    to those positions at C speed.  Elsewhere the rows of ``_code_meets``
+    are read in order: a point on k lines first shows in the row of its
+    first line i, k-1 times, with the later ones, and in a later row fewer
+    times, so a key counted least-1 times in a row is taken there unless
+    an earlier row took it.  The counts and the scans run at C speed."""
+    q, n = _plane_order(field), len(codes)
+    if q:
         table, r = _plane_table(field.spec), q + 1
-        index = {o: set() for o in _code_counts(codes, field)}
+        index = {o: [] for o, k in _incidences(codes, field).items() if k >= least}
         for i, o in enumerate(codes):
             for pos in index.keys() & table[o * r:o * r + r]:
-                index[pos].add(i)
+                index[pos].append(i)
         return index
-    index = {}
-    for (i, j), key in zip(combinations(range(len(codes)), 2),
-                           _code_meets(codes, field)):
-        s = index.get(key)
-        if s is None:
-            index[key] = {i, j}
-        else:
-            s.add(i)
-            s.add(j)
+    index, keys, enough = {}, _code_meets(codes, field), (least - 1).__le__
+    for i in range(n - 1):
+        row = list(islice(keys, n - 1 - i))
+        counts = Counter(row)
+        new = {k: [i] for k in filterfalse(index.__contains__, compress(
+            counts, map(enough, counts.values())))}
+        for k, j in compress(zip(row, range(i + 1, n)), map(new.__contains__, row)):
+            new[k].append(j)
+        index.update(new)
     return index
 
 
@@ -856,10 +867,10 @@ class IncidenceIndex:
 
 
 def _incidence(objs: _ObjectSet) -> IncidenceIndex:
-    """``_pair_index`` of the set's codes in canonical order, the labels,
-    with its keys decoded as dual objects in canonical order."""
+    """``_groups`` of the set's codes in canonical order, the labels, with
+    its keys decoded as dual objects in canonical order."""
     dual, field = _DUAL_SET[objs.__class__], objs.field
-    index = _pair_index(objs._code_list(), field) if len(objs) > 1 else {}
+    index = _groups(objs._code_list(), field, 2)
     return IncidenceIndex(dual._name, tuple(
         (_from_key(dual._member, k, field), frozenset(index[k]))
         for k in _code_order(list(index), field)))
@@ -1134,9 +1145,9 @@ def is_km_configuration(arr: Arrangement, k: int, m: int):
     """
     if k < 2 or m < 2:
         raise ArrangementError("configuration parameters must be >= 2")
-    idx = _pair_index(arr._codes, arr.field) if len(arr) > 1 else {}
-    k_point_sets = [s for s in idx.values() if len(s) == k]  # labels do not matter
-    per_line = Counter(i for s in k_point_sets for i in s)
+    k_point_sets = [s for s in _groups(arr._codes, arr.field, k).values()
+                    if len(s) == k]  # labels do not matter
+    per_line = Counter(chain.from_iterable(k_point_sets))
     ok = len(arr) > 1 and all(per_line[i] == m for i in range(len(arr)))
     return ok, len(k_point_sets), len(arr)
 
@@ -1145,8 +1156,8 @@ def configuration_connected(arr: Arrangement, k: int) -> bool:
     """Graph connectivity of the k-points, joined when collinear on a line:
     a union-find over the lines merges the lines of each k-point, and the
     k-points are connected when their lines end in one class."""
-    idx = _pair_index(arr._codes, arr.field) if len(arr) > 1 else {}
-    k_sets = [s for s in idx.values() if len(s) == k]  # labels do not matter
+    k_sets = [s for s in _groups(arr._codes, arr.field, k).values()
+              if len(s) == k]  # labels do not matter
     parent = list(range(len(arr)))
 
     def find(i):
@@ -1251,15 +1262,12 @@ def property_suite(arr: Arrangement, real: Optional[bool] = None) -> list:
 
 
 def arrangements_equivalent(a: Arrangement, b: Arrangement):
-    """Projective-equivalence witness between two arrangements, or None."""
-    if a.field.spec != b.field.spec:
-        raise FieldError("arrangements live in different fields")
-    if len(a) != len(b):
-        return None
-    if len(a) == 0:
+    """Projective-equivalence witness between two arrangements, or None;
+    two empty ones of one field are equivalent by the identity."""
+    if a.is_empty() and b.is_empty() and a.field.spec == b.field.spec:
         from .projective import Matrix3, Projectivity
         return Projectivity(Matrix3.identity(a.field))
-    return projectively_equivalent(list(a.lines), list(b.lines))
+    return projectively_equivalent(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 from typing import Optional, Sequence, Union
 
-from .arrangements import Arrangement, ArrangementError, _encode, _pair_index
+from .arrangements import Arrangement, ArrangementError, _encode, _groups
 from .fields import QQ, FieldError
 from .projective import ProjLine, nullspace
 
@@ -34,12 +33,18 @@ class Matroid3:
                 raise MatroidError("flats must have size >= 3")
             if any(not 0 <= i < self.ground for i in f):
                 raise MatroidError("flat index out of range")
-        for f, g in combinations(self.flats, 2):
-            if len(set(f) & set(g)) > 1:
+        # the flats through each element, in one pass; two flats that share
+        # two elements both pass through each, so the flats through an
+        # element must hold as many elements as they would sharing only it
+        sets, through = [set(f) for f in self.flats], {}
+        for fi, f in enumerate(sets):
+            for i in f:
+                through.setdefault(i, []).append(fi)
+        for fis in through.values():
+            if len(set().union(*(sets[fi] for fi in fis))) <= sum(
+                    len(sets[fi]) - 1 for fi in fis):
                 raise MatroidError("two flats share more than one element")
-        pair_slots = sum(comb(len(f), 2) for f in self.flats)
-        if pair_slots > comb(self.ground, 2):
-            raise MatroidError("flats cover more pairs than exist")
+        object.__setattr__(self, "_through", through)
 
     @classmethod
     def from_flats(cls, ground: int, flats) -> "Matroid3":
@@ -77,11 +82,7 @@ def extract_matroid(lines: Union[Arrangement, Sequence[ProjLine]]) -> Matroid3:
         codes = _encode(seq, field)
     if len(set(codes)) != len(codes):
         raise MatroidError("labelled arrangement must have distinct lines")
-    if len(codes) < 3:
-        return Matroid3.from_flats(len(codes), ())
-    idx = _pair_index(codes, field)
-    flats = [tuple(sorted(s)) for s in idx.values() if len(s) >= 3]
-    return Matroid3.from_flats(len(codes), flats)
+    return Matroid3.from_flats(len(codes), _groups(codes, field, 3).values())
 
 
 def matroid_to_json(m: Matroid3) -> dict:
@@ -112,22 +113,20 @@ def matroid_isomorphic(a: Matroid3, b: Matroid3) -> Optional[tuple]:
         return None
     m = a.ground
 
-    def pair_map(mat: Matroid3):
-        pm = {}
-        for fi, f in enumerate(mat.flats):
-            for i, j in combinations(f, 2):
-                pm[(i, j)] = fi
-        return pm
+    def flat_of(mat: Matroid3):
+        """flat(i, j): the index of the flat of mat holding i != j, or None."""
+        through = mat._through
 
-    pa, pb = pair_map(a), pair_map(b)
+        def flat(i, j):
+            common = set(through.get(i, ())).intersection(through.get(j, ()))
+            return common.pop() if common else None
+        return flat
 
     def inv(mat: Matroid3):
-        sizes = [[] for _ in range(mat.ground)]
-        for f in mat.flats:
-            for i in f:
-                sizes[i].append(len(f))
-        return [tuple(sorted(s)) for s in sizes]
+        return [tuple(sorted(len(mat.flats[fi]) for fi in mat._through.get(i, ())))
+                for i in range(mat.ground)]
 
+    pa, pb = flat_of(a), flat_of(b)
     ia, ib = inv(a), inv(b)
     cand = [[j for j in range(m) if ib[j] == ia[i]] for i in range(m)]
     if any(not c for c in cand):
@@ -139,11 +138,7 @@ def matroid_isomorphic(a: Matroid3, b: Matroid3) -> Optional[tuple]:
 
     def consistent(i, j):
         for i2 in range(i):
-            j2 = assign[i2]
-            key_a = (min(i, i2), max(i, i2))
-            key_b = (min(j, j2), max(j, j2))
-            fa = pa.get(key_a)
-            fb = pb.get(key_b)
+            fa, fb = pa(i, i2), pb(j, assign[i2])
             if (fa is None) != (fb is None):
                 return False
             if fa is not None:
@@ -156,11 +151,9 @@ def matroid_isomorphic(a: Matroid3, b: Matroid3) -> Optional[tuple]:
     def record(i, j):
         added = []
         for i2 in range(i):
-            j2 = assign[i2]
-            fa = pa.get((min(i, i2), max(i, i2)))
+            fa = pa(i, i2)
             if fa is not None and fa not in flat_image:
-                fb = pb[(min(j, j2), max(j, j2))]
-                flat_image[fa] = fb
+                flat_image[fa] = pb(j, assign[i2])
                 added.append(fa)
         return added
 

@@ -88,16 +88,6 @@ class ProjLine(_ProjObject):
 _DUAL = {ProjPoint: ProjLine, ProjLine: ProjPoint}
 
 
-def _canonical(objs, key=_ProjObject.key) -> list:
-    """The distinct objects in canonical order: their reps (``key``)
-    compared by value, coordinate by coordinate, a number-field or GF(p^k)
-    rep as its tuple of coefficients.  Objects with equal keys count once,
-    so callers check the class and the field first.  An ``arrangements``
-    set keeps the same order on its codes (``_code_order``)."""
-    canon = {key(o): o for o in objs}
-    return [canon[k] for k in sorted(canon)]
-
-
 def point(field: Field, x, y, z) -> ProjPoint:
     return ProjPoint((field.scalar(x), field.scalar(y), field.scalar(z)))
 
@@ -317,18 +307,6 @@ def apply_projectivity(g: Projectivity, obj):
     return arr._from_key(obj.__class__, image, field)
 
 
-def _maps_onto(lines_a: Sequence[ProjLine], lines_b: Sequence[ProjLine]):
-    """``maps(g)``: whether g maps lines_a onto lines_b, two lists of as
-    many distinct lines.  A's image codes are checked one at a time against
-    B's code set, and no object is built; g is injective, so images all in
-    B are all of B."""
-    arr = _arrangements()
-    field = lines_a[0].field
-    codes_a = arr._encode(lines_a, field)
-    in_b = set(arr._encode(lines_b, field)).__contains__
-    return lambda g: all(map(in_b, arr._act(g._on_lines, codes_a, field)))
-
-
 def _point_frame_matrix(pts: Sequence[ProjPoint]) -> Matrix3:
     """Matrix sending the standard frame e1,e2,e3,(1:1:1) to the given 4 points."""
     if len(pts) != 4:
@@ -373,47 +351,60 @@ def projectivity_from_line_frames(src: Sequence[ProjLine],
     return Projectivity(h.adjugate().transpose())
 
 
+def _field_of(sides) -> Optional[Field]:
+    """The one field of ``sides``, sequences of lines or
+    ``arrangements.Arrangement``s, or None when they hold no line.  Lines
+    of two fields are refused first, so that lines with the same reps never
+    merge, then anything that is not a line."""
+    arrangement = _arrangements().Arrangement
+    fields = {}
+    for s in sides:
+        for f in ([s.field] if isinstance(s, arrangement) else (l.field for l in s)):
+            fields[f.spec] = f
+    if len(fields) > 1:
+        raise FieldError("arrangements live in different fields")
+    if any(l.__class__ is not ProjLine for s in sides
+           if not isinstance(s, arrangement) for l in s):
+        raise GeometryError("expected lines")
+    return next(iter(fields.values()), None)
+
+
 def lines_in_general_position(lines: Sequence[ProjLine]) -> bool:
-    """No two equal, no three concurrent."""
-    for a, b in combinations(lines, 2):
-        if a == b:
-            return False
-    for a, b, c in combinations(lines, 3):
-        if incident(meet(a, b), c):
-            return False
-    return True
+    """No two equal, no three concurrent: distinct codes, and no position
+    on three of them (``arrangements._groups``)."""
+    field, arr = _field_of([lines]), _arrangements()
+    if field is None:
+        return True
+    codes = arr._encode(lines, field)
+    return len(set(codes)) == len(codes) and not arr._groups(codes, field, 3)
 
 
-def _first_gp_quadruple(lines: Sequence[ProjLine]) -> Optional[tuple]:
-    for quad in combinations(range(len(lines)), 4):
-        if lines_in_general_position([lines[i] for i in quad]):
-            return quad
-    return None
-
-
-def projectively_equivalent(lines_a: Sequence[ProjLine],
-                            lines_b: Sequence[ProjLine]) -> Optional[Projectivity]:
-    """A witness g with g(A) = B as sets, or None.
+def projectively_equivalent(lines_a, lines_b) -> Optional[Projectivity]:
+    """A witness g with g(A) = B as sets, or None.  Each side is a sequence
+    of lines, ordered and encoded once as an ``arrangements.Arrangement``,
+    or an Arrangement, whose codes are read as they are.
 
     Deterministic: one loop over the frame pairs of ``_frames`` in their
-    order, whose first g that maps A onto B (``_maps_onto``) is the
-    witness; g is the inverse-transpose of frame_b * to_a, which moves A's
-    dual frame onto B's.  A with a general-position quadruple matches its
-    first one (in canonical order) against ordered quadruples of B in
-    canonical order; pencils, near pencils and <= 3 lines match dual frames
-    of their own in the same loop.
+    order, whose first g that maps A onto B is the witness; g is the
+    inverse-transpose of frame_b * to_a, which moves A's dual frame onto
+    B's.  A with a general-position quadruple matches its first one (in
+    canonical order) against ordered quadruples of B in canonical order;
+    pencils, near pencils and <= 3 lines match dual frames of their own in
+    the same loop.  A's image codes are checked one at a time against B's
+    code set, and no object is built; g is injective, so images all in B
+    are all of B.
     """
-    # every line, before _canonical merges lines by reps
-    if len({l.field.spec for l in (*lines_a, *lines_b)}) > 1:
-        raise FieldError("arrangements live in different fields")
-    lines_a = _canonical(lines_a)
-    lines_b = _canonical(lines_b)
-    if not lines_a or len(lines_a) != len(lines_b):
+    field, arr = _field_of((lines_a, lines_b)), _arrangements()
+    if field is None:
+        return None
+    a, b = (s if isinstance(s, arr.Arrangement) else arr.Arrangement(field, s)
+            for s in (lines_a, lines_b))
+    if a.is_empty() or len(a) != len(b):
         return None  # no canvas for a witness when both are empty
-    maps = _maps_onto(lines_a, lines_b)
-    for to_a, frame_b in _frames(lines_a, lines_b):
+    in_b = b._code_set().__contains__
+    for to_a, frame_b in _frames(a, b):
         g = Projectivity((frame_b * to_a).adjugate().transpose())
-        if maps(g):
+        if all(map(in_b, arr._act(g._on_lines, a._codes, field))):
             return g
     return None
 
@@ -424,61 +415,55 @@ def _pool_points(field: Field):
             point(field, 0, 1, 1), point(field, 1, -1, 1), point(field, 1, 2, 3)]
 
 
-def _all_collinear(pts) -> bool:
-    if len(pts) <= 2:
-        return True
-    base = join(pts[0], pts[1])
-    return all(incident(p, base) for p in pts[2:])
+def _concurrency(s, duals) -> tuple:
+    """(triples, split) of the lines of the Arrangement s, from the
+    positions on three or more of them (``arrangements._groups``); duals
+    are their dual points in canonical order.  A position on all n lines
+    (n >= 3) makes a pencil, and one on n - 1 lines (n >= 4) a near pencil:
+    then split is (its points on the line, the point off it or None), and
+    triples is None, as no 4 lines are in general position.  Otherwise
+    split is None and triples the set of index triples of concurrent
+    lines, ascending."""
+    n = len(s)
+    groups = _arrangements()._groups(s._code_list(), s.field, 3).values()
+    for on in groups:
+        if len(on) >= n - 1:
+            off = next(iter(set(range(n)).difference(on)), None)
+            return None, ([duals[i] for i in on], None if off is None else duals[off])
+    return {t for g in groups for t in combinations(g, 3)}, None
 
 
-def _near_pencil_split(pts):
-    """(on_line, off) when all points but one are collinear, else None."""
-    if len(pts) < 4:
-        return None
-    for i, q in enumerate(pts):
-        rest = pts[:i] + pts[i + 1:]
-        if _all_collinear(rest) and not incident(q, join(rest[0], rest[1])):
-            return rest, q
-    return None
-
-
-def _pencil_split(pts):
-    """(pts, None) for at least 3 collinear points, else (on_line, off) for
-    a near pencil, else None."""
-    if len(pts) > 2 and _all_collinear(pts):
-        return pts, None
-    return _near_pencil_split(pts)
-
-
-def _frames(lines_a, lines_b):
+def _frames(a, b):
     """The witness candidates in order, as pairs (to_a, frame_b) of the
     inverse of a frame matrix of A's dual points, built once per frame of
-    A, and a frame matrix of B's dual points.
+    A, and a frame matrix of B's dual points, for two Arrangements.
 
     A's first general-position quadruple is matched against each ordered
-    quadruple of B in general position, tested once per 4-set.  Without
-    one, A is dually collinear points (a pencil), collinear points plus
-    one (a near pencil) or at most 3 points.  A pencil or near pencil pins
-    the basis of its first three collinear points (``_pencil_basis``)
-    against those of B's ordered triples; it has no match unless B splits
-    the same way.  Anything else completes its points to frames from a
-    fixed pool, each against the completions of B's ordered triples.
+    quadruple of B in general position: one with no concurrent triple
+    (``_concurrency``).  Without one, A is dually collinear points (a
+    pencil), collinear points plus one (a near pencil) or at most 3
+    points.  A pencil or near pencil pins the basis of its first three
+    collinear points (``_pencil_basis``) against those of B's ordered
+    triples; it has no match unless B splits the same way.  Anything else
+    completes its points to frames from a fixed pool, each against the
+    completions of B's ordered triples.
     """
-    dual_a, dual_b = [dualize(l) for l in lines_a], [dualize(l) for l in lines_b]
-    quad = _first_gp_quadruple(lines_a)
+    dual_a, dual_b = ([dualize(l) for l in s.lines] for s in (a, b))
+    (triples_a, split_a), (triples_b, split_b) = (_concurrency(a, dual_a),
+                                                  _concurrency(b, dual_b))
+    quad = None if triples_a is None else next(
+        (q for q in combinations(range(len(a)), 4)
+         if triples_a.isdisjoint(combinations(q, 3))), None)
     if quad is not None:
         to_a = _point_frame_matrix([dual_a[i] for i in quad]).inverse()
-        general = {}  # by 4-set of B
-        for cand in permutations(range(len(lines_b)), 4):
-            four = frozenset(cand)
-            if four not in general:
-                general[four] = lines_in_general_position([lines_b[i] for i in cand])
-            if general[four]:
+        for cand in permutations(range(len(b)), 4):
+            if triples_b is not None and triples_b.isdisjoint(
+                    combinations(sorted(cand), 3)):
                 yield to_a, _point_frame_matrix([dual_b[i] for i in cand])
         return
-    field, split_a = lines_a[0].field, _pencil_split(dual_a)
+    field = a.field
     if split_a is not None:
-        (on_a, off_a), (on_b, off_b) = split_a, _pencil_split(dual_b) or ((), None)
+        (on_a, off_a), (on_b, off_b) = split_a, split_b or ((), None)
         base_a = _pencil_basis(on_a, off_a, field)
         if len(on_a) != len(on_b) or base_a is None:
             return
@@ -655,9 +640,7 @@ def rich_conics(pts: Sequence[ProjPoint], min_count: int) -> list:
     limit for exact enumeration); 5-subsets that do not determine a unique
     conic are skipped.
     """
-    if len({p.field.spec for p in pts}) > 1:  # before _canonical merges
-        raise FieldError("points live in different fields")
-    pts = _canonical(pts)
+    pts = _arrangements().PointConfig(pts[0].field, pts).points if pts else ()
     if len(pts) > 30:
         raise GeometryError("rich_conics accepts at most 30 points")
     if min_count < 5:
@@ -676,4 +659,4 @@ def rich_conics(pts: Sequence[ProjPoint], min_count: int) -> list:
         cnt = sum(1 for p in pts if conic.contains(p))
         if cnt >= min_count:
             out.append(RichConic(conic, cnt, conic.is_irreducible()))
-    return _canonical(out, key=lambda rc: rc.conic.key())
+    return sorted(out, key=lambda rc: rc.conic.key())

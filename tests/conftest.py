@@ -1,6 +1,7 @@
 """Shared fixtures: the reference pair kernels over GF(q), a counter of pair
-passes, the reference projective-equivalence search, and the reference
-operator sequence with cycle detection on digests.
+passes, the reference pair index, the object-level concurrency tests and
+projective-equivalence search, and the reference operator sequence with
+cycle detection on digests.
 
 Over every finite field of order at most ``arrangements._PLANE_ORDER`` the
 program codes an object by its ordinal in PG(2,q) and counts incidences in
@@ -16,11 +17,8 @@ import pytest
 from lineops import arrangements, dynamics, projective
 from lineops.fields import PRIME_FIELD, PRIME_POWER_FIELD, _gf_tables
 from lineops.projective import (GeometryError, Matrix3, ProjLine, Projectivity,
-                                _all_collinear, _canonical,
-                                _first_gp_quadruple, _near_pencil_split,
                                 _pool_points, collinear, dualize, incident,
-                                join, lines_in_general_position,
-                                projectivity_from_line_frames,
+                                join, meet, projectivity_from_line_frames,
                                 projectivity_from_point_frames)
 
 
@@ -104,8 +102,76 @@ def count_passes(monkeypatch):
     return install
 
 
+def reference_pair_index(codes, field):
+    """key -> set of indices of the codes through the keyed position, from
+    one set-building loop over every pair of the pair kernel, or over a
+    finite plane from each object's row of the incidence table: the index
+    the program kept before ``_groups``."""
+    q = arrangements._plane_order(field)
+    if q:
+        table, r = arrangements._plane_table(field.spec), q + 1
+        index = {o: set() for o in arrangements._code_counts(codes, field)}
+        for i, o in enumerate(codes):
+            for pos in index.keys() & table[o * r:o * r + r]:
+                index[pos].add(i)
+        return index
+    index = {}
+    for (i, j), key in zip(combinations(range(len(codes)), 2),
+                           arrangements._code_meets(codes, field)):
+        index.setdefault(key, set()).update((i, j))
+    return index
+
+
 # ---------------------------------------------------------------------------
-# projective equivalence
+# projective equivalence: the object-level concurrency tests and the search
+# as they were before both moved to codes
+
+def canonical(objs, key=lambda o: o.key()) -> list:
+    """The distinct objects in canonical order: their reps compared by
+    value, coordinate by coordinate; objects with equal keys count once."""
+    canon = {key(o): o for o in objs}
+    return [canon[k] for k in sorted(canon)]
+
+
+def reference_general_position(lines) -> bool:
+    """No two equal, no three concurrent, by ``meet`` and ``incident``."""
+    if any(a == b for a, b in combinations(lines, 2)):
+        return False
+    return not any(incident(meet(a, b), c) for a, b, c in combinations(lines, 3))
+
+
+def _first_gp_quadruple(lines):
+    for quad in combinations(range(len(lines)), 4):
+        if reference_general_position([lines[i] for i in quad]):
+            return quad
+    return None
+
+
+def _all_collinear(pts) -> bool:
+    if len(pts) <= 2:
+        return True
+    base = join(pts[0], pts[1])
+    return all(incident(p, base) for p in pts[2:])
+
+
+def _near_pencil_split(pts):
+    """(on_line, off) when all points but one are collinear, else None."""
+    if len(pts) < 4:
+        return None
+    for i, q in enumerate(pts):
+        rest = pts[:i] + pts[i + 1:]
+        if _all_collinear(rest) and not incident(q, join(rest[0], rest[1])):
+            return rest, q
+    return None
+
+
+def reference_pencil_split(pts):
+    """(pts, None) for at least 3 collinear points, else (on_line, off) for
+    a near pencil, else None."""
+    if len(pts) > 2 and _all_collinear(pts):
+        return pts, None
+    return _near_pencil_split(pts)
+
 
 def _image_set(g, lines):
     """The images of ``lines`` under g as objects: the Scalar matrix
@@ -123,7 +189,7 @@ def reference_equivalent(lines_a, lines_b):
     The frames and the order of the candidates are the program's."""
     if len({l.field.spec for l in (*lines_a, *lines_b)}) > 1:
         raise projective.FieldError("arrangements live in different fields")
-    lines_a, lines_b = _canonical(lines_a), _canonical(lines_b)
+    lines_a, lines_b = canonical(lines_a), canonical(lines_b)
     if not lines_a or len(lines_a) != len(lines_b):
         return None
     set_b = set(lines_b)
@@ -132,7 +198,7 @@ def reference_equivalent(lines_a, lines_b):
         src = [lines_a[i] for i in quad]
         for cand in permutations(range(len(lines_b)), 4):
             dst = [lines_b[i] for i in cand]
-            if lines_in_general_position(dst):
+            if reference_general_position(dst):
                 g = projectivity_from_line_frames(src, dst)
                 if _image_set(g, lines_a) == set_b:
                     return g

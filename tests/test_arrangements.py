@@ -16,7 +16,7 @@ import pytest
 from lineops import arrangements, fields, projective
 from lineops.arrangements import (Arrangement, ArrangementError,
                                   _code_counts, _code_meets, _encode,
-                                  _from_key, _mult_from_pairs, _pair_index,
+                                  _from_key, _groups, _mult_from_pairs,
                                   MultiplicitySelector, PointConfig,
                                   SingularityProfile, all_projective_lines,
                                   arrangement_from_json, arrangement_to_json,
@@ -38,9 +38,10 @@ from lineops.fields import (GF, NUMBER_FIELD, QQ, RATIONALS, FieldError,
                             Scalar, cyclotomic_field, number_field)
 from lineops.matroids import extract_matroid
 from lineops.projective import (GeometryError, Matrix3, ProjLine, ProjPoint,
-                                Projectivity, _canonical, apply_projectivity,
+                                Projectivity, apply_projectivity,
                                 dualize, join, line, meet, point)
 
+from conftest import reference_pair_index
 from test_projective import _reference
 
 F = QQ()
@@ -239,7 +240,9 @@ KERNEL_INPUTS = {
 
 @pytest.mark.parametrize("name", sorted(KERNEL_INPUTS))
 def test_pair_kernel_matches_single_meets_and_joins(name):
-    """The pair kernel groups exactly as meet/join of each pair does."""
+    """The pair kernel groups exactly as meet/join of each pair does: the
+    positions on at least 2, 3 and 4 of the objects with their sorted
+    indices (``_groups``), and each position's multiplicity."""
     arr = KERNEL_INPUTS[name]()
     field = arr.field
     for objs, op, cls in ((arr.lines, meet, ProjPoint),
@@ -249,13 +252,29 @@ def test_pair_kernel_matches_single_meets_and_joins(name):
             o = op(objs[i], objs[j])
             want_index.setdefault(o, set()).update((i, j))
             want_counts[o] = want_counts.get(o, 0) + 1
-        idx = _pair_index(_encode(objs, field), field)
-        got = {_from_key(cls, k, field): s for k, s in idx.items()}
-        assert len(got) == len(idx) and got == want_index
+        for least in (2, 3, 4):
+            idx = _groups(_encode(objs, field), field, least)
+            got = {_from_key(cls, k, field): s for k, s in idx.items()}
+            assert len(got) == len(idx) and got == {
+                o: sorted(s) for o, s in want_index.items() if len(s) >= least}
         counts = _code_counts(_encode(objs, field), field)
         got = {_from_key(cls, key, field): k for key, k in counts.items()}
         assert len(got) == len(counts) and got == {
             o: _mult_from_pairs(c) for o, c in want_counts.items()}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_INPUTS))
+def test_groups_match_reference_incidence_index(name):
+    """``_groups`` on at least 2, 3 and 4 of the lines and of the dual
+    points gives the sets of the reference pair index with that many
+    members, each in ascending order."""
+    arr = KERNEL_INPUTS[name]()
+    field = arr.field
+    for codes in (arr._code_list(), _encode(dualize_arrangement(arr).points, field)):
+        ref = reference_pair_index(codes, field)
+        for least in (2, 3, 4):
+            assert _groups(codes, field, least) == {
+                k: sorted(s) for k, s in ref.items() if len(s) >= least}
 
 
 OPERATOR_SELS = (sel_exact(2), sel_exact(3), sel_at_least(2), sel_at_least(3))
@@ -430,7 +449,7 @@ def test_lazy_results_match_eager_sets(name):
         assert res._code_list() == arrangements._code_order(codes, field)
         assert res._objs is None and len(res) == len(codes) == len(set(codes))
         eager = cls(field, [_from_key(cls._member, k, field) for k in codes])
-        assert list(res) == list(eager) == _canonical(eager) and len(res) == len(eager)
+        assert list(res) == list(eager) == _reference(eager) and len(res) == len(eager)
         assert res == eager and eager == res and hash(res) == hash(eager)
         if cls is Arrangement:
             assert res.digest() == eager.digest()

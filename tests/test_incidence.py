@@ -18,7 +18,7 @@ import pytest
 
 from lineops import arrangements
 from lineops.arrangements import (Arrangement, _code_counts, _encode,
-                                  _from_key, _mult_from_pairs, _pair_index,
+                                  _from_key, _groups, _mult_from_pairs,
                                   _plane_key, _table_profile,
                                   all_projective_lines, dualize_arrangement,
                                   lambda_op, lines_operator, points_operator,
@@ -66,16 +66,18 @@ def _keys(objs):
 
 
 def _check_pass(objs, field, ref):
-    """The pair table and the pair index of ``objs`` against the reference
-    table ``ref``: the index sets have the reference sizes, and each of
-    their objects is incident to the keyed position."""
+    """The pair table and the groups of ``objs`` on at least 2 and 3 of
+    them against the reference table ``ref``: the groups have the
+    reference sizes, in ascending order, and each of their objects is
+    incident to the keyed position."""
     codes, dot = _encode(objs, field), _dot(field)
     assert _code_counts(codes, field) == ref
-    index = _pair_index(codes, field)
-    assert index.keys() == ref.keys()
-    for key, s in index.items():
-        assert len(s) == ref[key]
-        assert all(dot(codes[i], key) == 0 for i in s)
+    for least in (2, 3):
+        index = _groups(codes, field, least)
+        assert index.keys() == {key for key, k in ref.items() if k >= least}
+        for key, s in index.items():
+            assert len(s) == ref[key] and s == sorted(s)
+            assert all(dot(codes[i], key) == 0 for i in s)
 
 
 def _subsets(q):
@@ -119,7 +121,7 @@ LARGE = pytest.mark.skipif(not HEAVY,
 @pytest.mark.parametrize("q", [pytest.param(q, marks=LARGE) if q >= 49 else q
                                for q in ORDERS])
 def test_incidence_matches_reference_kernels(q, reference_kernels):
-    """Each subset's pair table, pair index, profile and P, L and
+    """Each subset's pair table, groups, profile and P, L and
     Lambda_{2,3} images, as lines and with its P_{>=2} points as points."""
     for arr in _subsets(q):
         _check_arrangement(arr)
@@ -141,14 +143,14 @@ def _plane_subset(draw):
 @hypothesis.given(arr=_plane_subset())
 def test_incidence_property_on_small_planes(arr, reference_kernels):
     """Any subset of PG(2,q), q <= 9, on fixed-seed examples: the passes
-    agree with the reference kernels, the pair index partitions the pairs
+    agree with the reference kernels, the groups partition the pairs
     as ``meet`` on the objects does, and the profile counts every pair."""
     _check_arrangement(arr)
     lines, want = arr.lines, {}
     for i, j in combinations(range(len(lines)), 2):
         want.setdefault(meet(lines[i], lines[j]), set()).update((i, j))
-    assert {_from_key(ProjPoint, k, arr.field): s for k, s in
-            _pair_index(_encode(lines, arr.field), arr.field).items()} == want
+    assert {_from_key(ProjPoint, k, arr.field): set(s) for k, s in
+            _groups(_encode(lines, arr.field), arr.field, 2).items()} == want
     counts = profile(arr).counts
     assert sum(comb(k, 2) * t for k, t in counts) == comb(len(arr), 2)
 

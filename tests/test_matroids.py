@@ -1,12 +1,27 @@
+import random
+import time
+
 import pytest
 
-from lineops.arrangements import make_arrangement
+from lineops.arrangements import (_encode, lambda_op, make_arrangement,
+                                  sel_at_least)
 from lineops.catalog import build, build_lines
 from lineops.fields import GF, FieldError
 from lineops.matroids import (Matroid3, MatroidError, extract_matroid,
                               flashing_incidence, matroid_from_json,
                               matroid_isomorphic, matroid_to_json,
                               reye_matroid)
+
+from conftest import reference_pair_index
+
+
+def _gf67_lines():
+    """Lambda_{>=2;>=2} of seven seeded lines over GF(67), past the finite
+    planes, so that the pair kernel groups them."""
+    rng = random.Random(67)
+    start, _ = make_arrangement([[rng.randrange(67) for _ in range(3)] for _ in range(7)],
+                                GF(67))
+    return lambda_op(sel_at_least(2), sel_at_least(2), start)
 
 
 def test_extract_examples():
@@ -26,6 +41,41 @@ def test_extract_lines_from_different_fields_rejected():
     for seq in ([*gf7.lines, *gf5.lines], [*q.lines[:2], *nf.lines[:2]]):
         with pytest.raises(FieldError, match="live in different fields"):
             extract_matroid(seq)
+
+
+@pytest.mark.parametrize("name", ["pappus", "dual-hesse", "klein", "PG(2,4)",
+                                  "GF(67)"])
+def test_extract_matroid_matches_reference_incidence(name):
+    """The flats of a labelled arrangement, in its canonical order and in
+    a shuffled order, are the sets of the reference pair index of three or
+    more lines."""
+    arr = (build("finite-plane", q=4) if name == "PG(2,4)" else
+           _gf67_lines() if name == "GF(67)" else build(name))
+    lines = list(arr.lines)
+    random.Random(5).shuffle(lines)
+    for labelled in (arr, lines):
+        ref = reference_pair_index(_encode(list(labelled), arr.field), arr.field)
+        flats = sorted(tuple(sorted(s)) for s in ref.values() if len(s) >= 3)
+        assert extract_matroid(labelled).flats == tuple(flats) and flats
+
+
+def test_affine_plane_incidence_matroid_builds_fast():
+    """The matroid of AG(2,37), its 1406 lines of 37 points as flats on
+    1369 points: the flat rules are checked in one pass over the flats
+    through each point, under 0.3 s, and a line that meets a flat in two
+    points is still refused."""
+    q = 37
+    flats = [[q * x + (m * x + c) % q for x in range(q)] for m in range(q) for c in range(q)]
+    flats += [[q * c + y for y in range(q)] for c in range(q)]
+
+    def seconds():
+        t0 = time.perf_counter()
+        m = Matroid3.from_flats(q * q, flats)
+        assert len(m.flats) == 1406 and m.flat_sizes() == [q] * 1406
+        return time.perf_counter() - t0
+    assert min(seconds() for _ in range(3)) < 0.3
+    with pytest.raises(MatroidError, match="share more than one element"):
+        Matroid3.from_flats(q * q, flats + [[0, 1, q]])
 
 
 def test_flat_rules_enforced():

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from lineops.arrangements import Arrangement, incidence_index
+from lineops.arrangements import Arrangement, PointConfig, incidence_index
 from lineops.fields import GF, QQ, FieldError, cyclotomic_field, number_field
 from lineops.projective import (Conic, GeometryError, Matrix3, ProjLine,
                                 ProjPoint, Projectivity, apply_projectivity,
@@ -13,7 +13,9 @@ from lineops.projective import (Conic, GeometryError, Matrix3, ProjLine,
                                 lines_in_general_position, meet, point,
                                 projectively_equivalent,
                                 projectivity_from_line_frames, rich_conics,
-                                _canonical)
+                                _concurrency)
+
+from conftest import reference_general_position, reference_pencil_split
 
 F = QQ()
 
@@ -168,6 +170,99 @@ def _cross_ratios(lam):
             lam / (lam - one)}
 
 
+CONCURRENCY_FIELDS = {"Q": F, "Q(omega)": cyclotomic_field(3), "GF(7)": GF(7),
+                      "GF(8)": GF(8), "GF(101)": GF(101)}
+
+
+def _concurrency_cases(field, rng):
+    """Seeded lists of lines: quadruples, some with a duplicate (a scaled
+    copy) or a concurrent triple, pencils of 3 to 6 lines through a point
+    with duplicates, near pencils, and sets of 5 to 7 lines with three or
+    more through one point."""
+    x = field.generator if field.degree > 1 else field.scalar(2)
+    elems = list(dict.fromkeys(field.scalar(rng.randint(-2, 2)) + x * rng.randint(0, 1)
+                               for _ in range(12)))
+
+    def triple():
+        while True:
+            t = tuple(rng.choice(elems) for _ in range(3))
+            if any(not c.is_zero() for c in t):
+                return t
+
+    def rand_line():
+        return ProjLine(triple())
+
+    def scaled(l):
+        c = rng.choice([e for e in elems if not e.is_zero()])
+        return ProjLine(tuple(c * v for v in l.coeffs))
+
+    def through(p, n):
+        out = []
+        while len(out) < n:
+            q = ProjPoint(triple())
+            if q != p:
+                out.append(join(p, q))
+        return out
+
+    cases = []
+    for _ in range(6):
+        quad = [rand_line() for _ in range(4)]
+        cases += [quad, quad[:3] + [scaled(quad[rng.randrange(3)])]]
+        p = ProjPoint(triple())
+        cases.append(through(p, 3) + [rand_line()])
+        pencil = through(p, rng.randint(3, 6))
+        cases += [pencil, pencil + [scaled(pencil[0])], pencil + [rand_line()],
+                  [rand_line() for _ in range(rng.randint(2, 3))] + pencil]
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(CONCURRENCY_FIELDS))
+def test_concurrency_matches_object_incidence(name):
+    """``lines_in_general_position`` and the pencil and near-pencil splits
+    and concurrent triples of the equivalence search, read off the groups
+    of positions on three or more lines, agree with the object-level
+    reference (``meet``, ``join`` and ``incident``)."""
+    field, rng = CONCURRENCY_FIELDS[name], random.Random(27)
+    kinds = set()
+    for lines in _concurrency_cases(field, rng):
+        gp = lines_in_general_position(lines)
+        assert gp == reference_general_position(lines)
+        arr = Arrangement(field, lines)
+        canon = list(arr.lines)
+        duals = [dualize(l) for l in canon]
+        triples, split = _concurrency(arr, duals)
+        want = reference_pencil_split(duals)
+        assert split == want
+        if want is None:
+            assert triples == {t for t in combinations(range(len(canon)), 3)
+                               if incident(meet(canon[t[0]], canon[t[1]]), canon[t[2]])}
+        kinds.add((gp, len(arr) < len(lines), want and want[1] is None,
+                   want and want[1] is not None))
+    # general position, duplicates, pencils and near pencils all occur
+    assert {k[0] for k in kinds} == {k[1] for k in kinds} == {True, False}
+    assert any(k[2] for k in kinds) and any(k[3] for k in kinds)
+
+
+def test_concurrency_incidence_refuses_mixed_fields_and_points():
+    """Lines of two fields raise FieldError, before any merge by reps, in
+    the general-position test and the equivalence search, on lines and on
+    arrangements; points in place of lines raise GeometryError."""
+    lines = [line(F, 1, 0, 0), line(F, 0, 1, 0), line(F, 0, 0, 1), line(F, 1, 1, 1)]
+    other = [line(GF(7), 1, 0, 0)] + lines[1:]
+    with pytest.raises(FieldError):
+        lines_in_general_position(other)
+    for a, b in ((lines, other), (other, lines),
+                 (Arrangement(F, lines), Arrangement(GF(7), other[:1])),
+                 (Arrangement(F, lines), other)):
+        with pytest.raises(FieldError):
+            projectively_equivalent(a, b)
+    pts = [dualize(l) for l in lines]
+    with pytest.raises(GeometryError):
+        lines_in_general_position(pts)
+    with pytest.raises(GeometryError):
+        projectively_equivalent(pts, pts)
+
+
 @pytest.mark.parametrize("field", [F, GF(2), GF(7), GF(8), GF(101),
                                    cyclotomic_field(3)],
                          ids=["Q", "GF(2)", "GF(7)", "GF(8)", "GF(101)",
@@ -216,6 +311,14 @@ def test_equivalence_generic_and_degenerate(field, same_witness):
             p1, p2 = ([ProjLine((one, t, zero)) for t in (zero, one, a, d)]
                       for d in (b, c))
             assert same_witness(p1, p2) is None
+    # five lines in general position (dual to points of a conic) against
+    # four of them and a diagonal, which makes two concurrent triples: only
+    # the ordered quadruples in general position are frames
+    if len(ts) >= 5:
+        conic = [ProjLine((one, t, t * t)) for t in ts[:5]]
+        diag = join(meet(conic[0], conic[1]), meet(conic[2], conic[3]))
+        assert same_witness(conic, conic[:4] + [diag]) is None
+        assert same_witness(conic[:4] + [diag], conic) is None
     # cardinality mismatch
     assert same_witness(pencils[0], pencils[0][:2]) is None
     # a line of another field with the same reps is refused, not merged
@@ -300,10 +403,11 @@ def test_degenerate_conic_detected():
 # -- the canonical order ---------------------------------------------------------
 #
 # The reference order compares reps by value through a second, independent
-# key: the signed continued fraction of each rational.  ``_canonical``
-# compares the rationals themselves, and ``arrangements._code_order`` keys
-# the integer codes by floor(2^s r); both must give the same order and the
-# same deduplication (the code order is checked in test_arrangements.py).
+# key: the signed continued fraction of each rational.  A set of points or
+# lines keeps its members in the order ``arrangements._code_order`` gives
+# their integer codes, keyed by floor(2^s r); it must be the same order,
+# with the same deduplication (the code order on shuffled codes is checked
+# in test_arrangements.py).
 
 def _q_key(x):
     """The signed continued fraction (a0, -a1, a2, -a3, ...) of x.
@@ -390,7 +494,8 @@ def _chart_objects(cls, field, coords, rng):
 
 def _check_canonical(objs):
     ref = _reference(objs)
-    got = _canonical(objs)
+    cls = Arrangement if objs[0].__class__ is ProjLine else PointConfig
+    got = list(cls(objs[0].field, objs))
     assert got == ref
     assert len(got) < len(objs)  # the scaled copies merged
 
@@ -405,7 +510,7 @@ def test_rational_sort_key_orders_by_value():
         a, b = rng.choice(xs), rng.choice(xs)
         assert (_rep_key(a) < _rep_key(b)) == (a < b)
         assert (_rep_key(a) == _rep_key(b)) == (a == b)
-    # _canonical orders points and lines over Q as the reference does, with
+    # a set orders points and lines over Q as the reference does, with
     # Farey neighbours whose denominator is the set's largest in either place
     pairs = _farey_pairs(rng, 150)
     coords = [(F.scalar(rng.choice(xs)), F.scalar(rng.choice(xs)))
