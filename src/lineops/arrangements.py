@@ -13,17 +13,22 @@ tuple.  ``_from_key``, the one decoder, turns a code back into an object.
 The engine under every operator is the pair table (``_pair_counts``): each
 position where k >= 2 of the objects meet (dually: join), as a code, with
 the number of times a pass counted it, read as k once per distinct count.
-Over a finite plane a pass counts the objects' rows of ``_plane_table``,
-the q+1 dual objects incident to each (``_incidences``), so a position
-counted k times is a k-fold meet; elsewhere the pair kernel ``_code_meets``
-meets all pairs, a point on k lines C(k,2) times.  Off the finite planes
-``profile`` groups one row (line i with the later lines) at a time
-(``_row_keys``): a point on k lines makes one row group of each size k-1,
-..., 1, so t_k = c_(k-1) - c_k, c_s the number of row groups of size s;
-the rows split into strided shares among forked workers (``_row_sizes``),
-whose counts add exactly, so the profile does not depend on their number.
-Which objects pass through each position is read off one grouping of the
-same rows, or of the same table over a finite plane (``_groups``).
+Off the finite planes the pair kernel ``_code_meets`` meets all pairs, a
+point on k lines C(k,2) times.  Over a finite plane a pass counts each
+object once at each of the q+1 dual objects incident to it, so a count is
+k, on int masks of PG(2,q) ordinals: ``_plane_masks`` has a bit for each
+incident dual of an ordinal, and ``_value_classes`` adds a set's masks into
+a bit-sliced counter and splits the plane into one mask per count, its
+value classes.  ``profile`` reads t_k as the popcount of class k, a
+selection ORs the classes it holds and reads their set bits once as the
+next codes (``_bits``), and ``_groups`` cuts each object's mask down to
+the classes it asks for.  Off the finite planes ``profile`` groups one
+row (line i with the later lines) at a time (``_row_keys``): a point on k
+lines makes one row group of each size k-1, ..., 1, so t_k = c_(k-1) -
+c_k, c_s the number of row groups of size s; the rows split into strided
+shares among forked workers (``_row_sizes``), whose counts add exactly, so
+the profile does not depend on their number.  Which objects pass through
+each position is read off one grouping of the same rows (``_groups``).
 
 A set is its distinct codes (``_ObjectSet``).  Every operator and operator
 chain is a run of selections on codes (``_operate``): a key of the table is
@@ -45,15 +50,17 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import sys
 import threading
 from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain, compress, filterfalse, islice
+from functools import lru_cache, reduce
+from itertools import chain, compress, filterfalse, islice, zip_longest
 from math import comb, gcd, isqrt
+from operator import or_
 from typing import Iterable, Optional, Sequence
 
 from .fields import (Field, FieldError, NUMBER_FIELD, PRIME_FIELD,
@@ -295,7 +302,7 @@ def _code_meets(codes: list, field: Field, rows: Optional[range] = None):
     (join) of each pair (i, j), i < j, of each row i in ``rows`` (default:
     every row), in ``combinations`` order.  Every pair pass over Q, a number
     field or GF(p), p > ``_PLANE_ORDER``, runs through here; over a smaller
-    finite field ``_incidences`` counts incidences instead."""
+    finite field ``_value_classes`` counts incidences instead."""
     if rows is None:
         rows = range(len(codes) - 1)
     return _kernel(field)(codes, rows)
@@ -526,8 +533,8 @@ def _ring_action(g: tuple, p: int):
 # finite planes
 
 # The largest prime-power order ``fields`` accepts, so every GF(p^k) and
-# GF(p) for p <= 61 pair through ``_plane_table``; at q = 64 the table is
-# 4,161 rows of 65 entries, 528 KiB.
+# GF(p) for p <= 61 count incidences on ``_plane_masks``; at q = 64 the
+# masks of all 4,161 ordinals take about 2.5 MB.
 _PLANE_ORDER = 64
 
 
@@ -552,46 +559,73 @@ def _plane_key(o: int, q: int) -> tuple:
     return (0, 1, o - q2) if o < q2 + q else (0, 0, 1)
 
 
-@lru_cache(maxsize=None)
-def _plane_table(spec) -> array:
-    """The incidences of PG(2,q) over GF(q) of ``spec``, built once per spec:
-    entries (q+1)o to (q+1)o + q are the ordinals of the q+1 lines through
-    the point of ordinal o, which are those of the points on the line of
-    ordinal o, since a.b = 0 is symmetric.
+class _PlaneMasks(dict):
+    """ordinal o -> the int with a bit for each of the q+1 ordinals of
+    PG(2,q) incident to o, made when first read; one per spec.  The line a
+    holds (1, y, -(a0 + a1 y)/a2) for each y and (0, 1, -a1/a2) if a2 != 0,
+    else (1, -a0/a1, z) for each z and (0, 0, 1) if a1 != 0, else (0, 1, z)
+    for each z and (0, 0, 1); a.b = 0 is symmetric, so the point a lies on
+    the lines of the same ordinals."""
 
-    On the line a, a point (1, y, z) has z = -(a0 + a1 y)/a2 for each y if
-    a2 != 0, and y = -a0/a1 for each z if a2 = 0 != a1; a point (0, 1, z)
-    has z = -a1/a2, or any z if a1 = a2 = 0; (0, 0, 1) lies on a if a2 = 0.
-    """
-    _, _, mul, sub, inv = _gf_tables(spec)
-    q = len(inv)
-    q2, yq = q * q, range(0, q * q, q)
-    table = array("H")
-    # the lines in ordinal order: (1, a1, a2), (0, 1, a2), then (0, 0, 1)
-    for a0, a1, a2s in ([(1, a1, range(q)) for a1 in range(q)]
-                        + [(0, 1, range(q)), (0, 0, (1,))]):
-        a0q = a0 * q  # sub[a0q + sub[m]] = a0 + m, sub[x] = -x
-        s = [sub[a0q + sub[m]] for m in mul[a1 * q:a1 * q + q]]  # a0 + a1 y
-        for a2 in a2s:
-            if a2:
-                c = sub[inv[a2]] * q  # the row of -1/a2 in mul
-                table.extend([y + mul[c + v] for y, v in zip(yq, s)])
-                table.append(q2 + mul[c + a1])
-            elif a1:
-                y = mul[sub[a0] * q + inv[a1]] * q
-                table.extend(range(y, y + q))
-                table.append(q2 + q)
-            else:  # a = (1, 0, 0)
-                table.extend(range(q2, q2 + q + 1))
-    return table
+    def __init__(self, spec):
+        self.tables = _gf_tables(spec)[2:]
+
+    def __missing__(self, o: int) -> int:
+        mul, sub, inv = self.tables
+        q = len(inv)
+        q2, (a0, a1, a2) = q * q, _plane_key(o, q)
+        if a2:  # c: the row of -1/a2 in mul; sub[a0q + sub[m]] = a0 + m
+            c, a0q, ys = sub[inv[a2]] * q, a0 * q, range(0, q2, q)
+            mask = 1 << q2 + mul[c + a1] | sum(
+                1 << y + mul[c + sub[a0q + sub[m]]]
+                for y, m in zip(ys, mul[a1 * q:a1 * q + q]))
+        elif a1:
+            mask = ((1 << q) - 1) << mul[sub[a0] * q + inv[a1]] * q | 1 << q2 + q
+        else:
+            mask = ((1 << q + 1) - 1) << q2
+        self[o] = mask
+        return mask
 
 
-def _incidences(codes: list, field: Field) -> Counter:
-    """ordinal -> the number of the objects with ordinals ``codes`` incident
-    to the dual object of that ordinal: the pair pass over a finite plane,
-    which counts the objects' rows of ``_plane_table``."""
-    table, r = _plane_table(field.spec), _plane_order(field) + 1
-    return Counter(chain.from_iterable(table[o * r:o * r + r] for o in codes))
+_plane_masks = lru_cache(maxsize=None)(_PlaneMasks)
+
+
+def _value_classes(codes: list, field: Field) -> dict:
+    """k -> the mask of the ordinals of the duals incident to exactly k >= 1
+    of the objects with ordinals ``codes``: the pass over a finite plane.
+    Their ``_plane_masks`` go, two at a time through a full adder on slice
+    0 whose carry ripples up, into a bit-sliced counter, slice j holding
+    bit j of every position's count; the slices, read from the top, then
+    split the positions counted at all into one mask per count."""
+    s = [0] * (len(codes) or 1).bit_length()  # no count exceeds len(codes)
+    masks = map(_plane_masks(field.spec).__getitem__, codes)
+    for a, b in zip_longest(masks, masks, fillvalue=0):
+        v = s[0]
+        u = v ^ a
+        s[0], carry, j = u ^ b, v & a | u & b, 1
+        while carry:
+            v = s[j]
+            s[j], carry, j = v ^ carry, carry & v, j + 1
+    classes = {0: reduce(or_, s)}
+    for v in reversed(s):
+        split = {}
+        for k, m in classes.items():
+            hi = m & v
+            if hi:
+                split[2 * k + 1] = hi
+            if hi != m:
+                split[2 * k] = m ^ hi
+        classes = split
+    return classes
+
+
+_ONES = re.compile("1").finditer
+
+
+def _bits(mask: int) -> list:
+    """The positions of the set bits of ``mask``, ascending, one match each:
+    the scan of its binary digits between them runs at C speed."""
+    return [m.start() for m in _ONES(bin(mask)[:1:-1])]
 
 
 def _row_keys(tris: list, field: Field, rows: range):
@@ -734,9 +768,10 @@ def _pair_counts(codes: list, field: Field) -> tuple:
     each position on k >= 2 of them, the meets (joins), to the number of
     times the pass counted it, and k maps each distinct count to its k, so
     a reader converts once per count and each key is hashed once.  Over a
-    finite plane a count is one per incidence, so it is k, and k is None."""
+    finite plane counts is ``_value_classes``, k -> the mask of the
+    positions on k, k = 1 included, and k is None."""
     if _plane_order(field):
-        return {o: k for o, k in _incidences(codes, field).items() if k > 1}, None
+        return _value_classes(codes, field), None
     counts = Counter(_code_meets(codes, field))
     return counts, {c: _mult_from_pairs(c) for c in set(counts.values())}
 
@@ -745,8 +780,9 @@ def _code_counts(codes: list, field: Field) -> dict:
     """The pair table of the objects with ``codes``: key -> k for each
     position on k >= 2 of them (``_pair_counts``)."""
     counts, k = _pair_counts(codes, field)
-    return counts if k is None else dict(zip(counts, map(k.__getitem__,
-                                                         counts.values())))
+    if k is None:
+        return {o: c for c, m in counts.items() if c > 1 for o in _bits(m)}
+    return dict(zip(counts, map(k.__getitem__, counts.values())))
 
 
 def _groups(codes: list, field: Field, least: int) -> dict:
@@ -754,18 +790,21 @@ def _groups(codes: list, field: Field, least: int) -> dict:
     distinct, through the keyed position, for each position on at least
     ``least`` >= 2 of them.
 
-    Over a finite plane each object's row of ``_plane_table`` is cut down
-    to those positions at C speed.  Elsewhere the rows of ``_code_meets``
-    are read in order: a point on k lines first shows in the row of its
-    first line i, k-1 times, with the later ones, and in a later row fewer
-    times, so a key counted least-1 times in a row is taken there unless
-    an earlier row took it.  The counts and the scans run at C speed."""
-    q, n = _plane_order(field), len(codes)
-    if q:
-        table, r = _plane_table(field.spec), q + 1
-        index = {o: [] for o, k in _incidences(codes, field).items() if k >= least}
+    Over a finite plane each object's mask (``_plane_masks``) is cut down
+    to the mask of those positions, the ``_value_classes`` of k >= least.
+    Elsewhere the rows of ``_code_meets`` are read in order: a point on k
+    lines first shows in the row of its first line i, k-1 times, with the
+    later ones, and in a later row fewer times, so a key counted least-1
+    times in a row is taken there unless an earlier row took it.  The
+    counts and the scans run at C speed."""
+    n = len(codes)
+    if _plane_order(field):
+        inc = _plane_masks(field.spec)
+        rich = reduce(or_, (m for k, m in _value_classes(codes, field).items()
+                            if k >= least), 0)
+        index = {o: [] for o in _bits(rich)}
         for i, o in enumerate(codes):
-            for pos in index.keys() & table[o * r:o * r + r]:
+            for pos in _bits(inc[o] & rich):
                 index[pos].append(i)
         return index
     index, keys, enough = {}, _code_meets(codes, field), (least - 1).__le__
@@ -788,12 +827,14 @@ def _mult_from_pairs(c: int) -> int:
     return k
 
 
-def _table_profile(d: int, counts: dict, k: Optional[dict] = None):
-    """The profile of d objects from their ``_pair_counts`` (counts, k), or
-    from a pair table (``_code_counts``)."""
-    t = Counter(counts.values())
-    return SingularityProfile.from_dict(d, {k[c] if k else c: n
-                                            for c, n in t.items()})
+def _table_profile(d: int, counts: dict, k: Optional[dict]):
+    """The profile of d objects from their ``_pair_counts`` (counts, k):
+    over a finite plane t_k is the number of positions in class k."""
+    if k is None:
+        return SingularityProfile.from_dict(d, {c: m.bit_count() for c, m
+                                                in counts.items() if c > 1})
+    return SingularityProfile.from_dict(d, {k[c]: n for c, n in
+                                            Counter(counts.values()).items()})
 
 
 def _from_key(cls, key, field):
@@ -905,8 +946,12 @@ def lines_operator(sel: MultiplicitySelector, cfg: PointConfig) -> Arrangement:
 
 def _selected(sel: MultiplicitySelector, counts: dict, k: Optional[dict]) -> list:
     """The keys of ``_pair_counts`` (counts, k) whose multiplicity, tested
-    once per distinct count, lies in the selector."""
-    keep = {c: sel.contains(k[c] if k else c) for c in set(counts.values())}
+    once per distinct count, lies in the selector: over a finite plane the
+    set bits, read once, of the classes whose k it holds."""
+    if k is None:
+        return _bits(reduce(or_, (m for c, m in counts.items()
+                                  if sel.contains(c)), 0))
+    keep = {c: sel.contains(k[c]) for c in set(counts.values())}
     return list(compress(counts, map(keep.__getitem__, counts.values())))
 
 
@@ -994,16 +1039,16 @@ class SingularityProfile:
 
 
 def profile(arr: Arrangement) -> SingularityProfile:
-    """d and each t_k: over a finite plane, the positions the incidence pass
-    counts k >= 2 times; elsewhere from the meets grouped one row at a time,
-    split among forked workers when there are many (module docstring)."""
+    """d and each t_k: over a finite plane, the popcount of the positions
+    the incidence pass counts k >= 2 times; elsewhere from the meets grouped
+    one row at a time, split among forked workers when there are many
+    (module docstring)."""
     d, field = len(arr), arr.field
     if d < 2:
         return SingularityProfile(d, ())
-    codes = arr._code_list()  # canonical order: a Q row pass runs fastest so
     if _plane_order(field):
-        t = Counter(_incidences(codes, field).values())
-        return SingularityProfile.from_dict(d, {k: t[k] for k in t if k > 1})
+        return _table_profile(d, _value_classes(arr._codes, field), None)
+    codes = arr._code_list()  # canonical order: a Q row pass runs fastest so
     c = _row_sizes(codes, field, _workers(comb(d, 2)))
     return SingularityProfile.from_dict(d, {k: c[k - 1] - c[k]
                                             for k in range(2, max(c) + 2)})

@@ -164,8 +164,8 @@ def cmd_apply(args):
 
 
 def cmd_seq(args):
-    if args.steps < 1 or args.max_lines < 1:
-        raise UsageError("--steps and --max-lines must be at least 1")
+    if args.steps < 1 or args.max_lines < 1 or args.profile_budget < 0:
+        raise UsageError("--steps and --max-lines must be >= 1, --profile-budget >= 0")
     op = parse_operator_expr(args.op)
     arr = _load_arrangement(args)
     trace = run_sequence(op, arr, max_steps=args.steps,

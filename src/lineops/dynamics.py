@@ -152,8 +152,8 @@ def run_sequence(op: OperatorChain, start: Arrangement,
     budget_lines / budget_steps.  A step's profile is the one its operator
     pass gave, or else one of its own within the budget.
     """
-    if max_steps < 1 or max_lines < 1:
-        raise ArrangementError("budgets must be positive")
+    if max_steps < 1 or max_lines < 1 or profile_budget < 0:
+        raise ArrangementError("budgets must be >= 1, profile_budget >= 0")
     op_text = op.text if isinstance(op, OperatorSpec) else \
         "".join(s.text for s in op)
     arrs, profs = [start], []  # profs: what each pass gave of the step it paired

@@ -29,6 +29,8 @@ class Matroid3:
 
     def __post_init__(self):
         for f in self.flats:
+            if f.__class__ is not tuple or any(a >= b for a, b in zip(f, f[1:])):
+                raise MatroidError("flats must be strictly increasing tuples")
             if len(f) < 3:
                 raise MatroidError("flats must have size >= 3")
             if any(not 0 <= i < self.ground for i in f):

@@ -1,15 +1,20 @@
-"""Shared fixtures: the reference pair kernels over GF(q), a counter of pair
-passes, the reference pair index, the object-level concurrency tests and
-projective-equivalence search, and the reference operator sequence with
-cycle detection on digests.
+"""Shared fixtures: the reference pair kernels over GF(q), the reference
+incidence count over PG(2,q), a counter of pair passes, the reference pair
+index, the object-level concurrency tests and projective-equivalence
+search, and the reference operator sequence with cycle detection on
+digests.
 
 Over every finite field of order at most ``arrangements._PLANE_ORDER`` the
-program codes an object by its ordinal in PG(2,q) and counts incidences in
-a table of PG(2,q) instead of pairing.  The pair kernels below are the ones
-those fields used before; the tests keep them as the reference those counts
-are checked against.
+program codes an object by its ordinal in PG(2,q) and counts incidences on
+int masks of PG(2,q) ordinals instead of pairing.  The pair kernels below
+are the ones those fields used before the incidence count, and the table
+and ``Counter`` pass after them the ones they used before the masks; the
+tests keep both as references those counts are checked against.
 """
-from itertools import combinations, permutations
+from array import array
+from collections import Counter
+from functools import lru_cache
+from itertools import chain, combinations, permutations
 from typing import Optional
 
 import pytest
@@ -83,16 +88,58 @@ def reference_kernels(monkeypatch):
     monkeypatch.setattr(arrangements, "_kernel", kernel)
 
 
+@lru_cache(maxsize=None)
+def reference_plane_table(spec) -> array:
+    """The incidences of PG(2,q) over GF(q) of ``spec``: entries (q+1)o to
+    (q+1)o + q are the ordinals of the q+1 lines through the point of
+    ordinal o, which are those of the points on the line of ordinal o.
+
+    On the line a, a point (1, y, z) has z = -(a0 + a1 y)/a2 for each y if
+    a2 != 0, and y = -a0/a1 for each z if a2 = 0 != a1; a point (0, 1, z)
+    has z = -a1/a2, or any z if a1 = a2 = 0; (0, 0, 1) lies on a if a2 = 0.
+    """
+    _, _, mul, sub, inv = _gf_tables(spec)
+    q = len(inv)
+    q2, yq = q * q, range(0, q * q, q)
+    table = array("H")
+    # the lines in ordinal order: (1, a1, a2), (0, 1, a2), then (0, 0, 1)
+    for a0, a1, a2s in ([(1, a1, range(q)) for a1 in range(q)]
+                        + [(0, 1, range(q)), (0, 0, (1,))]):
+        a0q = a0 * q  # sub[a0q + sub[m]] = a0 + m, sub[x] = -x
+        s = [sub[a0q + sub[m]] for m in mul[a1 * q:a1 * q + q]]  # a0 + a1 y
+        for a2 in a2s:
+            if a2:
+                c = sub[inv[a2]] * q  # the row of -1/a2 in mul
+                table.extend([y + mul[c + v] for y, v in zip(yq, s)])
+                table.append(q2 + mul[c + a1])
+            elif a1:
+                y = mul[sub[a0] * q + inv[a1]] * q
+                table.extend(range(y, y + q))
+                table.append(q2 + q)
+            else:  # a = (1, 0, 0)
+                table.extend(range(q2, q2 + q + 1))
+    return table
+
+
+def reference_incidences(codes, field) -> Counter:
+    """ordinal -> the number of the objects with ordinals ``codes`` incident
+    to the dual object of that ordinal: the pair pass over a finite plane,
+    which counts the objects' rows of ``reference_plane_table``."""
+    q = arrangements._plane_order(field)
+    table, r = reference_plane_table(field.spec), q + 1
+    return Counter(chain.from_iterable(table[o * r:o * r + r] for o in codes))
+
+
 @pytest.fixture
 def count_passes(monkeypatch):
     """``count_passes(*extra)`` -> a list that grows by (name, number of
     codes) for each pair pass, a call of the pair kernel (``_code_meets``)
-    or of the incidence count over a finite plane (``_incidences``), and
+    or of the incidence count over a finite plane (``_value_classes``), and
     for each call of the ``arrangements`` functions named in ``extra``,
     which take (codes, field, ...) as those do."""
     def install(*extra):
         calls = []
-        for name in ("_code_meets", "_incidences") + extra:
+        for name in ("_code_meets", "_value_classes") + extra:
             def counting(codes, field, *rest, name=name,
                          pass_=getattr(arrangements, name)):
                 calls.append((name, len(codes)))
@@ -109,8 +156,9 @@ def reference_pair_index(codes, field):
     the program kept before ``_groups``."""
     q = arrangements._plane_order(field)
     if q:
-        table, r = arrangements._plane_table(field.spec), q + 1
-        index = {o: set() for o in arrangements._code_counts(codes, field)}
+        table, r = reference_plane_table(field.spec), q + 1
+        index = {o: set() for o, k in reference_incidences(codes, field).items()
+                 if k > 1}
         for i, o in enumerate(codes):
             for pos in index.keys() & table[o * r:o * r + r]:
                 index[pos].add(i)

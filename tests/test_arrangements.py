@@ -558,9 +558,10 @@ def test_lazy_codes_are_encoded_once(count_passes):
 
 
 def test_incidence_table_built_once_per_spec():
-    """One PG(2,q) table per finite field of order <= 64, however many
-    passes use it, and none for GF(101), which the pair kernel serves."""
-    table = arrangements._plane_table
+    """One table of PG(2,q) masks per finite field of order <= 64, however
+    many passes use it, holding the masks of only the ordinals the passes
+    read, and none for GF(101), which the pair kernel serves."""
+    table = arrangements._plane_masks
     table.cache_clear()
     finite = [KERNEL_INPUTS[name]() for name in ("GF(7)", "GF(8)", "GF(49)",
                                                  "GF(64)", "GF(101)")]
@@ -570,6 +571,8 @@ def test_incidence_table_built_once_per_spec():
             incidence_index(arr)
             points_operator(sel_at_least(2), arr)
     assert table.cache_info().misses == 4
+    for arr in finite[:-1]:
+        assert table(arr.field.spec).keys() == set(arr._codes)
     table.cache_clear()
     profile(finite[-1])
     incidence_index(finite[-1])

@@ -239,6 +239,18 @@ def test_exit_codes(capsys, monkeypatch):
         assert err.startswith("usage error:") and err.count("\n") == 1, argv
 
 
+def test_seq_negative_profile_budget_is_a_usage_error(capsys, monkeypatch):
+    """A negative --profile-budget is refused as --steps 0 is; 0 profiles
+    no step."""
+    argv = ["seq", "--catalog", "finite-plane", "--param", "q=4", "--op",
+            "L{>=2;>=2}", "--profile-budget"]
+    code, out, err = run(capsys, monkeypatch, argv + ["-1"])
+    assert code == 2 and out == ""
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    code, out, err = run(capsys, monkeypatch, argv + ["0"])
+    assert code == 0 and err == "" and out.count("(skipped)") == 2
+
+
 def test_profile_approx_places(capsys, monkeypatch):
     """--approx 0 prints the exact H only; the default is four places."""
     outs = {}

@@ -80,6 +80,16 @@ def test_budget_validation():
         run_sequence(L2, Arrangement(F), max_steps=0)
 
 
+def test_sequence_refuses_negative_profile_budget():
+    """A negative profile budget is refused; 0 profiles no step."""
+    fp = build("finite-plane", q=4)
+    with pytest.raises(ArrangementError):
+        run_sequence(L2, fp, profile_budget=-1)
+    tr = run_sequence(L2, fp, profile_budget=0)
+    assert tr.verdict.kind == "fixed"
+    assert [s.profile for s in tr.steps] == [None, None]
+
+
 def test_operator_chain_apply():
     arr = build("flashing3")
     chain = (lambda_spec(sel_exact(3), sel_exact(2)), dual_spec(sel_exact(2)))

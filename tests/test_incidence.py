@@ -1,12 +1,16 @@
-"""The finite-plane incidence pass against the reference pair kernels.
+"""The finite-plane incidence pass against the reference pair kernels and
+the reference incidence count.
 
 Over GF(q), q <= ``arrangements._PLANE_ORDER``, objects are coded by their
 ordinals in PG(2,q), and pair tables, pair indices, profiles and operator
-images come from counting incidences in one table of PG(2,q) per field
-(``arrangements._plane_table``).  The references are the pair kernels of
-``conftest.py`` that the ``reference_kernels`` fixture supplies:
+images come from counting incidences on one int mask per ordinal of PG(2,q)
+(``arrangements._plane_masks``) in a bit-sliced counter, read as one mask
+per count (``arrangements._value_classes``).  The references are the pair
+kernels of ``conftest.py`` that the ``reference_kernels`` fixture supplies,
 ``_prime_meets`` over GF(p), and a table kernel over GF(p^k), each run on
-the triples of the ordinals.
+the triples of the ordinals; and the ``Counter`` pass over a table of
+PG(2,q), ``reference_incidences``, which the value classes are checked
+against directly.
 """
 import os
 import random
@@ -17,16 +21,20 @@ from math import comb
 import pytest
 
 from lineops import arrangements
-from lineops.arrangements import (Arrangement, _code_counts, _encode,
-                                  _from_key, _groups, _mult_from_pairs,
-                                  _plane_key, _table_profile,
-                                  all_projective_lines, dualize_arrangement,
-                                  lambda_op, lines_operator, points_operator,
-                                  profile, sel_at_least, sel_exact)
+from lineops.arrangements import (Arrangement, PointConfig,
+                                  SingularityProfile, _bits, _code_counts,
+                                  _encode, _from_key, _groups,
+                                  _mult_from_pairs, _plane_key,
+                                  _value_classes, all_projective_lines,
+                                  dualize_arrangement, lambda_op,
+                                  lines_operator, points_operator, profile,
+                                  sel_at_least, sel_exact)
 from lineops.catalog import build
 from lineops.dynamics import apply_operator, lambda_spec
 from lineops.fields import GF, _gf_tables, prime_field_spec
-from lineops.projective import ProjPoint, meet
+from lineops.projective import ProjPoint, dualize, incident, meet
+
+from conftest import reference_incidences, reference_plane_table
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -55,6 +63,11 @@ def _reference_table(codes, field):
     """key -> multiplicity, from the reference pair kernel's pair counts."""
     counts = Counter(arrangements._code_meets(codes, field))
     return {k: _mult_from_pairs(c) for k, c in counts.items()}
+
+
+def _reference_profile(d, table) -> dict:
+    """t_k of d objects from a pair table key -> multiplicity."""
+    return SingularityProfile.from_dict(d, Counter(table.values())).as_dict()
 
 
 def _selected_keys(sel, table):
@@ -97,7 +110,7 @@ def _check_arrangement(arr):
     field = arr.field
     ref = _reference_table(arrangements._encode(arr.lines, field), field)
     _check_pass(arr.lines, field, ref)
-    assert profile(arr).as_dict() == _table_profile(len(arr), ref).as_dict()
+    assert profile(arr).as_dict() == _reference_profile(len(arr), ref)
     pts = points_operator(sel_at_least(2), arr)
     assert _keys(pts) == _selected_keys(sel_at_least(2), ref)
     two = points_operator(sel_exact(2), arr)
@@ -111,7 +124,7 @@ def _check_arrangement(arr):
     for sel in (sel_at_least(2), sel_exact(3)):
         assert _keys(lines_operator(sel, pts)) == _selected_keys(sel, ref_pts)
     assert profile(dualize_arrangement(pts)).as_dict() == \
-        _table_profile(len(pts), ref_pts).as_dict()
+        _reference_profile(len(pts), ref_pts)
 
 
 LARGE = pytest.mark.skipif(not HEAVY,
@@ -158,26 +171,66 @@ def test_incidence_property_on_small_planes(arr, reference_kernels):
 @pytest.mark.parametrize("q", ORDERS)
 def test_incidence_table_structure(q):
     """The lines of the plane are coded by the ordinals 0, ..., q^2+q; each
-    row holds q+1 distinct ordinals of objects incident to its own, and two
-    rows share exactly one (every pair for q <= 9, 2,000 random pairs
-    above)."""
+    ordinal's mask has the q+1 bits of the row of the reference table, all
+    of objects incident to its own, and two masks share exactly one bit
+    (every pair for q <= 9, 2,000 random pairs above)."""
     field = GF(q)
-    table, r, n = arrangements._plane_table(field.spec), q + 1, q * q + q + 1
-    assert len(table) == n * r
+    masks, n = arrangements._PlaneMasks(field.spec), q * q + q + 1
+    table = reference_plane_table(field.spec)
+    assert len(table) == n * (q + 1)
     assert sorted(_encode(all_projective_lines(field).lines, field)) == \
         list(range(n))
-    rows = [table[o * r:o * r + r] for o in range(n)]
+    rows = [_bits(masks[o]) for o in range(n)]
+    assert rows == [sorted(table[o * (q + 1):(o + 1) * (q + 1)]) for o in range(n)]
     dot = _dot(field)
-    for o, row in enumerate(rows):
-        assert len(set(row)) == r
-        assert all(dot(o, x) == 0 for x in row)
-    rows = list(map(set, rows))
+    assert all(dot(o, x) == 0 for o, row in enumerate(rows) for x in row)
     if q <= 9:
         pairs = combinations(range(n), 2)
     else:
         rng = random.Random(q)
         pairs = (rng.sample(range(n), 2) for _ in range(2000))
-    assert all(len(rows[a] & rows[b]) == 1 for a, b in pairs)
+    assert all((masks[a] & masks[b]).bit_count() == 1 for a, b in pairs)
+
+
+def _pencils(field):
+    """The q+1 lines through the point of the top ordinal q^2+q, (0, 0, 1),
+    and the q+1 points on the line of that ordinal, as their sets."""
+    lines = all_projective_lines(field).lines
+    top = ProjPoint((field.zero, field.zero, field.one))
+    on = [dualize(l) for l in lines if incident(top, l)]
+    return (Arrangement(field, [l for l in lines if incident(top, l)]),
+            PointConfig(field, on))
+
+
+@pytest.mark.parametrize("q", ORDERS)
+def test_incidence_value_classes_match_counter_reference(q):
+    """The value classes of the plane pass against the ``Counter`` pass of
+    the reference table, in the line and in the point direction: the empty
+    set, each single object at either end of the ordinals, the whole plane
+    (every position on q+1, so the counts cross slice boundaries at q+1 =
+    4, 8, 17 and 65), the pencil through the top ordinal and fixed-seed
+    subsets.  The classes partition the positions counted at all."""
+    field, n = GF(q), q * q + q + 1
+    plane = all_projective_lines(field)
+    pencil, points = _pencils(field)
+    rng = random.Random(q)
+    sets = [Arrangement(field), PointConfig(field), plane,
+            dualize_arrangement(plane), pencil, points,
+            Arrangement(field, rng.sample(plane.lines, min(n, 2 * q + 3)))]
+    sets += [PointConfig(field, [dualize(plane.lines[i])]) for i in (0, n - 1)]
+    sets += [Arrangement(field, [plane.lines[i]]) for i in (0, n - 1)]
+    for objs in sets:
+        codes = _encode(objs, field)
+        classes = _value_classes(codes, field)
+        got = {o: k for k, m in classes.items() for o in _bits(m)}
+        assert got == dict(reference_incidences(codes, field))
+        assert sum(m.bit_count() for m in classes.values()) == len(got)
+        assert all(m for m in classes.values())
+    assert _value_classes(_encode(plane, field), field) == {q + 1: (1 << n) - 1}
+    top = 1 << n - 1
+    for objs in (pencil, points):
+        assert len(objs) == q + 1 and _value_classes(_encode(objs, field), field) \
+            == {q + 1: top, 1: (1 << n) - 1 - top}
 
 
 @pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 61, 64))
@@ -192,8 +245,8 @@ def test_incidence_finite_plane_closed_form(q):
 
 def test_prime_field_tables_are_residue_arithmetic():
     """A prime spec reads as GF(p)[x]/(x), so ``_gf_tables`` gives the
-    residue product, difference and inverse tables that ``_plane_table``
-    takes for every GF(p), p <= 61."""
+    residue product, difference and inverse tables that ``_plane_masks``
+    take for every GF(p), p <= 61."""
     for p in (p for p in range(2, 62) if all(p % d for d in range(2, p))):
         _, code, mul, sub, inv = _gf_tables(prime_field_spec(p))
         assert code == {(a,): a for a in range(p)}

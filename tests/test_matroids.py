@@ -87,6 +87,19 @@ def test_flat_rules_enforced():
         Matroid3.from_flats(3, [(0, 1, 5)])
 
 
+def test_matroid_refuses_flats_out_of_order():
+    """A flat built directly must be a strictly increasing tuple: a repeated
+    element, a flat out of order or a list is refused; ``from_flats`` and
+    the JSON reader sort and merge as before."""
+    for flat in ((0, 0, 1), (0, 1, 1, 2), (2, 1, 0), [0, 1, 2]):
+        with pytest.raises(MatroidError):
+            Matroid3(4, (flat,))
+    assert Matroid3(4, ((0, 1, 2),)).non_bases() == [(0, 1, 2)]
+    m = Matroid3.from_flats(4, [(2, 0, 1, 1)])
+    assert m.flats == ((0, 1, 2),) and m.non_bases() == [(0, 1, 2)]
+    assert matroid_from_json({"ground": 4, "flats": [[2, 1, 0, 0]]}) == m
+
+
 def test_non_bases():
     m = Matroid3.from_flats(5, [(0, 1, 2, 3)])
     assert m.non_bases() == [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
