@@ -123,8 +123,8 @@ def reference_plane_table(spec) -> array:
 
 def reference_incidences(codes, field) -> Counter:
     """ordinal -> the number of the objects with ordinals ``codes`` incident
-    to the dual object of that ordinal: the pair pass over a finite plane,
-    which counts the objects' rows of ``reference_plane_table``."""
+    to the dual object of that ordinal: the pass over a finite plane before
+    the masks, which counts the objects' rows of ``reference_plane_table``."""
     q = arrangements._plane_order(field)
     table, r = reference_plane_table(field.spec), q + 1
     return Counter(chain.from_iterable(table[o * r:o * r + r] for o in codes))

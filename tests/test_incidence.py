@@ -195,11 +195,9 @@ def test_incidence_table_structure(q):
 def _pencils(field):
     """The q+1 lines through the point of the top ordinal q^2+q, (0, 0, 1),
     and the q+1 points on the line of that ordinal, as their sets."""
-    lines = all_projective_lines(field).lines
     top = ProjPoint((field.zero, field.zero, field.one))
-    on = [dualize(l) for l in lines if incident(top, l)]
-    return (Arrangement(field, [l for l in lines if incident(top, l)]),
-            PointConfig(field, on))
+    through = [l for l in all_projective_lines(field) if incident(top, l)]
+    return Arrangement(field, through), PointConfig(field, map(dualize, through))
 
 
 @pytest.mark.parametrize("q", ORDERS)
