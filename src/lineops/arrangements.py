@@ -64,8 +64,8 @@ from operator import or_
 from typing import Iterable, Optional, Sequence
 
 from .fields import (Field, FieldError, NUMBER_FIELD, PRIME_FIELD,
-                     PRIME_POWER_FIELD, RATIONALS, _adjugate, _gf_tables,
-                     _mul_src, _nf_codec, _primitive_int, field_make,
+                     PRIME_POWER_FIELD, RATIONALS, _adjugate, _compiled, _Frozen,
+                     _gf_tables, _mul_src, _nf_codec, _primitive_int, field_make,
                      format_scalar, parse_field_spec, parse_scalar)
 from .projective import (GeometryError, ProjLine, ProjPoint, dualize,
                          projectively_equivalent)
@@ -149,7 +149,7 @@ def parse_selector(text: str) -> MultiplicitySelector:
 # ---------------------------------------------------------------------------
 # arrangements and point configurations
 
-class _ObjectSet:
+class _ObjectSet(_Frozen):
     """Deduplicated finite set of points or of lines: its distinct codes,
     with the members as a cache decoded from them in canonical order (see
     the module docstring).  A subclass names its member class and, in
@@ -192,9 +192,6 @@ class _ObjectSet:
         if self._key is None:
             object.__setattr__(self, "_key", frozenset(self._codes))
         return self._key
-
-    def __setattr__(self, *a):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __len__(self):
         return len(self._codes)
@@ -389,16 +386,6 @@ def _key_src(g: tuple, p: int) -> list:
     return src
 
 
-def _ring_compiled(g: tuple, name: str, src: list):
-    """The function ``name`` that the source lines ``src`` define, compiled
-    with ``gcd`` and, for degree >= 2, ``adj`` = ``fields._adjugate(g)``."""
-    ns = {"gcd": gcd}
-    if len(g) > 2:
-        ns["adj"] = _adjugate(g)
-    exec("\n".join(src), ns)
-    return ns[name]
-
-
 @lru_cache(maxsize=None)
 def _ring_kernel(g: tuple, p: int):
     """The pair loop over the ring (g, p) of ``_ring``, as straight-line
@@ -410,14 +397,14 @@ def _ring_kernel(g: tuple, p: int):
     """
     n = len(g) - 1
     a, b = ([f"{v}{k}_" for k in range(3)] for v in "ab")
-    src = ["def kernel(tris, rows):", " for i in rows:",
-           f"  {', '.join(_vec(v, n) for v in a)} = tris[i]",
-           f"  for {', '.join(_vec(v, n) for v in b)} in tris[i + 1:]:"]
-    src += ["   " + s for s in _mod_src(
+    src = ["def kernel(tris, rows):", "for i in rows:",
+           f" {', '.join(_vec(v, n) for v in a)} = tris[i]",
+           f" for {', '.join(_vec(v, n) for v in b)} in tris[i + 1:]:"]
+    src += ["  " + s for s in _mod_src(
         _mul_src(g, "x", (1, a[1], b[2]), (-1, a[2], b[1]))
         + _mul_src(g, "y", (1, a[2], b[0]), (-1, a[0], b[2]))
         + _mul_src(g, "z", (1, a[0], b[1]), (-1, a[1], b[0])), p) + _key_src(g, p)]
-    return _ring_compiled(g, "kernel", src)
+    return _compiled(src, "kernel", gcd=gcd, adj=_adjugate(g) if len(g) > 2 else None)
 
 
 # ---------------------------------------------------------------------------
@@ -478,9 +465,7 @@ def _cofactors(g: tuple):
                             (-1, at(i + 1, j + 2), at(i + 2, j + 1)))
     src += _mul_src(g, "d", *((1, m[j], f"c{j}_") for j in range(3)))
     src += [f"return ({_vec('d', n)},), ({', '.join(_vec(f'c{k}_', n) for k in range(9))},)"]
-    ns = {}
-    exec("\n ".join(src), ns)
-    return ns["cof"]
+    return _compiled(src, "cof")
 
 
 def _act(m, codes: list, field: Field):
@@ -521,12 +506,12 @@ def _ring_action(g: tuple, p: int):
     meet.  Straight-line integer code built once per ring."""
     n = len(g) - 1
     m, a = [f"m{k}_" for k in range(9)], [f"a{k}_" for k in range(3)]
-    src = ["def act(m, codes):", f" {', '.join(_vec(v, n) for v in m)}, = m",
-           f" for {', '.join(_vec(v, n) for v in a)} in codes:"]
+    src = ["def act(m, codes):", f"{', '.join(_vec(v, n) for v in m)}, = m",
+           f"for {', '.join(_vec(v, n) for v in a)} in codes:"]
     image = [s for i, r in enumerate("xyz")
              for s in _mul_src(g, r, *((1, m[3 * i + j], a[j]) for j in range(3)))]
-    src += ["  " + s for s in _mod_src(image, p) + _key_src(g, p)]
-    return _ring_compiled(g, "act", src)
+    src += [" " + s for s in _mod_src(image, p) + _key_src(g, p)]
+    return _compiled(src, "act", gcd=gcd, adj=_adjugate(g) if len(g) > 2 else None)
 
 
 # ---------------------------------------------------------------------------
@@ -774,15 +759,6 @@ def _pair_counts(codes: list, field: Field) -> tuple:
         return _value_classes(codes, field), None
     counts = Counter(_code_meets(codes, field))
     return counts, {c: _mult_from_pairs(c) for c in set(counts.values())}
-
-
-def _code_counts(codes: list, field: Field) -> dict:
-    """The pair table of the objects with ``codes``: key -> k for each
-    position on k >= 2 of them (``_pair_counts``)."""
-    counts, k = _pair_counts(codes, field)
-    if k is None:
-        return {o: c for c, m in counts.items() if c > 1 for o in _bits(m)}
-    return dict(zip(counts, map(k.__getitem__, counts.values())))
 
 
 def _groups(codes: list, field: Field, least: int) -> dict:
@@ -1216,15 +1192,56 @@ def configuration_connected(arr: Arrangement, k: int) -> bool:
     return len({find(min(s)) for s in k_sets}) <= 1
 
 
+def _selections(field: Field):
+    """(table, op), a memo for one call: table(codes) is the ``_pair_counts``
+    of a frozenset of codes, paired once, and op(sel, codes) the frozenset
+    of its ``_selected`` keys, selected once: P_sel of lines or L_sel of
+    points, since a key is the code of the object it names and a line and
+    the point with the same triple have the same code."""
+    tables, images = {}, {}
+
+    def table(codes):
+        pair = tables.get(codes)
+        if pair is None:
+            pair = tables[codes] = (_pair_counts(list(codes), field)
+                                    if len(codes) > 1 else ({}, None))
+        return pair
+
+    def op(sel, codes):
+        img = images.get((sel, codes))
+        if img is None:
+            img = images[sel, codes] = frozenset(_selected(sel, *table(codes)))
+        return img
+    return table, op
+
+
+_single = lru_cache(maxsize=None)(sel_exact)  # exact selectors, made once
+
+
+def _decomposes(op, nsel: MultiplicitySelector, msel: MultiplicitySelector,
+                codes: frozenset) -> bool:
+    """Whether Lambda_{nsel,msel} of the lines with ``codes`` is the union
+    of the Lambda_{n,m} over the members n, m of the finite selectors, on
+    the memo ``op`` of ``_selections``."""
+    return op(msel, op(nsel, codes)) == frozenset().union(*(
+        op(_single(m), op(_single(n), codes))
+        for n in nsel.members() for m in msel.members()))
+
+
 def lambda_decomposition_check(nsel: MultiplicitySelector,
                                msel: MultiplicitySelector,
                                arr: Arrangement) -> bool:
-    """Union-of-singletons identity for finite exact selectors."""
+    """Union-of-singletons identity for finite exact selectors, with each
+    distinct code set paired once (``_decomposes``)."""
     if not (nsel.is_finite and msel.is_finite):
         raise ArrangementError("decomposition check needs finite exact selectors")
-    return lambda_op(nsel, msel, arr)._code_set() == frozenset().union(*(
-        lambda_op(sel_exact(n), sel_exact(m), arr)._code_set()
-        for n in nsel.members() for m in msel.members()))
+    return _decomposes(_selections(arr.field)[1], nsel, msel, arr._code_set())
+
+
+# property_suite's new-line bounds, made once: (name, nsel, msel, bound)
+_GE2, _GE3 = sel_at_least(2), sel_at_least(3)
+_SUITE_BOUNDS = [(f"new-line-bound[{n.text};{m.text}]", n, m, n.min_member * m.min_member)
+                 for n, m in ((_GE2, _GE2), (_GE3, _GE2), (_GE2, _GE3))]
 
 
 def property_suite(arr: Arrangement, real: Optional[bool] = None) -> list:
@@ -1236,56 +1253,29 @@ def property_suite(arr: Arrangement, real: Optional[bool] = None) -> list:
     where they apply, and the classification of 2-2 fixed points.
 
     The checks run on frozensets of the members' codes (``_encode``) and
-    build no point, line or set.  A kernel key is the code of the object
-    it names, and a line and the point with the same triple have the same
-    code, so P_sel and L_sel both keep the keys of a pair table whose
-    multiplicities lie in sel.  For the length of the call each
-    distinct code set is paired once and each image selected once.
+    build no point, line or set.  For the length of the call each distinct
+    code set is paired once and each image selected once (``_selections``).
     """
     field, d = arr.field, len(arr)
     if real is None:
         real = field.kind == RATIONALS
-    tables, images = {}, {}
-
-    def table(codes):  # its _pair_counts
-        pair = tables.get(codes)
-        if pair is None:
-            pair = tables[codes] = (_pair_counts(list(codes), field)
-                                    if len(codes) > 1 else ({}, None))
-        return pair
-
-    def op(sel, codes):  # P_sel of lines, L_sel of points
-        img = images.get((sel, codes))
-        if img is None:
-            img = images[sel, codes] = frozenset(_selected(sel, *table(codes)))
-        return img
-
+    table, op = _selections(field)
     lines = arr._code_set()
     prof = _table_profile(d, *table(lines))
-    results = [("profile-consistency", True, prof.text())]
     # dualizing keeps every code and P, L are one selection, so the dual of
     # Lambda(A) and Psi(dual A) are the same code set; the tests check the
     # conjugation on objects
-    for nsel, msel in ((sel_exact(2), sel_exact(3)),
-                       (sel_at_least(2), sel_at_least(3))):
-        results.append((f"duality-conjugation[{nsel.text};{msel.text}]",
-                        True, ""))
-
+    results = [("profile-consistency", True, prof.text()),
+               ("duality-conjugation[2;3]", True, ""),
+               ("duality-conjugation[>=2;>=3]", True, "")]
     # the union-of-singletons identity is a theorem only for singleton
     # point selectors (see the grid counterexample in the project notes)
-    msel = MultiplicitySelector(exact=frozenset({2, 3}))
     for m in (2, 3):
-        pts = op(sel_exact(m), lines)
-        ok = op(msel, pts) == op(sel_exact(2), pts) | op(sel_exact(3), pts)
+        ok = _decomposes(op, _single(m), _single(2, 3), lines)
         results.append((f"decomposition[{m};2,3]", ok, ""))
-
-    for nsel, msel in ((sel_at_least(2), sel_at_least(2)),
-                       (sel_at_least(3), sel_at_least(2)),
-                       (sel_at_least(2), sel_at_least(3))):
-        bound = nsel.min_member * msel.min_member
+    for name, nsel, msel, bound in _SUITE_BOUNDS:
         ok = op(msel, op(nsel, lines)) <= lines or d >= bound
-        results.append((f"new-line-bound[{nsel.text};{msel.text}]", ok,
-                        f"|L|={d}, bound={bound}"))
+        results.append((name, ok, f"|L|={d}, bound={bound}"))
 
     kind = _classify(d, prof, field)
     if d >= 3 and kind not in ("trivial", "empty"):
@@ -1299,8 +1289,7 @@ def property_suite(arr: Arrangement, real: Optional[bool] = None) -> list:
         results.append(("hirzebruch", rep.hirzebruch.slack >= 0,
                         f"slack={rep.hirzebruch.slack}"))
 
-    sel2 = sel_at_least(2)
-    if d and op(sel2, op(sel2, lines)) == lines:
+    if d and op(_GE2, op(_GE2, lines)) == lines:
         results.append(("2-2-fixed-classification",
                         kind in ("quasi-trivial", "finite-plane"), kind))
     return results

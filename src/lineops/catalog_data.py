@@ -10,6 +10,7 @@ time from exact generator matrices.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .fields import number_field, parse_scalar
 from .projective import Matrix3, ProjLine, nullspace
@@ -96,7 +97,8 @@ _W_OMEGA = (Fraction(-14, 23), Fraction(-4, 23), Fraction(3, 23), Fraction(2, 23
 _W_SQRT5 = (Fraction(14, 23), Fraction(27, 23), Fraction(-3, 23), Fraction(-2, 23))
 
 
-def _wiman_group_and_mirrors():
+@lru_cache(maxsize=None)
+def wiman_lines():
     field = number_field(list(_W_MINPOLY))
     w = field.from_rep(_W_OMEGA)
     s5 = field.from_rep(_W_SQRT5)
@@ -156,13 +158,3 @@ def _wiman_group_and_mirrors():
     if len(mirrors) != 45:
         raise AssertionError(f"expected 45 mirrors, got {len(mirrors)}")
     return field, list(mirrors.values())
-
-
-_WIMAN_CACHE = None
-
-
-def wiman_lines():
-    global _WIMAN_CACHE
-    if _WIMAN_CACHE is None:
-        _WIMAN_CACHE = _wiman_group_and_mirrors()
-    return _WIMAN_CACHE

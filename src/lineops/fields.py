@@ -110,6 +110,14 @@ def poly_eval(p, x):
     return acc
 
 
+def _compiled(src: list, name: str, **names):
+    """The function ``name`` that the generated source lines ``src`` define:
+    its ``def`` line, then its body, which is indented here by one space.
+    ``names`` are its globals.  Every generated function compiles here."""
+    exec("\n ".join(src), names)
+    return names[name]
+
+
 class _GFTables(NamedTuple):
     elems: list  # code -> representative (tuple of least residues)
     code: dict   # representative -> code
@@ -136,9 +144,8 @@ def _gf_tables(spec: "FieldSpec") -> _GFTables:
     va, vb = (", ".join(f"{v}{i}" for i in range(n)) for v in "ab")
     src = [f"def mul({va}, {vb}):", *_mul_src(mp, "c", (1, "a", "b")),
            "return code[" + "".join(f"c{i} % {p}, " for i in range(n)) + "]"]
-    ns = {"code": code}
-    exec("\n ".join(src), ns)
-    mul = [ns["mul"](*x, *y) for x in elems for y in elems]
+    product = _compiled(src, "mul", code=code)
+    mul = [product(*x, *y) for x in elems for y in elems]
     sub = [code[tuple((x - y) % p for x, y in zip(a, b))]
            for a in elems for b in elems]
     q = len(elems)
@@ -218,9 +225,7 @@ def _adjugate(g: tuple):
     src += _mul_src(g, "ew", (1, "e1_", "w"))[:n]  # the h<k> and ew0 = d
     src += ["if not ew0:", " raise FieldError('non-invertible element (reducible modulus)')",
             "return ew0, " + ", ".join(f"w{i}" for i in range(n))]
-    ns = {"FieldError": FieldError}
-    exec("\n ".join(src), ns)
-    return ns["adj"]
+    return _compiled(src, "adj", FieldError=FieldError)
 
 
 @lru_cache(maxsize=None)
@@ -243,13 +248,13 @@ def _nf_ops(spec: "FieldSpec") -> tuple:
     def from_z(num, den):  # the reps of the sum of num<i> theta^i / den
         return "return " + "".join(f"F({num}{i} * {c ** i}, {den}), " for i in range(n))
     a, w = (", ".join(f"{v}{i}" for i in range(n)) for v in "aw")
-    src = (["def mul(a, b):"] + to_z("a") + to_z("b") + _mul_src(g, "p", (1, "a", "b"))
-           + [from_z("p", "sa * sb"), "def inv(a):"] + to_z("a")
-           + ["if not any(a):", " raise ZeroDivisionError('division by zero')",
-              f"d, {w} = adj({a})", from_z("sa * w", "d")])
-    ns = {"F": Fraction, "lcm": math.lcm, "adj": _adjugate(g)}
-    exec("\n".join(s if s.startswith("def ") else " " + s for s in src), ns)
-    return ns["mul"], ns["inv"]
+    names = {"F": Fraction, "lcm": math.lcm, "adj": _adjugate(g)}
+    return (_compiled(["def mul(a, b):", *to_z("a"), *to_z("b"),
+                       *_mul_src(g, "p", (1, "a", "b")), from_z("p", "sa * sb")],
+                      "mul", **names),
+            _compiled(["def inv(a):", *to_z("a"), "if not any(a):",
+                       " raise ZeroDivisionError('division by zero')",
+                       f"d, {w} = adj({a})", from_z("sa * w", "d")], "inv", **names))
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +334,18 @@ def gf_spec(q: int, min_poly: Optional[Sequence] = None) -> FieldSpec:
     return prime_power_spec(p, min_poly)
 
 
-class Scalar:
+class _Frozen:
+    """The base of every immutable class: a write to an instance raises, so
+    a constructor sets its slots with ``object.__setattr__``.  It adds no
+    slot of its own, so each subclass keeps its layout."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Scalar(_Frozen):
     """Immutable element of a Field, stored by canonical representative."""
 
     __slots__ = ("field", "rep")
@@ -337,9 +353,6 @@ class Scalar:
     def __init__(self, field: "Field", rep):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "rep", rep)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Scalar is immutable")
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
@@ -663,14 +676,9 @@ def field_make(spec: FieldSpec) -> Field:
     return Field(spec)
 
 
-_QQ = None
-
-
+@lru_cache(maxsize=None)
 def QQ() -> Field:
-    global _QQ
-    if _QQ is None:
-        _QQ = Field(rationals_spec())
-    return _QQ
+    return Field(rationals_spec())
 
 
 def number_field(min_poly: Sequence) -> Field:
@@ -859,6 +867,8 @@ def _parse_poly(text: str, rational: bool, mod: Optional[int] = None):
             coef_part = coef_part.rstrip("*")
             if pow_part.startswith("^"):
                 e = int(pow_part[1:])
+                if e < 0:
+                    raise FieldError(f"negative exponent in term {term!r}")
             elif pow_part == "":
                 e = 1
             else:

@@ -12,8 +12,8 @@ from itertools import combinations
 from typing import Optional, Sequence, Union
 
 from .arrangements import Arrangement, ArrangementError, _encode, _groups
-from .fields import QQ, FieldError
-from .projective import ProjLine, nullspace
+from .fields import QQ
+from .projective import ProjLine, _field_of, nullspace
 
 
 class MatroidError(ArrangementError):
@@ -71,17 +71,16 @@ def extract_matroid(lines: Union[Arrangement, Sequence[ProjLine]]) -> Matroid3:
     """Matroid of a labelled arrangement; indices follow the given order.
 
     Passing an Arrangement uses its canonical line order as the labelling.
+    Lines of two fields, or anything that is not a line, are refused
+    (``projective._field_of``).
     """
-    if isinstance(lines, Arrangement):
-        field, codes = lines.field, lines._code_list()
-    else:
-        seq = list(lines)
-        if not seq:
-            return Matroid3.from_flats(0, ())
-        field = seq[0].field
-        if any(l.field.spec != field.spec for l in seq):
-            raise FieldError("lines live in different fields")
-        codes = _encode(seq, field)
+    if not isinstance(lines, Arrangement):
+        lines = list(lines)
+    field = _field_of([lines])
+    if field is None:
+        return Matroid3.from_flats(0, ())
+    codes = (lines._code_list() if isinstance(lines, Arrangement)
+             else _encode(lines, field))
     if len(set(codes)) != len(codes):
         raise MatroidError("labelled arrangement must have distinct lines")
     return Matroid3.from_flats(len(codes), _groups(codes, field, 3).values())

@@ -9,7 +9,7 @@ from __future__ import annotations
 from itertools import combinations, permutations
 from typing import Optional, Sequence
 
-from .fields import Field, FieldError, Scalar
+from .fields import Field, FieldError, Scalar, _Frozen
 
 
 class GeometryError(Exception):
@@ -33,8 +33,8 @@ def _normalize(coords: Sequence[Scalar], what: str = "coordinate triple") -> tup
     raise GeometryError(f"zero {what}")
 
 
-class _ProjObject:
-    """A point or a line: one normalized homogeneous triple.
+class _ProjObject(_Frozen):
+    """A point, a line or a conic: one normalized homogeneous tuple.
 
     Points and lines share the representation, so duality keeps the triple
     and swaps the class.  Equality needs the same class: a point never
@@ -47,9 +47,6 @@ class _ProjObject:
         if len(coords) != 3:
             raise GeometryError(f"a {type(self).__name__} needs 3 coordinates")
         object.__setattr__(self, "coords", _normalize(coords))
-
-    def __setattr__(self, *a):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def field(self) -> Field:
@@ -155,15 +152,12 @@ def collinear(p: ProjPoint, q: ProjPoint, r: ProjPoint) -> bool:
 # ---------------------------------------------------------------------------
 # 3x3 matrices / projectivities
 
-class Matrix3:
+class Matrix3(_Frozen):
     __slots__ = ("rows", "field")
 
     def __init__(self, rows: Sequence[Sequence[Scalar]]):
         object.__setattr__(self, "rows", tuple(tuple(r) for r in rows))
         object.__setattr__(self, "field", rows[0][0].field)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Matrix3 is immutable")
 
     @classmethod
     def from_values(cls, field: Field, values) -> "Matrix3":
@@ -232,7 +226,7 @@ class Matrix3:
             ", ".join(str(e) for e in row) for row in self.rows) + ")"
 
 
-class Projectivity:
+class Projectivity(_Frozen):
     """Invertible 3x3 matrix acting on points; lines map by inverse-transpose.
 
     It acts on the integer codes of its field: the matrix and its cofactor
@@ -248,9 +242,6 @@ class Projectivity:
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "_on_points", on_points)
         object.__setattr__(self, "_on_lines", on_lines)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Projectivity is immutable")
 
     @property
     def field(self) -> Field:
@@ -509,22 +500,17 @@ def _pencil_basis(duals, off, field) -> Optional[Matrix3]:
 # ---------------------------------------------------------------------------
 # conics
 
-class Conic:
+class Conic(_ProjObject):
     """a x^2 + b y^2 + c z^2 + d xy + e xz + f yz = 0, normalized 6-tuple."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
+    _brackets = ("Conic(", ")")
+    coeffs = _ProjObject.coords
 
     def __init__(self, coeffs: Sequence[Scalar]):
         if len(coeffs) != 6:
             raise GeometryError("a conic needs 6 coefficients")
-        object.__setattr__(self, "coeffs", _normalize(coeffs, "conic"))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Conic is immutable")
-
-    @property
-    def field(self) -> Field:
-        return self.coeffs[0].field
+        object.__setattr__(self, "coords", _normalize(coeffs, "conic"))
 
     def contains(self, p: ProjPoint) -> bool:
         a, b, c, d, e, f = self.coeffs
@@ -541,17 +527,8 @@ class Conic:
         m = Matrix3([[a + a, d, e], [d, b + b, f], [e, f, c + c]])
         return not m.det().is_zero()
 
-    def key(self):
-        return tuple(c.rep for c in self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, Conic) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(("cn",) + self.coeffs)
-
     def __repr__(self):
-        return "Conic(" + ", ".join(str(c) for c in self.coeffs) + ")"
+        return self._brackets[0] + ", ".join(map(str, self.coords)) + self._brackets[1]
 
 
 def _conic_row(p: ProjPoint):
@@ -617,16 +594,13 @@ def common_conic(pts: Sequence[ProjPoint]) -> Optional[Conic]:
     return Conic(basis[0])
 
 
-class RichConic:
+class RichConic(_Frozen):
     __slots__ = ("conic", "count", "irreducible")
 
     def __init__(self, conic: Conic, count: int, irreducible: bool):
         object.__setattr__(self, "conic", conic)
         object.__setattr__(self, "count", count)
         object.__setattr__(self, "irreducible", irreducible)
-
-    def __setattr__(self, *a):
-        raise AttributeError("RichConic is immutable")
 
     def __repr__(self):
         tag = "irreducible" if self.irreducible else "degenerate"

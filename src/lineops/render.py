@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Optional, Sequence
 
-from .arrangements import ArrangementError, _code_counts, _from_key
+from .arrangements import ArrangementError, _from_key, _pair_counts
 from .fields import FieldError, real_embedding
 from .projective import ProjPoint
 
@@ -54,16 +54,6 @@ class RenderResult:
     omitted: tuple  # per layer: number of lines invisible on this chart
 
 
-def _chart_coeffs(triple, chart: str):
-    """A point's or line's triple reordered so the chart coordinate is last."""
-    u1, u2, u3 = triple
-    if chart == "z":
-        return u1, u2, u3
-    if chart == "y":
-        return u1, u3, u2
-    return u2, u3, u1
-
-
 def _clip_line(a: float, b: float, c: float, window) -> Optional[tuple]:
     """Segment of aX + bY + c = 0 inside the window, or None."""
     x0, x1, y0, y1 = window
@@ -96,16 +86,18 @@ def _clip_line(a: float, b: float, c: float, window) -> Optional[tuple]:
 
 
 def render_svg(layers: Sequence, spec: RenderSpec = RenderSpec()) -> RenderResult:
-    """Render (Arrangement, style-class) layers to one SVG document.
-
-    Styles default to step0, step1, ... when a layer gives None.  Every
-    field involved must admit a real embedding, and with point marks on
-    all lines must be over one field.
+    """Render Arrangement layers to one SVG document, layer i in the style
+    class step<i mod 6>.  Every field involved must admit a real embedding,
+    and with point marks on all lines must be over one field.
     """
     x0, x1, y0, y1 = [float(v) for v in spec.window]
     size = spec.size
     scale = size / (x1 - x0)
     height = (y1 - y0) * scale
+    chart = {"z": (0, 1, 2), "y": (0, 2, 1), "x": (1, 2, 0)}[spec.chart]
+
+    def embedded(triple):  # reordered so the chart coordinate is last, as floats
+        return [real_embedding(triple[i], spec.root_index) for i in chart]
 
     def px(x):
         return (x - x0) * scale
@@ -125,23 +117,16 @@ def render_svg(layers: Sequence, spec: RenderSpec = RenderSpec()) -> RenderResul
     omitted = []
     window = (x0, x1, y0, y1)
     arrs = []
-    for layer_index, layer in enumerate(layers):
-        if isinstance(layer, tuple):
-            arr, style = layer
-        else:
-            arr, style = layer, None
+    for layer_index, arr in enumerate(layers):
         if not arr.field.has_real_embedding():
             raise ArrangementError(
                 f"field {arr.field.spec.text} has no real embedding")
-        style = style or f"step{layer_index % 6}"
+        style = f"step{layer_index % 6}"
         skipped = 0
         if len(arr):  # the lines' fields must agree when marked
             arrs.append(arr)
         for l in arr.lines:
-            u1, u2, u3 = _chart_coeffs(l.coeffs, spec.chart)
-            a = real_embedding(u1, spec.root_index)
-            b = real_embedding(u2, spec.root_index)
-            c = real_embedding(u3, spec.root_index)
+            a, b, c = embedded(l.coeffs)
             if abs(a) <= _CLIP_EPS and abs(b) <= _CLIP_EPS:
                 skipped += 1   # the chart's line at infinity
                 continue
@@ -159,17 +144,15 @@ def render_svg(layers: Sequence, spec: RenderSpec = RenderSpec()) -> RenderResul
         if any(a.field.spec != field.spec for a in arrs):
             raise FieldError("layers live in different fields")
         codes = list(dict.fromkeys(chain.from_iterable(a._codes for a in arrs)))
+        counts, k = _pair_counts(codes, field)  # not a finite plane: k is a dict
         marks = []
-        for key, mult in _code_counts(codes, field).items():
-            p = _from_key(ProjPoint, key, field)
-            u1, u2, u3 = _chart_coeffs(p.coords, spec.chart)
-            zc = real_embedding(u3, spec.root_index)
-            if abs(zc) <= _CLIP_EPS:
+        for key, c in counts.items():
+            u, v, w = embedded(_from_key(ProjPoint, key, field).coords)
+            if abs(w) <= _CLIP_EPS:
                 continue
-            x = real_embedding(u1, spec.root_index) / zc
-            y = real_embedding(u2, spec.root_index) / zc
+            x, y = u / w, v / w
             if x0 <= x <= x1 and y0 <= y <= y1:
-                marks.append((px(x), py(y), mult))
+                marks.append((px(x), py(y), k[c]))
         marks.sort()
         for mx, my, mult in marks:
             r = 1.8 + 1.1 * (mult - 2)

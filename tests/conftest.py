@@ -1,8 +1,8 @@
 """Shared fixtures: the reference pair kernels over GF(q), the reference
-incidence count over PG(2,q), a counter of pair passes, the reference pair
-index, the object-level concurrency tests and projective-equivalence
-search, and the reference operator sequence with cycle detection on
-digests.
+incidence count over PG(2,q), the pair table as key -> k, a counter of
+pair passes, the reference pair index, the object-level concurrency
+tests and projective-equivalence search, and the reference operator
+sequence with cycle detection on digests.
 
 Over every finite field of order at most ``arrangements._PLANE_ORDER`` the
 program codes an object by its ordinal in PG(2,q) and counts incidences on
@@ -128,6 +128,17 @@ def reference_incidences(codes, field) -> Counter:
     q = arrangements._plane_order(field)
     table, r = reference_plane_table(field.spec), q + 1
     return Counter(chain.from_iterable(table[o * r:o * r + r] for o in codes))
+
+
+def code_counts(codes, field) -> dict:
+    """The pair table of the objects with ``codes``: key -> k for each
+    position on k >= 2 of them, from ``_pair_counts``, whose value classes
+    over a finite plane it reads bit by bit."""
+    counts, k = arrangements._pair_counts(codes, field)
+    if k is None:
+        return {o: c for c, m in counts.items() if c > 1
+                for o in arrangements._bits(m)}
+    return dict(zip(counts, map(k.__getitem__, counts.values())))
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ import pytest
 
 from lineops import arrangements, fields, projective
 from lineops.arrangements import (Arrangement, ArrangementError,
-                                  _code_counts, _code_meets, _encode,
+                                  _code_meets, _encode,
                                   _from_key, _groups, _mult_from_pairs,
                                   MultiplicitySelector, PointConfig,
                                   SingularityProfile, all_projective_lines,
@@ -41,7 +41,7 @@ from lineops.projective import (GeometryError, Matrix3, ProjLine, ProjPoint,
                                 Projectivity, apply_projectivity,
                                 dualize, join, line, meet, point)
 
-from conftest import reference_pair_index
+from conftest import code_counts, reference_pair_index
 from test_projective import _reference
 
 F = QQ()
@@ -257,7 +257,7 @@ def test_pair_kernel_matches_single_meets_and_joins(name):
             got = {_from_key(cls, k, field): s for k, s in idx.items()}
             assert len(got) == len(idx) and got == {
                 o: sorted(s) for o, s in want_index.items() if len(s) >= least}
-        counts = _code_counts(_encode(objs, field), field)
+        counts = code_counts(_encode(objs, field), field)
         got = {_from_key(cls, key, field): k for key, k in counts.items()}
         assert len(got) == len(counts) and got == {
             o: _mult_from_pairs(c) for o, c in want_counts.items()}
@@ -314,7 +314,7 @@ def test_operator_keys_round_trip(name):
     it names: what lets a selection's keys be the next selection's codes."""
     arr = KERNEL_INPUTS[name]()
     field = arr.field
-    keys = _code_counts(_encode(arr.lines, field), field)
+    keys = code_counts(_encode(arr.lines, field), field)
     assert keys
     for key in keys:
         for cls in (ProjPoint, ProjLine):
@@ -616,20 +616,60 @@ def test_number_field_kernel_is_built_once_per_modulus():
     assert adjugate.cache_info().misses == 1  # the build's inverses made it
     for objs in (omega.lines, points_operator(sel_at_least(2), omega).points,
                  _moved_into(omega.field).lines, build("grunbaum-rigby").lines):
-        _code_counts(_encode(objs, objs[0].field), objs[0].field)
+        code_counts(_encode(objs, objs[0].field), objs[0].field)
     # Q(omega), the cubic and Z, for the operators over Q in _moved_into
     assert kernel.cache_info().misses == 3
     # the kernel uses the inverses' adjugate: one per modulus, none for Z
     assert adjugate.cache_info().misses == 2
     # Q[x]/(x^2 - 1/2) and Q(sqrt 2) share the integer modulus y^2 - 2
     for f in (number_field([Fraction(-1, 2), 0, 1]), number_field([-2, 0, 1])):
-        _code_counts(_encode(_moved_into(f).lines, f), f)
+        code_counts(_encode(_moved_into(f).lines, f), f)
     assert kernel.cache_info().misses == 4
     assert adjugate.cache_info().misses == 3
     for arr in (_cq_step2(), gf101, gf101):  # Z again, then Z/101
-        _code_counts(_encode(arr.lines, arr.field), arr.field)
+        code_counts(_encode(arr.lines, arr.field), arr.field)
     assert kernel.cache_info().misses == 5
     assert adjugate.cache_info().misses == 3
+
+
+def test_generated_source_compiles(monkeypatch):
+    """Every generated function is built afresh through ``fields._compiled``
+    and gives what the cached one gives: the pair kernel and the
+    projectivity action over Q, GF(101), Q(omega) and a cubic field, the
+    cofactors and adjugates of their rings, the number-field product and
+    inverse, and the GF(p^k) product table.  Under ``-W error`` a warning
+    while compiling any of them fails the test."""
+    m, gf8 = [[1, 2, 0], [0, 1, 3], [1, 0, 1]], GF(8).spec  # det 7
+
+    def outputs(kernel, action, cofactors, adjugate, nf_ops, gf_tables):
+        out = [gf_tables(gf8)]
+        for arr in (build("pappus"), _sample_of_plane(101, 40), build("dual-hesse"),
+                    build("grunbaum-rigby")):
+            field, codes = arr.field, arr._code_list()
+            (g, p), n = arrangements._ring(field), field.degree
+            on_lines = Projectivity(Matrix3.from_values(field, m))._on_lines
+            out += [list(kernel(g, p)(codes, range(len(codes) - 1))),
+                    list(action(g, p)(on_lines, codes)),
+                    cofactors(g)(tuple(range(1, 9 * n + 1)))]
+            if field.kind == NUMBER_FIELD:
+                a, b = (tuple(map(Fraction, range(i, i + n))) for i in (1, 5))
+                mul, inv = nf_ops(field.spec)
+                out += [adjugate(g)(*range(2, n + 2)), mul(a, b), inv(a)]
+        return out
+    builders = (arrangements._ring_kernel, arrangements._ring_action,
+                arrangements._cofactors, fields._adjugate, fields._nf_ops,
+                fields._gf_tables)
+    want = outputs(*builders)
+    built, compiled = [], fields._compiled
+
+    def recording(src, name, **names):
+        built.append(name)
+        return compiled(src, name, **names)
+    monkeypatch.setattr(fields, "_compiled", recording)
+    monkeypatch.setattr(arrangements, "_compiled", recording)
+    assert outputs(*(b.__wrapped__ for b in builders)) == want
+    assert sorted(built) == sorted(["mul"] + ["kernel", "act", "cof"] * 4
+                                   + ["adj", "mul", "inv"] * 2)
 
 
 def test_pair_kernel_zero_divisor_is_a_field_error():
@@ -639,7 +679,7 @@ def test_pair_kernel_zero_divisor_is_a_field_error():
     x = field.generator
     lines = [line(field, 1, 0, 0), line(field, 0, 1, x ** 3 - 2)]
     with pytest.raises(FieldError) as kernel:
-        _code_counts(_encode(lines, field), field)
+        code_counts(_encode(lines, field), field)
     with pytest.raises(FieldError) as inverse:
         (x ** 3 - 2).inverse()
     assert (str(kernel.value) == str(inverse.value)
@@ -719,6 +759,20 @@ def test_decomposition_check():
     assert not lambda_decomposition_check(sel23, sel23, build("grid6"))
     for m in (2, 3):
         assert lambda_decomposition_check(sel_exact(m), sel23, build("grid6"))
+
+
+def test_decomposition_check_pairs_each_distinct_set_once(count_passes):
+    """Lambda_{N,M} and the Lambda_{n,m} of its singletons read one memo of
+    pair tables: the complete quadrilateral and grid6 pair their lines,
+    P_{2,3}, P_2 and P_3 once each, and dual Hesse, with no double point,
+    its lines and P_3 = P_{2,3}."""
+    calls, sel23 = count_passes(), sel_exact(2, 3)
+    for name, passes, ok in (("complete-quadrilateral", 4, True),
+                             ("grid6", 4, False), ("dual-hesse", 2, True)):
+        arr = build(name)
+        del calls[:]
+        assert lambda_decomposition_check(sel23, sel23, arr) is ok
+        assert len(calls) == passes, (name, calls)
 
 
 def test_empty_propagation():

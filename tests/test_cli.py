@@ -322,6 +322,11 @@ def test_malformed_integer_parameter_is_a_domain_error(capsys, monkeypatch,
       "--param", "field=Q[x]/(x^2-1/0)"], None),
     (["catalog", "build", "complete-quadrilateral",
       "--param", "field=GF(4;x^2+x+1/0)"], None),
+    # a negative exponent, in a coordinate or in a field spec
+    (["import"], '{"field": "Q[x]/(x^2+x+1)", "lines": [["1", "2*x^-1+3", "0"],'
+                 ' ["0", "1", "x^-1"]]}'),
+    (["catalog", "build", "complete-quadrilateral",
+      "--param", "field=Q[x]/(x^2-x^-1+1)"], None),
 ])
 def test_malformed_document_is_a_domain_error(capsys, monkeypatch, argv, doc):
     code, out, err = run(capsys, monkeypatch, argv, stdin=doc)

@@ -72,6 +72,12 @@ def test_field_axioms_randomized():
             assert (a * b) * c == a * (b * c)
             if not a.is_zero():
                 assert a * a.inverse() == field.one
+            # the reflected operators and negative powers, with an int on the left
+            n = rng.randrange(2, 9)
+            assert (n - a) + a == n
+            if not a.is_zero():
+                assert (n / a) * a == n
+                assert a ** -1 == a.inverse() and a ** -2 * (a * a) == field.one
 
 
 def test_canonicity_randomized():
@@ -238,6 +244,18 @@ def test_fraction_scalar_in_prime_power_field():
     half = F.scalar(Fraction(1, 2))
     assert half * 2 == F.one
     assert half.rep == (2, 0)
+
+
+def test_negative_exponent_rejected():
+    """A term in x^-k is an error, not a term dropped from the sum."""
+    K = number_field([1, 1, 1])
+    for text in ("2*x^-1+3", "x^-1", "-x^-2"):
+        with pytest.raises(FieldError, match="negative exponent"):
+            parse_scalar(K, text)
+    assert parse_scalar(K, "2*x^0+3") == K.scalar(5)
+    for text in ("Q[x]/(x^2-x^-1+1)", "GF(4;x^2+x^-1+1)"):
+        with pytest.raises(FieldError, match="negative exponent"):
+            parse_field_spec(text)
 
 
 def test_field_spec_text_roundtrip():

@@ -22,7 +22,7 @@ import pytest
 
 from lineops import arrangements
 from lineops.arrangements import (Arrangement, PointConfig,
-                                  SingularityProfile, _bits, _code_counts,
+                                  SingularityProfile, _bits,
                                   _encode, _from_key, _groups,
                                   _mult_from_pairs, _plane_key,
                                   _value_classes, all_projective_lines,
@@ -34,7 +34,7 @@ from lineops.dynamics import apply_operator, lambda_spec
 from lineops.fields import GF, _gf_tables, prime_field_spec
 from lineops.projective import ProjPoint, dualize, incident, meet
 
-from conftest import reference_incidences, reference_plane_table
+from conftest import code_counts, reference_incidences, reference_plane_table
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -84,7 +84,7 @@ def _check_pass(objs, field, ref):
     reference sizes, in ascending order, and each of their objects is
     incident to the keyed position."""
     codes, dot = _encode(objs, field), _dot(field)
-    assert _code_counts(codes, field) == ref
+    assert code_counts(codes, field) == ref
     for least in (2, 3):
         index = _groups(codes, field, least)
         assert index.keys() == {key for key, k in ref.items() if k >= least}

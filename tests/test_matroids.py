@@ -6,11 +6,12 @@ import pytest
 from lineops.arrangements import (_encode, lambda_op, make_arrangement,
                                   sel_at_least)
 from lineops.catalog import build, build_lines
-from lineops.fields import GF, FieldError
+from lineops.fields import GF, QQ, FieldError
 from lineops.matroids import (Matroid3, MatroidError, extract_matroid,
                               flashing_incidence, matroid_from_json,
                               matroid_isomorphic, matroid_to_json,
                               reye_matroid)
+from lineops.projective import GeometryError, line, point
 
 from conftest import reference_pair_index
 
@@ -40,6 +41,16 @@ def test_extract_lines_from_different_fields_rejected():
     q, nf = build("pappus"), build("polygonal", n=10)
     for seq in ([*gf7.lines, *gf5.lines], [*q.lines[:2], *nf.lines[:2]]):
         with pytest.raises(FieldError, match="live in different fields"):
+            extract_matroid(seq)
+
+
+def test_extract_points_or_mixed_objects_rejected():
+    """Points are not read as the lines with their triples: four points,
+    three of them collinear, or a line and the point with its triple."""
+    F = QQ()
+    pts = [point(F, 1, 0, 0), point(F, 0, 1, 0), point(F, 1, 1, 0), point(F, 0, 0, 1)]
+    for seq in (pts, [line(F, 1, 0, 0), point(F, 1, 0, 0)]):
+        with pytest.raises(GeometryError, match="expected lines"):
             extract_matroid(seq)
 
 

@@ -7,7 +7,8 @@ import pytest
 from lineops.arrangements import Arrangement, PointConfig, incidence_index
 from lineops.fields import GF, QQ, FieldError, cyclotomic_field, number_field
 from lineops.projective import (Conic, GeometryError, Matrix3, ProjLine,
-                                ProjPoint, Projectivity, apply_projectivity,
+                                ProjPoint, Projectivity, RichConic,
+                                apply_projectivity,
                                 collinear, common_conic, conic_through,
                                 dualize, incident, join, line,
                                 lines_in_general_position, meet, point,
@@ -398,6 +399,33 @@ def test_degenerate_conic_detected():
     # pair of lines x*y = 0: coefficients (0,0,0,1,0,0)
     c = Conic((F.zero, F.zero, F.zero, F.one, F.zero, F.zero))
     assert not c.is_irreducible()
+
+
+def test_conic_is_a_normalized_tuple():
+    """A conic's coefficients are scaled so the first nonzero one is 1, and
+    conics compare and hash by that tuple; a point is never equal to one."""
+    two = F.scalar(2)
+    c = Conic((F.zero, two, -two, two, F.zero, F.zero))
+    assert c.coeffs == c.coords == (F.zero, F.one, -F.one, F.one, F.zero, F.zero)
+    assert c == Conic(c.coeffs) and hash(c) == hash(Conic(c.coeffs))
+    assert c.key() == (0, 1, -1, 1, 0, 0) and c.field == F
+    assert repr(c) == "Conic(0, 1, -1, 1, 0, 0)"
+    assert c != point(F, 0, 1, -1) and c.contains(point(F, 0, 1, 1))
+    with pytest.raises(GeometryError, match="6 coefficients"):
+        Conic(c.coeffs[:3])
+
+
+def test_immutable_classes_refuse_writes():
+    """One write guard for every immutable class, its message naming the
+    class; no instance has a dict to write to instead."""
+    m = Matrix3.identity(F)
+    conic = Conic((F.one, F.one, -F.one, F.zero, F.zero, F.zero))
+    for obj in (F.one, point(F, 1, 0, 0), line(F, 0, 1, 0), conic, m,
+                Projectivity(m), RichConic(conic, 5, True), Arrangement(F),
+                PointConfig(F)):
+        with pytest.raises(AttributeError, match=f"^{type(obj).__name__} is immutable$"):
+            obj.coords = ()
+        assert not hasattr(obj, "__dict__")
 
 
 # -- the canonical order ---------------------------------------------------------

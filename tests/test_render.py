@@ -27,6 +27,27 @@ def test_triangle_two_visible_segments():
     assert result.omitted == (1,)
 
 
+@pytest.mark.parametrize("chart, segments, mark", [
+    # y = 0 and x + 2y + 4z = 0 on the default window, 160 px a unit, the
+    # line y = 0 first (canonical order).  Chart z: Y = 0, and X + 2Y + 4 = 0
+    # from (-2, -1) to (0, -2); the meet (-4 : 0 : 1) is at X = -4, off the
+    # window
+    ("z", [(0, 320, 640, 320), (0, 480, 320, 640)], None),
+    # chart y (X = x, Y = z): y = 0 is the line at infinity, X + 4Y + 2 = 0
+    # runs from (-2, 0) to (2, -1), and the meet is at infinity
+    ("y", [(0, 320, 640, 480)], None),
+    # chart x (X = y, Y = z): X = 0, and 2X + 4Y + 1 = 0 from (-2, 3/4) to
+    # (2, -5/4); the meet (1 : 0 : -1/4) is at (0, -1/4)
+    ("x", [(320, 640, 320, 0), (0, 200, 640, 520)], (320, 360)),
+])
+def test_chart_matches_hand_derived_segments(chart, segments, mark):
+    arr, _ = make_arrangement([(1, 2, 4), (0, 1, 0)], F)
+    svg = render_svg([arr], RenderSpec(chart=chart)).svg
+    assert seg_coords(svg) == segments  # exact: every end is a multiple of 40 px
+    marks = re.findall(r'cx="([-\d.]+)" cy="([-\d.]+)"', svg)
+    assert marks == ([] if mark is None else [tuple(f"{v:.4f}" for v in mark)])
+
+
 def test_grid6_segments_and_marks():
     grid = build("grid6")
     result = render_svg([grid], RenderSpec())
