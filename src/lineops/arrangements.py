@@ -23,12 +23,13 @@ value classes.  ``profile`` reads t_k as the popcount of class k, a
 selection ORs the classes it holds and reads their set bits once as the
 next codes (``_bits``), and ``_groups`` cuts each object's mask down to
 the classes it asks for.  Off the finite planes ``profile`` groups one
-row (line i with the later lines) at a time (``_row_keys``): a point on k
-lines makes one row group of each size k-1, ..., 1, so t_k = c_(k-1) -
-c_k, c_s the number of row groups of size s; the rows split into strided
-shares among forked workers (``_row_sizes``), whose counts add exactly, so
-the profile does not depend on their number.  Which objects pass through
-each position is read off one grouping of the same rows (``_groups``).
+row (line i with the later lines) at a time (``_row_keys``, over Q by
+exact quotients, floats for small coordinates): a point on k lines makes
+one row group of each size k-1, ..., 1, so t_k = c_(k-1) - c_k, c_s the
+number of row groups of size s; the rows split into strided shares among
+forked workers (``_row_sizes``), whose counts add exactly, so the profile
+does not depend on their number.  Which objects pass through each position
+is read off one grouping of the same rows (``_groups``).
 
 A set is its distinct codes (``_ObjectSet``).  Every operator and operator
 chain is a run of selections on codes (``_operate``): a key of the table is
@@ -622,9 +623,15 @@ def _row_keys(tris: list, field: Field, rows: range):
     ``_code_meets``, so the rows must be consumed in order.  Over Q, with a
     the primitive integer triple of line i and (x, y, z) = a x b, a point on
     a is fixed by a chart pair (u, v): (x, y) if a2 != 0, else (x, z) if
-    a1 != 0, else (y, z).  Its key is (u << s) // v, or None when v = 0 (one
-    point per row), and 2^s > V^2 for V = 2 bmax^2 >= |v|, bmax the largest
-    |coordinate|.
+    a1 != 0, else (y, z).  Its key is None when v = 0 (one point per row),
+    else the float u / v if s <= 52, the integer (u << s) // v if not, where
+    2^s > V^2 for V = 2 bmax^2 >= |u|, |v|, bmax the largest |coordinate|.
+    The float key is exact: with s <= 52 every product (below 2^25) and
+    every u and v is exact in a float, and the quotient is rounded to within
+    a relative error of 2^-53.  Distinct quotients u/v, u'/v' are 1/|v v'|
+    apart or more; both round to one float only if that is at most 2^-53
+    (|u/v| + |u'/v'|) <= 2^-52 |u/v|, say, so only if |u v'| >= 2^52, which
+    needs V^2 >= 2^52, that is s >= 53.
     """
     if field.kind != RATIONALS:
         keys = _code_meets(tris, field, rows)
@@ -632,10 +639,21 @@ def _row_keys(tris: list, field: Field, rows: range):
             yield islice(keys, len(tris) - 1 - i)
         return
     s = (4 * max(max(map(abs, t)) for t in tris) ** 4).bit_length()
+    if s <= 52:  # float products and quotients run faster than int ones
+        tris = [tuple(map(float, t)) for t in tris]
     for i in rows:
         a0, a1, a2 = tris[i]
         rest = tris[i + 1:]
-        if a2:
+        if s <= 52:
+            if a2:
+                yield [(a1 * b2 - a2 * b1) / v if (v := a2 * b0 - a0 * b2)
+                       else None for b0, b1, b2 in rest]
+            elif a1:
+                yield [a1 * b2 / v if (v := a0 * b1 - a1 * b0) else None
+                       for b0, b1, b2 in rest]
+            else:
+                yield [-b2 / b1 if b1 else None for b0, b1, b2 in rest]
+        elif a2:
             yield [((a1 * b2 - a2 * b1) << s) // v if (v := a2 * b0 - a0 * b2)
                    else None for b0, b1, b2 in rest]
         elif a1:  # x = a1 b2 - a2 b1 and z = a0 b1 - a1 b0 with a2 = 0
@@ -654,8 +672,8 @@ def _share_sizes(tris: list, field: Field, rows: range) -> Counter:
 
 
 # A share of fewer pairs is not worth a child.  On a 2-vCPU Xeon VM a fork,
-# exit and reap took 1.4-2.0 ms and a Q row pass 0.3-0.38 us a pair, so the
-# fork is under 5% of the 40-50 ms a share of 2^17 pairs takes.
+# exit and reap took 1.1-1.9 ms and a Q row pass 0.22 us a pair, so the
+# fork is under 7% of the 29 ms a share of 2^17 pairs takes.
 _SHARE_PAIRS = 1 << 17
 
 
@@ -1024,8 +1042,7 @@ def profile(arr: Arrangement) -> SingularityProfile:
         return SingularityProfile(d, ())
     if _plane_order(field):
         return _table_profile(d, _value_classes(arr._codes, field), None)
-    codes = arr._code_list()  # canonical order: a Q row pass runs fastest so
-    c = _row_sizes(codes, field, _workers(comb(d, 2)))
+    c = _row_sizes(arr._codes, field, _workers(comb(d, 2)))
     return SingularityProfile.from_dict(d, {k: c[k - 1] - c[k]
                                             for k in range(2, max(c) + 2)})
 

@@ -11,7 +11,7 @@ from itertools import chain
 from typing import Optional, Sequence
 
 from .arrangements import ArrangementError, _from_key, _pair_counts
-from .fields import FieldError, real_embedding
+from .fields import RATIONALS, FieldError, real_embedding
 from .projective import ProjPoint
 
 _CLIP_EPS = 1e-9
@@ -147,7 +147,11 @@ def render_svg(layers: Sequence, spec: RenderSpec = RenderSpec()) -> RenderResul
         counts, k = _pair_counts(codes, field)  # not a finite plane: k is a dict
         marks = []
         for key, c in counts.items():
-            u, v, w = embedded(_from_key(ProjPoint, key, field).coords)
+            if field.kind == RATIONALS:  # as float(Fraction(v, lead)) rounds
+                lead = next(filter(None, key))
+                u, v, w = [key[i] / lead for i in chart]
+            else:
+                u, v, w = embedded(_from_key(ProjPoint, key, field).coords)
             if abs(w) <= _CLIP_EPS:
                 continue
             x, y = u / w, v / w

@@ -875,6 +875,10 @@ PROFILE_INPUTS = {
     "Q big": (_q_big, None),
     "Q Farey row": (lambda: _farey_row(40), {40: 1, 2: 40}),
     "Q Farey row big": (lambda: _farey_row(2 ** 65 + 1), {40: 1, 2: 40}),
+    # the largest b whose row keys are floats, and one whose meets in a's
+    # row would collapse as floats: the integer keys must keep them apart
+    "Q Farey row float": (lambda: _farey_row(5792), {40: 1, 2: 40}),
+    "Q Farey row past floats": (lambda: _farey_row(2 ** 14 + 1), {40: 1, 2: 40}),
 }
 
 
@@ -915,6 +919,19 @@ def test_profile_matches_pair_table(name, monkeypatch, forks_unwarned,
         assert profile(arr) == prof
     details = {check: detail for check, _, detail in property_suite(arr)}
     assert details["profile-consistency"] == prof.text()
+
+
+def test_row_keys_float_up_to_shift_52():
+    """Over Q the row keys are floats while 2^52 > V^2, V = 2 bmax^2, and
+    exact integers from there on; at b = 2^14 + 1 the 40 quotients
+    (n + 1)/n of a's row round to fewer than 40 floats, so keying them by
+    floats there would merge meets."""
+    for b, kind in ((5792, float), (5793, int)):
+        codes = _encode(_farey_row(b).lines, F)
+        row = next(arrangements._row_keys(codes, F, range(1)))
+        assert {k.__class__ for k in row} == {kind} and len(set(row)) == 40
+    b = 2 ** 14 + 1
+    assert len({(n + 1) / n for n in range(b * b - 40, b * b)}) < 40
 
 
 def _table_profile(arr):
