@@ -42,10 +42,14 @@ lines.  Equality, hashing and membership compare the frozenset of the
 codes, so a result only counted or compared builds no object, and
 ``property_suite`` works on code sets, keeping no memo past the call.  A
 projectivity acts on codes too (``_act``): at construction its matrix and
-cofactor matrix are put in the codec (``_matrix_codes``), and the action
-maps a code list to the normalized image codes: over a finite plane by
-table look-ups (``_plane_act``), elsewhere by straight-line code for the
+cofactor matrix are put in the field's ring (``_matrix_codes``), and the
+action maps a code list to the normalized image codes: over a finite plane
+by table look-ups (``_plane_act``), elsewhere by straight-line code for the
 ring that ends as the pair loop does (``_ring_action``, ``_key_src``).
+Every exact solve runs on the ring too, on the generated cofactors
+(``_cofactors``) and one generated entrywise product (``_ring_comb``):
+frame matrices and a division-free elimination (``_null_basis``) whose
+kernel vectors, in one normal form (``_normal``), ``_from_key`` decodes.
 """
 from __future__ import annotations
 
@@ -60,7 +64,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain, compress, filterfalse, islice, zip_longest
-from math import comb, gcd, isqrt
+from math import comb, gcd, isqrt, lcm
 from operator import or_
 from typing import Iterable, Optional, Sequence
 
@@ -323,19 +327,24 @@ def _encode(objs, field: Field) -> list:
         code = _gf_tables(field.spec).code
         return _ordinals(([code[r] for r in o.key()] for o in objs),
                          _plane_order(field))
+    return [_ring_flat(o.key(), field) for o in objs]
+
+
+def _ring_flat(reps, field: Field) -> tuple:
+    """Field reps, the entries of a vector or a matrix, scaled together into
+    the field's ring (``_ring``), n integers an entry: over Q their
+    primitive integer multiple, over a number field that of the reps on the
+    basis theta^i of ``_nf_codec`` (sum a_i x^i = sum a_i c^(n-1-i) theta^i
+    / c^(n-1)), over GF(p^k) each element's residues."""
+    kind = field.kind
     if kind == RATIONALS:
-        return [_primitive_int(o.key()) for o in objs]
-    return [_theta_ints(o.key(), field) for o in objs]
-
-
-def _theta_ints(reps, field: Field) -> tuple:
-    """The primitive integer multiple of number-field reps scaled together,
-    each as n integers on the basis theta^i of ``_nf_codec``:
-    sum a_i x^i = sum a_i c^(n-1-i) theta^i / c^(n-1)."""
-    c, g = _nf_codec(field.spec)
-    n = len(g) - 1
-    return _primitive_int([a for r in reps for a in r],
-                          [c ** (n - 1 - i) for i in range(n)] * len(reps))
+        return _primitive_int(reps)
+    if kind == NUMBER_FIELD:
+        c, g = _nf_codec(field.spec)
+        n = len(g) - 1
+        return _primitive_int([a for r in reps for a in r],
+                              [c ** (n - 1 - i) for i in range(n)] * len(reps))
+    return tuple(a for r in reps for a in r) if kind == PRIME_POWER_FIELD else tuple(reps)
 
 
 def _vec(v: str, n: int, sep: str = ", ") -> str:
@@ -345,10 +354,12 @@ def _vec(v: str, n: int, sep: str = ", ") -> str:
 
 def _ring(field: Field) -> tuple:
     """(g, p) of the ring Z[theta]/(g), mod p if p != 0, of the field's
-    codes off the finite planes: g of ``_nf_codec`` over a number field,
-    g = theta (Z) over Q and over GF(p)."""
+    codes and of its exact linear algebra: g of ``_nf_codec`` over a number
+    field, the modulus over GF(p^k), g = theta (Z) over Q and over GF(p)."""
     if field.kind == NUMBER_FIELD:
         return _nf_codec(field.spec)[1], 0
+    if field.kind == PRIME_POWER_FIELD:
+        return field.spec.min_poly, field.characteristic
     return (0, 1), field.characteristic
 
 
@@ -413,47 +424,29 @@ def _ring_kernel(g: tuple, p: int):
 
 def _matrix_codes(matrix) -> tuple:
     """(P, C) for the invertible 3x3 matrix M of Scalars of a projectivity,
-    in the codec of its field: P = M maps point codes and C = adj(M)^T,
-    M's inverse-transpose up to the determinant, maps line codes (``_act``).
-
-    Each is the nine entries row by row, scaled together, which leaves the
-    action as it is: integers over Q, residues over GF(p), element codes
-    over GF(p^k), and over a number field 9n integers, n per entry on the
-    basis theta^i.  The cofactors and the determinant come from
-    ``_cofactors`` in Z[theta]/(g): g of ``_nf_codec`` over a number field,
-    the modulus over GF(p^k) (then reduced mod p), and Z itself over Q and
-    GF(p).  A singular M raises GeometryError.
+    over the ring of its field (``_ring``): P = M maps point codes and
+    C = adj(M)^T, M's inverse-transpose up to the determinant, maps line
+    codes (``_act``).  Each is the nine entries row by row, scaled together
+    (``_ring_flat``), which leaves the action as it is; C and the
+    determinant come from ``_cofactors``.  A singular M raises
+    GeometryError.
     """
     field = matrix.field
-    kind, p, spec = field.kind, field.characteristic, field.spec
-    reps = [e.rep for row in matrix.rows for e in row]
-    if kind == RATIONALS:
-        flat, g = _primitive_int(reps), (0, 1)
-    elif kind == PRIME_FIELD:
-        flat, g = reps, (0, 1)
-    elif kind == PRIME_POWER_FIELD:
-        flat, g = [a for r in reps for a in r], spec.min_poly
-    else:
-        flat, g = _theta_ints(reps, field), _nf_codec(spec)[1]
-    det, cof = _cofactors(g)(flat)
-    if p:
-        det, cof = [v % p for v in det], [v % p for v in cof]
+    flat = _ring_flat([e.rep for row in matrix.rows for e in row], field)
+    det, cof = _cofactors(*_ring(field))(flat)
     if not any(det):
         raise GeometryError("projectivity matrix must be invertible")
-    if kind == PRIME_POWER_FIELD:
-        code, n = _gf_tables(spec).code, len(g) - 1
-        return tuple([code[tuple(m[i:i + n])] for i in range(0, 9 * n, n)]
-                     for m in (flat, cof))
-    return tuple(flat), tuple(cof)
+    return flat, cof
 
 
 @lru_cache(maxsize=None)
-def _cofactors(g: tuple):
-    """``cof(m)`` -> (det, C) for a 3x3 matrix M over Z[theta]/(g), its
-    nine entries m row by row, each n integers: C = adj(M)^T, whose entry
-    (i, j) is M[i+1][j+1] M[i+2][j+2] - M[i+1][j+2] M[i+2][j+1] (indices
-    mod 3), and det = M00 C00 + M01 C01 + M02 C02, as flat integer tuples.
-    Straight-line code from ``fields._mul_src``, built once per modulus."""
+def _cofactors(g: tuple, p: int):
+    """``cof(m)`` -> (det, C) for a 3x3 matrix M over the ring (g, p) of
+    ``_ring``, its nine entries m row by row, each n integers: C = adj(M)^T,
+    whose entry (i, j) is M[i+1][j+1] M[i+2][j+2] - M[i+1][j+2] M[i+2][j+1]
+    (indices mod 3), and det = M00 C00 + M01 C01 + M02 C02, as flat integer
+    tuples.  Straight-line code from ``fields._mul_src``, built once per
+    ring."""
     n = len(g) - 1
     m = [f"m{k}_" for k in range(9)]
 
@@ -462,17 +455,18 @@ def _cofactors(g: tuple):
     src = ["def cof(m):", f"{', '.join(_vec(v, n) for v in m)}, = m"]
     for i in range(3):
         for j in range(3):
-            src += _mul_src(g, f"c{3 * i + j}_", (1, at(i + 1, j + 1), at(i + 2, j + 2)),
-                            (-1, at(i + 1, j + 2), at(i + 2, j + 1)))
-    src += _mul_src(g, "d", *((1, m[j], f"c{j}_") for j in range(3)))
+            src += _mod_src(_mul_src(g, f"c{3 * i + j}_", (1, at(i + 1, j + 1), at(i + 2, j + 2)),
+                                     (-1, at(i + 1, j + 2), at(i + 2, j + 1))), p)
+    src += _mod_src(_mul_src(g, "d", *((1, m[j], f"c{j}_") for j in range(3))), p)
     src += [f"return ({_vec('d', n)},), ({', '.join(_vec(f'c{k}_', n) for k in range(9))},)"]
     return _compiled(src, "cof")
 
 
 def _act(m, codes: list, field: Field):
     """The codes of the images, in order, of the objects with ``codes``
-    under a matrix m of ``_matrix_codes`` (P on points, C on lines), as an
-    iterator; each image is normalized as ``_encode`` codes its object."""
+    under a matrix m over the field's ring, such as those of
+    ``_matrix_codes`` (P on points, C on lines), as an iterator; each image
+    is normalized as ``_encode`` codes its object."""
     if _plane_order(field):
         return _plane_act(m, codes, field)
     return _ring_action(*_ring(field))(m, codes)
@@ -481,9 +475,11 @@ def _act(m, codes: list, field: Field):
 def _plane_act(m, codes, field):
     """Over GF(q), q <= ``_PLANE_ORDER``: the PG(2,q) ordinal, each
     coordinate a sum of products of element codes in ``fields._gf_tables``
-    (a + b = a - (-b))."""
-    q = _plane_order(field)
-    _, _, mul, sub, inv = _gf_tables(field.spec)
+    (a + b = a - (-b)); over GF(p^k) each entry of m is first coded."""
+    q, n = _plane_order(field), field.degree
+    _, code, mul, sub, inv = _gf_tables(field.spec)
+    if n > 1:
+        m = [code[tuple(m[i:i + n])] for i in range(0, 9 * n, n)]
     neg, q2 = sub[:q], q * q  # sub[0 * q + b] = -b
     rows = [[e * q for e in m[i:i + 3]] for i in (0, 3, 6)]  # rows of mul
     for o in codes:
@@ -513,6 +509,125 @@ def _ring_action(g: tuple, p: int):
              for s in _mul_src(g, r, *((1, m[3 * i + j], a[j]) for j in range(3)))]
     src += [" " + s for s in _mod_src(image, p) + _key_src(g, p)]
     return _compiled(src, "act", gcd=gcd, adj=_adjugate(g) if len(g) > 2 else None)
+
+
+# ---------------------------------------------------------------------------
+# exact linear algebra on codes
+
+def _ring_vecs(codes, field: Field) -> list:
+    """``_encode`` codes as ring vectors (``_ring``): a PG(2,q) ordinal as
+    its triple, over GF(p^k) each element code as its residues."""
+    q = _plane_order(field)
+    if not q:
+        return list(codes)
+    if field.kind == PRIME_FIELD:
+        return [_plane_key(o, q) for o in codes]
+    elems = _gf_tables(field.spec).elems
+    return [tuple([a for v in _plane_key(o, q) for a in elems[v]]) for o in codes]
+
+
+@lru_cache(maxsize=None)
+def _ring_comb(g: tuple, p: int):
+    """``comb(a, u, b, v)`` -> [a_i u_i - b_i v_i] for vectors of one length
+    over the ring (g, p) of ``_ring``, flat lists of n integers an entry,
+    reduced mod p over Z/p.  One loop of straight-line products from
+    ``fields._mul_src``, built once per ring."""
+    n = len(g) - 1
+    loop = ", ".join(_vec(x, n) for x in "aubv"), ", ".join(", ".join(x * n) for x in "aubv")
+    src = ["def comb(a, u, b, v):", "a, u, b, v, out = iter(a), iter(u), iter(b), iter(v), []",
+           "for {} in zip({}):".format(*loop)]
+    src += [" " + s for s in _mod_src(_mul_src(g, "x", (1, "a", "u"), (-1, "b", "v")), p)]
+    return _compiled(src + [f" out += {_vec('x', n)},", "return out"], "comb")
+
+
+def _ring_dots(u, v, m: int, field: Field) -> list:
+    """The dot products of the blocks of m entries, in order, of two ring
+    vectors (``_ring``) of one length: one ring element (n integers) each."""
+    g, p = _ring(field)
+    n, h = len(g) - 1, _ring_comb(g, p)(u, v, [0] * len(u), u)
+    dots = [[sum(h[b + t:b + m * n:n]) for t in range(n)] for b in range(0, len(h), m * n)]
+    return [[x % p for x in e] for e in dots] if p else dots
+
+
+def _transpose(m, n: int) -> list:
+    """A 3x3 matrix of ring entries (``_ring``), n integers each row by
+    row, transposed."""
+    return [x for j in range(3) for i in range(3) for x in m[(3 * i + j) * n:(3 * i + j + 1) * n]]
+
+
+def _ring_frame(d, field: Field):
+    """The matrix M = [l1 d1, l2 d2, l3 d3], row by row over the field's
+    ring (``_ring``), that sends e1, e2, e3 and (1, 1, 1) to four points
+    (dually: lines) d up to a scalar, or None when three of them are
+    collinear.  The cofactor matrix of D, the matrix with rows d1, d2, d3,
+    has rows k_j = d(j+1) x d(j+2), and l_j = d4 . k_j is det(D) with d_j
+    replaced by d4 (Cramer)."""
+    g, p = _ring(field)
+    n, rows = len(g) - 1, [*d[0], *d[1], *d[2]]
+    det, k = _cofactors(g, p)(rows)
+    lam = _ring_dots([*d[3]] * 3, k, 3, field)
+    if not any(det) or not all(map(any, lam)):
+        return None
+    return _ring_comb(g, p)((lam[0] + lam[1] + lam[2]) * 3, _transpose(rows, n),
+                            [0] * 9 * n, rows)
+
+
+def _null_basis(rows: list, field: Field) -> list:
+    """A basis of the kernel of a nonempty matrix over the field's ring
+    (``_ring``), rows of n integers an entry reduced mod p: one ``_normal``
+    vector for each free column f, in order, a multiple of the reduced
+    echelon one.  Gauss-Jordan without division: a pivot row is scaled by
+    ``_normal``, so its pivot is an integer a > 0 (1 over Z/p), and each
+    other row becomes a row - b pivot_row (``_ring_comb``), over Z with its
+    integer content divided out.  Then x_f = L, the lcm of the pivots, and
+    x = -(L / a) b_f in the pivot column of each pivot row.  A pivot that
+    is a zero divisor, which only a reducible modulus allows, raises
+    FieldError, as ``_normal`` does."""
+    g, p = _ring(field)
+    n, comb = len(g) - 1, _ring_comb(g, p)
+    ncols, rows, pivots = len(rows[0]) // n, list(rows), []
+    for c in range(0, ncols * n, n):
+        r = len(pivots)
+        i = next((i for i in range(r, len(rows)) if any(rows[i][c:c + n])), None)
+        if i is None:
+            continue
+        top = _normal(rows[i], field)
+        rows[i], rows[r] = rows[r], top
+        for i, row in enumerate(rows):
+            if i != r and any(row[c:c + n]):
+                row = comb(top[c:c + n] * ncols, row, row[c:c + n] * ncols, top)
+                h = 1 if p else gcd(*row)
+                rows[i] = [v // h for v in row] if h > 1 else row
+        pivots.append(c)
+    mult, basis = lcm(*(row[c] for c, row in zip(pivots, rows))), []
+    for f in range(0, ncols * n, n):
+        if f not in pivots:
+            vec = [0] * (ncols * n)
+            vec[f] = mult
+            for c, row in zip(pivots, rows):
+                vec[c:c + n] = [-mult // row[c] * v for v in row[f:f + n]]
+            basis.append(_normal(vec, field))
+    return basis
+
+
+def _normal(vec, field: Field) -> tuple:
+    """The one multiple of a nonzero ring vector (``_ring``) that
+    ``_from_key`` decodes, the pair kernel's key (``_key_src``) for any
+    length: over Z and Z[theta]/(g) its first nonzero entry a positive
+    integer and its integers coprime, over Z/p that entry 1.  Over
+    Z[theta]/(g) the vector is first multiplied by w, e w an integer for e
+    that entry (``fields._adjugate``, FieldError when e has norm 0)."""
+    g, p = _ring(field)
+    n = len(g) - 1
+    i = next(i for i in range(0, len(vec), n) if any(vec[i:i + n]))
+    if n > 1:
+        w = list(_adjugate(g)(*vec[i:i + n])[1:]) * (len(vec) // n)
+        vec = _ring_comb(g, p)(w, vec, [0] * len(vec), vec)
+    if p:
+        inv = pow(vec[i], p - 2, p)
+        return tuple([v * inv % p for v in vec])
+    h = gcd(*vec) if vec[i] > 0 else -gcd(*vec)
+    return tuple([v // h for v in vec])
 
 
 # ---------------------------------------------------------------------------
@@ -832,28 +947,33 @@ def _table_profile(d: int, counts: dict, k: Optional[dict]):
 
 
 def _from_key(cls, key, field):
-    """The ProjPoint or ProjLine (``cls``) with kernel key ``key``: the one
-    decoder of codes, so the only place a PG(2,q) ordinal becomes a triple.
+    """``cls`` of the field scalars of an ``_encode`` code or a ``_normal``
+    ring vector (``key``): a ProjPoint or ProjLine of a code or a triple, a
+    Conic of six entries, a tuple of any number.  The one decoder of codes,
+    so the only place a PG(2,q) ordinal becomes a triple.
 
-    The reps already have first nonzero coordinate 1, so the constructor
-    does not scale them again.
+    The reps already have first nonzero entry 1, so the constructor does
+    not scale them again.
     """
+    kind = field.kind
     if key.__class__ is int:  # an ordinal of PG(2,q)
         key = _plane_key(key, _plane_order(field))
-    kind = field.kind
+        if kind == PRIME_POWER_FIELD:
+            elems = _gf_tables(field.spec).elems
+            return cls(tuple([field.from_rep(elems[v]) for v in key]))
+    n = field.degree
     if kind == RATIONALS:
         k = next(v for v in key if v)
         reps = [Fraction(v, k) for v in key]
     elif kind == PRIME_FIELD:
         reps = key
     elif kind == PRIME_POWER_FIELD:
-        elems = _gf_tables(field.spec).elems
-        reps = [elems[v] for v in key]
+        reps = [tuple(key[j:j + n]) for j in range(0, len(key), n)]
     else:
-        c, n = _nf_codec(field.spec)[0], field.degree
+        c = _nf_codec(field.spec)[0]
         k = next(v for v in key if v)
         reps = [tuple(Fraction(v * c ** i, k) for i, v in enumerate(key[j:j + n]))
-                for j in range(0, 3 * n, n)]
+                for j in range(0, len(key), n)]
     return cls(tuple(field.from_rep(r) for r in reps))
 
 

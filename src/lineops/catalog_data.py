@@ -13,7 +13,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .fields import number_field, parse_scalar
-from .projective import Matrix3, ProjLine, nullspace
+from .arrangements import _from_key, _normal, _null_basis, _ring_flat
+from .projective import Matrix3, ProjLine
 
 # 21 mirror lines of the order-168 symmetry group, over Q(sqrt-7): x = sqrt(-7).
 _KLEIN_COLS = (
@@ -133,7 +134,8 @@ def wiman_lines():
     if len(seen) != 360:
         raise AssertionError(f"expected order 360, got {len(seen)}")
 
-    mirrors = {}
+    mirrors = {}  # the ``_normal`` row of each mirror, in the order found
+    n = 3 * field.degree  # the integers in a row over the field's ring
     for A in seen:
         if A == ident:
             continue
@@ -146,15 +148,14 @@ def wiman_lines():
         if root * root != lam:
             raise AssertionError("square-root recipe failed")
         for sgn in (root, -root):
-            M = [[e - sgn if i == j else e for j, e in enumerate(row)]
-                 for i, row in enumerate(A.rows)]
+            flat = _ring_flat([(e - sgn if i == j else e).rep
+                               for i, row in enumerate(A.rows) for j, e in enumerate(row)],
+                              field)
+            rows = [flat[k:k + n] for k in range(0, 3 * n, n)]
             # a reflection fixes a line pointwise: A - sgn has rank 1
-            if len(nullspace(M, field)) == 2:
-                coeff = next(r for r in M
-                             if any(not e.is_zero() for e in r))
-                ln = ProjLine(tuple(coeff))
-                mirrors[ln.key()] = ln
+            if len(_null_basis(rows, field)) == 2:
+                mirrors[_normal(next(r for r in rows if any(r)), field)] = None
                 break
     if len(mirrors) != 45:
         raise AssertionError(f"expected 45 mirrors, got {len(mirrors)}")
-    return field, list(mirrors.values())
+    return field, [_from_key(ProjLine, k, field) for k in mirrors]

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence, Union
 
-from .arrangements import Arrangement, ArrangementError, _encode, _groups
+from .arrangements import Arrangement, ArrangementError, _encode, _groups, _null_basis
 from .fields import QQ
-from .projective import ProjLine, _field_of, nullspace
+from .projective import ProjLine, _field_of
 
 
 class MatroidError(ArrangementError):
@@ -237,10 +237,9 @@ def reye_matroid() -> Matroid3:
     F = QQ()
     coords = [(sx, sy, sz, 1) for sx in (1, -1) for sy in (1, -1) for sz in (1, -1)]
     coords += [(0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]
-    pts = [[F.scalar(c) for c in p] for p in coords]
     # three points are collinear when their 3x4 matrix has rank 2
     m = Matroid3.from_flats(12, [t for t in combinations(range(12), 3)
-                                 if len(nullspace([pts[i] for i in t], F)) == 2])
+                                 if len(_null_basis([coords[i] for i in t], F)) == 2])
     if len(m.flats) != 16 or any(sum(i in f for f in m.flats) != 4
                                  for i in range(12)):
         raise MatroidError("Reye realization must be a (12_4, 16_3)")

@@ -193,13 +193,6 @@ class Matrix3(_Frozen):
               r[0][0] * r[1][1] - r[0][1] * r[1][0]]]
         return Matrix3(c)
 
-    def inverse(self) -> "Matrix3":
-        d = self.det()
-        if d.is_zero():
-            raise GeometryError("singular matrix")
-        inv = d.inverse()
-        return Matrix3([[e * inv for e in row] for row in self.adjugate().rows])
-
     def __mul__(self, other: "Matrix3") -> "Matrix3":
         b0, b1, b2 = other.rows
         return Matrix3([[r0 * c0 + r1 * c1 + r2 * c2
@@ -298,48 +291,46 @@ def apply_projectivity(g: Projectivity, obj):
     return arr._from_key(obj.__class__, image, field)
 
 
-def _point_frame_matrix(pts: Sequence[ProjPoint]) -> Matrix3:
-    """Matrix sending the standard frame e1,e2,e3,(1:1:1) to the given 4 points."""
-    if len(pts) != 4:
+def _carrying(m_a, m_b, field: Field) -> Projectivity:
+    """The projectivity whose line action M_b adj(M_a) takes the dual
+    points of the frame matrix M_a (``arrangements._ring_frame``) to those
+    of M_b: its point matrix is cof(M_b adj(M_a)) = cof(M_b) M_a^T up to a
+    scalar, decoded (``_normal``, ``_from_key``) and multiplied out on
+    Scalars."""
+    arr = _arrangements()
+    a, b = (arr._from_key(tuple, arr._normal(m, field), field)
+            for m in (m_a, arr._cofactors(*arr._ring(field))(m_b)[1]))
+    return Projectivity(Matrix3([b[0:3], b[3:6], b[6:9]]) * Matrix3([a[0::3], a[1::3], a[2::3]]))
+
+
+def _frame_pair(src: Sequence, dst: Sequence) -> tuple:
+    """(M_src, M_dst, field): the frame matrices of two ordered 4-frames of
+    points (dually: lines) over the field's ring, or GeometryError."""
+    if len(src) != 4 or len(dst) != 4:
         raise GeometryError("a frame needs 4 points")
-    field = pts[0].field
-    p1, p2, p3, p4 = [p.coords for p in pts]
-    base = Matrix3([[p1[0], p2[0], p3[0]],
-                    [p1[1], p2[1], p3[1]],
-                    [p1[2], p2[2], p3[2]]])
-    d = base.det()
-    if d.is_zero():
-        raise GeometryError("first three frame points are collinear")
-    lam = base.adjugate().apply_vec(p4)  # base * lam = p4 (up to det factor)
-    if any(x.is_zero() for x in lam):
-        raise GeometryError("fourth frame point lies on a side of the triangle")
-    cols = []
-    for j, l in enumerate(lam):
-        cols.append([base.rows[i][j] * l for i in range(3)])
-    return Matrix3([[cols[j][i] for j in range(3)] for i in range(3)])
-
-
-def _frame_map(src: Sequence[ProjPoint], dst: Sequence[ProjPoint]) -> Matrix3:
-    """The matrix sending one ordered 4-point frame to another."""
-    return _point_frame_matrix(dst) * _point_frame_matrix(src).inverse()
+    for o in (*src, *dst):
+        _check_same_field(src[0], o)
+    field, arr = src[0].field, _arrangements()
+    vecs = arr._ring_vecs(arr._encode([*src, *dst], field), field)
+    m_src, m_dst = arr._ring_frame(vecs[:4], field), arr._ring_frame(vecs[4:], field)
+    if m_src is None or m_dst is None:
+        raise GeometryError("three frame points are collinear")
+    return m_src, m_dst, field
 
 
 def projectivity_from_point_frames(src: Sequence[ProjPoint],
                                    dst: Sequence[ProjPoint]) -> Projectivity:
-    """Unique projectivity sending one ordered 4-point frame to another."""
-    return Projectivity(_frame_map(src, dst))
+    """Unique projectivity sending one ordered 4-point frame to another:
+    the map of the same coordinates as lines (``_carrying``), its point
+    matrix inverse-transposed."""
+    return Projectivity(_carrying(*_frame_pair(src, dst)).matrix.adjugate().transpose())
 
 
 def projectivity_from_line_frames(src: Sequence[ProjLine],
                                   dst: Sequence[ProjLine]) -> Projectivity:
-    """Unique projectivity carrying 4 general-position lines to 4 others.
-
-    Computed on the dual frame: the matrix h moving the dual points of src
-    to those of dst transforms line coefficients, hence the point action is
-    its inverse-transpose.
-    """
-    h = _frame_map([dualize(l) for l in src], [dualize(l) for l in dst])
-    return Projectivity(h.adjugate().transpose())
+    """Unique projectivity carrying 4 general-position lines to 4 others,
+    computed on the dual frames (``_carrying``)."""
+    return _carrying(*_frame_pair(src, dst))
 
 
 def _field_of(sides) -> Optional[Field]:
@@ -375,15 +366,10 @@ def projectively_equivalent(lines_a, lines_b) -> Optional[Projectivity]:
     of lines, ordered and encoded once as an ``arrangements.Arrangement``,
     or an Arrangement, whose codes are read as they are.
 
-    Deterministic: one loop over the frame pairs of ``_frames`` in their
-    order, whose first g that maps A onto B is the witness; g is the
-    inverse-transpose of frame_b * to_a, which moves A's dual frame onto
-    B's.  A with a general-position quadruple matches its first one (in
-    canonical order) against ordered quadruples of B in canonical order;
-    pencils, near pencils and <= 3 lines match dual frames of their own in
-    the same loop.  A's image codes are checked one at a time against B's
-    code set, and no object is built; g is injective, so images all in B
-    are all of B.
+    Deterministic: the first candidate of ``_frames`` whose frame_b moves
+    A's moved codes into B's code set, one code at a time
+    (``arrangements._act``), gives the witness (``_carrying``); no object
+    is built before it, and g is injective, so images all in B are all of B.
     """
     field, arr = _field_of((lines_a, lines_b)), _arrangements()
     if field is None:
@@ -393,17 +379,15 @@ def projectively_equivalent(lines_a, lines_b) -> Optional[Projectivity]:
     if a.is_empty() or len(a) != len(b):
         return None  # no canvas for a witness when both are empty
     in_b = b._code_set().__contains__
-    for to_a, frame_b in _frames(a, b):
-        g = Projectivity((frame_b * to_a).adjugate().transpose())
-        if all(map(in_b, arr._act(g._on_lines, a._codes, field))):
-            return g
+    for frame_a, moved, frame_b in _frames(a, b):
+        if all(map(in_b, arr._act(frame_b, moved, field))):
+            return _carrying(frame_a, frame_b, field)
     return None
 
 
-def _pool_points(field: Field):
-    return [point(field, 1, 0, 0), point(field, 0, 1, 0), point(field, 0, 0, 1),
-            point(field, 1, 1, 1), point(field, 1, 1, 0), point(field, 1, 0, 1),
-            point(field, 0, 1, 1), point(field, 1, -1, 1), point(field, 1, 2, 3)]
+# The points that complete fewer than four dual points to frames, in order.
+_POOL = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 1, 0), (1, 0, 1),
+         (0, 1, 1), (1, -1, 1), (1, 2, 3))
 
 
 def _concurrency(s, duals) -> tuple:
@@ -425,76 +409,76 @@ def _concurrency(s, duals) -> tuple:
 
 
 def _frames(a, b):
-    """The witness candidates in order, as pairs (to_a, frame_b) of the
-    inverse of a frame matrix of A's dual points, built once per frame of
-    A, and a frame matrix of B's dual points, for two Arrangements.
+    """The witness candidates in order for two Arrangements, as triples
+    (frame_a, moved, frame_b): frame matrices (``arrangements._ring_frame``)
+    of A's and of B's dual points over the field's ring, and A's codes moved
+    by adj(frame_a), found once per frame of A.
 
     A's first general-position quadruple is matched against each ordered
     quadruple of B in general position: one with no concurrent triple
     (``_concurrency``).  Without one, A is dually collinear points (a
     pencil), collinear points plus one (a near pencil) or at most 3
-    points.  A pencil or near pencil pins the basis of its first three
-    collinear points (``_pencil_basis``) against those of B's ordered
+    points.  A pencil or near pencil pins its first three collinear points
+    d1, d2, d3 and the point off their line, or the first of ``_POOL`` off
+    it, as the frame (d1, d2, off, d3 + off), each point at the scale that
+    makes its first nonzero coordinate 1, against those of B's ordered
     triples; it has no match unless B splits the same way.  Anything else
-    completes its points to frames from a fixed pool, each against the
-    completions of B's ordered triples.
+    is at most 3 lines, no three concurrent: its first completion to a
+    frame from ``_POOL`` against B's, which maps A onto B unless B has
+    three concurrent lines, and then B has none.
     """
-    dual_a, dual_b = ([dualize(l) for l in s.lines] for s in (a, b))
+    field, arr = a.field, _arrangements()
+    g, p = arr._ring(field)
+    n, frame = len(g) - 1, arr._ring_frame
+    dual_a, dual_b = (arr._ring_vecs(s._code_list(), field) for s in (a, b))
     (triples_a, split_a), (triples_b, split_b) = (_concurrency(a, dual_a),
                                                   _concurrency(b, dual_b))
+
+    def standard(m):  # (m, A's codes moved by adj(m) = cof(m)^T)
+        adj = arr._transpose(arr._cofactors(g, p)(m)[1], n)
+        return m, list(arr._act(adj, a._codes, field))
+
     quad = None if triples_a is None else next(
         (q for q in combinations(range(len(a)), 4)
          if triples_a.isdisjoint(combinations(q, 3))), None)
     if quad is not None:
-        to_a = _point_frame_matrix([dual_a[i] for i in quad]).inverse()
+        to_a = standard(frame([dual_a[i] for i in quad], field))
         for cand in permutations(range(len(b)), 4):
             if triples_b is not None and triples_b.isdisjoint(
                     combinations(sorted(cand), 3)):
-                yield to_a, _point_frame_matrix([dual_b[i] for i in cand])
+                yield *to_a, frame([dual_b[i] for i in cand], field)
         return
-    field = a.field
+    pool = [tuple([v for c in t for v in (c % p if p else c,) + (0,) * (n - 1)])
+            for t in _POOL]
+
+    def pencil(on, off):
+        d1, d2, d3 = on[:3]
+        for o in [off] if off is not None else pool:
+            k3, ko = next(filter(None, d3)), next(filter(None, o))
+            m = frame((d1, d2, o, [ko * x + k3 * y for x, y in zip(d3, o)]), field)
+            if m is not None:
+                return m
+        return None
+
     if split_a is not None:
         (on_a, off_a), (on_b, off_b) = split_a, split_b or ((), None)
-        base_a = _pencil_basis(on_a, off_a, field)
+        base_a = pencil(on_a, off_a)
         if len(on_a) != len(on_b) or base_a is None:
             return
-        to_a = base_a.inverse()
+        to_a = standard(base_a)
         for idx in permutations(range(len(on_b)), 3):
-            base_b = _pencil_basis([on_b[i] for i in idx], off_b, field)
+            base_b = pencil([on_b[i] for i in idx], off_b)
             if base_b is not None:
-                yield to_a, base_b
+                yield *to_a, base_b
         return
-    pool = _pool_points(field)
 
-    def completions(base, duals):
-        # frames with no three points collinear, which _point_frame_matrix
-        # takes without raising
-        for extra in combinations([p for p in pool if p not in duals], 4 - len(base)):
-            frame = list(base) + list(extra)
-            if not any(collinear(*three) for three in combinations(frame, 3)):
-                yield _point_frame_matrix(frame)
+    def completion(duals):
+        extras = combinations([q for q in pool if q not in duals], 4 - len(duals))
+        return next(filter(None, (frame([*duals, *e], field) for e in extras)), None)
 
-    for frame_a in completions(dual_a[:3], dual_a):
-        to_a = frame_a.inverse()
-        for idx in permutations(range(len(dual_b)), min(3, len(dual_b))):
-            for frame_b in completions([dual_b[i] for i in idx], dual_b):
-                yield to_a, frame_b
-
-
-def _pencil_basis(duals, off, field) -> Optional[Matrix3]:
-    """Matrix whose columns pin (d1, d2, d3 as their sum, off-or-pool
-    point) for the first three of distinct collinear points ``duals``."""
-    v1, v2, v3 = (p.coords for p in duals[:3])
-    # d3 is on the line d1 d2 and is neither: the kernel is one vector
-    # (x, y, 1), and d3 = a d1 + b d2 for a = -x, b = -y
-    (x, y, _), = nullspace([[v1[i], v2[i], v3[i]] for i in range(3)], field)
-    if x.is_zero() or y.is_zero():
-        return None
-    if off is None:
-        axis = join(duals[0], duals[1])
-        off = next(p for p in _pool_points(field) if not incident(p, axis))
-    m = Matrix3([[-x * v1[i], -y * v2[i], off.coords[i]] for i in range(3)])
-    return None if m.det().is_zero() else m
+    frame_a, frame_b = completion(dual_a), completion(dual_b)
+    if frame_a is not None and frame_b is not None:
+        yield *standard(frame_a), frame_b
 
 
 # ---------------------------------------------------------------------------
@@ -519,79 +503,52 @@ class Conic(_ProjObject):
         return val.is_zero()
 
     def is_irreducible(self) -> bool:
-        """Smooth conic test via the doubled symmetric form determinant."""
-        field = self.field
-        if field.characteristic == 2:
-            raise GeometryError("conic degeneracy test unavailable in characteristic 2")
+        """Smooth conic test in every characteristic: the half-discriminant
+        4abc + def - af^2 - be^2 - cd^2, half the determinant of the
+        doubled symmetric form, is nonzero."""
         a, b, c, d, e, f = self.coeffs
-        m = Matrix3([[a + a, d, e], [d, b + b, f], [e, f, c + c]])
-        return not m.det().is_zero()
+        return not (a * b * c * 4 + d * e * f - a * f * f - b * e * e
+                    - c * d * d).is_zero()
 
     def __repr__(self):
         return self._brackets[0] + ", ".join(map(str, self.coords)) + self._brackets[1]
 
 
-def _conic_row(p: ProjPoint):
-    x, y, z = p.coords
-    return [x * x, y * y, z * z, x * y, x * z, y * z]
-
-
-def nullspace(rows, field: Field):
-    """Basis of the nullspace of a small matrix of Scalars."""
-    m = [list(r) for r in rows]
-    ncols = len(m[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(m)):
-            if not m[i][c].is_zero():
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = m[r][c].inverse()
-        m[r] = [v * inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and not m[i][c].is_zero():
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [field.zero] * ncols
-        vec[fc] = field.one
-        for i, pc in enumerate(pivots):
-            vec[pc] = -m[i][fc]
-        basis.append(tuple(vec))
-    return basis
+def _conic_rows(pts: Sequence[ProjPoint]) -> tuple:
+    """(field, rows) for points of one field, ordered and deduplicated as
+    an ``arrangements.PointConfig``: each point's row (x^2, y^2, z^2, xy,
+    xz, yz) over the ring of its code (``arrangements._ring``), so the
+    conics through points are a kernel of their rows."""
+    arr = _arrangements()
+    cfg = arr.PointConfig(pts[0].field, pts)
+    field = cfg.field
+    g, p = arr._ring(field)
+    n = len(g) - 1
+    comb, zero, rows = arr._ring_comb(g, p), [0] * 6 * n, []
+    for v in arr._ring_vecs(cfg._code_list(), field):
+        x, y, z = v[:n], v[n:2 * n], v[2 * n:]
+        rows.append(comb([*x, *y, *z, *x, *x, *y], [*x, *y, *z, *y, *z, *z], zero, zero))
+    return field, rows
 
 
 def conic_through(pts: Sequence[ProjPoint]) -> Conic:
     """The unique conic through 5 points (error when not unique)."""
     if len(pts) != 5:
         raise GeometryError("conic_through expects exactly 5 points")
-    field = pts[0].field
-    basis = nullspace([_conic_row(p) for p in pts], field)
+    field, rows = _conic_rows(pts)
+    basis = _arrangements()._null_basis(rows, field)
     if len(basis) != 1:
         raise GeometryError("conic through the 5 points is not unique")
-    return Conic(basis[0])
+    return _arrangements()._from_key(Conic, basis[0], field)
 
 
 def common_conic(pts: Sequence[ProjPoint]) -> Optional[Conic]:
     """Some conic through all the points, or None when only the zero conic fits."""
     if not pts:
         raise GeometryError("no points")
-    field = pts[0].field
-    basis = nullspace([_conic_row(p) for p in pts], field)
-    if not basis:
-        return None
-    return Conic(basis[0])
+    field, rows = _conic_rows(pts)
+    basis = _arrangements()._null_basis(rows, field)
+    return _arrangements()._from_key(Conic, basis[0], field) if basis else None
 
 
 class RichConic(_Frozen):
@@ -612,25 +569,26 @@ def rich_conics(pts: Sequence[ProjPoint], min_count: int) -> list:
 
     Input size is capped at 30 points (C(30,5) subsets is the practical
     limit for exact enumeration); 5-subsets that do not determine a unique
-    conic are skipped.
+    conic are skipped.  Each subset's conic is found on the points' codes
+    (``arrangements._null_basis``) and deduplicated by its ``_normal``
+    vector, and each distinct one counts its points on the same rows; a
+    Conic is built only for one that is returned.
     """
-    pts = _arrangements().PointConfig(pts[0].field, pts).points if pts else ()
-    if len(pts) > 30:
+    arr = _arrangements()
+    field, rows = _conic_rows(pts) if pts else (None, [])
+    if len(rows) > 30:
         raise GeometryError("rich_conics accepts at most 30 points")
     if min_count < 5:
         raise GeometryError("min_count must be at least 5")
-    field = pts[0].field if pts else None
     seen = {}
-    for sub in combinations(pts, 5):
-        basis = nullspace([_conic_row(p) for p in sub], field)
-        if len(basis) != 1:
-            continue
-        conic = Conic(basis[0])
-        if conic.key() not in seen:
-            seen[conic.key()] = conic
-    out = []
-    for conic in seen.values():
-        cnt = sum(1 for p in pts if conic.contains(p))
+    for sub in combinations(rows, 5):
+        basis = arr._null_basis(sub, field)
+        if len(basis) == 1:
+            seen[basis[0]] = None
+    out, flat = [], [v for row in rows for v in row]
+    for key in seen:
+        cnt = sum(not any(e) for e in arr._ring_dots(flat, list(key) * len(rows), 6, field))
         if cnt >= min_count:
+            conic = arr._from_key(Conic, key, field)
             out.append(RichConic(conic, cnt, conic.is_irreducible()))
     return sorted(out, key=lambda rc: rc.conic.key())

@@ -1,8 +1,8 @@
 """Shared fixtures: the reference pair kernels over GF(q), the reference
 incidence count over PG(2,q), the pair table as key -> k, a counter of
 pair passes, the reference pair index, the object-level concurrency
-tests and projective-equivalence search, and the reference operator
-sequence with cycle detection on digests.
+tests and projective-equivalence search (on frames built from Scalars),
+and the reference operator sequence with cycle detection on digests.
 
 Over every finite field of order at most ``arrangements._PLANE_ORDER`` the
 program codes an object by its ordinal in PG(2,q) and counts incidences on
@@ -22,9 +22,7 @@ import pytest
 from lineops import arrangements, dynamics, projective
 from lineops.fields import PRIME_FIELD, PRIME_POWER_FIELD, _gf_tables
 from lineops.projective import (GeometryError, Matrix3, ProjLine, Projectivity,
-                                _pool_points, collinear, dualize, incident,
-                                join, meet, projectivity_from_line_frames,
-                                projectivity_from_point_frames)
+                                collinear, dualize, incident, join, meet, point)
 
 
 def _prime_meets(tris, field, rows):
@@ -232,6 +230,41 @@ def reference_pencil_split(pts):
     return _near_pencil_split(pts)
 
 
+def _pool_points(field):
+    return [point(field, 1, 0, 0), point(field, 0, 1, 0), point(field, 0, 0, 1),
+            point(field, 1, 1, 1), point(field, 1, 1, 0), point(field, 1, 0, 1),
+            point(field, 0, 1, 1), point(field, 1, -1, 1), point(field, 1, 2, 3)]
+
+
+def _inverse(m: Matrix3) -> Matrix3:
+    d = m.det()
+    if d.is_zero():
+        raise GeometryError("singular matrix")
+    inv = d.inverse()
+    return Matrix3([[e * inv for e in row] for row in m.adjugate().rows])
+
+
+def _point_frame_matrix(pts) -> Matrix3:
+    """Matrix sending the standard frame e1,e2,e3,(1:1:1) to the given 4
+    points, on Scalars: the frame builder the program had before frames
+    moved to ring codes."""
+    p1, p2, p3, p4 = [p.coords for p in pts]
+    base = Matrix3([[p1[0], p2[0], p3[0]],
+                    [p1[1], p2[1], p3[1]],
+                    [p1[2], p2[2], p3[2]]])
+    if base.det().is_zero():
+        raise GeometryError("first three frame points are collinear")
+    lam = base.adjugate().apply_vec(p4)  # base * lam = p4 (up to det factor)
+    if any(x.is_zero() for x in lam):
+        raise GeometryError("fourth frame point lies on a side of the triangle")
+    return Matrix3([[base.rows[i][j] * lam[j] for j in range(3)] for i in range(3)])
+
+
+def _frame_map(src, dst) -> Matrix3:
+    """The Scalar matrix sending one ordered 4-point frame to another."""
+    return _point_frame_matrix(dst) * _inverse(_point_frame_matrix(src))
+
+
 def _image_set(g, lines):
     """The images of ``lines`` under g as objects: the Scalar matrix
     adj(M)^T on each line's coefficients, then the constructor."""
@@ -245,7 +278,9 @@ def reference_equivalent(lines_a, lines_b):
     as objects by ``_image_set``, against the set of B's lines, and with
     the three searches the program had before they became one loop over
     frame pairs: the pencil bases below solve a 2x2 system of their own.
-    The frames and the order of the candidates are the program's."""
+    The frames are built on Scalars (``_point_frame_matrix``), as before
+    they moved to ring codes, and the order of the candidates is the
+    program's."""
     if len({l.field.spec for l in (*lines_a, *lines_b)}) > 1:
         raise projective.FieldError("arrangements live in different fields")
     lines_a, lines_b = canonical(lines_a), canonical(lines_b)
@@ -258,7 +293,8 @@ def reference_equivalent(lines_a, lines_b):
         for cand in permutations(range(len(lines_b)), 4):
             dst = [lines_b[i] for i in cand]
             if reference_general_position(dst):
-                g = projectivity_from_line_frames(src, dst)
+                g = Projectivity(_frame_map([dualize(l) for l in src],
+                                            [dualize(l) for l in dst]).adjugate().transpose())
                 if _image_set(g, lines_a) == set_b:
                     return g
         return None
@@ -286,10 +322,10 @@ def reference_equivalent(lines_a, lines_b):
         for idx in permutations(range(len(dual_b)), min(3, len(dual_b))):
             for dst_frame in completions([dual_b[i] for i in idx], dual_b):
                 try:
-                    g_pts = projectivity_from_point_frames(src_frame, dst_frame)
+                    h = _frame_map(src_frame, dst_frame)
                 except GeometryError:
                     continue
-                g = Projectivity(g_pts.matrix.adjugate().transpose())
+                g = Projectivity(h.adjugate().transpose())
                 if _image_set(g, lines_a) == set_b:
                     return g
     return None
@@ -347,7 +383,7 @@ def _reference_pencil(on_a, off_a, on_b, off_b, lines_a, set_b, field):
     base_a = _pencil_basis(on_a, off_a, field)
     if base_a is None:
         return None
-    n_a = base_a.inverse()
+    n_a = _inverse(base_a)
     for idx in permutations(range(len(on_b)), min(3, len(on_b))):
         base_b = _pencil_basis([on_b[i] for i in idx], off_b, field)
         if base_b is not None:
@@ -360,7 +396,8 @@ def _reference_pencil(on_a, off_a, on_b, off_b, lines_a, set_b, field):
 @pytest.fixture
 def same_witness(monkeypatch):
     """A ``projectively_equivalent`` that also runs ``reference_equivalent``
-    and asserts that both give the same witness matrix, or both None; it
+    and asserts that both give the same witness matrix up to a scalar
+    (``scaled_canonical``), or both None; it
     replaces the one ``arrangements`` calls, so ``arrangements_equivalent``
     and the CLI's ``equiv`` are checked too."""
     search = arrangements.projectively_equivalent
@@ -368,7 +405,8 @@ def same_witness(monkeypatch):
     def checked(lines_a, lines_b):
         got, want = search(lines_a, lines_b), reference_equivalent(lines_a, lines_b)
         assert (got is None) == (want is None)
-        assert got is None or got.matrix == want.matrix
+        assert got is None or (got.matrix.scaled_canonical()
+                               == want.matrix.scaled_canonical())
         return got
     monkeypatch.setattr(arrangements, "projectively_equivalent", checked)
     return checked

@@ -636,29 +636,32 @@ def test_generated_source_compiles(monkeypatch):
     """Every generated function is built afresh through ``fields._compiled``
     and gives what the cached one gives: the pair kernel and the
     projectivity action over Q, GF(101), Q(omega) and a cubic field, the
-    cofactors and adjugates of their rings, the number-field product and
-    inverse, and the GF(p^k) product table.  Under ``-W error`` a warning
-    while compiling any of them fails the test."""
+    cofactors and the entrywise product of the exact linear algebra over
+    their rings and GF(8)'s, the adjugates of the number-field rings, the
+    number-field product and inverse, and the GF(p^k) product table.  Under ``-W error``
+    a warning while compiling any of them fails the test."""
     m, gf8 = [[1, 2, 0], [0, 1, 3], [1, 0, 1]], GF(8).spec  # det 7
 
-    def outputs(kernel, action, cofactors, adjugate, nf_ops, gf_tables):
+    def outputs(kernel, action, cofactors, comb, adjugate, nf_ops, gf_tables):
         out = [gf_tables(gf8)]
         for arr in (build("pappus"), _sample_of_plane(101, 40), build("dual-hesse"),
-                    build("grunbaum-rigby")):
+                    build("grunbaum-rigby"), build("finite-plane", q=8)):
             field, codes = arr.field, arr._code_list()
             (g, p), n = arrangements._ring(field), field.degree
-            on_lines = Projectivity(Matrix3.from_values(field, m))._on_lines
-            out += [list(kernel(g, p)(codes, range(len(codes) - 1))),
-                    list(action(g, p)(on_lines, codes)),
-                    cofactors(g)(tuple(range(1, 9 * n + 1)))]
+            out += [cofactors(g, p)(tuple(range(1, 9 * n + 1))),
+                    comb(g, p)(*arrangements._ring_vecs(codes[:4], field))]
+            if not arrangements._plane_order(field):
+                on_lines = Projectivity(Matrix3.from_values(field, m))._on_lines
+                out += [list(kernel(g, p)(codes, range(len(codes) - 1))),
+                        list(action(g, p)(on_lines, codes))]
             if field.kind == NUMBER_FIELD:
                 a, b = (tuple(map(Fraction, range(i, i + n))) for i in (1, 5))
                 mul, inv = nf_ops(field.spec)
                 out += [adjugate(g)(*range(2, n + 2)), mul(a, b), inv(a)]
         return out
     builders = (arrangements._ring_kernel, arrangements._ring_action,
-                arrangements._cofactors, fields._adjugate, fields._nf_ops,
-                fields._gf_tables)
+                arrangements._cofactors, arrangements._ring_comb, fields._adjugate,
+                fields._nf_ops, fields._gf_tables)
     want = outputs(*builders)
     built, compiled = [], fields._compiled
 
@@ -668,7 +671,7 @@ def test_generated_source_compiles(monkeypatch):
     monkeypatch.setattr(fields, "_compiled", recording)
     monkeypatch.setattr(arrangements, "_compiled", recording)
     assert outputs(*(b.__wrapped__ for b in builders)) == want
-    assert sorted(built) == sorted(["mul"] + ["kernel", "act", "cof"] * 4
+    assert sorted(built) == sorted(["mul"] + ["cof", "comb"] * 5 + ["kernel", "act"] * 4
                                    + ["adj", "mul", "inv"] * 2)
 
 
@@ -682,8 +685,77 @@ def test_pair_kernel_zero_divisor_is_a_field_error():
         code_counts(_encode(lines, field), field)
     with pytest.raises(FieldError) as inverse:
         (x ** 3 - 2).inverse()
-    assert (str(kernel.value) == str(inverse.value)
+    # the elimination refuses a pivot that is a zero divisor the same way
+    with pytest.raises(FieldError) as pivot:
+        arrangements._null_basis([arrangements._ring_flat(
+            [(x ** 3 - 2).rep, field.one.rep], field)], field)
+    assert (str(kernel.value) == str(inverse.value) == str(pivot.value)
             == "non-invertible element (reducible modulus)")
+
+
+ELIMINATION_FIELDS = {"Q": QQ(), "Q(omega)": cyclotomic_field(3), "GF(7)": GF(7),
+                      "GF(101)": GF(101)}
+
+
+@pytest.mark.parametrize("name", sorted(ELIMINATION_FIELDS))
+def test_elimination_matches_sympy(name):
+    """Rank and kernel of the elimination on ring codes (``_null_basis``;
+    the rank is the number of columns less the kernel's) on seeded
+    matrices, some with dependent rows, against sympy's ``DomainMatrix``
+    over the same field, an oracle that shares no code with lineops: the
+    ranks agree, and each kernel vector, decoded by ``_from_key`` with
+    first nonzero entry 1, is a multiple of sympy's in the same place,
+    since the reduced-echelon basis is unique."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.domains import FF, QQ as SQQ
+    from sympy.polys.matrices import DomainMatrix
+    field, rng = ELIMINATION_FIELDS[name], random.Random(31)
+    if field.kind == NUMBER_FIELD:  # x = omega, a root of x^2 + x + 1
+        dom = SQQ.algebraic_field(sympy.sqrt(-3))
+        w = dom.from_sympy((-1 + sympy.sqrt(-3)) / 2)
+
+        def to_dom(s):
+            return sum((dom.from_sympy(sympy.Rational(a.numerator, a.denominator))
+                        * w ** i for i, a in enumerate(s.rep)), dom.zero)
+    elif field.characteristic:
+        dom = FF(field.characteristic)
+
+        def to_dom(s):
+            return dom(s.rep)
+    else:
+        dom = SQQ
+
+        def to_dom(s):
+            return dom(s.rep.numerator, s.rep.denominator)
+    x = field.generator if field.degree > 1 else field.one
+
+    def entry():
+        e = field.scalar(rng.randint(-3, 3)) + x * rng.randint(-2, 2)
+        return e if field.characteristic else e / rng.randint(1, 4)
+    ranks = Counter()
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 6), rng.randint(2, 7)
+        rows = [[entry() for _ in range(ncols)] for _ in range(rng.randint(1, nrows))]
+        while len(rows) < nrows:
+            a, b, c = rng.choice(rows), rng.choice(rows), entry()
+            rows.append([u + c * v for u, v in zip(a, b)])
+        rng.shuffle(rows)
+        ring = [arrangements._ring_flat([e.rep for e in row], field) for row in rows]
+        oracle = DomainMatrix([[to_dom(e) for e in row] for row in rows],
+                              (nrows, ncols), dom)
+        decoded = [_from_key(tuple, v, field) for v in arrangements._null_basis(ring, field)]
+        # in the normal form _from_key reads: first nonzero entry 1
+        assert all(next(e for e in v if not e.is_zero()) == field.one for v in decoded)
+        got = [[to_dom(e) for e in v] for v in decoded]
+        rank = ncols - len(got)
+        assert rank == oracle.rank()
+        ranks[rank == min(nrows, ncols)] += 1
+        want = oracle.nullspace().to_list() if rank < ncols else []
+        assert len(got) == len(want)
+        for u, v in zip(got, want):
+            i = next(i for i, e in enumerate(u) if e)
+            assert v[i] and all(u[i] * b == a * v[i] for a, b in zip(u, v))
+    assert ranks[True] > 10 and ranks[False] > 10  # full rank and deficient
 
 
 def test_points_operator_examples():

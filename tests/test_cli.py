@@ -169,6 +169,19 @@ def test_conics_command(capsys, monkeypatch):
     assert sum(1 for c in found if c["irreducible"]) == 12
 
 
+def test_conics_command_in_characteristic_2(capsys, monkeypatch):
+    """Over GF(4) the degeneracy test runs: 12 points of PG(2,4) give
+    irreducible and degenerate conics, and the command exits 0."""
+    from lineops.arrangements import (PointConfig, all_projective_lines,
+                                      dualize_arrangement, point_config_to_json)
+    from lineops.fields import GF
+    pts = list(dualize_arrangement(all_projective_lines(GF(4))).points)[:12]
+    doc = dump_json(point_config_to_json(PointConfig(GF(4), pts)))
+    code, out, err = run(capsys, monkeypatch, ["conics", "--min", "5"], stdin=doc)
+    assert code == 0 and not err
+    assert {c["irreducible"] for c in json.loads(out)["conics"]} == {True, False}
+
+
 def test_render_command(tmp_path, capsys, monkeypatch):
     out_file = tmp_path / "grid.svg"
     code, out, err = run(capsys, monkeypatch,

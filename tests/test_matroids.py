@@ -135,10 +135,8 @@ def test_isomorphism_negative():
     other = Matroid3.from_flats(9, [(0, 1, 2), (3, 4, 5), (6, 7, 8),
                                     (0, 3, 6), (1, 4, 7), (2, 5, 8),
                                     (0, 4, 8), (2, 4, 6), (1, 3, 8)])
-    got = matroid_isomorphic(pap, other)
-    if got is not None:
-        image = {tuple(sorted(got[i] for i in f)) for f in pap.flats}
-        assert image == set(other.flats)
+    # element 4 of other lies on four flats, every Pappus element on three
+    assert matroid_isomorphic(pap, other) is None
 
 
 def test_gv13_flats_match_listed_non_bases():

@@ -1,10 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from lineops.arrangements import Arrangement, PointConfig, incidence_index
+from lineops.arrangements import (Arrangement, PointConfig, all_projective_lines,
+                                  dualize_arrangement, incidence_index)
 from lineops.fields import GF, QQ, FieldError, cyclotomic_field, number_field
 from lineops.projective import (Conic, GeometryError, Matrix3, ProjLine,
                                 ProjPoint, Projectivity, RichConic,
@@ -13,7 +15,8 @@ from lineops.projective import (Conic, GeometryError, Matrix3, ProjLine,
                                 dualize, incident, join, line,
                                 lines_in_general_position, meet, point,
                                 projectively_equivalent,
-                                projectivity_from_line_frames, rich_conics,
+                                projectivity_from_line_frames,
+                                projectivity_from_point_frames, rich_conics,
                                 _concurrency)
 
 from conftest import reference_general_position, reference_pencil_split
@@ -158,6 +161,11 @@ def test_line_frame_map():
     g = projectivity_from_line_frames(src, dst)
     for s, d in zip(src, dst):
         assert apply_projectivity(g, s) == ProjLine(d.coeffs)
+    # the same coordinates as points: the inverse-transpose
+    h = projectivity_from_point_frames([dualize(l) for l in src], [dualize(l) for l in dst])
+    assert h.matrix.scaled_canonical() == g.matrix.adjugate().transpose().scaled_canonical()
+    for s, d in zip(src, dst):
+        assert apply_projectivity(h, dualize(s)) == dualize(d)
     with pytest.raises(GeometryError):
         projectivity_from_line_frames(
             [line(F, 1, 0, 0), line(F, 1, 1, 0), line(F, 1, 2, 0), line(F, 0, 0, 1)],
@@ -320,12 +328,66 @@ def test_equivalence_generic_and_degenerate(field, same_witness):
         diag = join(meet(conic[0], conic[1]), meet(conic[2], conic[3]))
         assert same_witness(conic, conic[:4] + [diag]) is None
         assert same_witness(conic[:4] + [diag], conic) is None
-    # cardinality mismatch
+    # cardinality mismatch, and a triangle against three concurrent lines
     assert same_witness(pencils[0], pencils[0][:2]) is None
+    assert same_witness(cases[2], pencils[0]) is None
+    assert same_witness(pencils[0], cases[2]) is None
     # a line of another field with the same reps is refused, not merged
     stranger = GF(7) if field is F else F
     with pytest.raises(FieldError):
         projectively_equivalent([line(stranger, 1, 0, 0)] + pencils[0], pencils[0])
+
+
+@pytest.mark.parametrize("name", sorted(CONCURRENCY_FIELDS))
+def test_frames_on_codes_give_the_reference_witness(name, same_witness):
+    """Seeded pairs over each field kind: random sets of 4 to 6 lines
+    against their image under a random projectivity, and against another
+    random set of the same size.  The frames on ring codes find the witness
+    of the Scalar-frame reference (``same_witness``), or none with it."""
+    field, rng = CONCURRENCY_FIELDS[name], random.Random(14)
+    x = field.generator if field.degree > 1 else field.one
+
+    def elem():
+        return field.scalar(rng.randint(-3, 3)) + x * rng.randint(0, 1)
+
+    def rand_set(n):
+        out = {}
+        while len(out) < n:
+            t = (elem(), elem(), elem())
+            if any(not c.is_zero() for c in t):
+                out[ProjLine(t)] = None
+        return list(out)
+    inequivalent = 0
+    for n in (4, 4, 5, 5, 6):
+        lines = rand_set(n)
+        m = Matrix3([[elem() for _ in range(3)] for _ in range(3)])
+        while m.det().is_zero():
+            m = Matrix3([[elem() for _ in range(3)] for _ in range(3)])
+        image = [apply_projectivity(Projectivity(m), l) for l in lines]
+        w = same_witness(lines, image)
+        assert w is not None and {apply_projectivity(w, l) for l in lines} == set(image)
+        inequivalent += same_witness(lines, rand_set(n)) is None
+    assert inequivalent
+
+
+def test_equivalence_search_builds_no_objects(monkeypatch):
+    """Two inequivalent 12-line generic arrangements are compared on codes
+    alone: a counter on the constructors of Scalar, ProjPoint and ProjLine
+    stays at 0, so the search cannot slide back onto objects.  The counter
+    does see the one witness matrix a search returns."""
+    from lineops.catalog import build
+    from lineops.fields import Scalar
+    a, b = (build("generic", n=12, seed=seed) for seed in (1, 2))
+    built = Counter()
+    for cls in (Scalar, ProjPoint, ProjLine):
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__):
+            built[_name] += 1
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counting)
+    assert projectively_equivalent(a, b) is None
+    assert not built
+    assert projectively_equivalent(a, a).is_identity()
+    assert built["Scalar"] and not built["ProjPoint"] and not built["ProjLine"]
 
 
 def test_frame_map_recovers_flashing_involution():
@@ -399,6 +461,22 @@ def test_degenerate_conic_detected():
     # pair of lines x*y = 0: coefficients (0,0,0,1,0,0)
     c = Conic((F.zero, F.zero, F.zero, F.one, F.zero, F.zero))
     assert not c.is_irreducible()
+
+
+@pytest.mark.parametrize("q", [4, 8])
+def test_conic_degeneracy_in_characteristic_2(q):
+    """The half-discriminant decides degeneracy in characteristic 2 too:
+    xy + z^2 is irreducible, xy and x^2 + y^2 = (x + y)^2 are not; and
+    rich_conics runs on 12 points of PG(2,q), each count the points on its
+    conic."""
+    K = GF(q)
+    o, z = K.one, K.zero
+    assert Conic((z, z, o, o, z, z)).is_irreducible()
+    assert not Conic((z, z, z, o, z, z)).is_irreducible()
+    assert not Conic((o, o, z, z, z, z)).is_irreducible()
+    pts = list(dualize_arrangement(all_projective_lines(K)).points)[:12]
+    found = rich_conics(pts, 5)
+    assert found and all(rc.count == sum(map(rc.conic.contains, pts)) for rc in found)
 
 
 def test_conic_is_a_normalized_tuple():
@@ -627,3 +705,5 @@ def test_rich_conics_in_coefficient_order():
         assert len(found) > 10
         keys = [_value_key(rc.conic) for rc in found]
         assert keys == sorted(keys)
+        # counted on codes, as the conic's own Scalar evaluation counts
+        assert all(rc.count == sum(map(rc.conic.contains, pts)) for rc in found)
