@@ -7,6 +7,7 @@ most one element.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence, Union
@@ -28,6 +29,8 @@ class Matroid3:
     flats: tuple  # sorted tuple of sorted index tuples
 
     def __post_init__(self):
+        if self.ground < 0:
+            raise MatroidError("ground size must be non-negative")
         for f in self.flats:
             if f.__class__ is not tuple or any(a >= b for a, b in zip(f, f[1:])):
                 raise MatroidError("flats must be strictly increasing tuples")
@@ -107,78 +110,54 @@ def matroid_from_json(doc: dict) -> Matroid3:
 def matroid_isomorphic(a: Matroid3, b: Matroid3) -> Optional[tuple]:
     """A ground-set bijection carrying flats to flats, or None.
 
-    Deterministic first witness: backtracking in ground order with
-    flat-size-multiset pruning, then a full flat-set verification.
+    Individualization and refinement (McKay & Piperno, "Practical graph
+    isomorphism, II", 2014): the elements of both matroids are coloured
+    together, each round by an element's colour and the sorted colours of
+    the flats through it, a flat's colour being the sorted colours of its
+    elements, until the classes stop growing.  Then the first element of
+    a's largest class is paired with each element of b's class in turn,
+    both get a fresh colour, and the search recurses.  A discrete colouring
+    pairs the elements; it is returned once checked to map flats onto
+    flats.  ``matroid_isomorphic(m, m)`` is the identity.
     """
     if a.ground != b.ground or a.flat_sizes() != b.flat_sizes():
         return None
     m = a.ground
 
-    def flat_of(mat: Matroid3):
-        """flat(i, j): the index of the flat of mat holding i != j, or None."""
-        through = mat._through
+    def refine(ca, cb):
+        while True:
+            table = {}  # one signature table, so a colour means the same on both sides
+            new = []
+            for mat, col in ((a, ca), (b, cb)):
+                flat_col = [tuple(sorted(col[i] for i in f)) for f in mat.flats]
+                new.append([table.setdefault(
+                    (col[i], tuple(sorted(flat_col[fi] for fi in mat._through.get(i, ())))),
+                    len(table)) for i in range(m)])
+            if len(table) == len(set(ca).union(cb)):
+                return new
+            ca, cb = new
 
-        def flat(i, j):
-            common = set(through.get(i, ())).intersection(through.get(j, ()))
-            return common.pop() if common else None
-        return flat
-
-    def inv(mat: Matroid3):
-        return [tuple(sorted(len(mat.flats[fi]) for fi in mat._through.get(i, ())))
-                for i in range(mat.ground)]
-
-    pa, pb = flat_of(a), flat_of(b)
-    ia, ib = inv(a), inv(b)
-    cand = [[j for j in range(m) if ib[j] == ia[i]] for i in range(m)]
-    if any(not c for c in cand):
+    def search(ca, cb):
+        ca, cb = refine(ca, cb)
+        if sorted(ca) != sorted(cb):
+            return None
+        count = Counter(ca)
+        size = max(count.values(), default=1)
+        if size == 1:
+            where = {c: j for j, c in enumerate(cb)}
+            bij = tuple(where[c] for c in ca)
+            image = {tuple(sorted(bij[i] for i in f)) for f in a.flats}
+            return bij if image == set(b.flats) else None
+        x = next(i for i in range(m) if count[ca[i]] == size)
+        fresh = len(count)  # the colours in use are 0 .. len(count) - 1
+        for y in range(m):
+            if cb[y] == ca[x]:
+                got = search(ca[:x] + [fresh] + ca[x + 1:], cb[:y] + [fresh] + cb[y + 1:])
+                if got is not None:
+                    return got
         return None
-    assign = [-1] * m
-    used = [False] * m
-    # flat correspondence forced by pairs must stay a function
-    flat_image = {}
 
-    def consistent(i, j):
-        for i2 in range(i):
-            fa, fb = pa(i, i2), pb(j, assign[i2])
-            if (fa is None) != (fb is None):
-                return False
-            if fa is not None:
-                if len(a.flats[fa]) != len(b.flats[fb]):
-                    return False
-                if fa in flat_image and flat_image[fa] != fb:
-                    return False
-        return True
-
-    def record(i, j):
-        added = []
-        for i2 in range(i):
-            fa = pa(i, i2)
-            if fa is not None and fa not in flat_image:
-                flat_image[fa] = pb(j, assign[i2])
-                added.append(fa)
-        return added
-
-    def backtrack(i):
-        if i == m:
-            image = {tuple(sorted(assign[k] for k in f)) for f in a.flats}
-            return image == set(b.flats)
-        for j in cand[i]:
-            if used[j] or not consistent(i, j):
-                continue
-            assign[i] = j
-            used[j] = True
-            added = record(i, j)
-            if backtrack(i + 1):
-                return True
-            for fa in added:
-                del flat_image[fa]
-            used[j] = False
-            assign[i] = -1
-        return False
-
-    if backtrack(0):
-        return tuple(assign)
-    return None
+    return search([0] * m, [0] * m)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 incidence count over PG(2,q), the pair table as key -> k, a counter of
 pair passes, the reference pair index, the object-level concurrency
 tests and projective-equivalence search (on frames built from Scalars),
-and the reference operator sequence with cycle detection on digests.
+the reference operator sequence with cycle detection on digests, and the
+backtracking matroid isomorphism search.
 
 Over every finite field of order at most ``arrangements._PLANE_ORDER`` the
 program codes an object by its ordinal in PG(2,q) and counts incidences on
@@ -451,3 +452,86 @@ def reference_sequence(op, start, max_steps=dynamics.DEFAULT_MAX_STEPS,
              and prof.total_points else None)
         steps.append((len(arr), prof, h, arr.digest()))
     return verdict, steps
+
+
+# ---------------------------------------------------------------------------
+# matroid isomorphism
+
+def reference_matroid_isomorphic(a, b) -> Optional[tuple]:
+    """A ground-set bijection carrying flats to flats, or None: the
+    backtracking search ``matroids.matroid_isomorphic`` ran before its
+    colour refinement, kept as the reference the refinement is checked
+    against.
+
+    Deterministic first witness: backtracking in ground order with
+    flat-size-multiset pruning, then a full flat-set verification.
+    """
+    if a.ground != b.ground or a.flat_sizes() != b.flat_sizes():
+        return None
+    m = a.ground
+
+    def flat_of(mat):
+        """flat(i, j): the index of the flat of mat holding i != j, or None."""
+        through = mat._through
+
+        def flat(i, j):
+            common = set(through.get(i, ())).intersection(through.get(j, ()))
+            return common.pop() if common else None
+        return flat
+
+    def inv(mat):
+        return [tuple(sorted(len(mat.flats[fi]) for fi in mat._through.get(i, ())))
+                for i in range(mat.ground)]
+
+    pa, pb = flat_of(a), flat_of(b)
+    ia, ib = inv(a), inv(b)
+    cand = [[j for j in range(m) if ib[j] == ia[i]] for i in range(m)]
+    if any(not c for c in cand):
+        return None
+    assign = [-1] * m
+    used = [False] * m
+    # flat correspondence forced by pairs must stay a function
+    flat_image = {}
+
+    def consistent(i, j):
+        for i2 in range(i):
+            fa, fb = pa(i, i2), pb(j, assign[i2])
+            if (fa is None) != (fb is None):
+                return False
+            if fa is not None:
+                if len(a.flats[fa]) != len(b.flats[fb]):
+                    return False
+                if fa in flat_image and flat_image[fa] != fb:
+                    return False
+        return True
+
+    def record(i, j):
+        added = []
+        for i2 in range(i):
+            fa = pa(i, i2)
+            if fa is not None and fa not in flat_image:
+                flat_image[fa] = pb(j, assign[i2])
+                added.append(fa)
+        return added
+
+    def backtrack(i):
+        if i == m:
+            image = {tuple(sorted(assign[k] for k in f)) for f in a.flats}
+            return image == set(b.flats)
+        for j in cand[i]:
+            if used[j] or not consistent(i, j):
+                continue
+            assign[i] = j
+            used[j] = True
+            added = record(i, j)
+            if backtrack(i + 1):
+                return True
+            for fa in added:
+                del flat_image[fa]
+            used[j] = False
+            assign[i] = -1
+        return False
+
+    if backtrack(0):
+        return tuple(assign)
+    return None

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -14,6 +15,7 @@ from lineops.catalog import build, entries
 from lineops.cli import UsageError, build_parser, parse_operator_expr, run_cli
 from lineops.dynamics import (DEFAULT_MAX_LINES, DEFAULT_MAX_STEPS,
                               DEFAULT_PROFILE_BUDGET)
+from lineops.matroids import Matroid3, extract_matroid, matroid_to_json
 
 
 def run(capsys, monkeypatch, argv, stdin=None):
@@ -154,6 +156,49 @@ def test_matroid_commands(tmp_path, capsys, monkeypatch):
     code, out2, _ = run(capsys, monkeypatch,
                         ["matroid", "iso", "--a", str(m1), "--b", str(m1)])
     assert code == 0 and out2.startswith("isomorphic")
+
+
+def _shuffled_matroid_files(tmp_path, q, seed):
+    """PG(2,q)'s matroid and a seeded relabeling of it, as JSON files."""
+    m = extract_matroid(build("finite-plane", q=q))
+    perm = list(range(m.ground))
+    random.Random(seed).shuffle(perm)
+    moved = Matroid3.from_flats(m.ground, [[perm[i] for i in f] for f in m.flats])
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(dump_json(matroid_to_json(m)))
+    b.write_text(dump_json(matroid_to_json(moved)))
+    return m, moved, a, b
+
+
+def test_matroid_isomorphism_of_pg27(tmp_path, capsys, monkeypatch):
+    m, moved, a, b = _shuffled_matroid_files(tmp_path, 7, 1)
+    code, out, _ = run(capsys, monkeypatch,
+                       ["matroid", "iso", "--a", str(a), "--b", str(b)])
+    assert code == 0 and out.startswith("isomorphic; bijection ")
+    bij = [int(x) for x in out.split("bijection ")[1].split()]
+    assert sorted(bij) == list(range(m.ground))
+    assert {tuple(sorted(bij[i] for i in f)) for f in m.flats} == set(moved.flats)
+
+
+def test_matroid_isomorphism_output_is_hash_seed_independent(tmp_path):
+    """The witness of a pair that is not the identity, printed by
+    subprocesses under two string-hash seeds, is the same bytes."""
+    m, _, a, b = _shuffled_matroid_files(tmp_path, 4, 3)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lineops.__file__)))
+    outs = []
+    for seed in ("0", "4242"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        res = subprocess.run([sys.executable, "-m", "lineops", "matroid", "iso",
+                              "--a", str(a), "--b", str(b)],
+                             capture_output=True, env=env, timeout=60)
+        assert res.returncode == 0, res.stderr
+        outs.append(res.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].startswith(b"isomorphic; bijection ")
+    assert outs[0].split(b"bijection ")[1].split() != [
+        str(i).encode() for i in range(m.ground)]
 
 
 def test_conics_command(capsys, monkeypatch):
@@ -340,6 +385,8 @@ def test_malformed_integer_parameter_is_a_domain_error(capsys, monkeypatch,
                  ' ["0", "1", "x^-1"]]}'),
     (["catalog", "build", "complete-quadrilateral",
       "--param", "field=Q[x]/(x^2-x^-1+1)"], None),
+    # a negative ground size
+    (["matroid", "iso"], '{"ground": -3, "flats": []}'),
 ])
 def test_malformed_document_is_a_domain_error(capsys, monkeypatch, argv, doc):
     code, out, err = run(capsys, monkeypatch, argv, stdin=doc)

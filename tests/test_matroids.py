@@ -1,10 +1,11 @@
 import random
 import time
+from itertools import combinations
 
 import pytest
 
 from lineops.arrangements import (_encode, lambda_op, make_arrangement,
-                                  sel_at_least)
+                                  sel_at_least, sel_exact)
 from lineops.catalog import build, build_lines
 from lineops.fields import GF, QQ, FieldError
 from lineops.matroids import (Matroid3, MatroidError, extract_matroid,
@@ -13,7 +14,7 @@ from lineops.matroids import (Matroid3, MatroidError, extract_matroid,
                               reye_matroid)
 from lineops.projective import GeometryError, line, point
 
-from conftest import reference_pair_index
+from conftest import reference_matroid_isomorphic, reference_pair_index
 
 
 def _gf67_lines():
@@ -96,6 +97,8 @@ def test_flat_rules_enforced():
         Matroid3.from_flats(5, [(0, 1, 2), (0, 1, 3)])
     with pytest.raises(MatroidError):
         Matroid3.from_flats(3, [(0, 1, 5)])
+    with pytest.raises(MatroidError, match="non-negative"):
+        Matroid3.from_flats(-3, [])
 
 
 def test_matroid_refuses_flats_out_of_order():
@@ -139,6 +142,127 @@ def test_isomorphism_negative():
     assert matroid_isomorphic(pap, other) is None
 
 
+def _maps_flats(bij, a, b):
+    """Whether ``bij`` is a bijection of the ground set carrying a's flats
+    exactly onto b's."""
+    return (sorted(bij) == list(range(a.ground))
+            and {tuple(sorted(bij[i] for i in f)) for f in a.flats} == set(b.flats))
+
+
+def _shuffled(m, seed):
+    perm = list(range(m.ground))
+    random.Random(seed).shuffle(perm)
+    return Matroid3.from_flats(m.ground, [[perm[i] for i in f] for f in m.flats])
+
+
+def _affine_plane(q):
+    flats = [[q * x + (s * x + c) % q for x in range(q)] for s in range(q) for c in range(q)]
+    flats += [[q * c + y for y in range(q)] for c in range(q)]
+    return Matroid3.from_flats(q * q, flats)
+
+
+# the two 9_3 configurations other than Pappus (Grünbaum, *Configurations
+# of Points and Lines*, 2009)
+_OTHER_9_3 = (
+    [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 7), (2, 4, 8),
+     (2, 6, 7), (3, 6, 8), (5, 7, 8)],
+    [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 7), (2, 3, 8),
+     (2, 6, 7), (4, 6, 8), (5, 7, 8)])
+
+
+def _differential_matroids():
+    f0 = build("flashing3")
+    return ([extract_matroid(build("finite-plane", q=q)) for q in (2, 3, 4)]
+            + [extract_matroid(build(name))
+               for name in ("pappus", "dual-hesse", "hesse", "klein")]
+            + [Matroid3.from_flats(9, flats) for flats in _OTHER_9_3]
+            + [extract_matroid(f0.union(lambda_op(sel_exact(2), sel_exact(3), f0))),
+               flashing_incidence(3).as_matroid(),
+               extract_matroid(build_lines("flashing4", part="all")[1]),
+               flashing_incidence(4).as_matroid(),
+               reye_matroid(),
+               extract_matroid(build_lines("gv13")[1])])
+
+
+def test_isomorphism_matches_reference_search():
+    """The refinement and the backtracking it replaced agree on None
+    against a witness, on seeded relabelings of each matroid and on every
+    pair of matroids with the same ground size and flat sizes, and each
+    witness of either maps flats onto flats.  The witnesses themselves may
+    differ: both searches return the first one they reach."""
+    mats = _differential_matroids()
+    pairs = [(m, _shuffled(m, seed)) for m in mats for seed in (1, 2, 3)]
+    pairs += [(a, b) for a in mats for b in mats if a is not b
+              and a.ground == b.ground and a.flat_sizes() == b.flat_sizes()]
+    found = [matroid_isomorphic(a, b) is not None for a, b in pairs[3 * len(mats):]]
+    assert found.count(True) == 4 and found.count(False) == 6
+    for a, b in pairs:
+        got, want = matroid_isomorphic(a, b), reference_matroid_isomorphic(a, b)
+        assert (got is None) == (want is None), (a, b)
+        for bij in (got, want):
+            assert bij is None or _maps_flats(bij, a, b), (a, b)
+
+
+def _non_collinearity_cycles(flats, n):
+    """Cycle lengths of the graph joining two of the n points when no flat
+    holds both; in a 9_3 configuration every point is collinear with six
+    others, so the graph is 2-regular and a union of cycles."""
+    collinear = {frozenset(p) for f in flats for p in combinations(f, 2)}
+    adj = [[j for j in range(n) if j != i and frozenset((i, j)) not in collinear]
+           for i in range(n)]
+    assert all(len(nb) == 2 for nb in adj)
+    seen, lengths = set(), []
+    for start in range(n):
+        if start in seen:
+            continue
+        stack, size = [start], 0
+        seen.add(start)
+        while stack:
+            size += 1
+            for j in adj[stack.pop()]:
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        lengths.append(size)
+    return sorted(lengths)
+
+
+def test_isomorphism_tells_the_three_9_3_configurations_apart():
+    """Pappus and the two other 9_3 configurations have equal flat sizes
+    and every element on three flats, so no flat count tells them apart;
+    the cycle types of their non-collinearity graphs (3 C3, C9, C3 + C6)
+    show they are pairwise non-isomorphic."""
+    nines = [extract_matroid(build("pappus"))]
+    nines += [Matroid3.from_flats(9, flats) for flats in _OTHER_9_3]
+    types = [_non_collinearity_cycles(m.flats, 9) for m in nines]
+    assert types == [[3, 3, 3], [9], [3, 6]]
+    for a, b in combinations(nines, 2):
+        assert matroid_isomorphic(a, b) is None
+    for seed, m in enumerate(nines):
+        moved = _shuffled(m, seed)
+        assert _maps_flats(matroid_isomorphic(m, moved), m, moved)
+
+
+@pytest.mark.parametrize("name, bound", [("PG(2,5)", 0.05), ("PG(2,7)", 1.0),
+                                         ("PG(2,8)", 1.0), ("AG(2,7)", 1.0)])
+def test_isomorphism_of_symmetric_planes_is_fast(name, bound):
+    """The matroids of the finite planes against seeded shuffles of
+    themselves: the backtracking search took 0.2 s on PG(2,5) and was not
+    done after 300 s on PG(2,7).  Best of three runs per shuffle."""
+    m = (_affine_plane(7) if name == "AG(2,7)" else
+         extract_matroid(build("finite-plane", q=int(name[5]))))
+    for seed in (1, 2):
+        moved = _shuffled(m, seed)
+
+        def seconds():
+            t0 = time.perf_counter()
+            bij = matroid_isomorphic(m, moved)
+            assert _maps_flats(bij, m, moved), (name, seed)
+            return time.perf_counter() - t0
+        assert min(seconds() for _ in range(3)) < bound, (name, seed)
+    assert matroid_isomorphic(m, m) == tuple(range(m.ground))
+
+
 def test_gv13_flats_match_listed_non_bases():
     _, lines = build_lines("gv13")
     m = extract_matroid(lines)
@@ -165,7 +289,6 @@ def test_flashing_incidence_matrix():
 
 
 def test_flashing_realizations_match_incidence():
-    from lineops.arrangements import lambda_op, sel_exact
     f0 = build("flashing3")
     f1 = lambda_op(sel_exact(2), sel_exact(3), f0)
     union9 = f0.union(f1)
