@@ -333,17 +333,17 @@ def _encode(objs, field: Field) -> list:
 def _ring_flat(reps, field: Field) -> tuple:
     """Field reps, the entries of a vector or a matrix, scaled together into
     the field's ring (``_ring``), n integers an entry: over Q their
-    primitive integer multiple, over a number field that of the reps on the
-    basis theta^i of ``_nf_codec`` (sum a_i x^i = sum a_i c^(n-1-i) theta^i
-    / c^(n-1)), over GF(p^k) each element's residues."""
+    primitive integer multiple, over a number field that of their Z[theta]
+    vectors (a0, ..., a(n-1), d) times lcm(d) / d, over GF(p^k) each
+    element's residues."""
     kind = field.kind
     if kind == RATIONALS:
         return _primitive_int(reps)
     if kind == NUMBER_FIELD:
-        c, g = _nf_codec(field.spec)
-        n = len(g) - 1
-        return _primitive_int([a for r in reps for a in r],
-                              [c ** (n - 1 - i) for i in range(n)] * len(reps))
+        m = lcm(*[r[-1] for r in reps])
+        flat = [a * (m // r[-1]) for r in reps for a in r[:-1]]
+        h = gcd(*flat) or 1
+        return tuple([a // h for a in flat])
     return tuple(a for r in reps for a in r) if kind == PRIME_POWER_FIELD else tuple(reps)
 
 
@@ -952,8 +952,10 @@ def _from_key(cls, key, field):
     Conic of six entries, a tuple of any number.  The one decoder of codes,
     so the only place a PG(2,q) ordinal becomes a triple.
 
-    The reps already have first nonzero entry 1, so the constructor does
-    not scale them again.
+    A coordinate v decodes as v / k, over a number field as the rep (v0,
+    ..., v(n-1), k) over its gcd, k > 0 the key's first nonzero integer;
+    so the reps have first nonzero entry 1, and the constructor does not
+    scale them again.
     """
     kind = field.kind
     if key.__class__ is int:  # an ordinal of PG(2,q)
@@ -970,32 +972,35 @@ def _from_key(cls, key, field):
     elif kind == PRIME_POWER_FIELD:
         reps = [tuple(key[j:j + n]) for j in range(0, len(key), n)]
     else:
-        c = _nf_codec(field.spec)[0]
-        k = next(v for v in key if v)
-        reps = [tuple(Fraction(v * c ** i, k) for i, v in enumerate(key[j:j + n]))
-                for j in range(0, len(key), n)]
+        k = next(filter(None, key))
+        reps = [(*key[j:j + n], k) for j in range(0, len(key), n)]
+        reps = [tuple([v // h for v in r]) for r in reps for h in (gcd(*r),)]
     return cls(tuple(field.from_rep(r) for r in reps))
 
 
 def _code_order(codes: list, field: Field) -> list:
-    """The codes sorted into the canonical order of their objects, that of
-    ``projective._canonical``: by ``_plane_ranks`` over a finite plane, as
-    the rep tuples they are over a larger GF(p).  Over Q and a number field
-    of degree n ``_from_key`` decodes entry v in place i of a coordinate as
-    v c^i / k, k > 0 the first entry of the first nonzero coordinate; c^i
-    is the same for every code, so they sort by floor(2^s v / k), exact for
-    2^s > K^2, K the largest k, as in ``_row_keys``."""
+    """The codes sorted into the canonical order of their objects: by
+    ``_plane_ranks`` over a finite plane, elsewhere by ``_vector_order``."""
     if _plane_order(field):
         return sorted(codes, key=_plane_ranks(field.spec).__getitem__)
-    if field.kind == PRIME_FIELD or not codes:
-        return sorted(codes)
-    n = field.degree
-    s = (max(t[0] or t[n] or t[2 * n] for t in codes) ** 2).bit_length()
+    return _vector_order(codes, field)
+
+
+def _vector_order(vecs: list, field: Field) -> list:
+    """Codes off the finite planes or ``_normal`` vectors, sorted as their
+    decoded coordinates by value, a number field's by its coefficients on
+    1, x, ..., x^(n-1): over a finite field as residue tuples; over Q and a
+    number field entry v in place i decodes to the coefficient v c^i / k of
+    x^i (c = 1 over Q, k > 0 the first nonzero entry), so, c^i being fixed,
+    by floor(2^s v / k), exact for 2^s > K^2, K the largest k."""
+    if not vecs or field.characteristic:
+        return sorted(vecs)
+    s = (max(next(filter(None, t)) for t in vecs) ** 2).bit_length()
 
     def key(t):
-        k = t[0] or t[n] or t[2 * n]
+        k = next(filter(None, t))
         return [(v << s) // k for v in t]
-    return sorted(codes, key=key)
+    return sorted(vecs, key=key)
 
 
 @lru_cache(maxsize=None)

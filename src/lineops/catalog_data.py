@@ -93,9 +93,10 @@ def grunbaum_rigby_lines():
 # order-5 rotation about the axis (0, 1, phi), and the extension
 # involution diag-block(w; antidiag(w^2, 1)) found by demanding that it
 # preserve a member of the invariant sextic pencil.
+# w and sqrt5 as reps (a0, ..., a3, d), sum a_i x^i / d (theta = x).
 _W_MINPOLY = (31, -8, -7, 2, 1)
-_W_OMEGA = (Fraction(-14, 23), Fraction(-4, 23), Fraction(3, 23), Fraction(2, 23))
-_W_SQRT5 = (Fraction(14, 23), Fraction(27, 23), Fraction(-3, 23), Fraction(-2, 23))
+_W_OMEGA = (-14, -4, 3, 2, 23)
+_W_SQRT5 = (14, 27, -3, -2, 23)
 
 
 @lru_cache(maxsize=None)

@@ -2,7 +2,8 @@
 
 Every scalar carries a canonical representative, so equality is literal
 comparison of representatives and scalars can be used as dict/set keys.
-Number-field products and inverses run generated Z[theta] integer code.
+A number-field representative is one integer vector of Z[theta] over a
+common denominator, and its arithmetic is generated integer code.
 No floating point enters the exact path; floats appear only in
 ``real_embedding`` (rendering support).
 """
@@ -42,18 +43,7 @@ _STOCK_IRREDUCIBLES = {
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n > 1 and all(n % f for f in range(2, math.isqrt(n) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -230,31 +220,25 @@ def _adjugate(g: tuple):
 
 @lru_cache(maxsize=None)
 def _nf_ops(spec: "FieldSpec") -> tuple:
-    """(mul, inv) on the Fraction reps of Q[x]/(f), as straight-line code
-    built once per spec.  Each operand v is cleared into Z[theta] as the
-    integers v0, v1, ... over s<v>, since x^i = theta^i / c^i for the (c, g)
-    of ``_nf_codec``; ``_mul_src(g)`` multiplies and ``_adjugate(g)``
-    inverts them, and each coefficient is divided once."""
-    c, g = _nf_codec(spec)
+    """(add, sub, mul, inv) on the reps (a0, ..., a(n-1), d) of Q[x]/(f),
+    the element sum a_i theta^i / d for the (c, g) of ``_nf_codec``, as
+    straight-line integer code built once per spec: ``_mul_src(g)``
+    multiplies, ``_adjugate(g)`` inverts (1/a = d w / (a w), a w an
+    integer), and one gcd puts each result in canonical form."""
+    g = _nf_codec(spec)[1]
     n = len(g) - 1
-
-    def to_z(v):  # v<i>_ = v[i] = v<i> * c^i / s<v>
-        e = [f"{v}{i}_" for i in range(n)]
-        den = ", ".join(x + ".denominator" for x in e)
-        return ([f"{', '.join(e)}, = {v}", f"s{v} = lcm({den}) * {c ** (n - 1)}"]
-                + [f"{v}{i} = {x}.numerator * (s{v} // ({x}.denominator * {c ** i}))"
-                   for i, x in enumerate(e)])
-
-    def from_z(num, den):  # the reps of the sum of num<i> theta^i / den
-        return "return " + "".join(f"F({num}{i} * {c ** i}, {den}), " for i in range(n))
-    a, w = (", ".join(f"{v}{i}" for i in range(n)) for v in "aw")
-    names = {"F": Fraction, "lcm": math.lcm, "adj": _adjugate(g)}
-    return (_compiled(["def mul(a, b):", *to_z("a"), *to_z("b"),
-                       *_mul_src(g, "p", (1, "a", "b")), from_z("p", "sa * sb")],
-                      "mul", **names),
-            _compiled(["def inv(a):", *to_z("a"), "if not any(a):",
-                       " raise ZeroDivisionError('division by zero')",
-                       f"d, {w} = adj({a})", from_z("sa * w", "d")], "inv", **names))
+    a, b, p, w = (", ".join(f"{v}{i}" for i in range(n)) for v in "abpw")
+    two = [f"{a}, da = a", f"{b}, db = b", "d = da * db"]
+    src = {"add": two + [f"p{i} = a{i} * db + b{i} * da" for i in range(n)],
+           "sub": two + [f"p{i} = a{i} * db - b{i} * da" for i in range(n)],
+           "mul": two + _mul_src(g, "p", (1, "a", "b")),
+           "inv": [f"{a}, da = a", f"if not ({a.replace(', ', ' or ')}):",
+                   " raise ZeroDivisionError('division by zero')",
+                   f"d, {w} = adj({a})"] + [f"p{i} = w{i} * da" for i in range(n)]}
+    tail = [f"h = gcd({p}, d)", "if d < 0:", " h = -h",
+            "return " + "".join(f"p{i} // h, " for i in range(n)) + "d // h"]
+    return tuple(_compiled([f"def {f}({'a' if f == 'inv' else 'a, b'}):", *body, *tail], f,
+                           gcd=math.gcd, adj=_adjugate(g)) for f, body in src.items())
 
 
 # ---------------------------------------------------------------------------
@@ -444,9 +428,12 @@ class Scalar(_Frozen):
 class Field:
     """Handle for one FieldSpec, hosting the raw representative arithmetic.
 
-    The r_* functions work on bare representatives (Fraction, int, or
-    tuple), so that callers can skip the Scalar wrapper; ``__init__`` binds
-    the set that belongs to the field's kind.
+    The r_* functions work on bare representatives, so that callers can
+    skip the Scalar wrapper: a Fraction over Q, a least residue over GF(p),
+    a tuple of residues over GF(p^k), and over a number field the integers
+    (a0, ..., a(n-1), d), d > 0, all coprime, of sum a_i theta^i / d on the
+    basis theta = c x of ``_nf_codec``.  ``__init__`` binds the set that
+    belongs to the field's kind.
     """
 
     def __init__(self, spec: FieldSpec):
@@ -471,7 +458,9 @@ class Field:
         if k == RATIONALS:
             return Scalar(self, Fraction(value))
         if k == NUMBER_FIELD:
-            return Scalar(self, (Fraction(value),) + (Fraction(0),) * (self.degree - 1))
+            exact = value if isinstance(value, (int, Fraction)) else Fraction(value)
+            num, den = exact.as_integer_ratio()
+            return Scalar(self, (num,) + (0,) * (self.degree - 1) + (den,))
         p = self.characteristic
         if isinstance(value, Fraction):
             if value.denominator % p == 0:
@@ -486,8 +475,8 @@ class Field:
     @property
     def generator(self) -> Scalar:
         """The class of x in a quotient-ring field."""
-        if self.kind == NUMBER_FIELD:
-            rep = (Fraction(0), Fraction(1)) + (Fraction(0),) * (self.degree - 2)
+        if self.kind == NUMBER_FIELD:  # x = theta / c
+            rep = (0, 1) + (0,) * (self.degree - 2) + (_nf_codec(self.spec)[0],)
             return Scalar(self, rep)
         if self.kind == PRIME_POWER_FIELD:
             rep = (0, 1) + (0,) * (self.degree - 2)
@@ -555,10 +544,9 @@ def _prime_power_arith(spec):
 
 
 def _number_field_arith(spec):
-    mul, inv = _nf_ops(spec)
-    return (lambda a, b: tuple(x + y for x, y in zip(a, b)),
-            lambda a, b: tuple(x - y for x, y in zip(a, b)),
-            lambda a: tuple(-x for x in a), mul, lambda a: not any(a), inv)
+    add, sub, mul, inv = _nf_ops(spec)
+    zero = (0,) * spec.degree + (1,)
+    return add, sub, lambda a: (*[-x for x in a[:-1]], a[-1]), mul, zero.__eq__, inv
 
 
 _ARITH = {RATIONALS: _rational_arith, PRIME_FIELD: _prime_arith,
@@ -611,13 +599,12 @@ def _validate_spec(spec: FieldSpec):
     raise FieldError(f"unknown field kind {spec.kind!r}")
 
 
-def _primitive_int(mp, weights=itertools.repeat(1)) -> tuple:
-    """The primitive integer multiple of the w_i * mp_i, for Fractions mp_i
-    and positive integer weights w_i (default 1): a rational polynomial's
-    coefficients, or a point's or line's coordinates.  Only numerators,
-    denominators and integer gcd/lcm enter it."""
+def _primitive_int(mp) -> tuple:
+    """The primitive integer multiple of Fractions mp_i, a rational
+    polynomial's coefficients or a point's or line's coordinates.  Only
+    numerators, denominators and integer gcd/lcm enter it."""
     den = math.lcm(*(c.denominator for c in mp))
-    ip = [c.numerator * w * (den // c.denominator) for c, w in zip(mp, weights)]
+    ip = [c.numerator * (den // c.denominator) for c in mp]
     g = math.gcd(*ip)
     return tuple([c // g for c in ip] if g else ip)
 
@@ -660,15 +647,7 @@ def _has_quadratic_factor(mp) -> bool:
 
 
 def _divisors(n: int):
-    out = []
-    f = 1
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            if f != n // f:
-                out.append(n // f)
-        f += 1
-    return sorted(out)
+    return sorted({d for f in range(1, math.isqrt(n) + 1) if n % f == 0 for d in (f, n // f)})
 
 
 def field_make(spec: FieldSpec) -> Field:
@@ -768,7 +747,7 @@ def real_embedding(s: Scalar, root_index: int = 0) -> float:
         raise FieldError("modulus has no real root")
     if not 0 <= root_index < len(roots):
         raise FieldError(f"root_index out of range (have {len(roots)} real roots)")
-    return poly_eval(s.rep, roots[root_index])
+    return poly_eval(_x_coefficients(s), roots[root_index])
 
 
 # ---------------------------------------------------------------------------
@@ -890,11 +869,18 @@ def _parse_poly(text: str, rational: bool, mod: Optional[int] = None):
     return tuple(res)
 
 
+def _x_coefficients(s: Scalar) -> list:
+    """A number-field scalar's coefficients on 1, x, ..., x^(n-1): a_i c^i / d
+    for its rep (a0, ..., a(n-1), d), as Fractions."""
+    c, d = _nf_codec(s.field.spec)[0], s.rep[-1]
+    return [Fraction(a * c ** i, d) for i, a in enumerate(s.rep[:-1])]
+
+
 def format_scalar(s: Scalar) -> str:
     field = s.field
     if field.kind in (RATIONALS, PRIME_FIELD):
         return str(s.rep)
-    return _format_poly(s.rep)
+    return _format_poly(_x_coefficients(s) if field.kind == NUMBER_FIELD else s.rep)
 
 
 def parse_scalar(field: Field, text: str) -> Scalar:

@@ -58,10 +58,7 @@ class Matroid3:
 
     def non_bases(self):
         """All dependent triples (the 3-subsets of flats)."""
-        out = set()
-        for f in self.flats:
-            out.update(combinations(f, 3))
-        return sorted(out)
+        return sorted({t for f in self.flats for t in combinations(f, 3)})
 
     def flat_sizes(self):
         return sorted(len(f) for f in self.flats)
@@ -114,17 +111,19 @@ def matroid_isomorphic(a: Matroid3, b: Matroid3) -> Optional[tuple]:
     isomorphism, II", 2014): the elements of both matroids are coloured
     together, each round by an element's colour and the sorted colours of
     the flats through it, a flat's colour being the sorted colours of its
-    elements, until the classes stop growing.  Then the first element of
-    a's largest class is paired with each element of b's class in turn,
-    both get a fresh colour, and the search recurses.  A discrete colouring
-    pairs the elements; it is returned once checked to map flats onto
-    flats.  ``matroid_isomorphic(m, m)`` is the identity.
+    elements, until the classes stop growing.  The members of a class that
+    no flat separates on either side are interchangeable, so they are
+    paired in ascending order at once.  Then the first element of a's
+    largest class is paired with each element of b's class in turn, both
+    get a fresh colour, and the search goes on depth first, from a stack.
+    A discrete colouring pairs the elements; it is returned once checked to
+    map flats onto flats.  ``matroid_isomorphic(m, m)`` is the identity.
     """
     if a.ground != b.ground or a.flat_sizes() != b.flat_sizes():
         return None
     m = a.ground
 
-    def refine(ca, cb):
+    def refine(ca, cb):  # None when the colour multisets differ
         while True:
             table = {}  # one signature table, so a colour means the same on both sides
             new = []
@@ -133,31 +132,45 @@ def matroid_isomorphic(a: Matroid3, b: Matroid3) -> Optional[tuple]:
                 new.append([table.setdefault(
                     (col[i], tuple(sorted(flat_col[fi] for fi in mat._through.get(i, ())))),
                     len(table)) for i in range(m)])
-            if len(table) == len(set(ca).union(cb)):
-                return new
-            ca, cb = new
+            stable, (ca, cb) = len(table) == len(set(ca).union(cb)), new
+            if not stable:
+                continue
+            if sorted(ca) != sorted(cb):
+                return None
+            members = {c: ([], []) for c in ca}
+            for side, col in enumerate(new):
+                for i, c in enumerate(col):
+                    members[c][side].append(i)
+            fresh = len(table)
+            for pair in members.values():
+                if len(pair[0]) > 1 and all(len({tuple(mat._through.get(i, ())) for i in s}) == 1
+                                            for mat, s in zip((a, b), pair)):
+                    for x, y in zip(*pair):
+                        ca[x] = cb[y] = fresh
+                        fresh += 1
+            if fresh == len(table):
+                return ca, cb
 
-    def search(ca, cb):
-        ca, cb = refine(ca, cb)
-        if sorted(ca) != sorted(cb):
-            return None
+    def branches(ca, cb):  # the first element of a's largest class against b's
         count = Counter(ca)
-        size = max(count.values(), default=1)
-        if size == 1:
-            where = {c: j for j, c in enumerate(cb)}
-            bij = tuple(where[c] for c in ca)
-            image = {tuple(sorted(bij[i] for i in f)) for f in a.flats}
-            return bij if image == set(b.flats) else None
-        x = next(i for i in range(m) if count[ca[i]] == size)
-        fresh = len(count)  # the colours in use are 0 .. len(count) - 1
+        x = max(range(m), key=lambda i: (count[ca[i]], -i))
         for y in range(m):
             if cb[y] == ca[x]:
-                got = search(ca[:x] + [fresh] + ca[x + 1:], cb[:y] + [fresh] + cb[y + 1:])
-                if got is not None:
-                    return got
-        return None
+                yield ca[:x] + [len(count)] + ca[x + 1:], cb[:y] + [len(count)] + cb[y + 1:]
 
-    return search([0] * m, [0] * m)
+    stack = [iter([([0] * m, [0] * m)])]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+        elif (node := refine(*node)) and len(set(node[0])) < m:
+            stack.append(branches(*node))
+        elif node:
+            where = {c: j for j, c in enumerate(node[1])}
+            bij = tuple(where[c] for c in node[0])
+            if {tuple(sorted(bij[i] for i in f)) for f in a.flats} == set(b.flats):
+                return bij
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -174,12 +187,8 @@ class IncidenceMatrix:
         return (len(self.rows), len(self.rows[0]) if self.rows else 0)
 
     def as_matroid(self) -> Matroid3:
-        ncols = self.shape[1]
-        flats = []
-        for r in self.rows:
-            support = tuple(i for i, v in enumerate(r) if v)
-            flats.append(support)
-        return Matroid3.from_flats(ncols, flats)
+        return Matroid3.from_flats(self.shape[1], [[i for i, v in enumerate(r) if v]
+                                                   for r in self.rows])
 
 
 def flashing_incidence(n: int) -> IncidenceMatrix:
@@ -198,10 +207,7 @@ def flashing_incidence(n: int) -> IncidenceMatrix:
             row[n + r] = 1                   # I_n
             row[2 * n + (r - k) % n] = 1     # G^k
             rows.append(tuple(row))
-    last = [0] * (3 * n)
-    for j in range(n, 2 * n):
-        last[j] = 1
-    rows.append(tuple(last))
+    rows.append(tuple([0] * n + [1] * n + [0] * n))  # the n-fold point
     return IncidenceMatrix(tuple(rows))
 
 

@@ -572,7 +572,8 @@ def rich_conics(pts: Sequence[ProjPoint], min_count: int) -> list:
     conic are skipped.  Each subset's conic is found on the points' codes
     (``arrangements._null_basis``) and deduplicated by its ``_normal``
     vector, and each distinct one counts its points on the same rows; a
-    Conic is built only for one that is returned.
+    Conic is built only for one that is returned, in the canonical order
+    of the vectors (``arrangements._vector_order``).
     """
     arr = _arrangements()
     field, rows = _conic_rows(pts) if pts else (None, [])
@@ -586,9 +587,9 @@ def rich_conics(pts: Sequence[ProjPoint], min_count: int) -> list:
         if len(basis) == 1:
             seen[basis[0]] = None
     out, flat = [], [v for row in rows for v in row]
-    for key in seen:
+    for key in arr._vector_order(list(seen), field):
         cnt = sum(not any(e) for e in arr._ring_dots(flat, list(key) * len(rows), 6, field))
         if cnt >= min_count:
             conic = arr._from_key(Conic, key, field)
             out.append(RichConic(conic, cnt, conic.is_irreducible()))
-    return sorted(out, key=lambda rc: rc.conic.key())
+    return out

@@ -2,8 +2,9 @@
 incidence count over PG(2,q), the pair table as key -> k, a counter of
 pair passes, the reference pair index, the object-level concurrency
 tests and projective-equivalence search (on frames built from Scalars),
-the reference operator sequence with cycle detection on digests, and the
-backtracking matroid isomorphism search.
+the reference operator sequence with cycle detection on digests, the
+backtracking matroid isomorphism search, and number-field arithmetic on
+tuples of Fraction coefficients.
 
 Over every finite field of order at most ``arrangements._PLANE_ORDER`` the
 program codes an object by its ordinal in PG(2,q) and counts incidences on
@@ -12,8 +13,10 @@ are the ones those fields used before the incidence count, and the table
 and ``Counter`` pass after them the ones they used before the masks; the
 tests keep both as references those counts are checked against.
 """
+import math
 from array import array
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, permutations
 from typing import Optional
@@ -21,7 +24,8 @@ from typing import Optional
 import pytest
 
 from lineops import arrangements, dynamics, projective
-from lineops.fields import PRIME_FIELD, PRIME_POWER_FIELD, _gf_tables
+from lineops.fields import (NUMBER_FIELD, PRIME_FIELD, PRIME_POWER_FIELD, _adjugate,
+                            _compiled, _gf_tables, _mul_src, _nf_codec)
 from lineops.projective import (GeometryError, Matrix3, ProjLine, Projectivity,
                                 collinear, dualize, incident, join, meet, point)
 
@@ -184,7 +188,15 @@ def reference_pair_index(codes, field):
 # projective equivalence: the object-level concurrency tests and the search
 # as they were before both moved to codes
 
-def canonical(objs, key=lambda o: o.key()) -> list:
+def value_key(obj) -> tuple:
+    """An object's coordinates as values: a number-field coordinate as its
+    Fraction coefficients on 1, x, ... (``nf_fractions``), any other as its
+    rep."""
+    return tuple(nf_fractions(c.field, c.rep) if c.field.kind == NUMBER_FIELD
+                 else c.rep for c in obj.coords)
+
+
+def canonical(objs, key=value_key) -> list:
     """The distinct objects in canonical order: their reps compared by
     value, coordinate by coordinate; objects with equal keys count once."""
     canon = {key(o): o for o in objs}
@@ -535,3 +547,59 @@ def reference_matroid_isomorphic(a, b) -> Optional[tuple]:
     if backtrack(0):
         return tuple(assign)
     return None
+
+
+# ---------------------------------------------------------------------------
+# number fields on tuples of Fractions
+#
+# Before number-field reps became integer vectors (a0, ..., a(n-1), d) of
+# Z[theta] over one denominator, a rep was the tuple of an element's
+# coefficients on 1, x, ..., x^(n-1) as Fractions, with the arithmetic below.
+
+def nf_fractions(field, rep) -> tuple:
+    """The Fraction coefficients on 1, x, ... of the rep (a0, ..., d):
+    theta = c x, so the coefficient of x^i is a_i c^i / d."""
+    c = _nf_codec(field.spec)[0]
+    return tuple(Fraction(a * c ** i, rep[-1]) for i, a in enumerate(rep[:-1]))
+
+
+def nf_rep(field, coeffs) -> tuple:
+    """The rep of the element with coefficients ``coeffs`` on 1, x, ...:
+    its Z[theta] coordinates a_i / c^i over their least common
+    denominator, which leaves the n + 1 integers coprime."""
+    c = _nf_codec(field.spec)[0]
+    t = [Fraction(a) / c ** i for i, a in enumerate(coeffs)]
+    d = math.lcm(*(v.denominator for v in t))
+    return tuple(int(v * d) for v in t) + (d,)
+
+
+@lru_cache(maxsize=None)
+def reference_nf_ops(spec) -> tuple:
+    """(add, sub, neg, mul, inv) on Fraction coefficient tuples, as the
+    program had them: sums entrywise, and a product or inverse of operands
+    cleared into Z[theta] as the integers v0, v1, ... over s<v> (x^i =
+    theta^i / c^i), multiplied by ``_mul_src(g)`` or inverted by
+    ``_adjugate(g)``, each coefficient divided once."""
+    c, g = _nf_codec(spec)
+    n = len(g) - 1
+
+    def to_z(v):  # v<i>_ = v[i] = v<i> * c^i / s<v>
+        e = [f"{v}{i}_" for i in range(n)]
+        den = ", ".join(x + ".denominator" for x in e)
+        return ([f"{', '.join(e)}, = {v}", f"s{v} = lcm({den}) * {c ** (n - 1)}"]
+                + [f"{v}{i} = {x}.numerator * (s{v} // ({x}.denominator * {c ** i}))"
+                   for i, x in enumerate(e)])
+
+    def from_z(num, den):  # the coefficients of the sum of num<i> theta^i / den
+        return "return " + "".join(f"F({num}{i} * {c ** i}, {den}), " for i in range(n))
+    a, w = (", ".join(f"{v}{i}" for i in range(n)) for v in "aw")
+    names = {"F": Fraction, "lcm": math.lcm, "adj": _adjugate(g)}
+    mul = _compiled(["def mul(a, b):", *to_z("a"), *to_z("b"),
+                     *_mul_src(g, "p", (1, "a", "b")), from_z("p", "sa * sb")],
+                    "mul", **names)
+    inv = _compiled(["def inv(a):", *to_z("a"), "if not any(a):",
+                     " raise ZeroDivisionError('division by zero')",
+                     f"d, {w} = adj({a})", from_z("sa * w", "d")], "inv", **names)
+    return (lambda a, b: tuple(x + y for x, y in zip(a, b)),
+            lambda a, b: tuple(x - y for x, y in zip(a, b)),
+            lambda a: tuple(-x for x in a), mul, inv)

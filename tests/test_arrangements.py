@@ -41,7 +41,7 @@ from lineops.projective import (GeometryError, Matrix3, ProjLine, ProjPoint,
                                 Projectivity, apply_projectivity,
                                 dualize, join, line, meet, point)
 
-from conftest import code_counts, reference_pair_index
+from conftest import code_counts, nf_fractions, reference_pair_index
 from test_projective import _reference
 
 F = QQ()
@@ -597,7 +597,8 @@ def test_number_field_kernel_makes_no_mulmod_call(monkeypatch):
                                             for o in arr.lines for s in o.coords]:
         monkeypatch.setattr(f, "r_mul", forbidden)
     ops = fields._nf_ops
-    monkeypatch.setattr(fields, "_nf_ops", lambda spec: (forbidden, ops(spec)[1]))
+    monkeypatch.setattr(fields, "_nf_ops", lambda spec: (*ops(spec)[:2], forbidden,
+                                                         ops(spec)[3]))
     arrangements._ring_kernel.cache_clear()  # building the code calls none either
     fields._adjugate.cache_clear()
     assert [list(_code_meets(_encode(arr.lines, arr.field), arr.field))
@@ -638,7 +639,8 @@ def test_generated_source_compiles(monkeypatch):
     projectivity action over Q, GF(101), Q(omega) and a cubic field, the
     cofactors and the entrywise product of the exact linear algebra over
     their rings and GF(8)'s, the adjugates of the number-field rings, the
-    number-field product and inverse, and the GF(p^k) product table.  Under ``-W error``
+    number-field sum, difference, product and inverse, and the GF(p^k) product
+    table.  Under ``-W error``
     a warning while compiling any of them fails the test."""
     m, gf8 = [[1, 2, 0], [0, 1, 3], [1, 0, 1]], GF(8).spec  # det 7
 
@@ -655,9 +657,9 @@ def test_generated_source_compiles(monkeypatch):
                 out += [list(kernel(g, p)(codes, range(len(codes) - 1))),
                         list(action(g, p)(on_lines, codes))]
             if field.kind == NUMBER_FIELD:
-                a, b = (tuple(map(Fraction, range(i, i + n))) for i in (1, 5))
-                mul, inv = nf_ops(field.spec)
-                out += [adjugate(g)(*range(2, n + 2)), mul(a, b), inv(a)]
+                a, b = (tuple(range(i, i + n + 1)) for i in (1, 5))
+                add, sub, mul, inv = nf_ops(field.spec)
+                out += [adjugate(g)(*range(2, n + 2)), add(a, b), sub(a, b), mul(a, b), inv(a)]
         return out
     builders = (arrangements._ring_kernel, arrangements._ring_action,
                 arrangements._cofactors, arrangements._ring_comb, fields._adjugate,
@@ -672,7 +674,7 @@ def test_generated_source_compiles(monkeypatch):
     monkeypatch.setattr(arrangements, "_compiled", recording)
     assert outputs(*(b.__wrapped__ for b in builders)) == want
     assert sorted(built) == sorted(["mul"] + ["cof", "comb"] * 5 + ["kernel", "act"] * 4
-                                   + ["adj", "mul", "inv"] * 2)
+                                   + ["adj", "add", "sub", "mul", "inv"] * 2)
 
 
 def test_pair_kernel_zero_divisor_is_a_field_error():
@@ -716,7 +718,7 @@ def test_elimination_matches_sympy(name):
 
         def to_dom(s):
             return sum((dom.from_sympy(sympy.Rational(a.numerator, a.denominator))
-                        * w ** i for i, a in enumerate(s.rep)), dom.zero)
+                        * w ** i for i, a in enumerate(nf_fractions(field, s.rep))), dom.zero)
     elif field.characteristic:
         dom = FF(field.characteristic)
 

@@ -7,11 +7,17 @@ from fractions import Fraction
 
 import pytest
 
+from lineops import arrangements
 from lineops import fields as fl
+from lineops.arrangements import Arrangement
+from lineops.catalog import build
 from lineops.fields import (FieldError, GF, QQ, cyclotomic_field,
                             cyclotomic_minpoly, field_make, number_field,
                             parse_field_spec, parse_scalar, format_scalar,
                             real_embedding)
+from lineops.projective import Matrix3, ProjLine, Projectivity, apply_projectivity
+
+from conftest import nf_fractions, nf_rep, reference_nf_ops
 
 
 def sample_fields():
@@ -430,14 +436,15 @@ def test_inverse_matches_sympy(mp):
                            modulus)
         want = [Fraction(int(c.p), int(c.q)) for c in reversed(inv.all_coeffs())]
         want += [Fraction(0)] * (n - len(want))
-        assert field.from_rep(rep).inverse().rep == tuple(want)
+        assert nf_fractions(field, field.from_rep(nf_rep(field, rep)).inverse().rep) \
+            == tuple(want)
 
 
 # -- the generated number-field product against schoolbook Fractions -------------
 #
 # ``Field.r_mul`` over Q[x]/(f) is straight-line integer code from
-# ``fields._nf_ops``.  The reference is the schoolbook product on Fractions,
-# reduced by the monic f from the top degree down.
+# ``fields._nf_ops``.  The reference is the schoolbook product on Fraction
+# coefficients, reduced by the monic f from the top degree down.
 
 def _mulmod(a, b, min_poly):
     """a*b, reduced by the monic min_poly from the top degree down."""
@@ -482,10 +489,11 @@ def test_generated_product_matches_mulmod(name):
     kinds = ("zero", "int", "frac")
     for ka, kb in list(itertools.product(kinds, kinds)) + [("frac", "frac")] * 30:
         a, b = rep(ka), rep(kb)
-        got = field.r_mul(a, b)
-        assert got == _mulmod(a, b, mp) and len(got) == n
-        # a product of reps with int coefficients is still Fractions
-        assert all(type(v) is Fraction for v in got)
+        got = field.r_mul(nf_rep(field, a), nf_rep(field, b))
+        assert nf_fractions(field, got) == _mulmod(a, b, mp)
+        # the canonical rep: n + 1 coprime ints, a positive denominator last
+        assert len(got) == n + 1 and all(type(v) is int for v in got)
+        assert got[-1] > 0 and math.gcd(*got) == 1
 
 
 @pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49, 64])
@@ -503,3 +511,150 @@ def test_product_degrees():
     fields = [make() for make in PRODUCT_FIELDS.values()]
     assert {f.degree for f in fields} == set(range(2, 13))
     assert {fl._nf_codec(f.spec)[0] for f in fields} == {1, 2, 6}
+
+
+# -- integer reps against the Fraction reference ---------------------------------
+#
+# A number-field rep is (a0, ..., a(n-1), d), sum a_i theta^i / d; the
+# reference is the arithmetic on Fraction coefficients the program had
+# before (``conftest.reference_nf_ops``), reached through ``nf_rep`` and
+# ``nf_fractions``.
+
+INTEGER_REP_FIELDS = {
+    "Q(omega)": lambda: number_field([1, 1, 1]),
+    "Q(sqrt-7)": lambda: build("klein").field,
+    "cubic": lambda: number_field([1, -2, -1, 1]),  # the Grunbaum-Rigby field
+    "quartic": lambda: number_field([31, -8, -7, 2, 1]),  # Q(omega, sqrt5), Wiman's
+    "x^2+x/3+1/5": lambda: number_field([Fraction(1, 5), Fraction(1, 3), 1]),
+}
+
+
+def _random_coefficients(rng, n):
+    kind = rng.choice(("zero", "int", "small", "large"))
+    if kind == "zero":
+        return (Fraction(0),) * n
+    if kind == "int":
+        return tuple(Fraction(rng.randint(-9, 9)) for _ in range(n))
+    top = 10 if kind == "small" else 10 ** 12
+    return tuple(Fraction(rng.randint(-top, top), rng.randint(1, top)) for _ in range(n))
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_REP_FIELDS))
+def test_integer_reps_match_fraction_reference(name):
+    """add, sub, neg, mul and inv on reps agree with the Fraction
+    reference; every result is canonical (coprime ints, denominator > 0),
+    so equal values have equal reps, ``==`` and hashes; and the text of a
+    scalar is the reference's coefficients printed, which parses back."""
+    field = INTEGER_REP_FIELDS[name]()
+    n = field.degree
+    add, sub, neg, mul, inv = reference_nf_ops(field.spec)
+    rng = random.Random(33)
+    values = [_random_coefficients(rng, n) for _ in range(60)]
+    values.append((Fraction(0),) * n)
+    for a, b in zip(values, values[1:] + values[:1]):
+        ra, rb = nf_rep(field, a), nf_rep(field, b)
+        assert nf_fractions(field, ra) == a
+        got = {"add": field.r_add(ra, rb), "sub": field.r_sub(ra, rb),
+               "neg": field.r_neg(ra), "mul": field.r_mul(ra, rb)}
+        want = {"add": add(a, b), "sub": sub(a, b), "neg": neg(a), "mul": mul(a, b)}
+        if any(a):
+            got["inv"], want["inv"] = field.r_inv(ra), inv(a)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                field.r_inv(ra)
+        for op, rep in got.items():
+            assert nf_fractions(field, rep) == want[op], op
+            assert rep == nf_rep(field, want[op]), op  # the canonical rep
+            assert rep[-1] > 0 and math.gcd(*rep) == 1
+        s, t = field.from_rep(ra), field.from_rep(rb)
+        back = (s + t) * t / t - t if any(b) else s * 1
+        assert back == s and back.rep == s.rep and hash(back) == hash(s)
+        assert (s == t) == (a == b) and (s == field.scalar(a[0])) == (not any(a[1:]))
+        text = format_scalar(s)
+        assert text == fl._format_poly(a)
+        assert parse_scalar(field, text) == s
+
+
+INTEGER_REP_ARRANGEMENTS = {
+    "dual-hesse": lambda: build("dual-hesse"),
+    "klein": lambda: build("klein"),
+    "grunbaum-rigby": lambda: build("grunbaum-rigby"),
+    "quartic": lambda: _lines_over(INTEGER_REP_FIELDS["quartic"]()),
+    "x^2+x/3+1/5": lambda: _lines_over(INTEGER_REP_FIELDS["x^2+x/3+1/5"]()),
+}
+
+
+def _lines_over(field):
+    """Fourteen seeded lines whose coordinates are not integral."""
+    x, rng = field.generator, random.Random(7)
+    return Arrangement(field, [ProjLine([
+        field.scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 4))) + x * rng.randint(-3, 3)
+        for _ in range(3)]) for _ in range(14)])
+
+
+def _moved_lines(arr, seed):
+    """The lines moved by a seeded projectivity with entries off Z."""
+    field, rng = arr.field, random.Random(seed)
+    x = field.generator
+    while True:
+        m = Matrix3([[field.scalar(rng.randint(-2, 2)) + x * Fraction(rng.randint(-2, 2), 3)
+                      for _ in range(3)] for _ in range(3)])
+        if not m.det().is_zero():
+            return [apply_projectivity(Projectivity(m), l) for l in arr.lines]
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_REP_ARRANGEMENTS))
+def test_integer_reps_round_trip_through_codes(name):
+    """Projectively moved lines encode as the reference encoding of their
+    Fraction coordinates (the primitive integer vector on the basis
+    theta^i), and ``_from_key`` decodes each code to the same line, whose
+    coordinates are the reference decoding v c^i / k."""
+    arr = INTEGER_REP_ARRANGEMENTS[name]()
+    field = arr.field
+    c, n = fl._nf_codec(field.spec)[0], field.degree
+    for lines in (list(arr.lines), _moved_lines(arr, 1), _moved_lines(arr, 2)):
+        codes = arrangements._encode(lines, field)
+        for l, code in zip(lines, codes):
+            coeffs = [f for s in l.coeffs for f in nf_fractions(field, s.rep)]
+            den = math.lcm(*(f.denominator * c ** (i % n) for i, f in enumerate(coeffs)))
+            ints = [f.numerator * den // (f.denominator * c ** (i % n))
+                    for i, f in enumerate(coeffs)]
+            assert code == tuple(v // math.gcd(*ints) for v in ints)
+            back = arrangements._from_key(ProjLine, code, field)
+            assert back == l and back.key() == l.key()
+            k = next(filter(None, code))
+            assert tuple(f for s in back.coeffs for f in nf_fractions(field, s.rep)) == tuple(
+                Fraction(v * c ** (i % n), k) for i, v in enumerate(code))
+
+
+def test_integer_reps_encode_and_decode_without_fractions(monkeypatch):
+    """Encoding number-field objects, decoding their codes, moving them by
+    a projectivity and number-field arithmetic construct no Fraction,
+    counted through a patched constructor."""
+    arrs = [INTEGER_REP_ARRANGEMENTS[name]() for name in sorted(INTEGER_REP_ARRANGEMENTS)]
+    matrices = [Matrix3.from_values(arr.field, [[1, 2, 0], [0, 1, -1], [2, 0, 1]])
+                for arr in arrs]
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    if hasattr(Fraction, "_from_coprime_ints"):  # Fraction arithmetic, Python >= 3.12
+        coprime = Fraction._from_coprime_ints.__func__
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(
+            lambda cls, *args: made.append(args) or coprime(cls, *args)))
+    assert Fraction(1, 2) + Fraction(1, 3) and made  # the counter counts
+    made.clear()
+    for arr, m in zip(arrs, matrices):
+        field, lines = arr.field, list(arr.lines)
+        codes = arrangements._encode(lines, field)
+        assert [arrangements._from_key(ProjLine, k, field) for k in codes] == lines
+        g = Projectivity(m)
+        moved = Arrangement(field, [apply_projectivity(g, l) for l in lines])
+        assert len(moved) == len(lines)
+        a, b = lines[1].coeffs[1], lines[2].coeffs[2]
+        assert (a * b + a - b) / (b + 1) * (b + 1) == a * b + a - b
+        assert not m.det().is_zero()
+    assert made == []

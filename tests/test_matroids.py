@@ -350,3 +350,26 @@ def test_matroid_json_roundtrip():
 def test_malformed_matroid_document(doc):
     with pytest.raises(MatroidError):
         matroid_from_json(doc)
+
+
+def test_isomorphism_pairs_interchangeable_elements_without_recursion(tmp_path, capsys):
+    """1,200 elements on no flat, one flat through 1,200 elements, and PG(2,3)
+    beside 1,187 elements on no flat, each against a seeded shuffle: a
+    class no flat separates is paired at once and the search runs on a
+    stack, so each gives a checked bijection in under 1 s (recursing once
+    per element ended in a RecursionError).  The CLI exits 0 on the
+    flat-free document."""
+    from lineops.cli import run_cli
+    pg3 = extract_matroid(build("finite-plane", q=3))
+    for m in (Matroid3(1200, ()), Matroid3(1200, (tuple(range(1200)),)),
+              Matroid3.from_flats(1200, pg3.flats)):
+        for moved in (m, _shuffled(m, 4)):
+            t0 = time.perf_counter()
+            bij = matroid_isomorphic(m, moved)
+            assert time.perf_counter() - t0 < 1.0
+            assert _maps_flats(bij, m, moved)
+    doc = tmp_path / "free.json"
+    doc.write_text('{"ground": 1200, "flats": []}')
+    assert run_cli(["matroid", "iso", "--a", str(doc), "--b", str(doc)]) == 0
+    out = capsys.readouterr().out
+    assert out == "isomorphic; bijection " + " ".join(map(str, range(1200))) + "\n"

@@ -19,7 +19,7 @@ from lineops.projective import (Conic, GeometryError, Matrix3, ProjLine,
                                 projectivity_from_point_frames, rich_conics,
                                 _concurrency)
 
-from conftest import reference_general_position, reference_pencil_split
+from conftest import nf_rep, reference_general_position, reference_pencil_split, value_key
 
 F = QQ()
 
@@ -544,8 +544,8 @@ def _rep_key(rep):
 
 
 def _reference(objs):
-    """The distinct objects sorted by the reference key of their reps."""
-    return sorted(set(objs), key=lambda o: tuple(map(_rep_key, o.key())))
+    """The distinct objects sorted by the reference key of their values."""
+    return sorted(set(objs), key=lambda o: tuple(map(_rep_key, value_key(o))))
 
 
 def _random_fractions(rng, n):
@@ -645,7 +645,7 @@ def test_number_field_sort_key_orders_by_value():
             i = rng.randrange(degree)
             for z in (x, y):
                 reps.append(tuple(z if j == i else c for j, c in enumerate(base)))
-        scal = [K.from_rep(r) for r in reps]
+        scal = [K.from_rep(nf_rep(K, r)) for r in reps]
         coords = [(rng.choice(scal), rng.choice(scal)) for _ in range(300)]
         for k in range(len(scal) - 2 * len(pairs), len(scal), 2):
             u = rng.choice(scal)
@@ -655,8 +655,8 @@ def test_number_field_sort_key_orders_by_value():
 
 
 def _value_key(obj):
-    """The canonical order as rep values compared directly."""
-    return tuple(r if isinstance(r, tuple) else (r,) for r in obj.key())
+    """The canonical order as values compared directly."""
+    return tuple(r if isinstance(r, tuple) else (r,) for r in value_key(obj))
 
 
 def test_sort_key_orders_points_by_value():
@@ -688,7 +688,7 @@ def test_sort_key_orders_points_by_value():
                                             + rng.randint(-3, 3),
                                             field.scalar(rng.randint(-3, 3))))
                                  for _ in range(9)], 5)
-            keys = [tuple(map(_rep_key, rc.conic.key())) for rc in found]
+            keys = [tuple(map(_rep_key, value_key(rc.conic))) for rc in found]
             assert keys == sorted(set(keys)) and len(keys) > 5
 
 
