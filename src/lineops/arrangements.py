@@ -251,6 +251,9 @@ class Arrangement(_ObjectSet):
         return tuple(l.key() for l in self.lines)
 
     def union(self, other: "Arrangement") -> "Arrangement":
+        if not isinstance(other, Arrangement):
+            raise ArrangementError(f"an Arrangement unites with an Arrangement, "
+                                   f"not {type(other).__name__}")
         if self.field.spec != other.field.spec:
             raise FieldError("arrangements live in different fields")
         codes = list(dict.fromkeys(chain(self._codes, other._codes)))

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 from .fields import (Field, QQ, Scalar, _parse_poly, cyclotomic_field,
                      field_make, number_field, GF, parse_field_spec,
-                     parse_scalar, poly_eval, poly_sub)
+                     parse_scalar, poly_eval, cyclotomic_minpoly)
 from .projective import (GeometryError, ProjLine, ProjPoint, join, line,
                          meet, point)
 from .arrangements import (Arrangement, ArrangementError, PointConfig,
@@ -46,7 +46,7 @@ class GenericityError(CatalogError):
 class CatalogEntry:
     name: str
     summary: str
-    params: tuple  # ((name, kind, default), ...); kind in int|fraction|scalar|sign|field|seed
+    params: tuple  # ((name, kind, default), ...); kind in int|fraction|sign|field|seed|str
     builder: Callable  # params dict -> (Field, [ProjLine] in construction order)
     expected: Optional[Callable] = None  # params -> {k: t_k} or None
     forbidden: Optional[Callable] = None  # params -> None or message naming the set
@@ -359,57 +359,26 @@ def _build_hesse(p):
 # ---------------------------------------------------------------------------
 # polygonal arrangements (regular m-gon edges + mirror lines)
 
-def chebyshev_t(k):
-    """Coefficients of T_k, low -> high (integers)."""
-    return _chebyshev(k, (Fraction(0), Fraction(1)))
-
-
-def chebyshev_u(k):
-    """Coefficients of U_k, low -> high; U_{-1} = 0."""
-    if k < 0:
-        return (Fraction(0),)
-    return _chebyshev(k, (Fraction(0), Fraction(2)))
-
-
-def _chebyshev(k, first):
-    """P_k of the recurrence P_{n+1} = 2x P_n - P_{n-1}, P_0 = 1, P_1 = first."""
-    a, b = (Fraction(1),), first
-    if k == 0:
-        return a
-    for _ in range(k - 1):
-        a, b = b, poly_sub((Fraction(0),) + tuple(2 * c for c in b), a)
-    return b
-
-
 def minpoly_2cos(m: int):
     """Minimal polynomial of 2cos(2*pi/m) over Q, monic, low -> high."""
-    from .fields import cyclotomic_minpoly
     if m == 1:
         return (Fraction(-2), Fraction(1))
     if m == 2:
         return (Fraction(2), Fraction(1))
     phi = cyclotomic_minpoly(m)
-    n = len(phi) - 1
-    half = n // 2
-    # solve Phi_m(x) = x^half * q(x + 1/x) for q by triangular elimination
-    rows = []
-    for k in range(half + 1):
-        # (x + 1/x)^k * x^half = sum C(k,i) x^{half + k - 2i}
-        row = [Fraction(0)] * (n + 1)
-        for i in range(k + 1):
-            row[half + k - 2 * i] += comb(k, i)
-        rows.append(row)
-    q = [Fraction(0)] * (half + 1)
-    target = [Fraction(c) for c in phi]
-    for k in range(half, -1, -1):
-        c = target[half + k] / rows[k][half + k]
-        q[k] = c
-        for j in range(n + 1):
-            target[j] -= c * rows[k][j]
-    if any(target):
-        raise AssertionError("cyclotomic half-polynomial extraction failed")
-    lead = q[-1]
-    return tuple(c / lead for c in q)
+    if phi != phi[::-1]:
+        raise AssertionError(f"cyclotomic polynomial {m} is not palindromic")
+    # x^-h Phi_m(x) = c_h + sum_{j<h} c_j (x^(h-j) + x^(j-h)) and
+    # x^k + x^-k = P_k(x + 1/x), P_0 = 2, P_1 = y, P_(k+1) = y P_k - P_(k-1)
+    h = (len(phi) - 1) // 2
+    q = [phi[h]] + [Fraction(0)] * h
+    a, b = (2,), (0, 1)
+    for k in range(1, h + 1):
+        for i, c in enumerate(b):
+            q[i] += phi[h - k] * c
+        a, b = b, [(b[i - 1] if i else 0) - (a[i] if i < len(a) else 0)
+                   for i in range(len(b) + 1)]
+    return tuple(q)
 
 
 def cos_field(m: int):
@@ -423,13 +392,14 @@ def cos_field(m: int):
 
 
 def _polygon_vertices(field, two_c, m):
-    """Regular m-gon vertices as raw affine triples (z = 1), y-rescaled."""
-    c = two_c / 2
+    """Regular m-gon vertices as raw affine triples (z = 1), y-rescaled:
+    vertex k is (T_k(c), U_(k-1)(c), 1) for c = cos(2*pi/m), and both
+    coordinates follow P_(k+1) = 2c P_k - P_(k-1)."""
+    t, u = (field.one, two_c / 2), (field.zero, field.one)  # T_0, T_1; U_-1, U_0
     pts = []
-    for k in range(m):
-        tx = poly_eval(chebyshev_t(k), c)
-        uy = poly_eval(chebyshev_u(k - 1), c)
-        pts.append((tx, uy, field.one))
+    for _ in range(m):
+        pts.append((t[0], u[0], field.one))
+        t, u = (t[1], two_c * t[1] - t[0]), (u[1], two_c * u[1] - u[0])
     return pts
 
 

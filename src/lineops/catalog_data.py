@@ -138,25 +138,20 @@ def wiman_lines():
     mirrors = {}  # the ``_normal`` row of each mirror, in the order found
     n = 3 * field.degree  # the integers in a row over the field's ring
     for A in seen:
-        if A == ident:
-            continue
         sq = (A * A).rows
-        lam = sq[0][0]
-        if any(sq[i][j] != (lam if i == j else zero)
-               for i in range(3) for j in range(3)):
+        if A == ident or any(sq[i][j] != (sq[0][0] if i == j else zero)
+                             for i in range(3) for j in range(3)):
             continue
-        root = A.det() * lam.inverse()
-        if root * root != lam:
-            raise AssertionError("square-root recipe failed")
-        for sgn in (root, -root):
-            flat = _ring_flat([(e - sgn if i == j else e).rep
-                               for i, row in enumerate(A.rows) for j, e in enumerate(row)],
-                              field)
-            rows = [flat[k:k + n] for k in range(0, 3 * n, n)]
-            # a reflection fixes a line pointwise: A - sgn has rank 1
-            if len(_null_basis(rows, field)) == 2:
-                mirrors[_normal(next(r for r in rows if any(r)), field)] = None
-                break
+        # an involution, A^2 = lam: up to sign its eigenvalues are s, s, -s,
+        # so tr A = s and A - tr A has rank 1, its nonzero row the mirror
+        tr = A.rows[0][0] + A.rows[1][1] + A.rows[2][2]
+        flat = _ring_flat([(e - tr if i == j else e).rep
+                           for i, row in enumerate(A.rows) for j, e in enumerate(row)],
+                          field)
+        rows = [flat[k:k + n] for k in range(0, 3 * n, n)]
+        if len(_null_basis(rows, field)) != 2:
+            raise AssertionError("an involution of the mirror group is not a reflection")
+        mirrors[_normal(next(r for r in rows if any(r)), field)] = None
     if len(mirrors) != 45:
         raise AssertionError(f"expected 45 mirrors, got {len(mirrors)}")
     return field, [_from_key(ProjLine, k, field) for k in mirrors]

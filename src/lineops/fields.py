@@ -46,6 +46,13 @@ def _is_prime(n: int) -> bool:
     return n > 1 and all(n % f for f in range(2, math.isqrt(n) + 1))
 
 
+def _residue(value: Fraction, p: int) -> int:
+    """The residue of a rational mod the prime p."""
+    if value.denominator % p == 0:
+        raise FieldError("denominator divisible by characteristic")
+    return value.numerator * pow(value.denominator, p - 2, p) % p
+
+
 # ---------------------------------------------------------------------------
 # polynomial helpers (dense coefficient lists, low degree first)
 
@@ -54,12 +61,6 @@ def poly_trim(p: Sequence) -> tuple:
     while p and not p[-1]:
         p.pop()
     return tuple(p)
-
-
-def poly_sub(p, q):
-    n = max(len(p), len(q))
-    return poly_trim([(p[i] if i < len(p) else 0) - (q[i] if i < len(q) else 0)
-                      for i in range(n)])
 
 
 def poly_divmod(p, q):
@@ -462,12 +463,7 @@ class Field:
             num, den = exact.as_integer_ratio()
             return Scalar(self, (num,) + (0,) * (self.degree - 1) + (den,))
         p = self.characteristic
-        if isinstance(value, Fraction):
-            if value.denominator % p == 0:
-                raise FieldError("denominator divisible by characteristic")
-            base = value.numerator * pow(value.denominator, p - 2, p) % p
-        else:
-            base = int(value) % p
+        base = _residue(value, p) if isinstance(value, Fraction) else int(value) % p
         if k == PRIME_FIELD:
             return Scalar(self, base)
         return Scalar(self, (base,) + (0,) * (self.degree - 1))
@@ -861,12 +857,7 @@ def _parse_poly(text: str, rational: bool, mod: Optional[int] = None):
     out = [coeffs.get(i, Fraction(0)) for i in range(deg + 1)]
     if rational:
         return tuple(out)
-    res = []
-    for c in out:
-        if c.denominator % mod == 0:
-            raise FieldError("denominator divisible by characteristic")
-        res.append(c.numerator * pow(c.denominator, mod - 2, mod) % mod)
-    return tuple(res)
+    return tuple(_residue(c, mod) for c in out)
 
 
 def _x_coefficients(s: Scalar) -> list:

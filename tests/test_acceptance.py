@@ -6,7 +6,6 @@ step-3 count 1741 of the iterated complete quadrilateral against a small
 integer oracle in this file that shares no code with lineops; the 1471 of
 the reference table is a digit transposition of 1741.
 """
-import os
 import time
 import warnings
 from collections import Counter
@@ -35,7 +34,6 @@ from lineops.projective import (Matrix3, Projectivity, apply_projectivity,
                                 common_conic, incident, join, point,
                                 rich_conics)
 
-HEAVY = os.environ.get("LINEOPS_HEAVY") == "1"
 L22 = lambda_spec(sel_at_least(2), sel_at_least(2))
 L23 = lambda_spec(sel_at_least(2), sel_at_least(3))
 L33 = lambda_spec(sel_at_least(3), sel_at_least(3))
@@ -337,7 +335,6 @@ def test_criterion_10_klein():
     _pass(10, t0, 300)
 
 
-@pytest.mark.skipif(not HEAVY, reason="wiman stretch runs behind LINEOPS_HEAVY=1")
 def test_criterion_10_stretch_wiman():
     t0 = time.time()
     w = build("wiman")

@@ -102,6 +102,18 @@ def test_sets_hold_one_member_type():
     assert len({point(F, 1, 2, 3), line(F, 1, 2, 3)}) == 2
 
 
+def test_union_refuses_a_point_config():
+    from lineops.catalog import pappus_base_points
+    grid = build("grid6")
+    pts = pappus_base_points()
+    assert pts.field.spec == grid.field.spec
+    with pytest.raises(ArrangementError):
+        grid.union(pts)
+    with pytest.raises(ArrangementError):
+        grid.union(PointConfig(grid.field, [point(grid.field, 1, 2, 3)]))
+    assert len(grid.union(Arrangement(grid.field, [line(grid.field, 1, 2, 3)]))) == len(grid) + 1
+
+
 def test_sets_hold_one_field():
     # GF(7) and GF(11) points with identical reps: every member is checked
     # before the set merges members by their reps, in either order

@@ -1,3 +1,4 @@
+import math
 import warnings
 from fractions import Fraction
 
@@ -8,10 +9,11 @@ from lineops.arrangements import (arrangements_equivalent, lambda_op,
                                   lines_operator, profile, sel_at_least,
                                   sel_exact)
 from lineops.catalog import (CatalogError, DegenerateParameterError,
-                             ProfileMismatchError, build, build_lines,
-                             cos_field, entries, generic_points_on_conic,
-                             get_entry, minpoly_2cos, pappus_base_points,
-                             regular_hexagon_points)
+                             ProfileMismatchError, _polygon_vertices, build,
+                             build_lines, cos_field, entries,
+                             generic_points_on_conic, get_entry, minpoly_2cos,
+                             pappus_base_points, regular_hexagon_points)
+from lineops.fields import real_embedding
 
 
 
@@ -141,6 +143,31 @@ def test_polygonal_fields():
     assert F7.degree == 3
     # the shipped heptagon minimal polynomial: x^3 - x^2 - 2x + 1 at 2cos(pi/7)
     assert minpoly_2cos(14) == (1, -2, -1, 1)
+
+
+def test_minpoly_2cos_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    y = sympy.Symbol("y")
+    for m in range(1, 31):
+        want = sympy.Poly(sympy.minimal_polynomial(2 * sympy.cos(2 * sympy.pi / m), y), y)
+        assert minpoly_2cos(m) == tuple(int(c) for c in reversed(want.all_coeffs())), m
+
+
+def test_polygon_vertices_embed_as_the_regular_polygon():
+    """Vertex k is (cos 2pi k/m, sin 2pi k/m / sin 2pi/m, 1) under the
+    largest real root of the field's modulus, which is 2cos(2pi/m)."""
+    for m in range(3, 16):
+        F, two_c = cos_field(m)
+        root = F.degree - 1  # a totally real field: every root is real
+        assert abs(real_embedding(two_c, root) - 2 * math.cos(2 * math.pi / m)) < 1e-9
+        verts = _polygon_vertices(F, two_c, m)
+        assert len(verts) == m
+        for k, v in enumerate(verts):
+            x, y, z = (real_embedding(s, root) for s in v)
+            a = 2 * math.pi * k / m
+            assert z == 1, (m, k)
+            assert abs(x - math.cos(a)) < 1e-9, (m, k)
+            assert abs(y - math.sin(a) / math.sin(2 * math.pi / m)) < 1e-9, (m, k)
 
 
 def test_polygonal_profiles_more():
