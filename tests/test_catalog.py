@@ -13,7 +13,7 @@ from lineops.catalog import (CatalogError, DegenerateParameterError,
                              build_lines, cos_field, entries,
                              generic_points_on_conic, get_entry, minpoly_2cos,
                              pappus_base_points, regular_hexagon_points)
-from lineops.fields import real_embedding
+from lineops.fields import FieldError, format_scalar, real_embedding
 
 
 
@@ -97,6 +97,76 @@ def test_build_makes_one_arrangement(monkeypatch):
 def test_flashing_tau_is_forbidden_in_its_field():
     with pytest.raises(DegenerateParameterError):
         build("flashing3", t="x", field="Q[x]/(x^2-x+1)")
+
+
+# build_lines of the t-families at t = 7/3 and -2/5 over Q, 3 over GF(7), x
+# over GF(9) and (1+i)/2 over Q(i): (entry, part, t, field, then the field
+# and each line's coefficients in construction order, or the refusal)
+PARAMETRIC_BUILDS = [
+    ('flashing3', None, '7/3', None,
+     'Q: 0 1 0 | 1 1 1 | 1 7/3 1 | 1 0 0 | 0 0 1 | 1 37/9 7/3'),
+    ('flashing3', None, '-2/5', None,
+     'Q: 0 1 0 | 1 1 1 | 1 -2/5 1 | 1 0 0 | 0 0 1 | 1 39/25 -2/5'),
+    ('flashing3', None, '3', 'GF(7)',
+     'DegenerateParameterError: flashing3: t in the degenerate set {0, 1, -1, 1/2, 2, tau, tau^2} (tau^2-tau+1=0)'),
+    ('flashing3', None, 'x', 'GF(9)',
+     'GF(9;x^2+1): 0 1 0 | 1 1 1 | 1 x 1 | 1 0 0 | 0 0 1 | 1 2*x x'),
+    ('flashing3', None, '1/2+1/2*x', 'Q[x]/(x^2+1)',
+     'Q[x]/(x^2+1): 0 1 0 | 1 1 1 | 1 1/2*x+1/2 1 | 1 0 0 | 0 0 1 | 1 1/2 1/2*x+1/2'),
+    ('flashing4', 'c0', '7/3', None,
+     'Q: 1 0 0 | 0 0 1 | 1 65/77 1 | 1 65/98 1/2 | 1 1 1 | 0 1 7/3 | 1 4/7 0 | 1 11/14 1/2'),
+    ('flashing4', 'c0', '-2/5', None,
+     'Q: 1 0 0 | 0 0 1 | 1 53/18 1 | 1 53/8 1/2 | 1 1 1 | 0 1 -2/5 | 1 7/2 0 | 1 9/4 1/2'),
+    ('flashing4', 'c0', '3', 'GF(7)',
+     'GF(7): 1 0 0 | 0 0 1 | 1 6 1 | 1 5 4 | 1 1 1 | 0 1 3 | 1 3 0 | 1 2 4'),
+    ('flashing4', 'c0', 'x', 'GF(9)',
+     'GF(9;x^2+1): 1 0 0 | 0 0 1 | 1 2 1 | 1 x+2 2 | 1 1 1 | 0 1 x | 1 x+1 0 | 1 2*x+1 2'),
+    ('flashing4', 'c0', '1/2+1/2*x', 'Q[x]/(x^2+1)',
+     'DegenerateParameterError: flashing4: t in the degenerate set {0, 1, -1, 1/2, 2, (1+i)/2, (1-i)/2}'),
+    ('flashing4', 'c1', '7/3', None,
+     'Q: 1 1 1 | 0 1 7/3 | 1 4/7 0 | 1 11/14 1/2 | 0 1 0 | 1 4/7 4/11 | 1 11/14 11/14 | 1 1 7/3'),
+    ('flashing4', 'c1', '-2/5', None,
+     'Q: 1 1 1 | 0 1 -2/5 | 1 7/2 0 | 1 9/4 1/2 | 0 1 0 | 1 7/2 7/9 | 1 9/4 9/4 | 1 1 -2/5'),
+    ('flashing4', 'c1', '3', 'GF(7)',
+     'GF(7): 1 1 1 | 0 1 3 | 1 3 0 | 1 2 4 | 0 1 0 | 1 3 6 | 1 2 2 | 1 1 3'),
+    ('flashing4', 'c1', 'x', 'GF(9)',
+     'GF(9;x^2+1): 1 1 1 | 0 1 x | 1 x+1 0 | 1 2*x+1 2 | 0 1 0 | 1 x+1 2*x | 1 2*x+1 2*x+1 | 1 1 x'),
+    ('flashing4', 'c1', '1/2+1/2*x', 'Q[x]/(x^2+1)',
+     'DegenerateParameterError: flashing4: t in the degenerate set {0, 1, -1, 1/2, 2, (1+i)/2, (1-i)/2}'),
+    ('flashing4', 'all', '7/3', None,
+     'Q: 1 0 0 | 0 0 1 | 1 65/77 1 | 1 65/98 1/2 | 1 1 1 | 0 1 7/3 | 1 4/7 0 | 1 11/14 1/2 | 0 1 0 | 1 4/7 4/11 | 1 11/14 11/14 | 1 1 7/3'),
+    ('flashing4', 'all', '-2/5', None,
+     'Q: 1 0 0 | 0 0 1 | 1 53/18 1 | 1 53/8 1/2 | 1 1 1 | 0 1 -2/5 | 1 7/2 0 | 1 9/4 1/2 | 0 1 0 | 1 7/2 7/9 | 1 9/4 9/4 | 1 1 -2/5'),
+    ('flashing4', 'all', '3', 'GF(7)',
+     'GF(7): 1 0 0 | 0 0 1 | 1 6 1 | 1 5 4 | 1 1 1 | 0 1 3 | 1 3 0 | 1 2 4 | 0 1 0 | 1 3 6 | 1 2 2 | 1 1 3'),
+    ('flashing4', 'all', 'x', 'GF(9)',
+     'GF(9;x^2+1): 1 0 0 | 0 0 1 | 1 2 1 | 1 x+2 2 | 1 1 1 | 0 1 x | 1 x+1 0 | 1 2*x+1 2 | 0 1 0 | 1 x+1 2*x | 1 2*x+1 2*x+1 | 1 1 x'),
+    ('flashing4', 'all', '1/2+1/2*x', 'Q[x]/(x^2+1)',
+     'DegenerateParameterError: flashing4: t in the degenerate set {0, 1, -1, 1/2, 2, (1+i)/2, (1-i)/2}'),
+    ('unassuming', None, '7/3', None,
+     'Q: 1 0 0 | 0 1 0 | 0 0 1 | 1 1 1 | 1 -2/5 3/5 | 1 -5/2 -3/2'),
+    ('unassuming', None, '-2/5', None,
+     'Q: 1 0 0 | 0 1 0 | 0 0 1 | 1 1 1 | 1 7/3 10/3 | 1 3/7 10/7'),
+    ('unassuming', None, '3', 'GF(7)',
+     'GF(7): 1 0 0 | 0 1 0 | 0 0 1 | 1 1 1 | 1 3 4 | 1 5 6'),
+    ('unassuming', None, 'x', 'GF(9)',
+     'GF(9;x^2+1): 1 0 0 | 0 1 0 | 0 0 1 | 1 1 1 | 1 2*x 2*x+1 | 1 x x+1'),
+    ('unassuming', None, '1/2+1/2*x', 'Q[x]/(x^2+1)',
+     'Q[x]/(x^2+1): 1 0 0 | 0 1 0 | 0 0 1 | 1 1 1 | 1 -2/5*x+1/5 -2/5*x+6/5 | 1 2*x+1 2*x+2'),
+]
+
+
+@pytest.mark.parametrize("name, part, t, field, want", PARAMETRIC_BUILDS)
+def test_parametric_builds_pinned(name, part, t, field, want):
+    params = {k: v for k, v in (("part", part), ("field", field)) if v}
+    try:
+        F, lines = build_lines(name, t=t, **params)
+    except (DegenerateParameterError, FieldError) as e:
+        got = f"{type(e).__name__}: {e}"
+    else:
+        got = F.spec.text + ": " + " | ".join(
+            " ".join(format_scalar(c) for c in ln.coeffs) for ln in lines)
+    assert got == want
 
 
 def test_profile_mismatch_reported():

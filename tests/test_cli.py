@@ -57,6 +57,50 @@ def test_catalog_list_and_show(capsys, monkeypatch):
     assert code == 0 and "t (fraction" in out
 
 
+_T_PARAMS = ("  t (fraction, default 3)\n", "  field (field, default None)\n")
+_REFUSED = "degenerate parameters are refused (--degenerate-ok overrides)\n"
+CATALOG_SHOW = {
+    "flashing3": (
+        "name: flashing3\n"
+        "summary: six lines flashing with period 2 under exact (2,3)\n"
+        "parameters:\n" + "".join(_T_PARAMS)
+        + "expected profile (defaults): t2=12, t3=1\n" + _REFUSED),
+    "flashing4": (
+        "name: flashing4\n"
+        "summary: the 12-column family whose 8-line halves flash under exact (2,4)\n"
+        "parameters:\n" + _T_PARAMS[0] + "  part (str, default c0)\n" + _T_PARAMS[1]
+        + "expected profile (defaults): t2=22, t4=1\n" + _REFUSED),
+    "unassuming": (
+        "name: unassuming\n"
+        "summary: six nodal lines whose dual 2-rich web is t2=27, t3=t5=6\n"
+        "parameters:\n" + "".join(_T_PARAMS)
+        + "expected profile (defaults): t2=15\n" + _REFUSED),
+    "wiman": (
+        "name: wiman\n"
+        "summary: the 45 reflection lines with t3=120, t4=45, t5=36 (heavy)\n"
+        "expected profile (defaults): t3=120, t4=45, t5=36\n"
+        "heavy: yes (long build)\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_SHOW))
+def test_catalog_show_text(capsys, monkeypatch, name):
+    assert run(capsys, monkeypatch, ["catalog", "show", name]) == \
+        (0, CATALOG_SHOW[name], "")
+
+
+@pytest.mark.parametrize("name, t", [("flashing3", "x"), ("flashing3", "0"),
+                                     ("flashing4", "x"), ("flashing4", "0"),
+                                     ("unassuming", "x")])
+def test_half_over_gf4_is_a_one_line_error(capsys, monkeypatch, name, t):
+    """GF(4) has no 1/2.  The flashing entries exclude t = 1/2 and read the
+    whole excluded list before comparing t with it, so even t = 0 fails
+    there; unassuming reads 1/2 in its columns."""
+    argv = ["catalog", "build", name, "--param", f"t={t}", "--param", "field=GF(4)"]
+    assert run(capsys, monkeypatch, argv) == \
+        (1, "", "error: denominator divisible by characteristic\n")
+
+
 def test_build_apply_profile_pipeline(capsys, monkeypatch):
     code, out, _ = run(capsys, monkeypatch,
                        ["catalog", "build", "gv13", "--param", "a=2",
