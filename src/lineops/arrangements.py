@@ -1265,7 +1265,11 @@ def inequality_report(arr: Arrangement, real: bool = False) -> InequalityReport:
 
 
 def _inequalities(d: int, prof: SingularityProfile, field: Field,
-                  real: bool) -> InequalityReport:
+                  real: Optional[bool]) -> InequalityReport:
+    """The report of ``inequality_report``; ``real`` None declares exactly
+    the arrangements over Q real."""
+    if real is None:
+        real = field.kind == RATIONALS
     t = prof.as_dict()
     kind = _classify(d, prof, field)
     char0 = field.characteristic == 0
@@ -1304,6 +1308,12 @@ def _inequalities(d: int, prof: SingularityProfile, field: Field,
 # ---------------------------------------------------------------------------
 # configuration predicates
 
+def _k_point_sets(arr: Arrangement, k: int) -> list:
+    """The index sets of the lines through each point on exactly k of them;
+    the points' labels do not matter."""
+    return [s for s in _groups(arr._codes, arr.field, k).values() if len(s) == k]
+
+
 def is_km_configuration(arr: Arrangement, k: int, m: int):
     """Whether (P_{k}(arr), arr) is a [k, m]-configuration.
 
@@ -1311,8 +1321,7 @@ def is_km_configuration(arr: Arrangement, k: int, m: int):
     """
     if k < 2 or m < 2:
         raise ArrangementError("configuration parameters must be >= 2")
-    k_point_sets = [s for s in _groups(arr._codes, arr.field, k).values()
-                    if len(s) == k]  # labels do not matter
+    k_point_sets = _k_point_sets(arr, k)
     per_line = Counter(chain.from_iterable(k_point_sets))
     ok = len(arr) > 1 and all(per_line[i] == m for i in range(len(arr)))
     return ok, len(k_point_sets), len(arr)
@@ -1322,8 +1331,7 @@ def configuration_connected(arr: Arrangement, k: int) -> bool:
     """Graph connectivity of the k-points, joined when collinear on a line:
     a union-find over the lines merges the lines of each k-point, and the
     k-points are connected when their lines end in one class."""
-    k_sets = [s for s in _groups(arr._codes, arr.field, k).values()
-              if len(s) == k]  # labels do not matter
+    k_sets = _k_point_sets(arr, k)
     parent = list(range(len(arr)))
 
     def find(i):
@@ -1402,8 +1410,6 @@ def property_suite(arr: Arrangement, real: Optional[bool] = None) -> list:
     code set is paired once and each image selected once (``_selections``).
     """
     field, d = arr.field, len(arr)
-    if real is None:
-        real = field.kind == RATIONALS
     table, op = _selections(field)
     lines = arr._code_set()
     prof = _table_profile(d, *table(lines))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Callable, Optional
@@ -19,9 +20,10 @@ from typing import Callable, Optional
 from .fields import (Field, QQ, Scalar, _parse_poly, cyclotomic_field,
                      field_make, number_field, GF, parse_field_spec,
                      parse_scalar, poly_eval, cyclotomic_minpoly)
-from .projective import (GeometryError, ProjLine, ProjPoint, join, line,
-                         meet, point)
+from .projective import (GeometryError, Matrix3, ProjLine, ProjPoint, join,
+                         line, meet, point)
 from .arrangements import (Arrangement, ArrangementError, PointConfig,
+                           _from_key, _normal, _null_basis, _ring_flat,
                            all_projective_lines, lambda_op, profile,
                            sel_at_least, sel_exact)
 
@@ -49,7 +51,9 @@ class CatalogEntry:
     params: tuple  # ((name, kind, default), ...); kind in int|fraction|sign|field|seed|str
     builder: Callable  # params dict -> (Field, [ProjLine] in construction order)
     expected: Optional[Callable] = None  # params -> {k: t_k} or None
-    forbidden: Optional[Callable] = None  # params -> None or message naming the set
+    # (message naming the set, values of t, polynomials in t whose roots
+    # are excluded), or None: the degenerate parameters refused
+    forbidden: Optional[tuple] = None
     heavy: bool = False
 
     def default_params(self) -> dict:
@@ -75,12 +79,19 @@ def get_entry(name: str) -> CatalogEntry:
 
 
 def _normalize_params(entry: CatalogEntry, given: dict) -> dict:
+    """The entry's defaults updated by ``given``, each read once: the field
+    parameter first, then each fraction parameter as a scalar of it (of Q
+    when there is none), which keeps a scalar's own field."""
     out = entry.default_params()
     for k, v in given.items():
         if k not in out:
             raise CatalogError(f"{entry.name} takes no parameter {k!r}")
         out[k] = v
     kinds = {n: kind for n, kind, _ in entry.params}
+    field = out.get("field")
+    if field is not None and not isinstance(field, Field):
+        out["field"] = field = field_make(parse_field_spec(str(field)))
+    field = field or QQ()
     for k, kind in kinds.items():
         v = out[k]
         if kind == "int" or kind == "seed":
@@ -91,12 +102,17 @@ def _normalize_params(entry: CatalogEntry, given: dict) -> dict:
                                    f"integer, got {v!r}")
         elif kind == "fraction" and not isinstance(v, Scalar):
             try:
-                out[k] = Fraction(v)
+                v = Fraction(v)
             except (TypeError, ValueError, ZeroDivisionError):
-                # scalar text is resolved against the field parameter
+                # scalar text is read in the field parameter
                 if not (isinstance(v, str) and "field" in kinds):
                     raise CatalogError(f"{entry.name} parameter {k!r} must be "
                                        f"a fraction, got {v!r}")
+            try:
+                out[k] = parse_scalar(field, v) if isinstance(v, str) else field.scalar(v)
+            except (ValueError, ZeroDivisionError):
+                raise CatalogError(f"parameter {k!r}: {v!r} is not a scalar "
+                                   f"of {field.spec.text}")
         elif kind == "sign":
             if v in (1, -1):
                 out[k] = int(v)
@@ -106,16 +122,38 @@ def _normalize_params(entry: CatalogEntry, given: dict) -> dict:
                 out[k] = -1
             else:
                 raise CatalogError(f"sign parameter must be + or -, got {v!r}")
-        elif kind == "field" and v is not None and not isinstance(v, Field):
-            out[k] = field_make(parse_field_spec(str(v)))
     return out
+
+
+def _at(text: str, t: Scalar) -> Scalar:
+    """The polynomial in t written as ``text``, at the scalar t."""
+    return poly_eval(_parse_poly(text.replace("t", "x")), t)
+
+
+def _degenerate(entry: CatalogEntry, p: dict) -> Optional[str]:
+    """The entry's message if its parameter t is degenerate, else None."""
+    if entry.forbidden is None:
+        return None
+    msg, values, polys = entry.forbidden
+    t = p["t"]
+    bad = [t.field.scalar(v) for v in values]  # all read first: GF(2^k) has no 1/2
+    return msg if t in bad or any(_at(f, t).is_zero() for f in polys) else None
+
+
+def _column_lines(cols, field: Field, t: Optional[Scalar] = None):
+    """(field, lines) from coefficient columns "a b c": each entry the text
+    of a scalar of ``field`` or, given the parameter t (a scalar of
+    ``field``), of a polynomial in t."""
+    def read(e):
+        return parse_scalar(field, e) if t is None else _at(e, t)
+    return field, [ProjLine(tuple(map(read, col.split()))) for col in cols]
 
 
 def _build(name: str, degenerate_ok: bool, params: dict):
     """(field, lines in construction order, their Arrangement), validated."""
     entry = get_entry(name)
     p = _normalize_params(entry, params)
-    msg = entry.forbidden(p) if entry.forbidden is not None else None
+    msg = _degenerate(entry, p)
     if msg:
         if not degenerate_ok:
             raise DegenerateParameterError(f"{entry.name}: {msg}")
@@ -144,23 +182,6 @@ def build_lines(name: str, degenerate_ok: bool = False, **params):
 def build(name: str, degenerate_ok: bool = False, **params) -> Arrangement:
     """Build a catalog arrangement and validate its expected profile."""
     return _build(name, degenerate_ok, params)[2]
-
-
-# ---------------------------------------------------------------------------
-# scalar parameter helper
-
-def _scalar_param(p: dict, key: str = "t"):
-    v = p[key]
-    if isinstance(v, Scalar):
-        return v.field, v
-    fld = p.get("field") or QQ()
-    if not isinstance(v, str):
-        return fld, fld.scalar(v)
-    try:
-        return fld, parse_scalar(fld, v)
-    except (ValueError, ZeroDivisionError):
-        raise CatalogError(f"parameter {key!r}: {v!r} is not a scalar of "
-                           f"{fld.spec.text}")
 
 
 # ---------------------------------------------------------------------------
@@ -235,19 +256,10 @@ def _build_complete_quadrilateral(p):
     return F, [join(a, b) for a, b in combinations(pts, 2)]
 
 
-def _build_grid6(p):
-    F = QQ()
-    cols = [(1, 0, 0), (1, 0, 1), (1, 0, -1), (0, 1, 0), (0, 1, 1), (0, 1, -1)]
-    return F, [line(F, *c) for c in cols]
-
-
-def _build_parallel_pairs6(p):
-    # {x, y, x+y} pairs at offsets (2, -7): the rotation-symmetric member
-    # of the family in which each derived parallel meets two crossings
-    F = QQ()
-    cols = [(1, 0, -2), (1, 0, 7), (0, 1, -2), (0, 1, 7),
-            (1, 1, 2), (1, 1, -7)]
-    return F, [line(F, *c) for c in cols]
+_GRID6_COLS = ("1 0 0", "1 0 1", "1 0 -1", "0 1 0", "0 1 1", "0 1 -1")
+# {x, y, x+y} pairs at offsets (2, -7): the rotation-symmetric member of
+# the family in which each derived parallel meets two crossings
+_PARALLEL_PAIRS6_COLS = ("1 0 -2", "1 0 7", "0 1 -2", "0 1 7", "1 1 2", "1 1 -7")
 
 
 def _build_finite_plane(p):
@@ -311,22 +323,14 @@ def _ceva_ext_profile(p):
     return t
 
 
-_DUAL_HESSE_COLS = (
-    # (name-free) the nine lines -x+z, -x+y, -y+z, -wx+z, -wx+y,
-    # -w^2x+z, -w^2x+y, -w^2y+z, -wy+z with w a primitive cube root of 1
-    ("-1", "0", "1"), ("-1", "1", "0"), ("0", "-1", "1"),
-    ("-x", "0", "1"), ("-x", "1", "0"),
-    ("-x^2", "0", "1"), ("-x^2", "1", "0"),
-    ("0", "-x^2", "1"), ("0", "-x", "1"),
-)
+# the nine lines -x+z, -x+y, -y+z, -wx+z, -wx+y, -w^2x+z, -w^2x+y,
+# -w^2y+z, -wy+z with w a primitive cube root of 1
+_DUAL_HESSE_COLS = ("-1 0 1", "-1 1 0", "0 -1 1", "-x 0 1", "-x 1 0",
+                    "-x^2 0 1", "-x^2 1 0", "0 -x^2 1", "0 -x 1")
 
 
 def _build_dual_hesse(p):
-    F = cyclotomic_field(3)
-    lines = []
-    for col in _DUAL_HESSE_COLS:
-        lines.append(ProjLine(tuple(parse_scalar(F, c) for c in col)))
-    return F, lines
+    return _column_lines(_DUAL_HESSE_COLS, cyclotomic_field(3))
 
 
 def dual_hesse_triple_points():
@@ -463,31 +467,7 @@ def _polygonal_ext_profile(p):
 # ---------------------------------------------------------------------------
 # flashing and unassuming families
 
-def _flashing3_matrix(F, t):
-    one, zero = F.one, F.zero
-    return [
-        (zero, one, zero),
-        (one, one, one),
-        (one, t, one),
-        (one, zero, zero),
-        (zero, zero, one),
-        (one, t * t - t + one, t),
-    ]
-
-
-def _build_flashing3(p):
-    F, t = _scalar_param(p)
-    return F, [ProjLine(c) for c in _flashing3_matrix(F, t)]
-
-
-def _flashing3_forbidden(p):
-    F, t = _scalar_param(p)
-    bad = [F.zero, F.one, -F.one, F.scalar(Fraction(1, 2)), F.scalar(2)]
-    if any(t == b for b in bad):
-        return "t in the degenerate set {0, 1, -1, 1/2, 2, tau, tau^2} (tau^2-tau+1=0)"
-    if (t * t - t + F.one).is_zero():
-        return "t in the degenerate set {0, 1, -1, 1/2, 2, tau, tau^2} (tau^2-tau+1=0)"
-    return None
+_FLASHING3_COLS = ("0 1 0", "1 1 1", "1 t 1", "1 0 0", "0 0 1", "1 t^2-t+1 t")
 
 
 def flashing3_partner_normals(field, t: Scalar):
@@ -498,50 +478,23 @@ def flashing3_partner_normals(field, t: Scalar):
 
 
 _FLASHING4_COLS = (
-    ("1", "0", "0"),
-    ("0", "0", "1"),
-    ("t^2-1/2*t", "t^2-t+1/2", "t^2-1/2*t"),
-    ("2*t^2", "2*t^2-2*t+1", "t^2"),
-    ("1", "1", "1"),
-    ("0", "1", "t"),
-    ("t", "t-1", "0"),
+    "1 0 0", "0 0 1",
+    "t^2-1/2*t t^2-t+1/2 t^2-1/2*t",
+    "2*t^2 2*t^2-2*t+1 t^2",
+    "1 1 1", "0 1 t", "t t-1 0",
     # the first entry must be 2t (not 2): only then does this line pass
     # through the common point of the middle quadruple, as the family needs
-    ("2*t", "2*t-1", "t"),
-    ("0", "1", "0"),
-    ("2*t^2-t", "2*t^2-3*t+1", "t^2-t"),
-    ("t", "t-1/2", "t-1/2"),
-    ("1", "1", "t"),
+    "2*t 2*t-1 t",
+    "0 1 0", "2*t^2-t 2*t^2-3*t+1 t^2-t", "t t-1/2 t-1/2", "1 1 t",
 )
-
-
-def _flashing4_cols(t):
-    """The columns of _FLASHING4_COLS, each entry a polynomial in t."""
-    return [tuple(poly_eval(_parse_poly(e.replace("t", "x"), rational=True), t)
-                  for e in col) for col in _FLASHING4_COLS]
+_FLASHING4_PARTS = {"c0": slice(8), "c1": slice(4, None), "all": slice(None)}
 
 
 def _build_flashing4(p):
-    F, t = _scalar_param(p)
-    cols = _flashing4_cols(t)
-    part = p["part"]
-    if part == "c0":
-        cols = cols[:8]
-    elif part == "c1":
-        cols = cols[4:]
-    elif part != "all":
+    part = _FLASHING4_PARTS.get(str(p["part"]))
+    if part is None:
         raise CatalogError("flashing4 part must be c0, c1 or all")
-    return F, [ProjLine(c) for c in cols]
-
-
-def _flashing4_forbidden(p):
-    F, t = _scalar_param(p)
-    bad = [F.zero, F.one, -F.one, F.scalar(Fraction(1, 2)), F.scalar(2)]
-    if any(t == b for b in bad):
-        return "t in the degenerate set {0, 1, -1, 1/2, 2, (1+i)/2, (1-i)/2}"
-    if (F.scalar(2) * t * t - F.scalar(2) * t + F.one).is_zero():
-        return "t in the degenerate set {0, 1, -1, 1/2, 2, (1+i)/2, (1-i)/2}"
-    return None
+    return _column_lines(_FLASHING4_COLS[part], p["t"].field, p["t"])
 
 
 def _flashing4_profile(p):
@@ -550,40 +503,15 @@ def _flashing4_profile(p):
     return {2: 22, 4: 1}
 
 
-def _build_unassuming(p):
-    F, t = _scalar_param(p)
-    half = F.scalar(Fraction(1, 2))
-    one, zero = F.one, F.zero
-    a = half * (one + t)
-    b = half * (one - t)
-    cols = [
-        (one, zero, zero),
-        (zero, one, zero),
-        (zero, zero, one),
-        (one, one, one),
-        (a, b, one),
-        (b, a, one),
-    ]
-    return F, [ProjLine(c) for c in cols]
-
-
-def _unassuming_forbidden(p):
-    F, t = _scalar_param(p)
-    if any(t == b for b in (F.zero, F.one, -F.one)):
-        return "t in {0, 1, -1, infinity, 2+sqrt5, 2-sqrt5, -2+sqrt5, -2-sqrt5}"
-    v1 = t * t - F.scalar(4) * t - F.one
-    v2 = t * t + F.scalar(4) * t - F.one
-    if v1.is_zero() or v2.is_zero():
-        return "t in {0, 1, -1, infinity, 2+sqrt5, 2-sqrt5, -2+sqrt5, -2-sqrt5}"
-    return None
+_UNASSUMING_COLS = ("1 0 0", "0 1 0", "0 0 1", "1 1 1",
+                    "1/2+1/2*t 1/2-1/2*t 1", "1/2-1/2*t 1/2+1/2*t 1")
 
 
 def _build_gv13(p):
-    F = QQ()
-    a = F.scalar(p["a"])
+    F, a = QQ(), p["a"]
     if a.is_zero():
         raise DegenerateParameterError("gv13: a must be nonzero")
-    b = F.scalar(p["sign"]) / a
+    b = p["sign"] / a
     one, zero = F.one, F.zero
     a2 = a * a
     b2 = b * b
@@ -601,10 +529,8 @@ def _build_gv13(p):
 
 def _build_pappus(p):
     F = QQ()
-    a = [F.scalar(p[k]) for k in ("a1", "a2", "a3")]
-    b = [F.scalar(p[k]) for k in ("b1", "b2", "b3")]
-    ps = [point(F, ai, 0, 1) for ai in a]
-    qs = [point(F, bi, 1, 1) for bi in b]
+    ps = [point(F, p[k], 0, 1) for k in ("a1", "a2", "a3")]
+    qs = [point(F, p[k], 1, 1) for k in ("b1", "b2", "b3")]
     hexagon = [join(ps[0], qs[0]), join(qs[0], ps[1]), join(ps[1], qs[1]),
                join(qs[1], ps[2]), join(ps[2], qs[2]), join(qs[2], ps[0])]
     from .projective import incident
@@ -627,8 +553,8 @@ def pappus_base_points(a=(0, 1, 3), b=(2, 3, 7)):
 
 def _build_desargues9(p):
     F = QQ()
-    v = [F.scalar(p[k]) for k in ("v1", "v2", "v3")]
-    w = [F.scalar(p[k]) for k in ("w1", "w2", "w3")]
+    v = [p[k] for k in ("v1", "v2", "v3")]
+    w = [p[k] for k in ("w1", "w2", "w3")]
     spokes = [line(F, 1, 0, 0), line(F, 0, 1, 0), line(F, 1, -1, 0)]
     vs = [point(F, 0, v[0], 1), point(F, v[1], 0, 1), point(F, v[2], v[2], 1)]
     ws = [point(F, 0, w[0], 1), point(F, w[1], 0, 1), point(F, w[2], w[2], 1)]
@@ -639,7 +565,7 @@ def _build_desargues9(p):
 
 def _build_hexagon_on_conic(p):
     F = QQ()
-    ss = [F.scalar(p[k]) for k in ("s1", "s2", "s3", "s4", "s5", "s6")]
+    ss = [p[k] for k in ("s1", "s2", "s3", "s4", "s5", "s6")]
     if len({s.rep for s in ss}) != 6:
         raise CatalogError("hexagon-on-conic needs 6 distinct parameters")
     pts = [point(F, 1, s, s * s) for s in ss]
@@ -713,21 +639,139 @@ def circumscribed_hexagon_vertices(svals=(-3, -1, 0, 1, 2, 5)) -> PointConfig:
 
 
 # ---------------------------------------------------------------------------
-# derived reflection-group arrangements (coordinates in catalog_data)
+# reflection-group arrangements
+#
+# The Klein and real-21 columns were computed once with the package's own
+# exact arithmetic (group orbits over cyclotomic fields, then a change of
+# frame into the smallest field carrying the arrangement); every build
+# re-validates them against their expected profiles.  The 45 Wiman
+# mirrors are regenerated from exact generator matrices.
 
-def _build_klein(p):
-    from .catalog_data import klein_lines
-    return klein_lines()
+# 21 mirror lines of the order-168 symmetry group, over Q(sqrt-7): x = sqrt(-7).
+_KLEIN_COLS = (
+    "0 0 1",
+    "0 1 -1/16*x+5/16",
+    "0 1 -1/8*x+5/8",
+    "0 1 0",
+    "1 -1 -1/8*x-3/8",
+    "1 -1 0",
+    "1 -1 1/8*x+3/8",
+    "1 -1/2*x-1/2 -1/4*x+1/4",
+    "1 -1/2*x-1/2 -1/8*x-3/8",
+    "1 -1/4*x+1/4 -1/16*x+5/16",
+    "1 -1/4*x+1/4 -1/4*x+1/4",
+    "1 0 -1/16*x+5/16",
+    "1 0 -1/8*x+5/8",
+    "1 0 0",
+    "1 1 -1/4*x+1/4",
+    "1 1 -1/8*x+5/8",
+    "1 1 1",
+    "1 1/2*x+1/2 1",
+    "1 1/2*x+1/2 1/8*x+3/8",
+    "1 1/4*x-1/4 -1/16*x+5/16",
+    "1 1/4*x-1/4 1/8*x+3/8",
+)
 
 
-def _build_grunbaum_rigby(p):
-    from .catalog_data import grunbaum_rigby_lines
-    return grunbaum_rigby_lines()
+# 21 real lines with t2 = 63, t3 = 7, t4 = 21: the astral heptagon model.
+# Three rotation orbits of 7 lines each (two chord families of the regular
+# heptagon and one inner family at a derived radius), written over the
+# field of cos(pi/7): x = 2cos(pi/7), x^3 - x^2 - 2x + 1 = 0, with the
+# y-axis rescaled by sin(pi/7) to keep every coefficient in that field.
+_GR_MINPOLY = (1, -2, -1, 1)
+_GR_COLS = (
+    "1 2*x^2-3/2*x-4 2*x^2-x-4",
+    "1 2*x^2-3/2*x-4 -x^2+3",
+    "1 2*x^2-3/2*x-4 -5*x^2+3*x+11",
+    "1 -1/2*x-1 2*x^2-x-4",
+    "1 -1/2*x-1 -1",
+    "1 -1/2*x-1 x+1",
+    "1 x^2-3/2*x -1",
+    "1 x^2-3/2*x -x^2+2*x",
+    "1 x^2-3/2*x -x^2+3",
+    "1 0 x^2-1/2*x-5/2",
+    "1 0 1/2*x^2-1/2*x-1/2",
+    "1 0 -1/2*x^2+1",
+    "1 -x^2+3/2*x -1",
+    "1 -x^2+3/2*x -x^2+2*x",
+    "1 -x^2+3/2*x -x^2+3",
+    "1 1/2*x+1 2*x^2-x-4",
+    "1 1/2*x+1 -1",
+    "1 1/2*x+1 x+1",
+    "1 -2*x^2+3/2*x+4 2*x^2-x-4",
+    "1 -2*x^2+3/2*x+4 -x^2+3",
+    "1 -2*x^2+3/2*x+4 -5*x^2+3*x+11",
+)
 
 
-def _build_wiman(p):
-    from .catalog_data import wiman_lines
-    return wiman_lines()
+# The 45-line mirror arrangement of the order-360 collineation group,
+# over Q(w, sqrt5) presented as Q[x]/(x^4 + 2x^3 - 7x^2 - 8x + 31) with
+# x = w + sqrt5.  Generators: the coordinate 3-cycle, diag(1,-1,-1), the
+# order-5 rotation about the axis (0, 1, phi), and the extension
+# involution diag-block(w; antidiag(w^2, 1)) found by demanding that it
+# preserve a member of the invariant sextic pencil.
+# w and sqrt5 as reps (a0, ..., a3, d), sum a_i x^i / d (theta = x).
+_W_MINPOLY = (31, -8, -7, 2, 1)
+_W_OMEGA = (-14, -4, 3, 2, 23)
+_W_SQRT5 = (14, 27, -3, -2, 23)
+
+
+@lru_cache(maxsize=None)
+def _wiman_lines():
+    field = number_field(list(_W_MINPOLY))
+    w = field.from_rep(_W_OMEGA)
+    s5 = field.from_rep(_W_SQRT5)
+    one, zero = field.one, field.zero
+    half = field.scalar(Fraction(1, 2))
+    phi = (one + s5) * half
+
+    sigma = ((zero, one, zero), (zero, zero, one), (one, zero, zero))
+    d = ((one, zero, zero), (zero, -one, zero), (zero, zero, -one))
+    ccos = (s5 - one) * field.scalar(Fraction(1, 4))
+    kfac = (field.scalar(3) - s5) * field.scalar(Fraction(1, 4))
+    kvec = (zero, one, phi)
+    crossk = ((zero, -phi, one), (phi, zero, zero), (-one, zero, zero))
+    rot5 = tuple(tuple((ccos if i == j else zero) + half * crossk[i][j]
+                       + kfac * kvec[i] * kvec[j] for j in range(3))
+                 for i in range(3))
+    t_ext = ((w, zero, zero), (zero, zero, w * w), (zero, one, zero))
+    ident = Matrix3.identity(field)
+
+    gens = [Matrix3(g).scaled_canonical() for g in (sigma, d, rot5, t_ext)]
+    seen = {ident: None}  # the group, in discovery order
+    queue = [ident]
+    while queue:
+        cur = queue.pop()
+        for g in gens:
+            nxt = (cur * g).scaled_canonical()
+            if nxt not in seen:
+                if len(seen) > 400:
+                    raise AssertionError("mirror group failed to close")
+                seen[nxt] = None
+                queue.append(nxt)
+    if len(seen) != 360:
+        raise AssertionError(f"expected order 360, got {len(seen)}")
+
+    mirrors = {}  # the ``_normal`` row of each mirror, in the order found
+    n = 3 * field.degree  # the integers in a row over the field's ring
+    for A in seen:
+        sq = (A * A).rows
+        if A == ident or any(sq[i][j] != (sq[0][0] if i == j else zero)
+                             for i in range(3) for j in range(3)):
+            continue
+        # an involution, A^2 = lam: up to sign its eigenvalues are s, s, -s,
+        # so tr A = s and A - tr A has rank 1, its nonzero row the mirror
+        tr = A.rows[0][0] + A.rows[1][1] + A.rows[2][2]
+        flat = _ring_flat([(e - tr if i == j else e).rep
+                           for i, row in enumerate(A.rows) for j, e in enumerate(row)],
+                          field)
+        rows = [flat[k:k + n] for k in range(0, 3 * n, n)]
+        if len(_null_basis(rows, field)) != 2:
+            raise AssertionError("an involution of the mirror group is not a reflection")
+        mirrors[_normal(next(r for r in rows if any(r)), field)] = None
+    if len(mirrors) != 45:
+        raise AssertionError(f"expected 45 mirrors, got {len(mirrors)}")
+    return field, [_from_key(ProjLine, k, field) for k in mirrors]
 
 
 # ---------------------------------------------------------------------------
@@ -758,11 +802,13 @@ register(CatalogEntry(
 
 register(CatalogEntry(
     "grid6", "x, x+z, x-z, y, y+z, y-z",
-    (), _build_grid6, expected=lambda p: {2: 9, 3: 2}))
+    (), lambda p: _column_lines(_GRID6_COLS, QQ()),
+    expected=lambda p: {2: 9, 3: 2}))
 
 register(CatalogEntry(
     "parallel-pairs6", "three pairs of parallel lines, only nodes",
-    (), _build_parallel_pairs6, expected=lambda p: {2: 15}))
+    (), lambda p: _column_lines(_PARALLEL_PAIRS6_COLS, QQ()),
+    expected=lambda p: {2: 15}))
 
 register(CatalogEntry(
     "finite-plane", "all q^2+q+1 lines of the projective plane over GF(q)",
@@ -800,21 +846,26 @@ register(CatalogEntry(
 register(CatalogEntry(
     "flashing3", "six lines flashing with period 2 under exact (2,3)",
     (("t", "fraction", Fraction(3)), ("field", "field", None)),
-    _build_flashing3, expected=lambda p: {2: 12, 3: 1},
-    forbidden=_flashing3_forbidden))
+    lambda p: _column_lines(_FLASHING3_COLS, p["t"].field, p["t"]),
+    expected=lambda p: {2: 12, 3: 1},
+    forbidden=("t in the degenerate set {0, 1, -1, 1/2, 2, tau, tau^2} "
+               "(tau^2-tau+1=0)", (0, 1, -1, Fraction(1, 2), 2), ("t^2-t+1",))))
 
 register(CatalogEntry(
     "flashing4", "the 12-column family whose 8-line halves flash under exact (2,4)",
     (("t", "fraction", Fraction(3)), ("part", "str", "c0"),
      ("field", "field", None)),
     _build_flashing4, expected=_flashing4_profile,
-    forbidden=_flashing4_forbidden))
+    forbidden=("t in the degenerate set {0, 1, -1, 1/2, 2, (1+i)/2, (1-i)/2}",
+               (0, 1, -1, Fraction(1, 2), 2), ("2*t^2-2*t+1",))))
 
 register(CatalogEntry(
     "unassuming", "six nodal lines whose dual 2-rich web is t2=27, t3=t5=6",
     (("t", "fraction", Fraction(3)), ("field", "field", None)),
-    _build_unassuming, expected=lambda p: {2: 15},
-    forbidden=_unassuming_forbidden))
+    lambda p: _column_lines(_UNASSUMING_COLS, p["t"].field, p["t"]),
+    expected=lambda p: {2: 15},
+    forbidden=("t in {0, 1, -1, infinity, 2+sqrt5, 2-sqrt5, -2+sqrt5, -2-sqrt5}",
+               (0, 1, -1), ("t^2-4*t-1", "t^2+4*t-1"))))
 
 register(CatalogEntry(
     "gv13", "the 13-line family with two moduli components (b = sign/a)",
@@ -844,12 +895,15 @@ register(CatalogEntry(
 
 register(CatalogEntry(
     "klein", "the 21 reflection lines with t3 = 28, t4 = 21 over Q(sqrt-7)",
-    (), _build_klein, expected=lambda p: {3: 28, 4: 21}))
+    (), lambda p: _column_lines(_KLEIN_COLS, number_field([7, 0, 1])),
+    expected=lambda p: {3: 28, 4: 21}))
 
 register(CatalogEntry(
     "grunbaum-rigby", "the real 21-line configuration with t2=63, t3=7, t4=21",
-    (), _build_grunbaum_rigby, expected=lambda p: {2: 63, 3: 7, 4: 21}))
+    (), lambda p: _column_lines(_GR_COLS, number_field(_GR_MINPOLY)),
+    expected=lambda p: {2: 63, 3: 7, 4: 21}))
 
 register(CatalogEntry(
     "wiman", "the 45 reflection lines with t3=120, t4=45, t5=36 (heavy)",
-    (), _build_wiman, expected=lambda p: {3: 120, 4: 45, 5: 36}, heavy=True))
+    (), lambda p: _wiman_lines(), expected=lambda p: {3: 120, 4: 45, 5: 36},
+    heavy=True))

@@ -18,7 +18,8 @@ from .arrangements import (Arrangement, ArrangementError, _classify,
                            h_constant, lines_from_json, parse_selector,
                            point_config_from_json, profile,
                            arrangements_equivalent)
-from .catalog import CatalogError, build, entries, get_entry
+from .catalog import (CatalogError, _degenerate, _normalize_params, build,
+                      entries, get_entry)
 from .dynamics import (DEFAULT_MAX_LINES, DEFAULT_MAX_STEPS,
                        DEFAULT_PROFILE_BUDGET, apply_operator, dual_spec,
                        lambda_spec, run_sequence, trace_table, trace_to_json)
@@ -141,7 +142,7 @@ def cmd_catalog(args):
                 body = ", ".join(f"t{k}={v}" for k, v in sorted(want.items()))
                 _emit(f"expected profile (defaults): {body}\n")
         if e.forbidden is not None:
-            msg = e.forbidden(e.default_params())
+            msg = _degenerate(e, _normalize_params(e, {}))
             _emit("degenerate parameters are refused "
                   "(--degenerate-ok overrides)\n" if msg is None else
                   f"default parameters are degenerate: {msg}\n")
@@ -191,9 +192,8 @@ def cmd_profile(args):
 
 def cmd_check(args):
     arr = _load_arrangement(args)
-    real = args.real if args.real is not None else arr.field.spec.text == "Q"
     prof = profile(arr)  # one pair pass serves every line below
-    rep = _inequalities(len(arr), prof, arr.field, real)
+    rep = _inequalities(len(arr), prof, arr.field, args.real)
     _emit(f"classification: {_classify(len(arr), prof, arr.field)}\n")
     for chk in rep.checks():
         slack = "n/a" if chk.slack is None else _fmt_fraction(chk.slack, 0)

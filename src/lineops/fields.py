@@ -665,9 +665,9 @@ def GF(q: int, min_poly: Optional[Sequence] = None) -> Field:
 
 
 def cyclotomic_minpoly(n: int) -> tuple:
-    """n-th cyclotomic polynomial over Q, low -> high, for 2 <= n <= 30."""
-    if not 2 <= n <= 30:
-        raise FieldError("cyclotomic_minpoly supports 2 <= n <= 30")
+    """n-th cyclotomic polynomial over Q, low -> high, for n >= 2."""
+    if n < 2:
+        raise FieldError("cyclotomic_minpoly needs n >= 2")
     return _cyclotomic(n)
 
 
@@ -689,7 +689,7 @@ def cyclotomic_field(n: int) -> Field:
 # ---------------------------------------------------------------------------
 # real embeddings (rendering support only; never feeds back into exact math)
 
-def real_roots(poly: Sequence, tol: float = 1e-14) -> list:
+def real_roots(poly: Sequence) -> list:
     """Real roots of a squarefree polynomial, increasing, as floats."""
     cs = [float(c) for c in poly_trim(poly)]
     if len(cs) <= 1:
@@ -711,7 +711,7 @@ def real_roots(poly: Sequence, tol: float = 1e-14) -> list:
             for _ in range(200):
                 mid = 0.5 * (lo + hi)
                 fm = poly_eval(cs, mid)
-                if fm == 0.0 or hi - lo < tol:
+                if fm == 0.0 or hi - lo < 1e-14:
                     lo = hi = mid
                     break
                 if flo * fm < 0:
@@ -768,14 +768,14 @@ def parse_field_spec(text: str) -> FieldSpec:
         if t == "Q":
             return rationals_spec()
         if t.startswith("Q[x]/(") and t.endswith(")"):
-            return number_field_spec(_parse_poly(t[6:-1], rational=True))
+            return number_field_spec(_parse_poly(t[6:-1]))
         if t.startswith("GF(") and t.endswith(")"):
             inner = t[3:-1]
             if ";" in inner:
                 q_text, poly_text = inner.split(";", 1)
                 q = int(q_text)
                 p = _char_of_order(q)
-                return gf_spec(q, _parse_poly(poly_text, rational=False, mod=p))
+                return gf_spec(q, [_residue(c, p) for c in _parse_poly(poly_text)])
             return gf_spec(int(inner))
     except (ValueError, ZeroDivisionError):  # a malformed number inside the spec
         pass
@@ -812,8 +812,9 @@ def _format_poly(coeffs) -> str:
     return "".join(terms) if terms else "0"
 
 
-def _parse_poly(text: str, rational: bool, mod: Optional[int] = None):
-    """Parse a polynomial in x written as a +/- chain of c*x^k terms."""
+def _parse_poly(text: str) -> tuple:
+    """The Fraction coefficients, low -> high, of a polynomial in x written
+    as a +/- chain of c*x^k terms."""
     t = text.replace(" ", "")
     if not t:
         raise FieldError("empty polynomial")
@@ -853,11 +854,7 @@ def _parse_poly(text: str, rational: bool, mod: Optional[int] = None):
             e = 0
             c = Fraction(term)
         coeffs[e] = coeffs.get(e, Fraction(0)) + sign * c
-    deg = max(coeffs)
-    out = [coeffs.get(i, Fraction(0)) for i in range(deg + 1)]
-    if rational:
-        return tuple(out)
-    return tuple(_residue(c, mod) for c in out)
+    return tuple(coeffs.get(i, Fraction(0)) for i in range(max(coeffs) + 1))
 
 
 def _x_coefficients(s: Scalar) -> list:
@@ -878,6 +875,4 @@ def parse_scalar(field: Field, text: str) -> Scalar:
     t = text.strip()
     if field.kind in (RATIONALS, PRIME_FIELD):
         return field.scalar(Fraction(t))
-    coeffs = _parse_poly(t, rational=field.kind == NUMBER_FIELD,
-                         mod=field.characteristic)
-    return poly_eval(coeffs, field.generator)
+    return poly_eval(_parse_poly(t), field.generator)

@@ -15,6 +15,7 @@ from .fields import RATIONALS, FieldError, real_embedding
 from .projective import ProjPoint
 
 _CLIP_EPS = 1e-9
+_SIZE = 640  # pixel width of every image
 
 _STYLE = """\
   <style>
@@ -38,7 +39,6 @@ class RenderSpec:
     chart: str = "z"              # which coordinate is set to 1
     root_index: int = 0           # real embedding choice for number fields
     mark_points: bool = True      # draw singular points sized by multiplicity
-    size: int = 640               # pixel width of the square image
 
     def __post_init__(self):
         x0, x1, y0, y1 = self.window
@@ -91,8 +91,7 @@ def render_svg(layers: Sequence, spec: RenderSpec = RenderSpec()) -> RenderResul
     and with point marks on all lines must be over one field.
     """
     x0, x1, y0, y1 = [float(v) for v in spec.window]
-    size = spec.size
-    scale = size / (x1 - x0)
+    scale = _SIZE / (x1 - x0)
     height = (y1 - y0) * scale
     chart = {"z": (0, 1, 2), "y": (0, 2, 1), "x": (1, 2, 0)}[spec.chart]
 
@@ -108,10 +107,10 @@ def render_svg(layers: Sequence, spec: RenderSpec = RenderSpec()) -> RenderResul
     parts = []
     parts.append('<?xml version="1.0" encoding="UTF-8"?>\n')
     parts.append(f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-                 f'width="{size}" height="{height:.2f}" '
-                 f'viewBox="0 0 {size} {height:.2f}">\n')
+                 f'width="{_SIZE}" height="{height:.2f}" '
+                 f'viewBox="0 0 {_SIZE} {height:.2f}">\n')
     parts.append(_STYLE)
-    parts.append(f'  <rect x="0" y="0" width="{size}" height="{height:.2f}" '
+    parts.append(f'  <rect x="0" y="0" width="{_SIZE}" height="{height:.2f}" '
                  'fill="#ffffff"/>\n')
 
     omitted = []

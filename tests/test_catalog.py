@@ -243,6 +243,8 @@ def test_polygon_vertices_embed_as_the_regular_polygon():
 def test_polygonal_profiles_more():
     assert profile(build("polygonal", n=8)).as_dict() == {2: 4, 3: 6, 4: 1}
     assert profile(build("polygonal", n=14)).as_dict() == {2: 7, 3: 21, 7: 1}
+    # the 32-gon: Phi_64 lies past every order the cyclotomic fields once capped
+    assert profile(build("polygonal", n=64)).as_dict() == {2: 32, 3: 496, 32: 1}
     assert profile(build("polygonal-ext", n=13)).as_dict() == \
         {2: 9, 3: 12, 4: 3, 6: 1}
     with pytest.raises(CatalogError):

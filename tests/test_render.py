@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from lineops import fields
+from lineops import fields, render
 from lineops.arrangements import Arrangement, ArrangementError, make_arrangement
 from lineops.catalog import build
 from lineops.fields import QQ, FieldError, real_roots
@@ -71,15 +71,15 @@ def test_determinism():
 
 
 def test_clipping_soundness():
-    spec = RenderSpec(size=500)
+    spec = RenderSpec(window=(Fraction(-3), Fraction(5), Fraction(-1), Fraction(2)))
     arr = build("parallel-pairs6")
     result = render_svg([arr], spec)
     x0, x1, y0, y1 = [float(v) for v in spec.window]
-    scale = spec.size / (x1 - x0)
+    scale = render._SIZE / (x1 - x0)
     height = (y1 - y0) * scale
     for ax, ay, bx, by in seg_coords(result.svg):
         for x, y in ((ax, ay), (bx, by)):
-            assert -1e-6 <= x <= spec.size + 1e-6
+            assert -1e-6 <= x <= render._SIZE + 1e-6
             assert -1e-6 <= y <= height + 1e-6
 
 
